@@ -1,21 +1,3 @@
 """Near-field joint channel estimation and cooperative localization."""
 
-from .arraymodel import (ArrayConfig, Measurement, PathParams, add_noise,
-                         antenna_offsets, element_distance, element_distances,
-                         far_steering, los_gain, near_steering,
-                         synthesize_channel)
-from .bounds import FisherMatrix, crlb_diag, fim, steering_derivatives
-from .codebook import (Codebook, CodebookConfig, Codeword, angle_grid,
-                       build_codebook, distance_grid, fresnel, s1, s2)
-from .estimator import (EstimatorConfig, SoftEstimate, cost, grad_f, hess_f,
-                        ls_gain, newton_refine_once, objective, omp_detect,
-                        oracle_ls, reconstruct, residual, vnnce)
-from .harness import (Scenario, ScenarioError, SweepResult, dbmeter,
-                      load_scenario, nmse, rmse, run_trial, scenario_from_dict,
-                      sweep, to_db)
-from .localization import (BsConfig, FusionReport, SoftPosition, consistency,
-                           gaussian_fuse, gfcl, polar_to_relative,
-                           position_covariance, relative_to_polar, to_global)
-from .pipeline import JointResult, run_joint
-
 __version__ = "0.1.0"

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 config error, 3 runtime anomaly.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import harness
 from .bounds import crlb_diag, fim
-from .codebook import angle_grid, build_codebook
+from .codebook import angle_grid
 from .harness import Scenario, ScenarioError, load_scenario
 from .localization import is_front_side
 
@@ -128,7 +129,7 @@ def _cmd_crlb(args) -> int:
 
 def _cmd_codebook(args) -> int:
     scenario = _load(args)
-    cb = build_codebook(scenario.array, scenario.codebook_config)
+    cb = scenario.codebook
     lines = ["n_theta,n_r,cos_theta,theta_rad,r_m"]
     for cw in cb.codewords:
         lines.append(f"{cw.n_theta},{cw.n_r},{cw.cos_theta:.12g},"
@@ -159,8 +160,7 @@ def _cmd_validate(args) -> int:
         checks.append((f"bs{i} LoS in annulus",
                        arr.min_near_distance < r <= arr.rayleigh_distance))
     # Noiseless single-draw pipeline sanity.
-    noiseless = Scenario(**{**scenario.__dict__, "sigma2": 0.0,
-                            "_codebook": scenario._codebook})
+    noiseless = dataclasses.replace(scenario, sigma2=0.0)
     rows = harness.run_trial(noiseless, None, 0, 0)
     checks.append(("noiseless NMSE <= -40 dB",
                    all(r["nmse_db"] <= -40.0 for r in rows)))

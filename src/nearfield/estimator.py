@@ -10,7 +10,7 @@ the others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -62,18 +62,10 @@ def _as_vector(y) -> np.ndarray:
     return y.y if isinstance(y, Measurement) else np.asarray(y, dtype=complex)
 
 
-def cost(cfg: ArrayConfig, y, theta: float, r: float) -> float:
-    """Matched projection energy G(theta, r) = |b^H y|^2 / M."""
-    yv = _as_vector(y)
-    b = near_steering(cfg, theta, r)
-    return float(np.abs(b.conj() @ yv) ** 2 / cfg.num_antennas)
-
-
-def ls_gain(cfg: ArrayConfig, y, theta: float, r: float) -> complex:
-    """Least-squares complex gain b^H y / M at (theta, r)."""
-    yv = _as_vector(y)
-    b = near_steering(cfg, theta, r)
-    return complex(b.conj() @ yv / cfg.num_antennas)
+def project(cfg: ArrayConfig, y, theta: float, r: float) -> tuple[float, complex]:
+    """Matched projection on b(theta, r): cost |b^H y|^2 / M and LS gain b^H y / M."""
+    inner = near_steering(cfg, theta, r).conj() @ _as_vector(y)
+    return float(np.abs(inner) ** 2 / cfg.num_antennas), complex(inner / cfg.num_antennas)
 
 
 def _gain_polar(gain: complex) -> tuple[float, float]:
@@ -82,16 +74,14 @@ def _gain_polar(gain: complex) -> tuple[float, float]:
     return g, phi
 
 
-def _psi_terms(cfg: ArrayConfig, y, p: PathParams, ang=None):
+def _psi_terms(cfg: ArrayConfig, y, p: PathParams):
     """Shared per-element quantities for the objective derivatives."""
     yv = _as_vector(y)
     k = cfg.wavenumber
     d = cfg.spacing
     delta = antenna_offsets(cfg)
     r_m = element_distances(cfg, p.theta, p.r)
-    if ang is None:
-        ang = np.angle(yv)
-    psi = k * (r_m - p.r) + p.phi - ang
+    psi = k * (r_m - p.r) + p.phi - np.angle(yv)
     # psi depends on (theta, r) only through r_m:
     #   dr_m/dtheta = -delta*d*r*sin(theta)/r_m
     #   dr_m/dr     = (r + delta*d*cos(theta))/r_m
@@ -108,10 +98,10 @@ def objective(cfg: ArrayConfig, y, p: PathParams) -> float:
     return float(np.sum(2.0 * a * p.g * np.cos(psi)) - cfg.num_antennas * p.g**2)
 
 
-def _grad_hess(cfg: ArrayConfig, y, p: PathParams, ang=None):
+def _grad_hess(cfg: ArrayConfig, y, p: PathParams):
     """Gradient and Hessian of the objective from one shared pass."""
     (_, a, psi, psi_th, psi_r, delta, d, r_m,
-     drm_dth, drm_dr) = _psi_terms(cfg, y, p, ang)
+     drm_dth, drm_dr) = _psi_terms(cfg, y, p)
     k = cfg.wavenumber
     s, c = np.sin(psi), np.cos(psi)
     sin_t, cos_t = np.sin(p.theta), np.cos(p.theta)
@@ -166,14 +156,17 @@ def hess_f(cfg: ArrayConfig, y, p: PathParams) -> np.ndarray:
     return _grad_hess(cfg, y, p)[1]
 
 
-def _psd_inverse_covariance(info: np.ndarray, floor: float) -> tuple[np.ndarray, bool]:
-    """Invert an information matrix, flooring its eigenvalues to keep it PD."""
-    info = (info + info.T) / 2.0
-    w, v = np.linalg.eigh(info)
+def psd_repair(mat: np.ndarray, floor: float,
+               invert: bool = False) -> tuple[np.ndarray, bool]:
+    """Symmetrise, floor the eigenvalues at `floor`, and rebuild the matrix
+    (or, with invert=True, its inverse); the flag says whether any
+    eigenvalue was floored."""
+    mat = (mat + mat.T) / 2.0
+    w, v = np.linalg.eigh(mat)
     repaired = bool(np.any(w < floor))
     w = np.maximum(w, floor)
-    cov = (v / w) @ v.T
-    return (cov + cov.T) / 2.0, repaired
+    out = (v / w) @ v.T if invert else (v * w) @ v.T
+    return (out + out.T) / 2.0, repaired
 
 
 def confidence_covariance(cfg: ArrayConfig, y, p: PathParams,
@@ -188,14 +181,9 @@ def confidence_covariance(cfg: ArrayConfig, y, p: PathParams,
     if sigma2 is None:
         sigma2 = y.noise_variance if isinstance(y, Measurement) else 0.0
     info = -hess_f(cfg, y, p)
-    cov, repaired = _psd_inverse_covariance(info, psd_floor_scale * cfg.num_antennas)
+    cov, repaired = psd_repair(info, psd_floor_scale * cfg.num_antennas,
+                               invert=True)
     return sigma2 * cov, repaired
-
-
-def _project(cfg: ArrayConfig, yv: np.ndarray, theta: float, r: float) -> tuple[float, complex]:
-    """Projection cost and LS gain from a single steering evaluation."""
-    inner = near_steering(cfg, theta, r).conj() @ yv
-    return float(np.abs(inner) ** 2 / cfg.num_antennas), complex(inner / cfg.num_antennas)
 
 
 def _clamp_params(cfg: ArrayConfig, theta: float, r: float) -> tuple[float, float]:
@@ -204,26 +192,20 @@ def _clamp_params(cfg: ArrayConfig, theta: float, r: float) -> tuple[float, floa
     return theta, r
 
 
-def newton_refine_once(cfg: ArrayConfig, y, est: SoftEstimate,
-                       psd_floor_scale: float = 1e-12,
+def newton_refine_once(cfg: ArrayConfig, y, p: PathParams,
                        trace: TraceHook | None = None,
-                       path_index: int = 0, round_index: int = 0,
-                       sigma2: float | None = None) -> SoftEstimate:
-    """One guarded Newton update of (theta, r), then LS gain and covariance.
+                       path_index: int = 0, round_index: int = 0) -> PathParams:
+    """One guarded Newton update of (theta, r), then the LS gain.
 
     The (theta, r) step is taken only when the 2x2 sub-Hessian is negative
     definite, the distance is clamped into the near-field annulus, and the
     update is reverted if the projection cost decreased.
     """
-    if sigma2 is None:
-        sigma2 = y.noise_variance if isinstance(y, Measurement) else 0.0
     yv = _as_vector(y)
-    ang = np.angle(yv)
-    p = est.params
     theta, r = p.theta, p.r
-    cost_before, gain = _project(cfg, yv, theta, r)
+    cost_before, gain = project(cfg, yv, theta, r)
 
-    grad, hess = _grad_hess(cfg, yv, p, ang)
+    grad, hess = _grad_hess(cfg, yv, p)
     h2 = hess[:2, :2]
     # Negative definite iff h00 < 0 and det > 0 (strict); singular => skip.
     det = h2[0, 0] * h2[1, 1] - h2[0, 1] * h2[1, 0]
@@ -233,21 +215,17 @@ def newton_refine_once(cfg: ArrayConfig, y, est: SoftEstimate,
     if h2[0, 0] < 0.0 and det > 0.0:
         step = np.linalg.solve(h2, grad[:2])
         cand = _clamp_params(cfg, theta - step[0], r - step[1])
-        cand_cost, cand_gain = _project(cfg, yv, *cand)
+        cand_cost, cand_gain = project(cfg, yv, *cand)
         if cand_cost >= cost_before:
             accepted = True
             theta_new, r_new = cand
             cost_after, gain = cand_cost, cand_gain
 
     g, phi = _gain_polar(gain)
-    new_params = PathParams(theta=theta_new, r=r_new, g=g, phi=phi)
-    info = -_grad_hess(cfg, yv, new_params, ang)[1]
-    cov, repaired = _psd_inverse_covariance(info, psd_floor_scale * cfg.num_antennas)
-    cov = sigma2 * cov
     if trace is not None:
         trace(path_index, round_index, theta_new, r_new, g, phi,
               cost_before, cost_after, accepted)
-    return SoftEstimate(params=new_params, cov=cov, psd_repaired=repaired)
+    return PathParams(theta=theta_new, r=r_new, g=g, phi=phi)
 
 
 def residual(cfg: ArrayConfig, y, fixed: list[SoftEstimate]) -> np.ndarray:
@@ -273,28 +251,66 @@ def _coarse_covariance(cfg: ArrayConfig, codebook: Codebook, cw, g: float,
     return np.diag([var_theta, var_r, var_g, var_phi])
 
 
+def _detection_scores(codebook: Codebook, yv: np.ndarray) -> np.ndarray:
+    """Detection score |b^H y|^2 of every codeword."""
+    return np.abs(codebook.steering_matrix.conj().T @ yv) ** 2
+
+
 def omp_detect(cfg: ArrayConfig, y_r, codebook: Codebook,
                sigma2: float = 0.0) -> SoftEstimate:
     """Exhaustive codebook scan maximizing |b^H y_r|^2; ties -> lowest index."""
     if len(codebook) == 0:
         raise ValueError("codebook is empty")
     yv = _as_vector(y_r)
-    scores = np.abs(codebook.steering_matrix.conj().T @ yv) ** 2
-    best = int(np.argmax(scores))  # argmax returns the first (lowest) index on ties
+    best = int(np.argmax(_detection_scores(codebook, yv)))  # first index on ties
     cw = codebook.codewords[best]
-    g, phi = _gain_polar(ls_gain(cfg, yv, cw.theta, cw.r))
+    g, phi = _gain_polar(project(cfg, yv, cw.theta, cw.r)[1])
     params = PathParams(theta=cw.theta, r=cw.r, g=g, phi=phi)
     return SoftEstimate(params=params, cov=_coarse_covariance(cfg, codebook, cw, g, sigma2))
 
 
-def _refine_rounds(cfg: ArrayConfig, y_r, est: SoftEstimate, rounds: int,
-                   psd_floor_scale: float, trace: TraceHook | None,
-                   path_index: int, sigma2: float = 0.0) -> SoftEstimate:
-    for j in range(rounds):
-        est = newton_refine_once(cfg, y_r, est, psd_floor_scale, trace,
-                                 path_index=path_index, round_index=j,
-                                 sigma2=sigma2)
-    return est
+def _refine(cfg: EstimatorConfig, y_r, est: SoftEstimate, k: int, sigma2: float,
+            trace: TraceHook | None, fixed: tuple[float, float] | None = None
+            ) -> SoftEstimate:
+    """One turn of path k against its residual y_r, then its covariance at
+    the returned point.
+
+    A path with a fixed (theta, r) gets an LS gain refit there; any other
+    path gets single_rounds guarded Newton steps, and zero rounds keep the
+    estimate as it is.
+    """
+    array = cfg.codebook.array
+    if fixed is not None:
+        p = PathParams(*fixed, *_gain_polar(project(array, y_r, *fixed)[1]))
+    elif cfg.single_rounds == 0:
+        return est
+    else:
+        p = est.params
+        for j in range(cfg.single_rounds):
+            p = newton_refine_once(array, y_r, p, trace, path_index=k, round_index=j)
+    cov, repaired = confidence_covariance(array, y_r, p, cfg.psd_floor_scale,
+                                          sigma2=sigma2)
+    return SoftEstimate(params=p, cov=cov, psd_repaired=repaired)
+
+
+def cyclic_refine(cfg: EstimatorConfig, y: Measurement,
+                  estimates: list[SoftEstimate], rounds: int,
+                  trace: TraceHook | None = None,
+                  frozen: dict[int, tuple[float, float]] | None = None
+                  ) -> list[SoftEstimate]:
+    """Re-refine every path against the residual of the others, `rounds` times.
+
+    A frozen path (index -> fixed (theta, r)) keeps that geometry and only
+    has its gain refit; it also takes a turn before and after the rounds.
+    """
+    array = cfg.codebook.array
+    frozen = frozen or {}
+    estimates = list(estimates)
+    for k in [*frozen] + [*range(len(estimates))] * rounds + [*frozen]:
+        y_rk = residual(array, y, estimates[:k] + estimates[k + 1:])
+        estimates[k] = _refine(cfg, y_rk, estimates[k], k, y.noise_variance,
+                               trace, frozen.get(k))
+    return estimates
 
 
 def vnnce(y: Measurement, cfg: EstimatorConfig,
@@ -312,30 +328,13 @@ def vnnce(y: Measurement, cfg: EstimatorConfig,
     for _ in range(cfg.num_paths):
         y_r = residual(array, y, estimates)
         if cfg.stop_tau is not None:
-            scores = np.abs(cfg.codebook.steering_matrix.conj().T @ y_r) ** 2
-            if scores.max() / array.num_antennas < cfg.stop_tau * array.num_antennas * sigma2:
+            best = _detection_scores(cfg.codebook, y_r).max()
+            if best / array.num_antennas < cfg.stop_tau * array.num_antennas * sigma2:
                 break
         est = omp_detect(array, y_r, cfg.codebook, sigma2)
-        est = _refine_rounds(array, y_r, est, cfg.single_rounds,
-                             cfg.psd_floor_scale, trace,
-                             path_index=len(estimates), sigma2=sigma2)
-        estimates.append(est)
-        for _ in range(cfg.cyclic_rounds):
-            for k in range(len(estimates)):
-                others = estimates[:k] + estimates[k + 1:]
-                y_rk = residual(array, y, others)
-                estimates[k] = _refine_rounds(array, y_rk, estimates[k],
-                                              cfg.single_rounds,
-                                              cfg.psd_floor_scale, trace,
-                                              path_index=k, sigma2=sigma2)
+        estimates.append(_refine(cfg, y_r, est, len(estimates), sigma2, trace))
+        estimates = cyclic_refine(cfg, y, estimates, cfg.cyclic_rounds, trace)
     return estimates
-
-
-def reconstruct(cfg: ArrayConfig, estimates: list[SoftEstimate]) -> np.ndarray:
-    """Channel implied by a list of soft estimates."""
-    if not estimates:
-        raise ValueError("estimates must be non-empty")
-    return synthesize_channel(cfg, [e.params for e in estimates])
 
 
 def oracle_ls(cfg: ArrayConfig, y, true_paths: list[PathParams]) -> np.ndarray:

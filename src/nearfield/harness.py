@@ -22,7 +22,7 @@ from .arraymodel import (ArrayConfig, Measurement, PathParams, add_noise,
 from .codebook import Codebook, CodebookConfig, build_codebook
 from .estimator import EstimatorConfig
 from .localization import BsConfig, polar_to_relative, relative_to_polar, is_front_side
-from .pipeline import JointResult, run_joint
+from .pipeline import JointResult, nmse, run_joint  # noqa: F401 - nmse re-exported
 
 SCHEMA_VERSION = 1
 
@@ -83,9 +83,23 @@ def _require(cond: bool, msg: str):
         raise ScenarioError(msg)
 
 
+def _require_finite(value, name: str = ""):
+    """Reject NaN and infinity anywhere in a scenario, naming the field."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _require_finite(item, f"{name}.{key}" if name else str(key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _require_finite(item, f"{name}[{i}]")
+    else:
+        _require(not isinstance(value, float) or math.isfinite(value),
+                 f"{name} must be a finite number, got {value}")
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     """Build and validate a Scenario, filling defaults for omitted fields."""
     _require(isinstance(data, dict), "scenario must be a JSON object")
+    _require_finite(data)
     version = data.get("schema_version", SCHEMA_VERSION)
     _require(version == SCHEMA_VERSION, f"unsupported schema_version {version}")
 
@@ -165,6 +179,8 @@ def scenario_from_dict(data: dict) -> Scenario:
                         single_rounds=single_rounds, cyclic_rounds=cyclic_rounds,
                         zeta=float(data.get("zeta", 3.5)),
                         seed=int(data.get("seed", 0)))
+    _require(scenario.p_t > 0, "p_t must be > 0")
+    _require(scenario.zeta > 0, "zeta must be > 0")
 
     for i, bs in enumerate(bss):
         theta, r = scenario.los_geometry(bs)
@@ -185,18 +201,6 @@ def load_scenario(path: str) -> Scenario:
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{path}: invalid JSON ({exc})") from exc
     return scenario_from_dict(data)
-
-
-def nmse(h_true: np.ndarray, h_est: np.ndarray) -> float:
-    """Normalized channel error ||h - h_est||^2 / ||h||^2."""
-    h_true = np.asarray(h_true)
-    h_est = np.asarray(h_est)
-    if h_true.shape != h_est.shape:
-        raise ValueError("length mismatch")
-    denom = float(np.linalg.norm(h_true) ** 2)
-    if denom == 0.0:
-        raise ValueError("true channel is zero")
-    return float(np.linalg.norm(h_true - h_est) ** 2 / denom)
 
 
 def to_db(value: float) -> float:
@@ -279,9 +283,9 @@ def run_trial(scenario: Scenario, snr_db: float | None, point_idx: int,
         sel = result.step1[i][cand.path_index].params
         theta_t, r_t = scenario.los_geometry(bs)
         nmse3 = result.nmse_step3[i]
+        snr_bs = to_db(powers[i] / sigma2) if sigma2 > 0 else math.inf
         rows.append({
-            "snr_db": (snr_db if snr_db is not None else
-                       math.inf if sigma2 == 0.0 else to_db(powers[i] / sigma2)),
+            "snr_db": snr_db if snr_db is not None else snr_bs,
             "trial": trial,
             "bs": i,
             "nmse_db": to_db(result.nmse_step1[i]),
@@ -290,7 +294,7 @@ def run_trial(scenario: Scenario, snr_db: float | None, point_idx: int,
             "single_rmse_m": float(np.linalg.norm(cand.position.mean - user)),
             "fused_rmse_m": fused_err,
             "step3_nmse_db": to_db(nmse3) if nmse3 is not None else math.nan,
-            "snr_bs_db": to_db(powers[i] / sigma2) if sigma2 > 0 else math.inf,
+            "snr_bs_db": snr_bs,
             "_point": point_idx,
         })
     if return_joint:
@@ -332,7 +336,10 @@ def sweep(scenario: Scenario, snr_grid_db: list[float], trials: int,
     """Monte Carlo sweep over an SNR grid; deterministic given scenario.seed."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    scenario.codebook  # build once so workers inherit the cached matrix
+    # Builds only the codeword list, which the tasks carry to the workers.
+    # The steering matrix is built lazily, so every worker chunk rebuilds it
+    # in its own unpickled copy of the scenario.
+    scenario.codebook
     tasks = [(scenario, snr, pi, t)
              for pi, snr in enumerate(snr_grid_db) for t in range(trials)]
     if threads > 1:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arraymodel import ArrayConfig, Measurement
-from .estimator import SoftEstimate, grad_f, hess_f, residual
+from .estimator import SoftEstimate, grad_f, hess_f, psd_repair, residual
 
 POSITION_PSD_FLOOR = 1e-12  # m^2 eigenvalue floor for 2x2 covariances
 
@@ -100,15 +100,6 @@ def is_front_side(theta: float) -> bool:
     return 0.0 < theta < np.pi
 
 
-def _psd_repair_2x2(mat: np.ndarray) -> tuple[np.ndarray, bool]:
-    mat = (mat + mat.T) / 2.0
-    w, v = np.linalg.eigh(mat)
-    repaired = bool(np.any(w < POSITION_PSD_FLOOR))
-    w = np.maximum(w, POSITION_PSD_FLOOR)
-    out = (v * w) @ v.T
-    return (out + out.T) / 2.0, repaired
-
-
 def _transform_coefficients(x: float, y: float):
     """First and second derivatives of (theta, r) w.r.t. (x_r, y_r)."""
     rho2 = x * x + y * y
@@ -167,9 +158,9 @@ def position_covariance(y, est: SoftEstimate, omega: float, array: ArrayConfig,
         cov = J @ est.cov[:2, :2] @ J.T
     else:
         info = -position_hessian(y, est, omega, array)
-        info, _ = _psd_repair_2x2(info)
+        info, _ = psd_repair(info, POSITION_PSD_FLOOR)
         cov = sigma2 * np.linalg.inv(info)
-    cov, repaired = _psd_repair_2x2(cov)
+    cov, repaired = psd_repair(cov, POSITION_PSD_FLOOR)
     return SoftPosition(mean=np.array([x, yr]), cov=cov, psd_repaired=repaired)
 
 

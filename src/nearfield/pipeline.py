@@ -8,14 +8,14 @@ the remaining paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .arraymodel import Measurement, PathParams, synthesize_channel
+from .arraymodel import Measurement, synthesize_channel
 from .estimator import (EstimatorConfig, SoftEstimate, TraceHook,
-                        _refine_rounds, confidence_covariance, ls_gain,
-                        _gain_polar, residual, vnnce)
+                        cyclic_refine, vnnce)
+from .estimator import residual  # noqa: F401 - rebound by bench/layertrace.py
 from .localization import (BsConfig, FusionReport, gfcl, is_front_side,
                            relative_to_polar)
 
@@ -30,44 +30,16 @@ class JointResult:
     anchored: list[bool]
 
 
-def _nmse(h_true: np.ndarray, h_est: np.ndarray) -> float:
-    return float(np.linalg.norm(h_true - h_est) ** 2 / np.linalg.norm(h_true) ** 2)
-
-
-def _anchor_refine(bs: BsConfig, y: Measurement, estimates: list[SoftEstimate],
-                   anchor_index: int, theta_a: float, r_a: float,
-                   est_cfg: EstimatorConfig,
-                   trace: TraceHook | None) -> list[SoftEstimate]:
-    """Freeze the anchored path's geometry; LS its gain and re-refine the rest."""
-    array = bs.array
-    estimates = list(estimates)
-
-    def refit_anchor():
-        others = estimates[:anchor_index] + estimates[anchor_index + 1:]
-        y_ra = residual(array, y, others)
-        g, phi = _gain_polar(ls_gain(array, y_ra, theta_a, r_a))
-        params = PathParams(theta=theta_a, r=r_a, g=g, phi=phi)
-        cov, rep = confidence_covariance(array, y_ra, params,
-                                         est_cfg.psd_floor_scale,
-                                         sigma2=y.noise_variance)
-        estimates[anchor_index] = SoftEstimate(params=params, cov=cov,
-                                               psd_repaired=rep)
-
-    refit_anchor()
-    for _ in range(max(est_cfg.cyclic_rounds, 1)):
-        for k in range(len(estimates)):
-            if k == anchor_index:
-                refit_anchor()
-                continue
-            others = estimates[:k] + estimates[k + 1:]
-            y_rk = residual(array, y, others)
-            estimates[k] = _refine_rounds(array, y_rk, estimates[k],
-                                          est_cfg.single_rounds,
-                                          est_cfg.psd_floor_scale, trace,
-                                          path_index=k,
-                                          sigma2=y.noise_variance)
-    refit_anchor()
-    return estimates
+def nmse(h_true: np.ndarray, h_est: np.ndarray) -> float:
+    """Normalized channel error ||h - h_est||^2 / ||h||^2."""
+    h_true = np.asarray(h_true)
+    h_est = np.asarray(h_est)
+    if h_true.shape != h_est.shape:
+        raise ValueError("length mismatch")
+    denom = float(np.linalg.norm(h_true) ** 2)
+    if denom == 0.0:
+        raise ValueError("true channel is zero")
+    return float(np.linalg.norm(h_true - h_est) ** 2 / denom)
 
 
 def run_joint(bs_configs: list[BsConfig], measurements: list[Measurement],
@@ -78,12 +50,12 @@ def run_joint(bs_configs: list[BsConfig], measurements: list[Measurement],
     step1 = [vnnce(y, cfg, trace) for y, cfg in zip(measurements, est_cfgs)]
     report = gfcl(step1, bs_configs, measurements, zeta)
 
-    nmse1: list[float] = []
-    if true_channels is not None:
-        for i, ests in enumerate(step1):
-            nmse1.append(_nmse(true_channels[i],
-                               synthesize_channel(bs_configs[i].array,
-                                                  [e.params for e in ests])))
+    def channel_nmse(i: int, ests: list[SoftEstimate]) -> float:
+        h_est = synthesize_channel(bs_configs[i].array, [e.params for e in ests])
+        return nmse(true_channels[i], h_est)
+
+    nmse1 = ([channel_nmse(i, ests) for i, ests in enumerate(step1)]
+             if true_channels is not None else [])
 
     step3: list[list[SoftEstimate] | None] = [None] * len(bs_configs)
     nmse3: list[float | None] = [None] * len(bs_configs)
@@ -99,13 +71,11 @@ def run_joint(bs_configs: list[BsConfig], measurements: list[Measurement],
             continue
         r_a = float(np.clip(r_a, bs.array.min_near_distance,
                             bs.array.rayleigh_distance))
-        step3[i] = _anchor_refine(bs, measurements[i], step1[i],
-                                  cand.path_index, theta_a, r_a,
-                                  est_cfgs[i], trace)
+        step3[i] = cyclic_refine(est_cfgs[i], measurements[i], step1[i],
+                                 max(est_cfgs[i].cyclic_rounds, 1), trace,
+                                 frozen={cand.path_index: (theta_a, r_a)})
         anchored[i] = True
         if true_channels is not None:
-            nmse3[i] = _nmse(true_channels[i],
-                             synthesize_channel(bs.array,
-                                                [e.params for e in step3[i]]))
+            nmse3[i] = channel_nmse(i, step3[i])
     return JointResult(step1=step1, step2=report, step3=step3,
                        nmse_step1=nmse1, nmse_step3=nmse3, anchored=anchored)

@@ -30,6 +30,14 @@ class TestExitCodes:
         assert "wavelength" in capsys.readouterr().err
 
 
+    def test_non_finite_field_is_config_error(self, tmp_path, capsys):
+        p = tmp_path / "nan.json"
+        p.write_text('{"array": {"num_antennas": 64, "wavelength": 0.003}, '
+                     '"sigma2": 1e-9, "zeta": NaN}')
+        assert cli(["validate", "--config", str(p)]) == 2
+        assert "zeta" in capsys.readouterr().err
+
+
 class TestEstimate:
     def test_json_payload(self, tmp_path):
         out = tmp_path / "est.json"

@@ -8,10 +8,9 @@ from nearfield.arraymodel import (ArrayConfig, Measurement, PathParams,
                                   add_noise, near_steering, synthesize_channel)
 from nearfield.codebook import CodebookConfig, build_codebook
 from nearfield.estimator import (EstimatorConfig, SoftEstimate,
-                                 confidence_covariance, cost, grad_f, hess_f,
-                                 ls_gain, newton_refine_once, objective,
-                                 omp_detect, oracle_ls, reconstruct, residual,
-                                 vnnce)
+                                 confidence_covariance, grad_f, hess_f,
+                                 newton_refine_once, objective, omp_detect,
+                                 oracle_ls, project, residual, vnnce)
 from tests.conftest import random_path
 
 
@@ -60,27 +59,29 @@ class TestCostAndGain:
     def test_cost_at_truth_equals_g2m(self, desk_array):
         p = PathParams(theta=1.3, r=2.0, g=1.0)
         h = synthesize_channel(desk_array, [p])
-        assert cost(desk_array, h, p.theta, p.r) == pytest.approx(64.0, rel=1e-12)
+        c, _ = project(desk_array, h, p.theta, p.r)
+        assert c == pytest.approx(64.0, rel=1e-12)
 
     def test_cost_scales_with_gain(self, desk_array):
         p = PathParams(theta=1.3, r=2.0, g=0.5)
         h = synthesize_channel(desk_array, [p])
-        assert cost(desk_array, h, p.theta, p.r) == pytest.approx(16.0, rel=1e-12)
+        c, _ = project(desk_array, h, p.theta, p.r)
+        assert c == pytest.approx(16.0, rel=1e-12)
 
     def test_cost_zero_input(self, desk_array):
-        assert cost(desk_array, np.zeros(64, dtype=complex), 1.0, 2.0) == 0.0
+        assert project(desk_array, np.zeros(64, dtype=complex), 1.0, 2.0)[0] == 0.0
 
     def test_cost_global_phase_invariant(self, desk_array, rng):
         p = random_path(desk_array, rng)
         h = synthesize_channel(desk_array, [p])
-        c0 = cost(desk_array, h, 1.0, 2.0)
-        assert cost(desk_array, h * np.exp(1j * 0.77), 1.0, 2.0) == pytest.approx(
-            c0, rel=1e-12)
+        c0, _ = project(desk_array, h, 1.0, 2.0)
+        c1, _ = project(desk_array, h * np.exp(1j * 0.77), 1.0, 2.0)
+        assert c1 == pytest.approx(c0, rel=1e-12)
 
     def test_ls_gain_recovers_complex_gain(self, desk_array):
         p = PathParams(theta=1.3, r=2.0, g=0.8, phi=2.1)
         h = synthesize_channel(desk_array, [p])
-        gain = ls_gain(desk_array, h, p.theta, p.r)
+        _, gain = project(desk_array, h, p.theta, p.r)
         assert abs(gain) == pytest.approx(0.8, rel=1e-12)
         assert np.angle(gain) == pytest.approx(2.1, abs=1e-12)
 
@@ -90,14 +91,14 @@ class TestCostAndGain:
         for _ in range(10):
             p, q = random_path(desk_array, rng), random_path(desk_array, rng)
             h = near_steering(desk_array, p.theta, p.r)
-            assert abs(ls_gain(desk_array, h, q.theta, q.r)) < 1.0
+            assert abs(project(desk_array, h, q.theta, q.r)[1]) < 1.0
 
     def test_accepts_measurement_wrapper(self, desk_array):
         p = PathParams(theta=1.3, r=2.0, g=1.0)
         h = synthesize_channel(desk_array, [p])
         m = Measurement(y=h, noise_variance=0.0)
-        assert cost(desk_array, m, p.theta, p.r) == pytest.approx(
-            cost(desk_array, h, p.theta, p.r))
+        assert project(desk_array, m, p.theta, p.r)[0] == pytest.approx(
+            project(desk_array, h, p.theta, p.r)[0])
 
 
 class TestObjective:
@@ -168,11 +169,10 @@ class TestNewtonRefine:
     def test_truth_is_fixed_point(self, desk_array):
         p = PathParams(theta=1.3, r=2.0, g=1.0, phi=0.5)
         h = synthesize_channel(desk_array, [p])
-        est = SoftEstimate(params=p, cov=np.eye(4))
-        out = newton_refine_once(desk_array, h, est)
-        assert out.params.theta == pytest.approx(p.theta, abs=1e-9)
-        assert out.params.r == pytest.approx(p.r, rel=1e-9)
-        assert out.params.g == pytest.approx(1.0, rel=1e-9)
+        out = newton_refine_once(desk_array, h, p)
+        assert out.theta == pytest.approx(p.theta, abs=1e-9)
+        assert out.r == pytest.approx(p.r, rel=1e-9)
+        assert out.g == pytest.approx(1.0, rel=1e-9)
 
     def test_converges_from_nearest_codeword(self, desk_array, desk_codebook):
         # Off-grid truth in the identifiable mid-annulus: guarded steps from
@@ -186,11 +186,11 @@ class TestNewtonRefine:
                                r=float(rng.uniform(0.3, 1.5)),
                                g=1.0, phi=float(rng.uniform(0, 2 * np.pi)))
             h = synthesize_channel(desk_array, [truth])
-            est = omp_detect(desk_array, h, desk_codebook)
+            p = omp_detect(desk_array, h, desk_codebook).params
             for _ in range(20):
-                est = newton_refine_once(desk_array, h, est)
-            assert abs(est.params.theta - truth.theta) < 1e-6
-            assert abs(est.params.r - truth.r) / truth.r < 1e-4
+                p = newton_refine_once(desk_array, h, p)
+            assert abs(p.theta - truth.theta) < 1e-6
+            assert abs(p.r - truth.r) / truth.r < 1e-4
 
     def test_indefinite_point_skipped(self, desk_array):
         # Between two symmetric lobes the cost surface has a saddle in
@@ -198,33 +198,32 @@ class TestNewtonRefine:
         truth = PathParams(theta=1.3, r=2.0, g=1.0)
         h = synthesize_channel(desk_array, [truth])
         thetas = np.linspace(truth.theta + 0.02, truth.theta + 0.2, 400)
-        costs = [cost(desk_array, h, t, truth.r) for t in thetas]
+        costs = [project(desk_array, h, t, truth.r)[0] for t in thetas]
         idx = int(np.argmin(costs))  # valley between main and side lobe
         start = PathParams(theta=float(thetas[idx]), r=truth.r, g=0.5, phi=0.0)
         H2 = hess_f(desk_array, h, start)[:2, :2]
         assert not (H2[0, 0] < 0 and np.linalg.det(H2) > 0)
-        out = newton_refine_once(desk_array, h, SoftEstimate(start, np.eye(4)))
-        assert out.params.theta == start.theta
-        assert out.params.r == start.r
+        out = newton_refine_once(desk_array, h, start)
+        assert out.theta == start.theta
+        assert out.r == start.r
 
     def test_distance_clamped_into_annulus(self, desk_array):
         truth = PathParams(theta=1.5, r=desk_array.rayleigh_distance * 0.99, g=1.0)
         h = synthesize_channel(desk_array, [truth])
-        start = PathParams(theta=1.5, r=desk_array.rayleigh_distance, g=1.0)
-        est = SoftEstimate(params=start, cov=np.eye(4))
+        p = PathParams(theta=1.5, r=desk_array.rayleigh_distance, g=1.0)
         for _ in range(5):
-            est = newton_refine_once(desk_array, h, est)
-            assert desk_array.min_near_distance <= est.params.r
-            assert est.params.r <= desk_array.rayleigh_distance
+            p = newton_refine_once(desk_array, h, p)
+            assert desk_array.min_near_distance <= p.r
+            assert p.r <= desk_array.rayleigh_distance
 
     def test_trace_hook_records_accepted_steps(self, desk_array, desk_codebook):
         truth = PathParams(theta=1.25, r=2.3, g=1.0, phi=1.0)
         h = synthesize_channel(desk_array, [truth])
         records = []
-        est = omp_detect(desk_array, h, desk_codebook)
+        p = omp_detect(desk_array, h, desk_codebook).params
         for j in range(5):
-            est = newton_refine_once(desk_array, h, est, trace=lambda *a: records.append(a),
-                                     round_index=j)
+            p = newton_refine_once(desk_array, h, p, trace=lambda *a: records.append(a),
+                                   round_index=j)
         assert len(records) == 5
         for (_, _, _, _, _, _, c_before, c_after, accepted) in records:
             if accepted:
@@ -266,6 +265,32 @@ class TestCovariance:
         rep = float(np.mean(stds))
         assert rep / emp < 3.0
         assert emp / rep < 3.0
+
+
+class TestRefinementCovariance:
+    """The covariance a refinement returns belongs to the point it returns."""
+
+    def test_single_path_cov_is_laplace_at_returned_point(self, desk_array,
+                                                          desk_codebook):
+        truth = PathParams(theta=1.35, r=2.2, g=1.0, phi=0.7)
+        sigma2 = 1e-3
+        y = add_noise(synthesize_channel(desk_array, [truth]), sigma2, 5)
+        est = vnnce(y, EstimatorConfig(num_paths=1, codebook=desk_codebook))[0]
+        cov, repaired = confidence_covariance(desk_array, y, est.params,
+                                              sigma2=sigma2)
+        assert np.array_equal(est.cov, cov)
+        assert est.psd_repaired == repaired
+
+    def test_zero_rounds_keep_coarse_covariance(self, desk_array, desk_codebook):
+        truth = PathParams(theta=1.35, r=2.2, g=1.0, phi=0.7)
+        sigma2 = 1e-3
+        y = add_noise(synthesize_channel(desk_array, [truth]), sigma2, 5)
+        cfg = EstimatorConfig(num_paths=1, codebook=desk_codebook,
+                              single_rounds=0, cyclic_rounds=0)
+        est = vnnce(y, cfg)[0]
+        coarse = omp_detect(desk_array, y, desk_codebook, sigma2)
+        assert est.params == coarse.params
+        assert np.array_equal(est.cov, coarse.cov)
 
 
 class TestOmpDetect:
@@ -334,8 +359,8 @@ class TestVnnce:
         h = synthesize_channel(desk_array, paths)
         y = Measurement(y=h)
         ests = vnnce(y, EstimatorConfig(num_paths=2, codebook=desk_codebook))
-        nmse = np.linalg.norm(h - reconstruct(desk_array, ests)) ** 2 \
-            / np.linalg.norm(h) ** 2
+        h_est = synthesize_channel(desk_array, [e.params for e in ests])
+        nmse = np.linalg.norm(h - h_est) ** 2 / np.linalg.norm(h) ** 2
         assert 10 * np.log10(nmse) <= -60.0
 
     def test_permutation_robust_recovery(self, desk_array, desk_codebook):

@@ -47,6 +47,16 @@ class TestScenarioParsing:
         ({"array": {"num_antennas": 64}}, "wavelength"),
         ({"array": MINIMAL["array"], "schema_version": 99}, "schema_version"),
         ({"array": MINIMAL["array"], "bss": []}, "BS"),
+        ({**MINIMAL, "zeta": math.nan}, "zeta"),
+        ({**MINIMAL, "zeta": 0.0}, "zeta"),
+        ({**MINIMAL, "zeta": -1.0}, "zeta"),
+        ({**MINIMAL, "sigma2": math.inf}, "sigma2"),
+        ({**MINIMAL, "p_t": math.inf}, "p_t"),
+        ({**MINIMAL, "user": [math.nan, 3.0]}, r"user\[0\]"),
+        ({**MINIMAL, "bss": [{"position": [0.0, 0.0], "rotation": math.nan}]},
+         r"bss\[0\]\.rotation"),
+        ({"array": {"num_antennas": 64, "wavelength": math.nan}, "sigma2": 1e-9},
+         r"array\.wavelength"),
     ])
     def test_descriptive_errors(self, broken, needle):
         with pytest.raises(ScenarioError, match=needle):

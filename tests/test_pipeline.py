@@ -105,6 +105,25 @@ class TestAnchoring:
             # allow a -90 dB floor above the exact oracle-LS solution.
             assert result.nmse_step3[i] <= max(nmse_ls * 10 ** 0.05, 1e-9)
 
+    def test_anchored_path_holds_fused_geometry(self, desk_array, setup):
+        # Step 3 freezes the selected path at the fused position's polar
+        # coordinates; its cyclic rounds refit only that path's gain.
+        user, bss, cb = setup
+        rng = np.random.default_rng(4)
+        paths = make_paths(desk_array, bss, user, rng, with_nlos=True)
+        _, result = run_once(desk_array, bss, cb, paths, 1e-2, 4)
+        assert any(result.anchored)
+        by_bs = {c.bs_index: c for c in result.step2.candidates}
+        for i, bs in enumerate(bss):
+            if not result.anchored[i]:
+                continue
+            rel = result.step2.fused.mean - np.asarray(bs.position)
+            theta_a, r_a = relative_to_polar(rel[0], rel[1], bs.rotation)
+            r_a = float(np.clip(r_a, desk_array.min_near_distance,
+                                desk_array.rayleigh_distance))
+            anchor = result.step3[i][by_bs[i].path_index].params
+            assert (anchor.theta, anchor.r) == (theta_a, r_a)
+
     def test_refinement_not_worse_on_average(self, desk_array, setup):
         # Trial-mean NMSE after anchoring is no worse than before it.
         user, bss, cb = setup
