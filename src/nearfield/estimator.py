@@ -98,8 +98,9 @@ def objective(cfg: ArrayConfig, y, p: PathParams) -> float:
     return float(np.sum(2.0 * a * p.g * np.cos(psi)) - cfg.num_antennas * p.g**2)
 
 
-def _grad_hess(cfg: ArrayConfig, y, p: PathParams):
-    """Gradient and Hessian of the objective from one shared pass."""
+def grad_hess(cfg: ArrayConfig, y, p: PathParams) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic gradient and 4x4 Hessian of the objective in (theta, r, g,
+    phi) order, from one shared pass."""
     (_, a, psi, psi_th, psi_r, delta, d, r_m,
      drm_dth, drm_dr) = _psi_terms(cfg, y, p)
     k = cfg.wavenumber
@@ -140,22 +141,6 @@ def _grad_hess(cfg: ArrayConfig, y, p: PathParams):
     return grad, h
 
 
-def grad_f(cfg: ArrayConfig, y, p: PathParams) -> np.ndarray:
-    """Analytic gradient of the objective in (theta, r, g, phi) order."""
-    _, a, psi, psi_th, psi_r, *_ = _psi_terms(cfg, y, p)
-    s, c = np.sin(psi), np.cos(psi)
-    d_theta = np.sum(-2.0 * a * p.g * s * psi_th)
-    d_r = np.sum(-2.0 * a * p.g * s * psi_r)
-    d_g = np.sum(2.0 * a * c) - 2.0 * cfg.num_antennas * p.g
-    d_phi = np.sum(-2.0 * a * p.g * s)
-    return np.array([d_theta, d_r, d_g, d_phi])
-
-
-def hess_f(cfg: ArrayConfig, y, p: PathParams) -> np.ndarray:
-    """Analytic 4x4 Hessian of the objective in (theta, r, g, phi) order."""
-    return _grad_hess(cfg, y, p)[1]
-
-
 def psd_repair(mat: np.ndarray, floor: float,
                invert: bool = False) -> tuple[np.ndarray, bool]:
     """Symmetrise, floor the eigenvalues at `floor`, and rebuild the matrix
@@ -180,7 +165,7 @@ def confidence_covariance(cfg: ArrayConfig, y, p: PathParams,
     """
     if sigma2 is None:
         sigma2 = y.noise_variance if isinstance(y, Measurement) else 0.0
-    info = -hess_f(cfg, y, p)
+    info = -grad_hess(cfg, y, p)[1]
     cov, repaired = psd_repair(info, psd_floor_scale * cfg.num_antennas,
                                invert=True)
     return sigma2 * cov, repaired
@@ -205,7 +190,7 @@ def newton_refine_once(cfg: ArrayConfig, y, p: PathParams,
     theta, r = p.theta, p.r
     cost_before, gain = project(cfg, yv, theta, r)
 
-    grad, hess = _grad_hess(cfg, yv, p)
+    grad, hess = grad_hess(cfg, yv, p)
     h2 = hess[:2, :2]
     # Negative definite iff h00 < 0 and det > 0 (strict); singular => skip.
     det = h2[0, 0] * h2[1, 1] - h2[0, 1] * h2[1, 0]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arraymodel import ArrayConfig, Measurement
-from .estimator import SoftEstimate, grad_f, hess_f, psd_repair, residual
+from .estimator import SoftEstimate, grad_hess, psd_repair, residual
 
 POSITION_PSD_FLOOR = 1e-12  # m^2 eigenvalue floor for 2x2 covariances
 
@@ -122,8 +122,7 @@ def position_hessian(y, est: SoftEstimate, omega: float,
     x, yr = polar_to_relative(p.theta, p.r, omega)
     (th_x, th_y, r_x, r_y), (th_xx, th_yy, th_xy, r_xx, r_yy, r_xy) = \
         _transform_coefficients(x, yr)
-    grad = grad_f(array, y, p)
-    hess = hess_f(array, y, p)
+    grad, hess = grad_hess(array, y, p)
     f_th, f_r = grad[0], grad[1]
     f_thth, f_thr, f_rr = hess[0, 0], hess[0, 1], hess[1, 1]
 

@@ -8,7 +8,7 @@ from nearfield.arraymodel import (ArrayConfig, Measurement, PathParams,
                                   add_noise, near_steering, synthesize_channel)
 from nearfield.codebook import CodebookConfig, build_codebook
 from nearfield.estimator import (EstimatorConfig, SoftEstimate,
-                                 confidence_covariance, grad_f, hess_f,
+                                 confidence_covariance, grad_hess,
                                  newton_refine_once, objective, omp_detect,
                                  oracle_ls, project, residual, vnnce)
 from tests.conftest import random_path
@@ -35,8 +35,8 @@ def fd_hess(cfg, y, x, h):
     for i in range(4):
         e = np.zeros(4)
         e[i] = h[i]
-        gp = grad_f(cfg, y, PathParams(*(x + e)))
-        gm = grad_f(cfg, y, PathParams(*(x - e)))
+        gp, _ = grad_hess(cfg, y, PathParams(*(x + e)))
+        gm, _ = grad_hess(cfg, y, PathParams(*(x - e)))
         H[i] = (gp - gm) / (2 * h[i])
     return (H + H.T) / 2
 
@@ -126,7 +126,8 @@ class TestDerivatives:
         for _ in range(5):
             p = random_path(desk_array, rng)
             h = synthesize_channel(desk_array, [p])
-            assert np.linalg.norm(grad_f(desk_array, h, p)) < 1e-6 * 64
+            grad, _ = grad_hess(desk_array, h, p)
+            assert np.linalg.norm(grad) < 1e-6 * 64
 
     @pytest.mark.parametrize("snr_db", [None, 10.0])
     def test_gradient_matches_fd(self, desk_array, rng, snr_db):
@@ -138,7 +139,7 @@ class TestDerivatives:
                 sigma2 = truth.g**2 / 10 ** (snr_db / 10)
                 y = add_noise(y, sigma2, rng).y
             x = p.as_vector()
-            ana = grad_f(desk_array, y, p)
+            ana, _ = grad_hess(desk_array, y, p)
             num = fd_grad(lambda v: obj_at(desk_array, y, v), x, fd_steps(p))
             assert np.linalg.norm(ana - num) <= 1e-5 * max(
                 np.linalg.norm(num), 1.0)
@@ -152,7 +153,7 @@ class TestDerivatives:
             if snr_db is not None:
                 sigma2 = truth.g**2 / 10 ** (snr_db / 10)
                 y = add_noise(y, sigma2, rng).y
-            ana = hess_f(desk_array, y, p)
+            _, ana = grad_hess(desk_array, y, p)
             num = fd_hess(desk_array, y, p.as_vector(), fd_steps(p) * 0.1)
             assert np.linalg.norm(ana - num) <= 1e-4 * max(
                 np.linalg.norm(num), 1.0)
@@ -160,7 +161,7 @@ class TestDerivatives:
     def test_hessian_symmetric(self, desk_array, rng):
         p = random_path(desk_array, rng)
         y = synthesize_channel(desk_array, [random_path(desk_array, rng)])
-        H = hess_f(desk_array, y, p)
+        _, H = grad_hess(desk_array, y, p)
         assert np.allclose(H, H.T, atol=1e-9)
         assert H[2, 2] == -2 * 64  # gain curvature is exactly -2M
 
@@ -201,7 +202,7 @@ class TestNewtonRefine:
         costs = [project(desk_array, h, t, truth.r)[0] for t in thetas]
         idx = int(np.argmin(costs))  # valley between main and side lobe
         start = PathParams(theta=float(thetas[idx]), r=truth.r, g=0.5, phi=0.0)
-        H2 = hess_f(desk_array, h, start)[:2, :2]
+        H2 = grad_hess(desk_array, h, start)[1][:2, :2]
         assert not (H2[0, 0] < 0 and np.linalg.det(H2) > 0)
         out = newton_refine_once(desk_array, h, start)
         assert out.theta == start.theta
