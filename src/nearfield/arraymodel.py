@@ -85,6 +85,7 @@ class Measurement:
 
 
 _OFFSETS_CACHE: dict[int, np.ndarray] = {}
+STEERING_BLOCK = 1 << 14  # entries per block: 256 KiB complex temporaries
 
 
 def antenna_offsets(cfg: ArrayConfig) -> np.ndarray:
@@ -100,9 +101,12 @@ def antenna_offsets(cfg: ArrayConfig) -> np.ndarray:
 
 def element_distances(cfg: ArrayConfig, theta: float, r: float) -> np.ndarray:
     """Distance from each antenna to a source at (theta, r)."""
-    delta = antenna_offsets(cfg)
-    d = cfg.spacing
-    return np.sqrt(r**2 + (delta * d) ** 2 + 2.0 * delta * d * r * np.cos(theta))
+    return _distances(antenna_offsets(cfg) * cfg.spacing, r**2, r, np.cos(theta))
+
+
+def _distances(delta_d, r_sq, r, cos_theta) -> np.ndarray:
+    # The one expression behind near_steering and near_steering_columns.
+    return np.sqrt(r_sq + delta_d**2 + 2.0 * delta_d * r * cos_theta)
 
 
 def element_distance(cfg: ArrayConfig, p: PathParams, m: int) -> float:
@@ -116,6 +120,23 @@ def near_steering(cfg: ArrayConfig, theta: float, r: float) -> np.ndarray:
     """Spherical-wave steering vector, entries exp(j*k*(r_m - r))."""
     r_m = element_distances(cfg, theta, r)
     return np.exp(1j * cfg.wavenumber * (r_m - r))
+
+
+def near_steering_columns(cfg: ArrayConfig, theta: np.ndarray,
+                          r: np.ndarray) -> np.ndarray:
+    """M x N matrix whose column j is near_steering(cfg, theta[j], r[j]) bit
+    for bit, filled STEERING_BLOCK entries at a time to keep temporaries small."""
+    M = cfg.num_antennas
+    out = np.empty((M, len(r)), dtype=complex)
+    delta_d = (antenna_offsets(cfg) * cfg.spacing)[:, None]
+    r_sq = np.array([v**2 for v in r.tolist()])  # float pow, not np.square
+    cos_theta = np.cos(theta)
+    step = max(1, STEERING_BLOCK // M)
+    for j in range(0, len(r), step):
+        cols = slice(j, j + step)
+        r_m = _distances(delta_d, r_sq[cols], r[cols], cos_theta[cols])
+        np.exp(1j * cfg.wavenumber * (r_m - r[cols]), out=out[:, cols])
+    return out
 
 
 def far_steering(cfg: ArrayConfig, theta: float) -> np.ndarray:

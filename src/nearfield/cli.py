@@ -131,9 +131,10 @@ def _cmd_codebook(args) -> int:
     scenario = _load(args)
     cb = scenario.codebook
     lines = ["n_theta,n_r,cos_theta,theta_rad,r_m"]
-    for cw in cb.codewords:
-        lines.append(f"{cw.n_theta},{cw.n_r},{cw.cos_theta:.12g},"
-                     f"{cw.theta:.12g},{cw.r:.12g}")
+    for n_theta, n_r, cos_t, theta, r in zip(
+            cb.n_theta.tolist(), cb.n_r.tolist(), cb.cos_theta.tolist(),
+            cb.theta.tolist(), cb.r.tolist()):
+        lines.append(f"{n_theta},{n_r},{cos_t:.12g},{theta:.12g},{r:.12g}")
     text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     n_angles = len(angle_grid(scenario.array, scenario.codebook_config.delta_alpha))
@@ -149,8 +150,8 @@ def _cmd_validate(args) -> int:
     cb = scenario.codebook
     checks.append(("codebook non-empty", len(cb) > 0))
     checks.append(("codewords in near-field annulus",
-                   all(arr.min_near_distance < cw.r <= arr.rayleigh_distance
-                       for cw in cb.codewords)))
+                   bool(np.all((arr.min_near_distance < cb.r)
+                               & (cb.r <= arr.rayleigh_distance)))))
     B = cb.steering_matrix
     checks.append(("steering entries unit modulus",
                    bool(np.allclose(np.abs(B), 1.0, atol=1e-12))))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
-from .arraymodel import ArrayConfig, near_steering
+from .arraymodel import ArrayConfig, near_steering_columns
 
 MAX_DELTA_ALPHA = 0.9
 MAX_DELTA_BETA = 2.98
@@ -36,35 +36,38 @@ class CodebookConfig:
             )
 
 
-@dataclass(frozen=True)
-class Codeword:
-    theta: float
-    r: float
-    cos_theta: float
-    n_theta: int
-    n_r: int
-
-
-@dataclass
+@dataclass(eq=False)
 class Codebook:
-    """Immutable ordered codeword set with a cached steering matrix."""
+    """Ordered codeword grid as read-only arrays, one entry per codeword,
+    with a cached steering matrix.
+
+    Codeword j lies at angle theta[j] (cos_theta[j], angle index n_theta[j])
+    and distance r[j] (index n_r[j] within its angle).
+    """
 
     array: ArrayConfig
     config: CodebookConfig
-    codewords: list[Codeword]
+    theta: np.ndarray
+    r: np.ndarray
+    cos_theta: np.ndarray
+    n_theta: np.ndarray
+    n_r: np.ndarray
     _steering: np.ndarray | None = field(default=None, repr=False)
 
+    def __post_init__(self):
+        for name in ("theta", "r", "cos_theta", "n_theta", "n_r"):
+            value = np.array(getattr(self, name))
+            value.setflags(write=False)
+            setattr(self, name, value)
+
     def __len__(self) -> int:
-        return len(self.codewords)
+        return len(self.r)
 
     @property
     def steering_matrix(self) -> np.ndarray:
         """M x N matrix, one near-field steering vector per codeword."""
         if self._steering is None:
-            cols = [near_steering(self.array, cw.theta, cw.r) for cw in self.codewords]
-            self._steering = np.stack(cols, axis=1) if cols else np.zeros(
-                (self.array.num_antennas, 0), dtype=complex
-            )
+            self._steering = near_steering_columns(self.array, self.theta, self.r)
         return self._steering
 
 
@@ -100,18 +103,23 @@ def distance_grid(cfg: ArrayConfig, theta: float, delta_beta: float) -> np.ndarr
 
 def build_codebook(cfg: ArrayConfig, cbcfg: CodebookConfig) -> Codebook:
     """Cross product of the angle grid with per-angle distance grids."""
-    codewords: list[Codeword] = []
-    for n_theta, cos_t in enumerate(angle_grid(cfg, cbcfg.delta_alpha)):
+    cos_grid = angle_grid(cfg, cbcfg.delta_alpha)
+    thetas, grids = [], []
+    for cos_t in cos_grid:
         theta = float(np.arccos(cos_t))
-        distances = list(distance_grid(cfg, theta, cbcfg.delta_beta))
+        distances = distance_grid(cfg, theta, cbcfg.delta_beta)
         if cbcfg.cover_far_edge and cfg.rayleigh_distance not in distances:
-            distances.append(cfg.rayleigh_distance)
-        for n_r, r in enumerate(distances):
-            codewords.append(
-                Codeword(theta=theta, r=float(r), cos_theta=float(cos_t),
-                         n_theta=n_theta, n_r=n_r)
-            )
-    return Codebook(array=cfg, config=cbcfg, codewords=codewords)
+            distances = np.append(distances, cfg.rayleigh_distance)
+        thetas.append(theta)
+        grids.append(distances)
+    counts = np.array([len(g) for g in grids], dtype=int)
+    starts = np.cumsum(counts) - counts
+    return Codebook(array=cfg, config=cbcfg,
+                    theta=np.repeat(thetas, counts),
+                    r=np.concatenate([np.zeros(0), *grids]),
+                    cos_theta=np.repeat(cos_grid, counts),
+                    n_theta=np.repeat(np.arange(len(grids)), counts),
+                    n_r=np.arange(counts.sum()) - np.repeat(starts, counts))
 
 
 def s1(alpha: float) -> float:

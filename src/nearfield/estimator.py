@@ -221,37 +221,42 @@ def residual(cfg: ArrayConfig, y, fixed: list[SoftEstimate]) -> np.ndarray:
     return yv
 
 
-def _coarse_covariance(cfg: ArrayConfig, codebook: Codebook, cw, g: float,
-                       sigma2: float) -> np.ndarray:
+def _coarse_covariance(cfg: ArrayConfig, codebook: Codebook, theta: float,
+                       r: float, g: float, sigma2: float) -> np.ndarray:
     """Grid-cell-scale diagonal sentinel covariance for a coarse detection."""
     M = cfg.num_antennas
     dcos = 2.0 * codebook.config.delta_alpha / M
-    sin_t = max(np.sin(cw.theta), 1e-3)
+    sin_t = max(np.sin(theta), 1e-3)
     var_theta = (dcos / sin_t) ** 2
     dinv_r = 2.0 * cfg.wavelength * codebook.config.delta_beta / (
         M**2 * cfg.spacing**2 * sin_t**2)
-    var_r = (cw.r**2 * dinv_r) ** 2
+    var_r = (r**2 * dinv_r) ** 2
     var_g = max(sigma2 / (2.0 * M), 1e-12)
     var_phi = max(sigma2 / (2.0 * M * max(g, 1e-12) ** 2), 1e-12)
     return np.diag([var_theta, var_r, var_g, var_phi])
 
 
 def _detection_scores(codebook: Codebook, yv: np.ndarray) -> np.ndarray:
-    """Detection score |b^H y|^2 of every codeword."""
-    return np.abs(codebook.steering_matrix.conj().T @ yv) ** 2
+    """Detection score |b^H y|^2 of every codeword, as y^H B, which reads
+    the steering matrix in place (B^H y would copy it)."""
+    return np.abs(yv.conj() @ codebook.steering_matrix) ** 2
 
 
-def omp_detect(cfg: ArrayConfig, y_r, codebook: Codebook,
-               sigma2: float = 0.0) -> SoftEstimate:
-    """Exhaustive codebook scan maximizing |b^H y_r|^2; ties -> lowest index."""
+def omp_detect(cfg: ArrayConfig, y_r, codebook: Codebook, sigma2: float = 0.0,
+               scores: np.ndarray | None = None) -> SoftEstimate:
+    """Exhaustive codebook scan maximizing |b^H y_r|^2; ties -> lowest index.
+    Pass `scores` when the scan of y_r is already done."""
     if len(codebook) == 0:
         raise ValueError("codebook is empty")
     yv = _as_vector(y_r)
-    best = int(np.argmax(_detection_scores(codebook, yv)))  # first index on ties
-    cw = codebook.codewords[best]
-    g, phi = _gain_polar(project(cfg, yv, cw.theta, cw.r)[1])
-    params = PathParams(theta=cw.theta, r=cw.r, g=g, phi=phi)
-    return SoftEstimate(params=params, cov=_coarse_covariance(cfg, codebook, cw, g, sigma2))
+    if scores is None:
+        scores = _detection_scores(codebook, yv)
+    best = int(np.argmax(scores))  # first index on ties
+    theta, r = float(codebook.theta[best]), float(codebook.r[best])
+    g, phi = _gain_polar(project(cfg, yv, theta, r)[1])
+    params = PathParams(theta=theta, r=r, g=g, phi=phi)
+    return SoftEstimate(params=params,
+                        cov=_coarse_covariance(cfg, codebook, theta, r, g, sigma2))
 
 
 def _refine(cfg: EstimatorConfig, y_r, est: SoftEstimate, k: int, sigma2: float,
@@ -312,11 +317,13 @@ def vnnce(y: Measurement, cfg: EstimatorConfig,
     estimates: list[SoftEstimate] = []
     for _ in range(cfg.num_paths):
         y_r = residual(array, y, estimates)
+        scores = None
         if cfg.stop_tau is not None:
-            best = _detection_scores(cfg.codebook, y_r).max()
-            if best / array.num_antennas < cfg.stop_tau * array.num_antennas * sigma2:
+            scores = _detection_scores(cfg.codebook, y_r)
+            M = array.num_antennas
+            if scores.max() / M < cfg.stop_tau * M * sigma2:
                 break
-        est = omp_detect(array, y_r, cfg.codebook, sigma2)
+        est = omp_detect(array, y_r, cfg.codebook, sigma2, scores)
         estimates.append(_refine(cfg, y_r, est, len(estimates), sigma2, trace))
         estimates = cyclic_refine(cfg, y, estimates, cfg.cyclic_rounds, trace)
     return estimates

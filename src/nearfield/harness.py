@@ -83,102 +83,131 @@ def _require(cond: bool, msg: str):
         raise ScenarioError(msg)
 
 
-def _require_finite(value, name: str = ""):
-    """Reject NaN and infinity anywhere in a scenario, naming the field."""
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _require_finite(item, f"{name}.{key}" if name else str(key))
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _require_finite(item, f"{name}[{i}]")
-    else:
-        _require(not isinstance(value, float) or math.isfinite(value),
-                 f"{name} must be a finite number, got {value}")
+def _number(value, name: str, kind=float):
+    """A scenario field as a finite float (or int), else a ScenarioError
+    naming the field."""
+    try:
+        out = kind(value)
+        ok = math.isfinite(out)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    _require(ok, f"{name} must be a finite number, got {value!r}")
+    return out
+
+
+def _object(value, name: str) -> dict:
+    _require(isinstance(value, dict), f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
+def _point(value, name: str) -> tuple[float, float]:
+    _require(isinstance(value, (list, tuple)) and len(value) == 2,
+             f"{name} must be a pair [x, y], got {value!r}")
+    return _number(value[0], f"{name}[0]"), _number(value[1], f"{name}[1]")
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     """Build and validate a Scenario, filling defaults for omitted fields."""
-    _require(isinstance(data, dict), "scenario must be a JSON object")
-    _require_finite(data)
+    _object(data, "scenario")
     version = data.get("schema_version", SCHEMA_VERSION)
     _require(version == SCHEMA_VERSION, f"unsupported schema_version {version}")
 
-    arr = data.get("array", {})
+    arr = _object(data.get("array", {}), "array")
     _require("num_antennas" in arr, "array.num_antennas is required")
     _require("wavelength" in arr, "array.wavelength is required")
+    num_antennas = _number(arr["num_antennas"], "array.num_antennas", int)
+    wavelength = _number(arr["wavelength"], "array.wavelength")
+    spacing = arr.get("spacing")
+    if spacing is not None:
+        spacing = _number(spacing, "array.spacing")
     try:
-        array = ArrayConfig(num_antennas=int(arr["num_antennas"]),
-                            wavelength=float(arr["wavelength"]),
-                            spacing=arr.get("spacing"))
+        array = ArrayConfig(num_antennas=num_antennas, wavelength=wavelength,
+                            spacing=spacing)
     except ValueError as exc:
         raise ScenarioError(f"array: {exc}") from exc
 
     if "sigma2" in data:
-        sigma2 = float(data["sigma2"])
+        sigma2 = _number(data["sigma2"], "sigma2")
     else:
-        sigma2 = 10.0 ** (float(data.get("sigma2_dbm", -110.0)) / 10.0)
+        dbm = _number(data.get("sigma2_dbm", -110.0), "sigma2_dbm")
+        try:
+            sigma2 = 10.0 ** (dbm / 10.0)
+        except OverflowError:
+            raise ScenarioError(f"sigma2_dbm={dbm} overflows sigma2") from None
     _require(sigma2 >= 0, "sigma2 must be >= 0")
 
-    cb = data.get("codebook", {})
+    cb = _object(data.get("codebook", {}), "codebook")
+    delta_alpha = _number(cb.get("delta_alpha", 0.5), "codebook.delta_alpha")
+    delta_beta = _number(cb.get("delta_beta", 1.0), "codebook.delta_beta")
+    cover_far_edge = cb.get("cover_far_edge", False)
+    _require(isinstance(cover_far_edge, bool),
+             f"codebook.cover_far_edge must be true or false, got {cover_far_edge!r}")
     try:
-        cbcfg = CodebookConfig(delta_alpha=float(cb.get("delta_alpha", 0.5)),
-                               delta_beta=float(cb.get("delta_beta", 1.0)),
-                               cover_far_edge=bool(cb.get("cover_far_edge", False)))
+        cbcfg = CodebookConfig(delta_alpha=delta_alpha, delta_beta=delta_beta,
+                               cover_far_edge=cover_far_edge)
     except ValueError as exc:
         raise ScenarioError(f"codebook: {exc}") from exc
 
-    est = data.get("estimator", {})
-    single_rounds = int(est.get("single_rounds", 5))
-    cyclic_rounds = int(est.get("cyclic_rounds", 5))
+    est = _object(data.get("estimator", {}), "estimator")
+    single_rounds = _number(est.get("single_rounds", 5), "estimator.single_rounds", int)
+    cyclic_rounds = _number(est.get("cyclic_rounds", 5), "estimator.cyclic_rounds", int)
+    _require(min(single_rounds, cyclic_rounds) >= 0,
+             "estimator round counts must be >= 0")
     num_paths = est.get("num_paths")
     if num_paths is not None:
-        num_paths = int(num_paths)
+        num_paths = _number(num_paths, "estimator.num_paths", int)
         _require(num_paths >= 1, "estimator.num_paths must be >= 1")
 
     bss_data = data.get("bss")
     if bss_data is None:
         bss_data = [{"position": [0.0, 0.0], "rotation": 0.0, "num_nlos": 1}]
-    _require(len(bss_data) >= 1, "at least one BS is required")
-
-    if "user" in data:
-        user = (float(data["user"][0]), float(data["user"][1]))
-    else:
-        # Default: mid-annulus along the first BS's boresight.
-        mid = (array.min_near_distance + array.rayleigh_distance) / 2.0
-        bs0 = bss_data[0]
-        x, y = polar_to_relative(np.pi / 2, mid, float(bs0.get("rotation", 0.0)))
-        user = (float(bs0.get("position", [0, 0])[0]) + x,
-                float(bs0.get("position", [0, 0])[1]) + y)
+    _require(isinstance(bss_data, list) and len(bss_data) >= 1,
+             "at least one BS is required")
 
     bss: list[ScenarioBs] = []
     for i, b in enumerate(bss_data):
-        _require("position" in b or b is bss_data[0],
-                 f"bss[{i}].position is required")
-        pos = tuple(float(v) for v in b.get("position", (0.0, 0.0)))
-        bs = BsConfig(position=pos, rotation=float(b.get("rotation", 0.0)),
-                      array=array)
+        _object(b, f"bss[{i}]")
+        _require("position" in b or i == 0, f"bss[{i}].position is required")
+        pos = _point(b.get("position", (0.0, 0.0)), f"bss[{i}].position")
+        bs = BsConfig(position=pos, array=array,
+                      rotation=_number(b.get("rotation", 0.0), f"bss[{i}].rotation"))
         nlos_paths = []
-        for j, p in enumerate(b.get("nlos", [])):
+        nlos = b.get("nlos", [])
+        _require(isinstance(nlos, list), f"bss[{i}].nlos must be a list")
+        for j, p in enumerate(nlos):
+            _object(p, f"bss[{i}].nlos[{j}]")
             phi = p.get("phi")  # omitted -> drawn uniformly per trial
             try:
-                path = PathParams(theta=float(p["theta"]), r=float(p["r"]),
-                                  g=float(p["g"]),
-                                  phi=float(phi) if phi is not None else math.nan)
+                path = PathParams(
+                    theta=_number(p["theta"], "theta"), r=_number(p["r"], "r"),
+                    g=_number(p["g"], "g"),
+                    phi=math.nan if phi is None else _number(phi, "phi"))
             except (KeyError, ValueError) as exc:
                 raise ScenarioError(f"bss[{i}].nlos[{j}]: {exc}") from exc
             _require(array.min_near_distance < path.r <= array.rayleigh_distance,
                      f"bss[{i}].nlos[{j}]: r={path.r} outside near-field annulus "
                      f"({array.min_near_distance}, {array.rayleigh_distance}]")
             nlos_paths.append(path)
-        num_nlos = int(b.get("num_nlos", len(nlos_paths) or 1))
+        num_nlos = _number(b.get("num_nlos", len(nlos_paths) or 1),
+                           f"bss[{i}].num_nlos", int)
+        _require(num_nlos >= 0, f"bss[{i}].num_nlos must be >= 0")
         bss.append(ScenarioBs(config=bs, num_nlos=num_nlos, nlos_paths=nlos_paths))
 
+    if "user" in data:
+        user = _point(data["user"], "user")
+    else:
+        # Default: mid-annulus along the first BS's boresight.
+        mid = (array.min_near_distance + array.rayleigh_distance) / 2.0
+        bs0 = bss[0].config
+        x, y = polar_to_relative(np.pi / 2, mid, bs0.rotation)
+        user = (bs0.position[0] + x, bs0.position[1] + y)
+
     scenario = Scenario(array=array, bss=bss, user=user, sigma2=sigma2,
-                        p_t=float(data.get("p_t", 1.0)),
+                        p_t=_number(data.get("p_t", 1.0), "p_t"),
                         codebook_config=cbcfg, num_paths=num_paths,
                         single_rounds=single_rounds, cyclic_rounds=cyclic_rounds,
-                        zeta=float(data.get("zeta", 3.5)),
-                        seed=int(data.get("seed", 0)))
+                        zeta=_number(data.get("zeta", 3.5), "zeta"),
+                        seed=_number(data.get("seed", 0), "seed", int))
     _require(scenario.p_t > 0, "p_t must be > 0")
     _require(scenario.zeta > 0, "zeta must be > 0")
 
@@ -326,9 +355,16 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _sweep_task(args) -> list[dict]:
-    scenario, snr_db, point_idx, trial = args
-    return run_trial(scenario, snr_db, point_idx, trial)
+_SCENARIO: Scenario | None = None  # the sweep's scenario in a pool worker
+
+
+def _init_worker(scenario: Scenario):
+    global _SCENARIO
+    _SCENARIO = scenario
+
+
+def _sweep_task(task: tuple[float, int, int]) -> list[dict]:
+    return run_trial(_SCENARIO, *task)
 
 
 def sweep(scenario: Scenario, snr_grid_db: list[float], trials: int,
@@ -336,17 +372,17 @@ def sweep(scenario: Scenario, snr_grid_db: list[float], trials: int,
     """Monte Carlo sweep over an SNR grid; deterministic given scenario.seed."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    # Builds only the codeword list, which the tasks carry to the workers.
-    # The steering matrix is built lazily, so every worker chunk rebuilds it
-    # in its own unpickled copy of the scenario.
-    scenario.codebook
-    tasks = [(scenario, snr, pi, t)
-             for pi, snr in enumerate(snr_grid_db) for t in range(trials)]
+    tasks = [(snr, pi, t) for pi, snr in enumerate(snr_grid_db) for t in range(trials)]
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(_sweep_task, tasks, chunksize=4))
+        # Build the steering matrix once, here: the pool forks its workers,
+        # which inherit the scenario with the matrix through the initializer,
+        # so the tasks carry only indices and nothing large is pickled.
+        scenario.codebook.steering_matrix
+        with ProcessPoolExecutor(max_workers=threads, initializer=_init_worker,
+                                 initargs=(scenario,)) as pool:
+            chunks = list(pool.map(_sweep_task, tasks))
     else:
-        chunks = [_sweep_task(t) for t in tasks]
+        chunks = [run_trial(scenario, *t) for t in tasks]
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=lambda r: (r["_point"], r["trial"], r["bs"]))
     return SweepResult(rows=rows)

@@ -37,6 +37,13 @@ class TestExitCodes:
         assert cli(["validate", "--config", str(p)]) == 2
         assert "zeta" in capsys.readouterr().err
 
+    def test_malformed_finite_field_is_config_error(self, tmp_path, capsys):
+        p = tmp_path / "user.json"
+        p.write_text(json.dumps({"array": {"num_antennas": 64, "wavelength": 0.003},
+                                 "sigma2": 1e-9, "user": [2.5]}))
+        assert cli(["validate", "--config", str(p)]) == 2
+        assert "user" in capsys.readouterr().err
+
 
 class TestEstimate:
     def test_json_payload(self, tmp_path):

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from nearfield.arraymodel import ArrayConfig
+from nearfield.arraymodel import ArrayConfig, near_steering
 from nearfield.codebook import (Codebook, CodebookConfig, alpha_of, angle_grid,
                                 beta_of, build_codebook, distance_grid,
                                 fresnel, s1, s2)
+from nearfield.harness import load_scenario
 
 
 class TestConfig:
@@ -100,21 +101,35 @@ class TestBuildCodebook:
                 2 * cfg.wavelength)
             assert r1 < cfg.min_near_distance
         assert len(cb) == 4
-        assert all(cw.r == cfg.rayleigh_distance for cw in cb.codewords)
+        assert np.all(cb.r == cfg.rayleigh_distance)
 
     def test_codeword_invariants(self, desk_array):
         cb = build_codebook(desk_array, CodebookConfig())
-        for cw in cb.codewords:
-            assert 0.0 < cw.theta < np.pi
-            assert desk_array.min_near_distance < cw.r <= desk_array.rayleigh_distance
-            assert cw.cos_theta == pytest.approx(np.cos(cw.theta), abs=1e-12)
+        assert np.all((0.0 < cb.theta) & (cb.theta < np.pi))
+        assert np.all((desk_array.min_near_distance < cb.r)
+                      & (cb.r <= desk_array.rayleigh_distance))
+        np.testing.assert_allclose(cb.cos_theta, np.cos(cb.theta), rtol=0, atol=1e-12)
+
+    def test_grid_arrays_are_aligned_and_read_only(self, desk_array):
+        cb = build_codebook(desk_array, CodebookConfig())
+        cos_grid = angle_grid(desk_array, 0.5)
+        for name in ("theta", "r", "cos_theta", "n_theta", "n_r"):
+            arr = getattr(cb, name)
+            assert arr.shape == (len(cb),) and not arr.flags.writeable
+        # Codewords run angle by angle, distances in grid order within each.
+        for n, cos_t in enumerate(cos_grid):
+            sel = cb.n_theta == n
+            theta = float(np.arccos(cos_t))
+            assert np.array_equal(cb.r[sel], distance_grid(desk_array, theta, 1.0))
+            assert np.array_equal(cb.n_r[sel], np.arange(sel.sum()))
+            assert np.all(cb.theta[sel] == theta) and np.all(cb.cos_theta[sel] == cos_t)
+        assert np.all(np.diff(cb.n_theta) >= 0)
 
     def test_cover_far_edge_adds_codewords(self, desk_array):
         base = build_codebook(desk_array, CodebookConfig())
         cover = build_codebook(desk_array, CodebookConfig(cover_far_edge=True))
         n_angles = len(angle_grid(desk_array, 0.5))
-        extra = sum(1 for cw in cover.codewords
-                    if cw.r == desk_array.rayleigh_distance)
+        extra = int(np.sum(cover.r == desk_array.rayleigh_distance))
         assert extra == n_angles
         assert len(cover) >= len(base)
 
@@ -124,6 +139,16 @@ class TestBuildCodebook:
         assert B.shape == (64, len(cb))
         assert np.allclose(np.abs(B), 1.0, atol=1e-12)
         assert cb.steering_matrix is B
+
+    @pytest.mark.parametrize("cover_far_edge", [False, True])
+    def test_steering_columns_bitwise_equal_near_steering(self, cover_far_edge):
+        scenario = load_scenario("scenarios/tab2_desk.json")
+        cb = build_codebook(scenario.array,
+                            CodebookConfig(cover_far_edge=cover_far_edge))
+        B = cb.steering_matrix
+        for j in range(len(cb)):
+            col = near_steering(scenario.array, float(cb.theta[j]), float(cb.r[j]))
+            assert np.array_equal(B[:, j], col), j
 
 
 class TestAmbiguityFunctions:

@@ -7,11 +7,21 @@ from scipy.optimize import linear_sum_assignment
 from nearfield.arraymodel import (ArrayConfig, Measurement, PathParams,
                                   add_noise, near_steering, synthesize_channel)
 from nearfield.codebook import CodebookConfig, build_codebook
+from nearfield import estimator
 from nearfield.estimator import (EstimatorConfig, SoftEstimate,
-                                 confidence_covariance, grad_hess,
-                                 newton_refine_once, objective, omp_detect,
-                                 oracle_ls, project, residual, vnnce)
+                                 _detection_scores, confidence_covariance,
+                                 grad_hess, newton_refine_once, objective,
+                                 omp_detect, oracle_ls, project, residual,
+                                 vnnce)
 from tests.conftest import random_path
+
+
+def _recording(fn, calls):
+    """fn, appending its arguments to `calls` on every call."""
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return wrapper
 
 
 def fd_grad(fn, x, h):
@@ -296,12 +306,12 @@ class TestRefinementCovariance:
 
 class TestOmpDetect:
     def test_on_grid_exact_winner(self, desk_array, desk_codebook):
-        cw = desk_codebook.codewords[500]
+        theta, r = float(desk_codebook.theta[500]), float(desk_codebook.r[500])
         h = synthesize_channel(
-            desk_array, [PathParams(theta=cw.theta, r=cw.r, g=1.0, phi=0.3)])
+            desk_array, [PathParams(theta=theta, r=r, g=1.0, phi=0.3)])
         est = omp_detect(desk_array, h, desk_codebook)
-        assert est.params.theta == pytest.approx(cw.theta, abs=1e-12)
-        assert est.params.r == pytest.approx(cw.r, rel=1e-12)
+        assert est.params.theta == pytest.approx(theta, abs=1e-12)
+        assert est.params.r == pytest.approx(r, rel=1e-12)
         assert est.params.g == pytest.approx(1.0, rel=1e-9)
 
     def test_off_grid_winner_within_one_cell(self, desk_array, desk_codebook):
@@ -320,15 +330,25 @@ class TestOmpDetect:
 
     def test_tie_breaks_to_lowest_index(self, desk_array, desk_codebook):
         est = omp_detect(desk_array, np.zeros(64, dtype=complex), desk_codebook)
-        cw = desk_codebook.codewords[0]
-        assert est.params.theta == cw.theta and est.params.r == cw.r
+        assert est.params.theta == desk_codebook.theta[0]
+        assert est.params.r == desk_codebook.r[0]
 
     def test_empty_codebook_rejected(self, desk_array, desk_codebook):
         from nearfield.codebook import Codebook
-        empty = Codebook(array=desk_array, config=desk_codebook.config,
-                         codewords=[])
+        empty = Codebook(array=desk_array, config=desk_codebook.config, theta=[],
+                         r=[], cos_theta=[], n_theta=[], n_r=[])
+        assert empty.steering_matrix.shape == (64, 0)
         with pytest.raises(ValueError):
             omp_detect(desk_array, np.zeros(64, dtype=complex), empty)
+
+    def test_scores_equal_copying_product(self, desk_array, desk_codebook):
+        # y^H B reads B in place; the scores match B^H y, which copies B.
+        B = desk_codebook.steering_matrix
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            y = rng.normal(size=64) + 1j * rng.normal(size=64)
+            want = np.abs(B.conj().T @ y) ** 2
+            assert np.array_equal(_detection_scores(desk_codebook, y), want)
 
 
 class TestResidual:
@@ -346,8 +366,8 @@ class TestResidual:
 
 class TestVnnce:
     def test_single_path_on_grid_exact(self, desk_array, desk_codebook):
-        cw = desk_codebook.codewords[700]
-        truth = PathParams(theta=cw.theta, r=cw.r, g=1.2, phi=0.9)
+        truth = PathParams(theta=float(desk_codebook.theta[700]),
+                           r=float(desk_codebook.r[700]), g=1.2, phi=0.9)
         y = Measurement(y=synthesize_channel(desk_array, [truth]))
         est = vnnce(y, EstimatorConfig(num_paths=1, codebook=desk_codebook))[0]
         assert est.params.theta == pytest.approx(truth.theta, abs=1e-9)
@@ -386,6 +406,24 @@ class TestVnnce:
         cfg = EstimatorConfig(num_paths=4, codebook=desk_codebook, stop_tau=3.0)
         ests = vnnce(y, cfg)
         assert len(ests) == 1
+
+    def test_stop_tau_scores_each_path_once(self, desk_array, desk_codebook,
+                                            monkeypatch):
+        # Two paths are estimated and a third scan stops the loop: three
+        # scans in all, each shared by the stop test and the detection.
+        paths = [PathParams(theta=1.0, r=1.5, g=1.0, phi=0.4),
+                 PathParams(theta=2.1, r=3.0, g=0.7, phi=2.5)]
+        y = add_noise(synthesize_channel(desk_array, paths), 1e-4, 3)
+        scans, detections = [], []
+        monkeypatch.setattr(estimator, "_detection_scores",
+                            _recording(estimator._detection_scores, scans))
+        monkeypatch.setattr(estimator, "omp_detect",
+                            _recording(estimator.omp_detect, detections))
+        cfg = EstimatorConfig(num_paths=4, codebook=desk_codebook, stop_tau=3.0)
+        ests = vnnce(y, cfg)
+        assert len(ests) == 2
+        assert len(detections) == 2
+        assert len(scans) == 3
 
     def test_config_validation(self, desk_codebook):
         with pytest.raises(ValueError):

@@ -2,10 +2,12 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from nearfield import codebook
 from nearfield.harness import (CSV_HEADER, Scenario, ScenarioError, dbmeter,
                                draw_paths, load_scenario, nmse, rmse,
                                run_trial, scenario_from_dict, sweep, to_db)
@@ -57,6 +59,19 @@ class TestScenarioParsing:
          r"bss\[0\]\.rotation"),
         ({"array": {"num_antennas": 64, "wavelength": math.nan}, "sigma2": 1e-9},
          r"array\.wavelength"),
+        # Finite JSON values that are still malformed.
+        ({**MINIMAL, "sigma2": "inf"}, "sigma2"),
+        ({"array": MINIMAL["array"], "sigma2_dbm": 4000}, "sigma2_dbm"),
+        ({**MINIMAL, "user": [2.5]}, "user"),
+        ({**MINIMAL, "user": ["nan", 1]}, r"user\[0\]"),
+        ({**MINIMAL, "bss": [{"position": [0.0]}]}, r"bss\[0\]\.position"),
+        ({**MINIMAL, "seed": "x"}, "seed"),
+        ({**MINIMAL, "codebook": {"cover_far_edge": math.nan}}, "cover_far_edge"),
+        ({**MINIMAL, "codebook": []}, "codebook"),
+        ({**MINIMAL, "bss": [{"position": [0.0, 0.0], "nlos": [1]}]},
+         r"bss\[0\]\.nlos\[0\]"),
+        ({**MINIMAL, "bss": [{"position": [0.0, 0.0], "num_nlos": -1}]}, "num_nlos"),
+        ({**MINIMAL, "estimator": {"single_rounds": -1}}, "round counts"),
     ])
     def test_descriptive_errors(self, broken, needle):
         with pytest.raises(ScenarioError, match=needle):
@@ -243,6 +258,20 @@ class TestSweep:
         got = [float(p["nmse_db"]) for p in parsed]
         want = [r["nmse_db"] for r in res.rows]
         assert got == pytest.approx(want, rel=1e-10)
+
+    def test_workers_never_build_the_steering_matrix(self, tmp_path, monkeypatch):
+        log = tmp_path / "builds.txt"
+        build = codebook.near_steering_columns
+
+        def logged_build(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(codebook, "near_steering_columns", logged_build)
+        scenario = load_scenario("scenarios/tab2_desk.json")
+        sweep(scenario, [20.0], trials=2, threads=2)
+        assert log.read_text().split() == [str(os.getpid())]
 
     def test_rejects_zero_trials(self, scenario):
         with pytest.raises(ValueError):
