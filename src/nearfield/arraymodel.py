@@ -109,13 +109,6 @@ def _distances(delta_d, r_sq, r, cos_theta) -> np.ndarray:
     return np.sqrt(r_sq + delta_d**2 + 2.0 * delta_d * r * cos_theta)
 
 
-def element_distance(cfg: ArrayConfig, p: PathParams, m: int) -> float:
-    """Distance from antenna m to the source of path p."""
-    if not 0 <= m < cfg.num_antennas:
-        raise ValueError(f"antenna index {m} out of range [0, {cfg.num_antennas})")
-    return float(element_distances(cfg, p.theta, p.r)[m])
-
-
 def near_steering(cfg: ArrayConfig, theta: float, r: float) -> np.ndarray:
     """Spherical-wave steering vector, entries exp(j*k*(r_m - r))."""
     r_m = element_distances(cfg, theta, r)

@@ -24,10 +24,6 @@ class FisherMatrix:
         if self.matrix.shape != (n, n) or n % 4 != 0:
             raise ValueError("FIM must be square with size a multiple of 4")
 
-    @property
-    def num_paths(self) -> int:
-        return self.matrix.shape[0] // 4
-
 
 def steering_derivatives(cfg: ArrayConfig, p: PathParams) -> np.ndarray:
     """Per-element derivatives of g e^{j phi} b(theta, r) w.r.t. (theta, r, g, phi).
@@ -58,12 +54,15 @@ def fim(cfg: ArrayConfig, paths: list[PathParams], sigma2: float) -> FisherMatri
     return FisherMatrix(matrix=(F + F.T) / 2.0, sigma2=sigma2)
 
 
-def crlb_diag(F: FisherMatrix, cond_limit: float = 1e12) -> tuple[np.ndarray, bool]:
+COND_LIMIT = 1e12  # condition number beyond which the FIM is pseudo-inverted
+
+
+def crlb_diag(F: FisherMatrix) -> tuple[np.ndarray, bool]:
     """Diagonal of F^{-1}; ill-conditioned matrices use the pseudo-inverse.
 
     Returns (variances, ill_conditioned_flag).
     """
     mat = F.matrix
-    ill = bool(np.linalg.cond(mat) > cond_limit)
+    ill = bool(np.linalg.cond(mat) > COND_LIMIT)
     inv = np.linalg.pinv(mat) if ill else np.linalg.inv(mat)
     return np.diag(inv).copy(), ill

@@ -35,8 +35,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("NEARFIELD_THREADS", "1")))
+        p.add_argument("--threads", type=int, default=None,
+                       help="sweep worker processes (default: $NEARFIELD_THREADS, "
+                            "else 1); the other commands ignore it")
         if trials:
             p.add_argument("--trials", type=int, default=200)
         if snr:
@@ -99,12 +100,21 @@ def _jsonable(v):
 
 
 def _cmd_sweep(args) -> int:
+    threads = args.threads
+    if threads is None:
+        env = os.environ.get("NEARFIELD_THREADS", "1")
+        try:
+            threads = int(env)
+        except ValueError:
+            sys.stderr.write(f"error: NEARFIELD_THREADS must be an integer, "
+                             f"got {env!r}\n")
+            return EXIT_USAGE
     scenario = _load(args)
     if args.snr_db is None:
         grid = [0.0, 10.0, 20.0, 30.0]
     else:
         grid = [float(v) for v in args.snr_db.split(",")]
-    result = harness.sweep(scenario, grid, args.trials, threads=args.threads)
+    result = harness.sweep(scenario, grid, args.trials, threads=threads)
     _emit(result.to_csv(), args.out)
     return EXIT_OK
 

@@ -5,7 +5,9 @@ analytic gradient and Hessian, and a guarded Newton step that only moves
 when the (theta, r) sub-Hessian is negative definite and the projection
 cost G does not decrease. Multi-path estimation greedily detects paths on
 the codebook and cyclically re-refines each one against the residual of
-the others.
+the others. Each returned path then gets its soft information once: the
+gradient and Hessian at its final point, against the final residual of the
+others.
 """
 
 from __future__ import annotations
@@ -26,18 +28,42 @@ THETA_EDGE = 1e-6
 TraceHook = Callable[..., None]
 
 
-@dataclass
+PSD_FLOOR_SCALE = 1e-12  # per-antenna eigenvalue floor of the 4x4 information
+
+
+@dataclass(frozen=True)
 class SoftEstimate:
-    """Path parameters plus a 4x4 confidence covariance ordered (theta, r, g, phi)."""
+    """A returned path with its soft information: the objective's gradient
+    and 4x4 Hessian at `params`, ordered (theta, r, g, phi) and taken against
+    the residual of the other returned paths, and the noise power sigma2."""
 
     params: PathParams
-    cov: np.ndarray
-    psd_repaired: bool = False
+    grad: np.ndarray
+    hess: np.ndarray
+    sigma2: float
 
     def __post_init__(self):
-        self.cov = np.asarray(self.cov, dtype=float)
-        if self.cov.shape != (4, 4):
-            raise ValueError("cov must be 4x4")
+        if np.shape(self.grad) != (4,) or np.shape(self.hess) != (4, 4):
+            raise ValueError("grad must have 4 entries and hess must be 4x4")
+
+    def _laplace(self) -> tuple[np.ndarray, bool]:
+        # The Hessian's (g, g) entry is -2M, so it carries the array size.
+        floor = PSD_FLOOR_SCALE * (-self.hess[2, 2] / 2.0)
+        cov, repaired = psd_repair(-self.hess, floor, invert=True)
+        return self.sigma2 * cov, repaired
+
+    @property
+    def cov(self) -> np.ndarray:
+        """Laplace covariance sigma^2 * (-H)^{-1}, the information matrix
+        PSD-repaired (eigenvalue floor) before inversion. The reduced
+        objective is the log-likelihood scaled by sigma^2, so the noise
+        power is carried back in."""
+        return self._laplace()[0]
+
+    @property
+    def psd_repaired(self) -> bool:
+        """Whether the PSD repair behind `cov` floored an eigenvalue."""
+        return self._laplace()[1]
 
 
 @dataclass
@@ -46,7 +72,6 @@ class EstimatorConfig:
     codebook: Codebook
     single_rounds: int = 5
     cyclic_rounds: int = 5
-    psd_floor_scale: float = 1e-12
     # Optional residual-energy stop for unknown path counts: stop adding
     # paths once the best codeword cost falls below stop_tau * M * sigma^2.
     stop_tau: float | None = None
@@ -154,23 +179,6 @@ def psd_repair(mat: np.ndarray, floor: float,
     return (out + out.T) / 2.0, repaired
 
 
-def confidence_covariance(cfg: ArrayConfig, y, p: PathParams,
-                          psd_floor_scale: float = 1e-12,
-                          sigma2: float | None = None) -> tuple[np.ndarray, bool]:
-    """Laplace covariance sigma^2 * (-H)^{-1} of the objective's Hessian.
-
-    The reduced objective is the log-likelihood scaled by sigma^2, so the
-    surrogate-posterior covariance carries the noise power back in. The
-    information matrix is PSD-repaired (eigenvalue floor) before inversion.
-    """
-    if sigma2 is None:
-        sigma2 = y.noise_variance if isinstance(y, Measurement) else 0.0
-    info = -grad_hess(cfg, y, p)[1]
-    cov, repaired = psd_repair(info, psd_floor_scale * cfg.num_antennas,
-                               invert=True)
-    return sigma2 * cov, repaired
-
-
 def _clamp_params(cfg: ArrayConfig, theta: float, r: float) -> tuple[float, float]:
     theta = float(np.clip(theta, THETA_EDGE, np.pi - THETA_EDGE))
     r = float(np.clip(r, cfg.min_near_distance, cfg.rayleigh_distance))
@@ -213,27 +221,23 @@ def newton_refine_once(cfg: ArrayConfig, y, p: PathParams,
     return PathParams(theta=theta_new, r=r_new, g=g, phi=phi)
 
 
-def residual(cfg: ArrayConfig, y, fixed: list[SoftEstimate]) -> np.ndarray:
-    """Measurement minus the reconstructed channel of the fixed paths."""
+def residual(cfg: ArrayConfig, y, paths: list[PathParams]) -> np.ndarray:
+    """Measurement minus the reconstructed channel of `paths`."""
     yv = _as_vector(y).copy()
-    if fixed:
-        yv -= synthesize_channel(cfg, [e.params for e in fixed])
+    if paths:
+        yv -= synthesize_channel(cfg, paths)
     return yv
 
 
-def _coarse_covariance(cfg: ArrayConfig, codebook: Codebook, theta: float,
-                       r: float, g: float, sigma2: float) -> np.ndarray:
-    """Grid-cell-scale diagonal sentinel covariance for a coarse detection."""
-    M = cfg.num_antennas
-    dcos = 2.0 * codebook.config.delta_alpha / M
-    sin_t = max(np.sin(theta), 1e-3)
-    var_theta = (dcos / sin_t) ** 2
-    dinv_r = 2.0 * cfg.wavelength * codebook.config.delta_beta / (
-        M**2 * cfg.spacing**2 * sin_t**2)
-    var_r = (r**2 * dinv_r) ** 2
-    var_g = max(sigma2 / (2.0 * M), 1e-12)
-    var_phi = max(sigma2 / (2.0 * M * max(g, 1e-12) ** 2), 1e-12)
-    return np.diag([var_theta, var_r, var_g, var_phi])
+def soft_estimates(cfg: ArrayConfig, y: Measurement,
+                   paths: list[PathParams]) -> list[SoftEstimate]:
+    """The soft information of every path, each against the residual of the
+    others: one derivative pass per path."""
+    out = []
+    for k, p in enumerate(paths):
+        y_rk = residual(cfg, y, paths[:k] + paths[k + 1:])
+        out.append(SoftEstimate(p, *grad_hess(cfg, y_rk, p), y.noise_variance))
+    return out
 
 
 def _detection_scores(codebook: Codebook, yv: np.ndarray) -> np.ndarray:
@@ -242,8 +246,8 @@ def _detection_scores(codebook: Codebook, yv: np.ndarray) -> np.ndarray:
     return np.abs(yv.conj() @ codebook.steering_matrix) ** 2
 
 
-def omp_detect(cfg: ArrayConfig, y_r, codebook: Codebook, sigma2: float = 0.0,
-               scores: np.ndarray | None = None) -> SoftEstimate:
+def omp_detect(cfg: ArrayConfig, y_r, codebook: Codebook,
+               scores: np.ndarray | None = None) -> PathParams:
     """Exhaustive codebook scan maximizing |b^H y_r|^2; ties -> lowest index.
     Pass `scores` when the scan of y_r is already done."""
     if len(codebook) == 0:
@@ -253,41 +257,29 @@ def omp_detect(cfg: ArrayConfig, y_r, codebook: Codebook, sigma2: float = 0.0,
         scores = _detection_scores(codebook, yv)
     best = int(np.argmax(scores))  # first index on ties
     theta, r = float(codebook.theta[best]), float(codebook.r[best])
-    g, phi = _gain_polar(project(cfg, yv, theta, r)[1])
-    params = PathParams(theta=theta, r=r, g=g, phi=phi)
-    return SoftEstimate(params=params,
-                        cov=_coarse_covariance(cfg, codebook, theta, r, g, sigma2))
+    return PathParams(theta, r, *_gain_polar(project(cfg, yv, theta, r)[1]))
 
 
-def _refine(cfg: EstimatorConfig, y_r, est: SoftEstimate, k: int, sigma2: float,
+def _refine(cfg: EstimatorConfig, y_r, p: PathParams, k: int,
             trace: TraceHook | None, fixed: tuple[float, float] | None = None
-            ) -> SoftEstimate:
-    """One turn of path k against its residual y_r, then its covariance at
-    the returned point.
+            ) -> PathParams:
+    """One turn of path k against its residual y_r.
 
     A path with a fixed (theta, r) gets an LS gain refit there; any other
-    path gets single_rounds guarded Newton steps, and zero rounds keep the
-    estimate as it is.
+    path gets single_rounds guarded Newton steps.
     """
     array = cfg.codebook.array
     if fixed is not None:
-        p = PathParams(*fixed, *_gain_polar(project(array, y_r, *fixed)[1]))
-    elif cfg.single_rounds == 0:
-        return est
-    else:
-        p = est.params
-        for j in range(cfg.single_rounds):
-            p = newton_refine_once(array, y_r, p, trace, path_index=k, round_index=j)
-    cov, repaired = confidence_covariance(array, y_r, p, cfg.psd_floor_scale,
-                                          sigma2=sigma2)
-    return SoftEstimate(params=p, cov=cov, psd_repaired=repaired)
+        return PathParams(*fixed, *_gain_polar(project(array, y_r, *fixed)[1]))
+    for j in range(cfg.single_rounds):
+        p = newton_refine_once(array, y_r, p, trace, path_index=k, round_index=j)
+    return p
 
 
-def cyclic_refine(cfg: EstimatorConfig, y: Measurement,
-                  estimates: list[SoftEstimate], rounds: int,
-                  trace: TraceHook | None = None,
+def cyclic_refine(cfg: EstimatorConfig, y: Measurement, paths: list[PathParams],
+                  rounds: int, trace: TraceHook | None = None,
                   frozen: dict[int, tuple[float, float]] | None = None
-                  ) -> list[SoftEstimate]:
+                  ) -> list[PathParams]:
     """Re-refine every path against the residual of the others, `rounds` times.
 
     A frozen path (index -> fixed (theta, r)) keeps that geometry and only
@@ -295,12 +287,11 @@ def cyclic_refine(cfg: EstimatorConfig, y: Measurement,
     """
     array = cfg.codebook.array
     frozen = frozen or {}
-    estimates = list(estimates)
-    for k in [*frozen] + [*range(len(estimates))] * rounds + [*frozen]:
-        y_rk = residual(array, y, estimates[:k] + estimates[k + 1:])
-        estimates[k] = _refine(cfg, y_rk, estimates[k], k, y.noise_variance,
-                               trace, frozen.get(k))
-    return estimates
+    paths = list(paths)
+    for k in [*frozen] + [*range(len(paths))] * rounds + [*frozen]:
+        y_rk = residual(array, y, paths[:k] + paths[k + 1:])
+        paths[k] = _refine(cfg, y_rk, paths[k], k, trace, frozen.get(k))
+    return paths
 
 
 def vnnce(y: Measurement, cfg: EstimatorConfig,
@@ -310,23 +301,22 @@ def vnnce(y: Measurement, cfg: EstimatorConfig,
     Each new path is detected on the running residual, refined for
     single_rounds Newton steps, and then all current paths are cyclically
     re-refined (cyclic_rounds outer rounds) against the residual of the
-    others.
+    others. The returned paths carry their soft information.
     """
     array = cfg.codebook.array
-    sigma2 = y.noise_variance
-    estimates: list[SoftEstimate] = []
+    paths: list[PathParams] = []
     for _ in range(cfg.num_paths):
-        y_r = residual(array, y, estimates)
+        y_r = residual(array, y, paths)
         scores = None
         if cfg.stop_tau is not None:
             scores = _detection_scores(cfg.codebook, y_r)
             M = array.num_antennas
-            if scores.max() / M < cfg.stop_tau * M * sigma2:
+            if scores.max() / M < cfg.stop_tau * M * y.noise_variance:
                 break
-        est = omp_detect(array, y_r, cfg.codebook, sigma2, scores)
-        estimates.append(_refine(cfg, y_r, est, len(estimates), sigma2, trace))
-        estimates = cyclic_refine(cfg, y, estimates, cfg.cyclic_rounds, trace)
-    return estimates
+        p = omp_detect(array, y_r, cfg.codebook, scores)
+        paths.append(_refine(cfg, y_r, p, len(paths), trace))
+        paths = cyclic_refine(cfg, y, paths, cfg.cyclic_rounds, trace)
+    return soft_estimates(array, y, paths)
 
 
 def oracle_ls(cfg: ArrayConfig, y, true_paths: list[PathParams]) -> np.ndarray:

@@ -22,7 +22,7 @@ from .arraymodel import (ArrayConfig, Measurement, PathParams, add_noise,
 from .codebook import Codebook, CodebookConfig, build_codebook
 from .estimator import EstimatorConfig
 from .localization import BsConfig, polar_to_relative, relative_to_polar, is_front_side
-from .pipeline import JointResult, nmse, run_joint  # noqa: F401 - nmse re-exported
+from .pipeline import JointResult, run_joint
 
 SCHEMA_VERSION = 1
 
@@ -235,18 +235,6 @@ def load_scenario(path: str) -> Scenario:
 def to_db(value: float) -> float:
     """10*log10 with -inf sentinel at zero."""
     return -math.inf if value <= 0.0 else 10.0 * math.log10(value)
-
-
-def rmse(errors) -> float:
-    """Root mean squared error over scalars or 2-vectors."""
-    errors = [np.linalg.norm(e) if np.ndim(e) else abs(e) for e in errors]
-    if not errors:
-        raise ValueError("errors must be non-empty")
-    return float(np.sqrt(np.mean(np.square(errors))))
-
-
-def dbmeter(value_m: float) -> float:
-    return -math.inf if value_m <= 0.0 else 20.0 * math.log10(value_m)
 
 
 def draw_paths(scenario: Scenario, rng: np.random.Generator

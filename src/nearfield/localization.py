@@ -1,9 +1,10 @@
 """Gaussian fusion cooperative localization.
 
-Per-path soft propagation estimates become soft Cartesian positions with
-covariances propagated through the polar transform; per base station the
-least-cost position is selected, gated against the best one by Mahalanobis
-consistency, and the surviving positions are fused by Gaussian product.
+Per-path soft estimates become soft Cartesian positions: the mean from the
+polar transform, the covariance from the estimate's curvature carried
+through it. Per base station the least-cost position is selected, gated
+against the best one by Mahalanobis consistency, and the surviving
+positions are fused by Gaussian product.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arraymodel import ArrayConfig, Measurement
-from .estimator import SoftEstimate, grad_hess, psd_repair, residual
+from .arraymodel import ArrayConfig
+from .estimator import SoftEstimate, psd_repair
+from .estimator import residual  # noqa: F401 - rebound by bench/layertrace.py
 
 POSITION_PSD_FLOOR = 1e-12  # m^2 eigenvalue floor for 2x2 covariances
 
@@ -115,16 +117,15 @@ def _transform_coefficients(x: float, y: float):
     return (th_x, th_y, r_x, r_y), (th_xx, th_yy, th_xy, r_xx, r_yy, r_xy)
 
 
-def position_hessian(y, est: SoftEstimate, omega: float,
-                     array: ArrayConfig) -> np.ndarray:
-    """Chain-rule Hessian of the objective in relative Cartesian coordinates."""
+def position_hessian(est: SoftEstimate, omega: float) -> np.ndarray:
+    """Chain-rule Hessian of the objective in relative Cartesian coordinates,
+    from the estimate's gradient and Hessian in (theta, r)."""
     p = est.params
     x, yr = polar_to_relative(p.theta, p.r, omega)
     (th_x, th_y, r_x, r_y), (th_xx, th_yy, th_xy, r_xx, r_yy, r_xy) = \
         _transform_coefficients(x, yr)
-    grad, hess = grad_hess(array, y, p)
-    f_th, f_r = grad[0], grad[1]
-    f_thth, f_thr, f_rr = hess[0, 0], hess[0, 1], hess[1, 1]
+    f_th, f_r = est.grad[0], est.grad[1]
+    f_thth, f_thr, f_rr = est.hess[0, 0], est.hess[0, 1], est.hess[1, 1]
 
     f_xx = (th_x**2 * f_thth + 2.0 * th_x * r_x * f_thr + r_x**2 * f_rr
             + th_xx * f_th + r_xx * f_r)
@@ -135,17 +136,14 @@ def position_hessian(y, est: SoftEstimate, omega: float,
     return np.array([[f_xx, f_xy], [f_xy, f_yy]])
 
 
-def position_covariance(y, est: SoftEstimate, omega: float, array: ArrayConfig,
-                        jacobian_only: bool = False,
-                        sigma2: float | None = None) -> SoftPosition:
+def position_covariance(est: SoftEstimate, omega: float,
+                        jacobian_only: bool = False) -> SoftPosition:
     """Soft relative position: mean from the polar transform, covariance from
     the Laplace form sigma^2 * (-H)^{-1} of the Cartesian-coordinate Hessian.
 
     With jacobian_only=True the covariance is pushed through the transform
-    Jacobian from the (theta, r) block instead (no measurement evaluation).
+    Jacobian from the (theta, r) block of the estimate's covariance instead.
     """
-    if sigma2 is None:
-        sigma2 = y.noise_variance if isinstance(y, Measurement) else 0.0
     p = est.params
     x, yr = polar_to_relative(p.theta, p.r, omega)
     if jacobian_only:
@@ -156,9 +154,8 @@ def position_covariance(y, est: SoftEstimate, omega: float, array: ArrayConfig,
         ])
         cov = J @ est.cov[:2, :2] @ J.T
     else:
-        info = -position_hessian(y, est, omega, array)
-        info, _ = psd_repair(info, POSITION_PSD_FLOOR)
-        cov = sigma2 * np.linalg.inv(info)
+        info, _ = psd_repair(-position_hessian(est, omega), POSITION_PSD_FLOOR)
+        cov = est.sigma2 * np.linalg.inv(info)
     cov, repaired = psd_repair(cov, POSITION_PSD_FLOOR)
     return SoftPosition(mean=np.array([x, yr]), cov=cov, psd_repaired=repaired)
 
@@ -194,31 +191,17 @@ def consistency(a: SoftPosition, b: SoftPosition, zeta: float) -> int:
     return int(float(dm @ w @ dm) < zeta**2)
 
 
-def soft_positions_for_bs(estimates: list[SoftEstimate], bs: BsConfig,
-                          measurement: Measurement) -> list[SoftPosition]:
-    """Relative soft position per path, each evaluated against the residual
-    of the other paths."""
-    out = []
-    for l, est in enumerate(estimates):
-        others = estimates[:l] + estimates[l + 1:]
-        y_rl = residual(bs.array, measurement, others)
-        out.append(position_covariance(y_rl, est, bs.rotation, bs.array,
-                                       sigma2=measurement.noise_variance))
-    return out
-
-
 def gfcl(per_bs_estimates: list[list[SoftEstimate]], bs_configs: list[BsConfig],
-         measurements: list[Measurement], zeta: float = 3.5) -> FusionReport:
+         zeta: float = 3.5) -> FusionReport:
     """Select the least-cost soft position per BS, gate, and fuse."""
     if not per_bs_estimates or not any(per_bs_estimates):
         raise ValueError("need at least one BS with at least one path")
 
     candidates: list[BsCandidate] = []
-    for i, (estimates, bs, meas) in enumerate(
-            zip(per_bs_estimates, bs_configs, measurements)):
+    for i, (estimates, bs) in enumerate(zip(per_bs_estimates, bs_configs)):
         if not estimates:
             continue
-        rel_positions = soft_positions_for_bs(estimates, bs, meas)
+        rel_positions = [position_covariance(e, bs.rotation) for e in estimates]
         best = int(np.argmin([p.cost for p in rel_positions]))
         candidates.append(BsCandidate(
             bs_index=i, path_index=best,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .arraymodel import Measurement, synthesize_channel
 from .estimator import (EstimatorConfig, SoftEstimate, TraceHook,
-                        cyclic_refine, vnnce)
+                        cyclic_refine, soft_estimates, vnnce)
 from .estimator import residual  # noqa: F401 - rebound by bench/layertrace.py
 from .localization import (BsConfig, FusionReport, gfcl, is_front_side,
                            relative_to_polar)
@@ -48,7 +48,7 @@ def run_joint(bs_configs: list[BsConfig], measurements: list[Measurement],
               trace: TraceHook | None = None) -> JointResult:
     """Run estimation, cooperative localization, and channel refinement."""
     step1 = [vnnce(y, cfg, trace) for y, cfg in zip(measurements, est_cfgs)]
-    report = gfcl(step1, bs_configs, measurements, zeta)
+    report = gfcl(step1, bs_configs, zeta)
 
     def channel_nmse(i: int, ests: list[SoftEstimate]) -> float:
         h_est = synthesize_channel(bs_configs[i].array, [e.params for e in ests])
@@ -71,9 +71,12 @@ def run_joint(bs_configs: list[BsConfig], measurements: list[Measurement],
             continue
         r_a = float(np.clip(r_a, bs.array.min_near_distance,
                             bs.array.rayleigh_distance))
-        step3[i] = cyclic_refine(est_cfgs[i], measurements[i], step1[i],
-                                 max(est_cfgs[i].cyclic_rounds, 1), trace,
-                                 frozen={cand.path_index: (theta_a, r_a)})
+        paths = cyclic_refine(est_cfgs[i], measurements[i],
+                              [e.params for e in step1[i]],
+                              max(est_cfgs[i].cyclic_rounds, 1), trace,
+                              frozen={cand.path_index: (theta_a, r_a)})
+        step3[i] = soft_estimates(est_cfgs[i].codebook.array, measurements[i],
+                                  paths)
         anchored[i] = True
         if true_channels is not None:
             nmse3[i] = channel_nmse(i, step3[i])

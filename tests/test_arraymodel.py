@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearfield.arraymodel import (ArrayConfig, Measurement, PathParams,
-                                  add_noise, antenna_offsets,
-                                  element_distance, element_distances,
+                                  add_noise, antenna_offsets, element_distances,
                                   far_steering, los_gain, near_steering,
                                   synthesize_channel)
 from tests.conftest import random_path
@@ -65,7 +64,7 @@ class TestOffsetsAndDistances:
     def test_element_distance_law_of_cosines(self):
         # M=2, m=1: delta=+1/2, d=0.0015, theta=pi/2 -> sqrt(r^2 + (d/2)^2).
         cfg = ArrayConfig(num_antennas=2, wavelength=0.003)
-        got = element_distance(cfg, PathParams(theta=np.pi / 2, r=10.0, g=1.0), 1)
+        got = element_distances(cfg, np.pi / 2, 10.0)[1]
         assert got == pytest.approx(np.sqrt(100.0 + 0.00075**2), abs=1e-12)
         assert got == pytest.approx(10.0000000281, abs=1e-9)
 
@@ -80,13 +79,8 @@ class TestOffsetsAndDistances:
             # -delta*d on the x axis (the +2*delta*d*r*cos factor fixes this).
             src = np.array([p.r * np.cos(p.theta), p.r * np.sin(p.theta)])
             elem = np.array([-delta * desk_array.spacing, 0.0])
-            assert element_distance(desk_array, p, m) == pytest.approx(
+            assert element_distances(desk_array, p.theta, p.r)[m] == pytest.approx(
                 np.linalg.norm(src - elem), rel=1e-12)
-
-    def test_element_distance_index_bounds(self, desk_array):
-        p = PathParams(theta=1.0, r=1.0, g=1.0)
-        with pytest.raises(ValueError):
-            element_distance(desk_array, p, 64)
 
 
 class TestSteering:

@@ -37,6 +37,16 @@ class TestExitCodes:
         assert cli(["validate", "--config", str(p)]) == 2
         assert "zeta" in capsys.readouterr().err
 
+    def test_bad_threads_variable_fails_sweep_only(self, tmp_path, monkeypatch,
+                                                   capsys):
+        monkeypatch.setenv("NEARFIELD_THREADS", "abc")
+        assert cli(["codebook", "--config", SINGLE,
+                    "--out", str(tmp_path / "cb.csv")]) == 0
+        assert cli(["sweep", "--config", SINGLE, "--trials", "1",
+                    "--snr-db", "10", "--out", str(tmp_path / "s.csv")]) == 1
+        assert "NEARFIELD_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_malformed_finite_field_is_config_error(self, tmp_path, capsys):
         p = tmp_path / "user.json"
         p.write_text(json.dumps({"array": {"num_antennas": 64, "wavelength": 0.003},

@@ -8,11 +8,11 @@ from nearfield.arraymodel import (ArrayConfig, Measurement, PathParams,
                                   add_noise, near_steering, synthesize_channel)
 from nearfield.codebook import CodebookConfig, build_codebook
 from nearfield import estimator
-from nearfield.estimator import (EstimatorConfig, SoftEstimate,
-                                 _detection_scores, confidence_covariance,
-                                 grad_hess, newton_refine_once, objective,
-                                 omp_detect, oracle_ls, project, residual,
-                                 vnnce)
+from nearfield.estimator import (PSD_FLOOR_SCALE, EstimatorConfig,
+                                 _detection_scores, grad_hess,
+                                 newton_refine_once, objective, omp_detect,
+                                 oracle_ls, project, psd_repair, residual,
+                                 soft_estimates, vnnce)
 from tests.conftest import random_path
 
 
@@ -197,7 +197,7 @@ class TestNewtonRefine:
                                r=float(rng.uniform(0.3, 1.5)),
                                g=1.0, phi=float(rng.uniform(0, 2 * np.pi)))
             h = synthesize_channel(desk_array, [truth])
-            p = omp_detect(desk_array, h, desk_codebook).params
+            p = omp_detect(desk_array, h, desk_codebook)
             for _ in range(20):
                 p = newton_refine_once(desk_array, h, p)
             assert abs(p.theta - truth.theta) < 1e-6
@@ -231,7 +231,7 @@ class TestNewtonRefine:
         truth = PathParams(theta=1.25, r=2.3, g=1.0, phi=1.0)
         h = synthesize_channel(desk_array, [truth])
         records = []
-        p = omp_detect(desk_array, h, desk_codebook).params
+        p = omp_detect(desk_array, h, desk_codebook)
         for j in range(5):
             p = newton_refine_once(desk_array, h, p, trace=lambda *a: records.append(a),
                                    round_index=j)
@@ -246,7 +246,7 @@ class TestCovariance:
         p = random_path(desk_array, rng)
         h = synthesize_channel(desk_array, [p])
         y = add_noise(h, p.g**2 / 1000, rng)
-        cov, _ = confidence_covariance(desk_array, y, p)
+        cov = soft_estimates(desk_array, y, [p])[0].cov
         assert np.allclose(cov, cov.T, atol=1e-9)
         assert np.all(np.linalg.eigvalsh(cov) >= 0)
         assert np.all(np.diag(cov) >= 0)
@@ -254,8 +254,8 @@ class TestCovariance:
     def test_scales_linearly_with_noise_power(self, desk_array):
         p = PathParams(theta=1.3, r=2.0, g=1.0)
         h = synthesize_channel(desk_array, [p])
-        c1, _ = confidence_covariance(desk_array, h, p, sigma2=1e-6)
-        c2, _ = confidence_covariance(desk_array, h, p, sigma2=2e-6)
+        c1 = soft_estimates(desk_array, Measurement(h, 1e-6), [p])[0].cov
+        c2 = soft_estimates(desk_array, Measurement(h, 2e-6), [p])[0].cov
         assert np.allclose(c2, 2 * c1, rtol=1e-12)
 
     def test_matches_empirical_spread_at_high_snr(self, desk_array, desk_codebook):
@@ -279,7 +279,8 @@ class TestCovariance:
 
 
 class TestRefinementCovariance:
-    """The covariance a refinement returns belongs to the point it returns."""
+    """The soft information an estimate carries belongs to the point it
+    returns, taken against the final residual of the other paths."""
 
     def test_single_path_cov_is_laplace_at_returned_point(self, desk_array,
                                                           desk_codebook):
@@ -287,21 +288,43 @@ class TestRefinementCovariance:
         sigma2 = 1e-3
         y = add_noise(synthesize_channel(desk_array, [truth]), sigma2, 5)
         est = vnnce(y, EstimatorConfig(num_paths=1, codebook=desk_codebook))[0]
-        cov, repaired = confidence_covariance(desk_array, y, est.params,
-                                              sigma2=sigma2)
-        assert np.array_equal(est.cov, cov)
+        info = -grad_hess(desk_array, y, est.params)[1]
+        cov, repaired = psd_repair(info, PSD_FLOOR_SCALE * 64, invert=True)
+        assert np.array_equal(est.cov, sigma2 * cov)
         assert est.psd_repaired == repaired
 
-    def test_zero_rounds_keep_coarse_covariance(self, desk_array, desk_codebook):
+    def test_each_path_against_final_residual_of_the_other(self, desk_array,
+                                                           desk_codebook):
+        paths = [PathParams(theta=1.0, r=1.5, g=1.0, phi=0.4),
+                 PathParams(theta=2.1, r=3.0, g=0.7, phi=2.5)]
+        sigma2 = 1e-3
+        y = add_noise(synthesize_channel(desk_array, paths), sigma2, 3)
+        ests = vnnce(y, EstimatorConfig(num_paths=2, codebook=desk_codebook))
+        assert len(ests) == 2
+        for k, est in enumerate(ests):
+            other = ests[1 - k].params
+            grad, hess = grad_hess(desk_array, residual(desk_array, y, [other]),
+                                   est.params)
+            assert np.array_equal(est.grad, grad)
+            assert np.array_equal(est.hess, hess)
+            cov, repaired = psd_repair(-hess, PSD_FLOOR_SCALE * 64, invert=True)
+            assert np.array_equal(est.cov, sigma2 * cov)
+            assert est.psd_repaired == repaired
+
+    def test_zero_rounds_return_detection_with_soft_information(
+            self, desk_array, desk_codebook):
         truth = PathParams(theta=1.35, r=2.2, g=1.0, phi=0.7)
         sigma2 = 1e-3
         y = add_noise(synthesize_channel(desk_array, [truth]), sigma2, 5)
         cfg = EstimatorConfig(num_paths=1, codebook=desk_codebook,
                               single_rounds=0, cyclic_rounds=0)
         est = vnnce(y, cfg)[0]
-        coarse = omp_detect(desk_array, y, desk_codebook, sigma2)
-        assert est.params == coarse.params
-        assert np.array_equal(est.cov, coarse.cov)
+        coarse = omp_detect(desk_array, y, desk_codebook)
+        assert est.params == coarse
+        grad, hess = grad_hess(desk_array, y, coarse)
+        assert np.array_equal(est.grad, grad)
+        assert np.array_equal(est.hess, hess)
+        assert est.sigma2 == sigma2
 
 
 class TestOmpDetect:
@@ -309,10 +332,10 @@ class TestOmpDetect:
         theta, r = float(desk_codebook.theta[500]), float(desk_codebook.r[500])
         h = synthesize_channel(
             desk_array, [PathParams(theta=theta, r=r, g=1.0, phi=0.3)])
-        est = omp_detect(desk_array, h, desk_codebook)
-        assert est.params.theta == pytest.approx(theta, abs=1e-12)
-        assert est.params.r == pytest.approx(r, rel=1e-12)
-        assert est.params.g == pytest.approx(1.0, rel=1e-9)
+        p = omp_detect(desk_array, h, desk_codebook)
+        assert p.theta == pytest.approx(theta, abs=1e-12)
+        assert p.r == pytest.approx(r, rel=1e-12)
+        assert p.g == pytest.approx(1.0, rel=1e-9)
 
     def test_off_grid_winner_within_one_cell(self, desk_array, desk_codebook):
         from nearfield.codebook import alpha_of, beta_of
@@ -322,16 +345,16 @@ class TestOmpDetect:
                                r=float(rng.uniform(0.5, 5.0)), g=1.0,
                                phi=float(rng.uniform(0, 2 * np.pi)))
             h = synthesize_channel(desk_array, [truth])
-            est = omp_detect(desk_array, h, desk_codebook)
-            a = alpha_of(desk_array, np.cos(est.params.theta), np.cos(truth.theta))
-            b = beta_of(desk_array, truth.theta, est.params.r, truth.r)
+            p = omp_detect(desk_array, h, desk_codebook)
+            a = alpha_of(desk_array, np.cos(p.theta), np.cos(truth.theta))
+            b = beta_of(desk_array, truth.theta, p.r, truth.r)
             assert abs(a) <= 0.5 + 1e-9
             assert abs(b) <= 1.0 + 1e-6
 
     def test_tie_breaks_to_lowest_index(self, desk_array, desk_codebook):
-        est = omp_detect(desk_array, np.zeros(64, dtype=complex), desk_codebook)
-        assert est.params.theta == desk_codebook.theta[0]
-        assert est.params.r == desk_codebook.r[0]
+        p = omp_detect(desk_array, np.zeros(64, dtype=complex), desk_codebook)
+        assert p.theta == desk_codebook.theta[0]
+        assert p.r == desk_codebook.r[0]
 
     def test_empty_codebook_rejected(self, desk_array, desk_codebook):
         from nearfield.codebook import Codebook
@@ -359,8 +382,7 @@ class TestResidual:
     def test_one_of_two_fixed(self, desk_array, rng):
         p1, p2 = random_path(desk_array, rng), random_path(desk_array, rng)
         y = synthesize_channel(desk_array, [p1, p2])
-        est1 = SoftEstimate(params=p1, cov=np.eye(4))
-        res = residual(desk_array, y, [est1])
+        res = residual(desk_array, y, [p1])
         assert np.allclose(res, synthesize_channel(desk_array, [p2]), atol=1e-12)
 
 

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from nearfield import codebook
-from nearfield.harness import (CSV_HEADER, Scenario, ScenarioError, dbmeter,
-                               draw_paths, load_scenario, nmse, rmse,
-                               run_trial, scenario_from_dict, sweep, to_db)
+from nearfield.harness import (CSV_HEADER, Scenario, ScenarioError,
+                               draw_paths, load_scenario, run_trial,
+                               scenario_from_dict, sweep, to_db)
+from nearfield.pipeline import nmse
 
 MINIMAL = {"array": {"num_antennas": 64, "wavelength": 0.003}, "sigma2": 1e-9}
 
@@ -146,17 +147,6 @@ class TestMetrics:
     def test_to_db_sentinel(self):
         assert to_db(0.0) == -math.inf
         assert to_db(100.0) == pytest.approx(20.0)
-
-    def test_rmse_values(self):
-        assert rmse([0.0, 0.0]) == 0.0
-        assert rmse([3.0, 4.0]) == pytest.approx(math.sqrt(12.5))
-        assert rmse([np.array([3.0, 4.0])]) == pytest.approx(5.0)
-        with pytest.raises(ValueError):
-            rmse([])
-
-    def test_dbmeter(self):
-        assert dbmeter(0.001) == pytest.approx(-60.0)
-        assert dbmeter(0.0) == -math.inf
 
 
 class TestDrawPaths:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from nearfield.arraymodel import (ArrayConfig, Measurement, PathParams,
                                   add_noise, synthesize_channel)
 from nearfield.codebook import CodebookConfig, build_codebook
-from nearfield.estimator import (EstimatorConfig, SoftEstimate,
-                                 confidence_covariance, objective, vnnce)
+from nearfield.estimator import (EstimatorConfig, objective, soft_estimates,
+                                 vnnce)
 from nearfield.localization import (BsConfig, SoftPosition, consistency,
                                     gaussian_fuse, gfcl, is_front_side,
                                     polar_to_relative, position_covariance,
@@ -85,8 +85,8 @@ class TestPositionHessian:
             y = synthesize_channel(desk_array, [truth])
             p = PathParams(theta=truth.theta + 0.002, r=truth.r * 1.01,
                            g=truth.g, phi=truth.phi)
-            est = SoftEstimate(params=p, cov=np.eye(4))
-            ana = position_hessian(y, est, omega, desk_array)
+            est = soft_estimates(desk_array, Measurement(y), [p])[0]
+            ana = position_hessian(est, omega)
 
             x0 = np.array(polar_to_relative(p.theta, p.r, omega))
 
@@ -130,14 +130,13 @@ class TestPositionCovariance:
         pts = np.array([polar_to_relative(t, r, omega)
                         for t, r, _, _ in draws])
         mc_cov = np.cov(pts.T)
-        sp = position_covariance(y, est, omega, desk_array,
-                                 jacobian_only=True)
+        sp = position_covariance(est, omega, jacobian_only=True)
         ratio = np.trace(sp.cov) / np.trace(mc_cov)
         assert 0.5 < ratio < 2.0
         # The measurement-Hessian route conditions on (g, phi) instead of
         # marginalizing them, so it is tighter by a stable structural
         # factor (~2.26 across geometries); bound it rather than equate it.
-        full = position_covariance(y, est, omega, desk_array)
+        full = position_covariance(est, omega)
         ratio_full = np.trace(full.cov) / np.trace(mc_cov)
         assert 1 / 3 < ratio_full <= ratio + 1e-9
 
@@ -147,25 +146,24 @@ class TestPositionCovariance:
         truth, h, _ = self._high_snr_setup(desk_array)
         sigma2 = 1e-8
         y = Measurement(y=h, noise_variance=sigma2)
-        cov4, _ = confidence_covariance(desk_array, y, truth, sigma2=sigma2)
-        est = SoftEstimate(params=truth, cov=cov4)
-        full = position_covariance(y, est, 0.0, desk_array)
-        jac = position_covariance(y, est, 0.0, desk_array, jacobian_only=True)
+        est = soft_estimates(desk_array, y, [truth])[0]
+        full = position_covariance(est, 0.0)
+        jac = position_covariance(est, 0.0, jacobian_only=True)
         assert np.allclose(jac.cov, full.cov, rtol=0.2)
 
     def test_covariance_scales_with_sigma2(self, desk_array):
         truth, h, _ = self._high_snr_setup(desk_array)
-        est = SoftEstimate(params=truth, cov=np.eye(4))
-        a = position_covariance(h, est, 0.0, desk_array, sigma2=1e-6)
-        b = position_covariance(h, est, 0.0, desk_array, sigma2=2e-6)
+        a = position_covariance(
+            soft_estimates(desk_array, Measurement(h, 1e-6), [truth])[0], 0.0)
+        b = position_covariance(
+            soft_estimates(desk_array, Measurement(h, 2e-6), [truth])[0], 0.0)
         assert np.allclose(b.cov, 2 * a.cov, rtol=1e-9)
 
     def test_psd_output(self, desk_array, rng):
         truth, h, sigma2 = self._high_snr_setup(desk_array)
         y = add_noise(h, sigma2, rng)
-        est = SoftEstimate(params=truth, cov=np.eye(4))
-        sp = position_covariance(y, est, 0.0, desk_array,
-                                 sigma2=sigma2)
+        est = soft_estimates(desk_array, y, [truth])[0]
+        sp = position_covariance(est, 0.0)
         assert np.allclose(sp.cov, sp.cov.T, atol=1e-12)
         assert np.linalg.eigvalsh(sp.cov).min() >= 0
 
@@ -240,7 +238,7 @@ class TestGfcl:
 
     def _measure(self, desk_array, bss, user, sigma2, rng, extra=None):
         cb = build_codebook(desk_array, CodebookConfig())
-        ests, meas = [], []
+        ests = []
         for bs in bss:
             rel = user - np.asarray(bs.position)
             theta, r = relative_to_polar(rel[0], rel[1], bs.rotation)
@@ -250,14 +248,13 @@ class TestGfcl:
             y = add_noise(h, sigma2, rng)
             cfg = EstimatorConfig(num_paths=1, codebook=cb)
             ests.append(vnnce(y, cfg))
-            meas.append(y)
-        return ests, meas
+        return ests
 
     def test_high_snr_fusion_quality(self, desk_array, rng):
         user, bss = self._bs_setup(desk_array)
         sigma2 = 1e-4  # 40 dB with unit gains
-        ests, meas = self._measure(desk_array, bss, user, sigma2, rng)
-        report = gfcl(ests, bss, meas)
+        ests = self._measure(desk_array, bss, user, sigma2, rng)
+        report = gfcl(ests, bss)
         assert all(c.consistent for c in report.candidates)
         assert np.linalg.norm(report.fused.mean - user) < 0.01
         # Fused trace never exceeds the kept candidates' minimum.
@@ -267,16 +264,16 @@ class TestGfcl:
 
     def test_reference_flag_and_selection_rule(self, desk_array, rng):
         user, bss = self._bs_setup(desk_array)
-        ests, meas = self._measure(desk_array, bss, user, 1e-4, rng)
-        report = gfcl(ests, bss, meas)
+        ests = self._measure(desk_array, bss, user, 1e-4, rng)
+        report = gfcl(ests, bss)
         ref = next(c for c in report.candidates if c.bs_index == report.reference)
         assert ref.consistent
         assert ref.position.cost == min(c.position.cost for c in report.candidates)
 
     def test_corrupted_bs_excluded(self, desk_array, rng):
         user, bss = self._bs_setup(desk_array)
-        ests, meas = self._measure(desk_array, bss, user, 1e-4, rng)
-        baseline = gfcl(ests, bss, meas)
+        ests = self._measure(desk_array, bss, user, 1e-4, rng)
+        baseline = gfcl(ests, bss)
 
         # Replace one BS's candidate with a confident estimate 100 m off.
         bad_theta, bad_r = 1.0, 5.0
@@ -285,11 +282,11 @@ class TestGfcl:
         far_bs = BsConfig(position=(100.0, 100.0), rotation=0.0,
                           array=desk_array)
         bss2 = bss[:3] + [far_bs]
-        meas2 = meas[:3] + [add_noise(h_bad, 1e-4, rng)]
+        y_bad = add_noise(h_bad, 1e-4, rng)
         cb = build_codebook(desk_array, CodebookConfig())
-        ests2 = ests[:3] + [vnnce(meas2[3], EstimatorConfig(num_paths=1,
-                                                            codebook=cb))]
-        report = gfcl(ests2, bss2, meas2)
+        ests2 = ests[:3] + [vnnce(y_bad, EstimatorConfig(num_paths=1,
+                                                         codebook=cb))]
+        report = gfcl(ests2, bss2)
         bad_cand = next(c for c in report.candidates if c.bs_index == 3)
         assert not bad_cand.consistent
         err = np.linalg.norm(report.fused.mean - user)
@@ -298,8 +295,7 @@ class TestGfcl:
 
     def test_rejects_empty_input(self, desk_array):
         with pytest.raises(ValueError):
-            gfcl([], [], [])
+            gfcl([], [])
         with pytest.raises(ValueError):
             gfcl([[]], [BsConfig(position=(0, 0), rotation=0.0,
-                                 array=desk_array)],
-                 [Measurement(y=np.zeros(64))])
+                                 array=desk_array)])
