@@ -1,11 +1,11 @@
-"""ULA geometry, near/far-field steering vectors, channel synthesis and noise.
+"""ULA geometry, near-field steering vectors, channel synthesis and noise.
 
 All functions are pure; stochastic ones take an explicit seed or Generator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,9 +64,6 @@ class PathParams:
             raise ValueError(f"r must be > 0, got {self.r}")
         if self.g < 0:
             raise ValueError(f"g must be >= 0, got {self.g}")
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.theta, self.r, self.g, self.phi])
 
 
 @dataclass(frozen=True)
@@ -130,12 +127,6 @@ def near_steering_columns(cfg: ArrayConfig, theta: np.ndarray,
         r_m = _distances(delta_d, r_sq[cols], r[cols], cos_theta[cols])
         np.exp(1j * cfg.wavenumber * (r_m - r[cols]), out=out[:, cols])
     return out
-
-
-def far_steering(cfg: ArrayConfig, theta: float) -> np.ndarray:
-    """Planar-wave steering vector, entries exp(j*pi*m*cos(theta)) at d=lambda/2."""
-    m = np.arange(cfg.num_antennas)
-    return np.exp(2j * np.pi * cfg.spacing / cfg.wavelength * m * np.cos(theta))
 
 
 def synthesize_channel(cfg: ArrayConfig, paths: list[PathParams]) -> np.ndarray:

@@ -23,6 +23,26 @@ from .localization import is_front_side
 EXIT_OK, EXIT_USAGE, EXIT_CONFIG, EXIT_RUNTIME = 0, 1, 2, 3
 
 
+def _trial_count(text: str) -> int:
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+
+
+def _snr_grid(text: str) -> list[float]:
+    try:
+        grid = [float(v) for v in text.split(",")]
+        if all(math.isfinite(v) for v in grid):
+            return grid
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"must be comma-separated finite numbers, got {text!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nearfield",
@@ -39,9 +59,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="sweep worker processes (default: $NEARFIELD_THREADS, "
                             "else 1); the other commands ignore it")
         if trials:
-            p.add_argument("--trials", type=int, default=200)
+            p.add_argument("--trials", type=_trial_count, default=200)
         if snr:
-            p.add_argument("--snr-db", default=None,
+            p.add_argument("--snr-db", type=_snr_grid, default="0,10,20,30",
                            help="comma-separated SNR grid in dB")
 
     common(sub.add_parser("estimate", help="one scenario, one draw, full "
@@ -110,11 +130,7 @@ def _cmd_sweep(args) -> int:
                              f"got {env!r}\n")
             return EXIT_USAGE
     scenario = _load(args)
-    if args.snr_db is None:
-        grid = [0.0, 10.0, 20.0, 30.0]
-    else:
-        grid = [float(v) for v in args.snr_db.split(",")]
-    result = harness.sweep(scenario, grid, args.trials, threads=threads)
+    result = harness.sweep(scenario, args.snr_db, args.trials, threads=threads)
     _emit(result.to_csv(), args.out)
     return EXIT_OK
 

@@ -1,9 +1,11 @@
-"""Angle-distance codebook construction plus the s1/s2 spacing analysis.
+"""Angle-distance codebook construction.
 
 The angle axis samples cos(theta) uniformly; the distance axis samples 1/r
 uniformly per angle. Spacings are expressed through the dimensionless
-variables alpha (angle mismatch) and beta (curvature mismatch), whose
-ambiguity profiles s1 and s2 bound the acceptable grid steps.
+variables alpha = M (cos(theta) - cos(theta_t)) / 2 (angle mismatch) and
+beta = M^2 d^2 sin^2(theta) (1/r - 1/r_t) / (2 lambda) (curvature mismatch),
+whose ambiguity profiles |sinc(alpha)| and |(C + jS)(sqrt|beta|)| / sqrt|beta|
+(Fresnel integrals C and S) bound the acceptable grid steps.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .arraymodel import ArrayConfig, near_steering_columns
 
@@ -121,41 +122,3 @@ def build_codebook(cfg: ArrayConfig, cbcfg: CodebookConfig) -> Codebook:
                     n_theta=np.repeat(np.arange(len(grids)), counts),
                     n_r=np.arange(counts.sum()) - np.repeat(starts, counts))
 
-
-def s1(alpha: float) -> float:
-    """Angle-mismatch ambiguity |sin(pi*alpha)/(pi*alpha)|, s1(0)=1."""
-    return float(np.abs(np.sinc(alpha)))
-
-
-def fresnel(x: float) -> tuple[float, float]:
-    """Fresnel integrals (C(x), S(x)) by adaptive quadrature, |err| <= 1e-10."""
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if x == 0.0:
-        return 0.0, 0.0
-    c, _ = integrate.quad(lambda t: np.cos(np.pi * t**2 / 2.0), 0.0, x,
-                          epsabs=1e-12, epsrel=0.0, limit=200 + int(20 * x))
-    s, _ = integrate.quad(lambda t: np.sin(np.pi * t**2 / 2.0), 0.0, x,
-                          epsabs=1e-12, epsrel=0.0, limit=200 + int(20 * x))
-    return c, s
-
-
-def s2(beta: float) -> float:
-    """Distance-mismatch ambiguity |(C+jS)(sqrt|beta|)| / sqrt|beta|, even in beta."""
-    b = abs(beta)
-    if b == 0.0:
-        return 1.0
-    x = np.sqrt(b)
-    c, s = fresnel(x)
-    return float(np.hypot(c, s) / x)
-
-
-def alpha_of(cfg: ArrayConfig, cos_theta: float, cos_theta_true: float) -> float:
-    """Dimensionless angle mismatch alpha = M*(cos(theta)-cos(theta_t))/2."""
-    return 0.5 * cfg.num_antennas * (cos_theta - cos_theta_true)
-
-
-def beta_of(cfg: ArrayConfig, theta: float, r: float, r_true: float) -> float:
-    """Dimensionless curvature mismatch between distances r and r_true at theta."""
-    M, d, lam = cfg.num_antennas, cfg.spacing, cfg.wavelength
-    return M**2 * d**2 * np.sin(theta) ** 2 / (2.0 * lam) * (1.0 / r - 1.0 / r_true)

@@ -1,9 +1,10 @@
 """Variational Newtonized near-field channel estimation.
 
-Single-path machinery: the reduced objective f(theta, r, g, phi), its
-analytic gradient and Hessian, and a guarded Newton step that only moves
-when the (theta, r) sub-Hessian is negative definite and the projection
-cost G does not decrease. Multi-path estimation greedily detects paths on
+Single-path machinery: the analytic gradient and Hessian of the reduced
+objective f(theta, r, g, phi) = sum_m 2|y_m| g cos(psi_m) - M g^2, with
+psi_m = k (r_m - r) + phi - arg y_m, and a guarded Newton step that only
+moves when the (theta, r) sub-Hessian is negative definite and the
+projection cost G does not decrease. Multi-path estimation greedily detects paths on
 the codebook and cyclically re-refines each one against the residual of
 the others. Each returned path then gets its soft information once: the
 gradient and Hessian at its final point, against the final residual of the
@@ -115,12 +116,6 @@ def _psi_terms(cfg: ArrayConfig, y, p: PathParams):
     psi_th = k * drm_dth
     psi_r = k * (drm_dr - 1.0)
     return yv, np.abs(yv), psi, psi_th, psi_r, delta, d, r_m, drm_dth, drm_dr
-
-
-def objective(cfg: ArrayConfig, y, p: PathParams) -> float:
-    """Reduced single-path objective f = sum 2|y_m| g cos(psi_m) - M g^2."""
-    _, a, psi, *_ = _psi_terms(cfg, y, p)
-    return float(np.sum(2.0 * a * p.g * np.cos(psi)) - cfg.num_antennas * p.g**2)
 
 
 def grad_hess(cfg: ArrayConfig, y, p: PathParams) -> tuple[np.ndarray, np.ndarray]:

@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arraymodel import (ArrayConfig, Measurement, PathParams, add_noise,
-                         los_gain, synthesize_channel)
+from .arraymodel import (ArrayConfig, PathParams, add_noise, los_gain,
+                         synthesize_channel)
 from .codebook import Codebook, CodebookConfig, build_codebook
 from .estimator import EstimatorConfig
 from .localization import BsConfig, polar_to_relative, relative_to_polar, is_front_side
-from .pipeline import JointResult, run_joint
+from .pipeline import run_joint
 
 SCHEMA_VERSION = 1
 
@@ -281,11 +281,7 @@ def run_trial(scenario: Scenario, snr_db: float | None, point_idx: int,
 
     arr = scenario.array
     channels = [synthesize_channel(arr, paths) for paths in per_bs_paths]
-    measurements = [
-        Measurement(y=ch if sigma2 == 0.0 else add_noise(ch, sigma2, rng).y,
-                    noise_variance=sigma2)
-        for ch in channels
-    ]
+    measurements = [add_noise(ch, sigma2, rng) for ch in channels]
     est_cfgs = [scenario.estimator_config(bs) for bs in scenario.bss]
     result = run_joint([bs.config for bs in scenario.bss], measurements,
                        est_cfgs, scenario.zeta, true_channels=channels,
@@ -360,6 +356,8 @@ def sweep(scenario: Scenario, snr_grid_db: list[float], trials: int,
     """Monte Carlo sweep over an SNR grid; deterministic given scenario.seed."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not all(math.isfinite(snr) for snr in snr_grid_db):
+        raise ValueError(f"every SNR must be a finite number of dB, got {snr_grid_db}")
     tasks = [(snr, pi, t) for pi, snr in enumerate(snr_grid_db) for t in range(trials)]
     if threads > 1:
         # Build the steering matrix once, here: the pool forks its workers,

@@ -10,7 +10,7 @@ positions are fused by Gaussian product.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

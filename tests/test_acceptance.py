@@ -20,6 +20,7 @@ from nearfield.estimator import EstimatorConfig, grad_hess, oracle_ls, vnnce
 from nearfield.harness import load_scenario, run_trial, sweep, to_db
 from nearfield.localization import SoftPosition, gaussian_fuse
 from tests.conftest import random_path
+from tests.reference import as_vector
 from tests.test_bounds import fd_jacobian
 from tests.test_estimator import fd_grad, fd_hess, fd_steps, obj_at
 
@@ -237,11 +238,11 @@ class TestAcceptance:
             if i % 2:  # half the points at 10 dB SNR, half noiseless
                 y = add_noise(y, truth.g**2 / 10.0, rng).y
             steps = fd_steps(p)
-            g_num = fd_grad(lambda v: obj_at(ARRAY, y, v), p.as_vector(), steps)
+            g_num = fd_grad(lambda v: obj_at(ARRAY, y, v), as_vector(p), steps)
             g_ana, h_ana = grad_hess(ARRAY, y, p)
             worst_g = max(worst_g, np.linalg.norm(g_ana - g_num)
                           / max(np.linalg.norm(g_num), 1.0))
-            h_num = fd_hess(ARRAY, y, p.as_vector(), steps * 0.1)
+            h_num = fd_hess(ARRAY, y, as_vector(p), steps * 0.1)
             worst_h = max(worst_h, np.linalg.norm(h_ana - h_num)
                           / max(np.linalg.norm(h_num), 1.0))
             j_num = fd_jacobian(ARRAY, p)

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from nearfield.arraymodel import (ArrayConfig, Measurement, PathParams,
                                   add_noise, antenna_offsets, element_distances,
-                                  far_steering, los_gain, near_steering,
-                                  synthesize_channel)
+                                  los_gain, near_steering, synthesize_channel)
 from tests.conftest import random_path
+from tests.reference import as_vector, far_steering
 
 
 class TestArrayConfig:
@@ -47,7 +47,7 @@ class TestPathParams:
 
     def test_as_vector_order(self):
         p = PathParams(theta=1.0, r=2.0, g=3.0, phi=4.0)
-        assert np.array_equal(p.as_vector(), [1.0, 2.0, 3.0, 4.0])
+        assert np.array_equal(as_vector(p), [1.0, 2.0, 3.0, 4.0])
 
 
 class TestOffsetsAndDistances:

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from nearfield.arraymodel import ArrayConfig, PathParams, near_steering
+from nearfield.arraymodel import PathParams, near_steering, synthesize_channel
 from nearfield.bounds import FisherMatrix, crlb_diag, fim, steering_derivatives
+from nearfield.estimator import grad_hess
 from tests.conftest import random_path
+from tests.reference import as_vector
 
 
 def signal_of(cfg, x):
@@ -16,7 +18,7 @@ def signal_of(cfg, x):
 
 
 def fd_jacobian(cfg, p: PathParams, h=None):
-    x = p.as_vector()
+    x = as_vector(p)
     if h is None:
         h = np.array([1e-7, 1e-7 * max(p.r, 1.0), 1e-7, 1e-7])
     rows = []
@@ -74,6 +76,19 @@ class TestFim:
             J = fd_jacobian(desk_array, p)
             F_fd = 2.0 / sigma2 * np.real(J.conj() @ J.T)
             assert np.linalg.norm(F - F_fd) <= 1e-5 * np.linalg.norm(F_fd)
+
+    @pytest.mark.parametrize("array", ["desk_array", "wide_array"])
+    def test_is_minus_objective_hessian_at_noiseless_truth(self, array, request,
+                                                            rng):
+        # The estimator's objective is ||y||^2 - ||y - s||^2, whose Hessian
+        # at y = s is -2 Re{J^H J}: the FIM at sigma^2 = 1, negated.
+        cfg = request.getfixturevalue(array)
+        for _ in range(10):
+            p = random_path(cfg, rng)
+            F = fim(cfg, [p], 1.0).matrix
+            _, H = grad_hess(cfg, synthesize_channel(cfg, [p]), p)
+            np.testing.assert_allclose(H, -F, rtol=1e-9,
+                                       atol=1e-9 * np.abs(F).max())
 
     def test_scales_inversely_with_sigma2(self, desk_array, rng):
         p = random_path(desk_array, rng)

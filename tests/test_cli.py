@@ -47,6 +47,21 @@ class TestExitCodes:
         assert "NEARFIELD_THREADS" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("flag,args", [
+        ("--snr-db", ["--snr-db", "nan"]),
+        ("--snr-db", ["--snr-db=-inf"]),
+        ("--snr-db", ["--snr-db", "10,inf"]),
+        ("--snr-db", ["--snr-db", "abc"]),
+        ("--trials", ["--trials", "0"]),
+        ("--trials", ["--trials", "1.5"]),
+    ])
+    def test_bad_sweep_argument_is_usage_error(self, tmp_path, capsys, flag,
+                                               args):
+        out = tmp_path / "s.csv"
+        assert cli(["sweep", "--config", SINGLE, "--out", str(out), *args]) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_finite_field_is_config_error(self, tmp_path, capsys):
         p = tmp_path / "user.json"
         p.write_text(json.dumps({"array": {"num_antennas": 64, "wavelength": 0.003},

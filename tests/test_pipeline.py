@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from nearfield.arraymodel import (ArrayConfig, Measurement, PathParams,
-                                  add_noise, synthesize_channel)
+from nearfield.arraymodel import (Measurement, PathParams, add_noise,
+                                  synthesize_channel)
 from nearfield.codebook import CodebookConfig, build_codebook
 from nearfield.estimator import EstimatorConfig, oracle_ls
 from nearfield.localization import BsConfig, relative_to_polar
