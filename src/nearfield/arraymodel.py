@@ -106,6 +106,20 @@ def _distances(delta_d, r_sq, r, cos_theta) -> np.ndarray:
     return np.sqrt(r_sq + delta_d**2 + 2.0 * delta_d * r * cos_theta)
 
 
+def distance_derivatives(cfg: ArrayConfig, theta: float, r: float
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Element distances r_m and their derivatives in (theta, r): d1 holds
+    dr_m/dtheta and dr_m/dr, d2 the (theta, theta), (theta, r), (r, r) ones."""
+    delta_d = antenna_offsets(cfg) * cfg.spacing
+    r_m = element_distances(cfg, theta, r)
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    d1 = np.stack([-delta_d * r * sin_t, r + delta_d * cos_t]) / r_m
+    d2 = np.stack([-delta_d * r * cos_t - d1[0] ** 2,
+                   -delta_d * sin_t - d1[0] * d1[1],
+                   1.0 - d1[1] ** 2]) / r_m
+    return r_m, d1, d2
+
+
 def near_steering(cfg: ArrayConfig, theta: float, r: float) -> np.ndarray:
     """Spherical-wave steering vector, entries exp(j*k*(r_m - r))."""
     r_m = element_distances(cfg, theta, r)

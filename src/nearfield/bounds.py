@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arraymodel import ArrayConfig, PathParams, antenna_offsets, element_distances
+from .arraymodel import ArrayConfig, PathParams, distance_derivatives
 
 
 @dataclass
@@ -26,20 +26,14 @@ class FisherMatrix:
 
 
 def steering_derivatives(cfg: ArrayConfig, p: PathParams) -> np.ndarray:
-    """Per-element derivatives of g e^{j phi} b(theta, r) w.r.t. (theta, r, g, phi).
-
-    Returns a 4 x M complex array in that row order.
-    """
+    """Per-element derivatives of g e^{j phi} b(theta, r) w.r.t. (theta, r,
+    g, phi), as the rows of a 4 x M complex array in that order."""
     k = cfg.wavenumber
-    d = cfg.spacing
-    delta = antenna_offsets(cfg)
-    r_m = element_distances(cfg, p.theta, p.r)
+    r_m, d1, _ = distance_derivatives(cfg, p.theta, p.r)
     b = np.exp(1j * k * (r_m - p.r))
     s_m = p.g * np.exp(1j * p.phi) * b
-    drm_dth = -delta * d * p.r * np.sin(p.theta) / r_m
-    drm_dr = (p.r + delta * d * np.cos(p.theta)) / r_m
-    v_theta = s_m * 1j * k * drm_dth
-    v_r = s_m * 1j * k * (drm_dr - 1.0)
+    v_theta = s_m * 1j * k * d1[0]
+    v_r = s_m * 1j * k * (d1[1] - 1.0)
     v_g = np.exp(1j * p.phi) * b
     v_phi = 1j * s_m
     return np.stack([v_theta, v_r, v_g, v_phi])

@@ -24,12 +24,9 @@ EXIT_OK, EXIT_USAGE, EXIT_CONFIG, EXIT_RUNTIME = 0, 1, 2, 3
 
 
 def _trial_count(text: str) -> int:
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _snr_grid(text: str) -> list[float]:
@@ -129,8 +126,7 @@ def _cmd_sweep(args) -> int:
             sys.stderr.write(f"error: NEARFIELD_THREADS must be an integer, "
                              f"got {env!r}\n")
             return EXIT_USAGE
-    scenario = _load(args)
-    result = harness.sweep(scenario, args.snr_db, args.trials, threads=threads)
+    result = harness.sweep(_load(args), args.snr_db, args.trials, threads=threads)
     _emit(result.to_csv(), args.out)
     return EXIT_OK
 
@@ -161,8 +157,7 @@ def _cmd_codebook(args) -> int:
             cb.n_theta.tolist(), cb.n_r.tolist(), cb.cos_theta.tolist(),
             cb.theta.tolist(), cb.r.tolist()):
         lines.append(f"{n_theta},{n_r},{cos_t:.12g},{theta:.12g},{r:.12g}")
-    text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    _emit("\n".join(lines) + "\n", args.out)
     n_angles = len(angle_grid(scenario.array, scenario.codebook_config.delta_alpha))
     sys.stderr.write(f"codebook: {len(cb)} codewords over {n_angles} angles\n")
     return EXIT_OK
@@ -207,17 +202,13 @@ def cli(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        handler = {
-            "estimate": _cmd_estimate,
-            "sweep": _cmd_sweep,
-            "crlb": _cmd_crlb,
-            "codebook": _cmd_codebook,
-            "validate": _cmd_validate,
-        }[args.command]
-    except KeyError:  # pragma: no cover
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
+    handler = {  # argparse admits only these commands
+        "estimate": _cmd_estimate,
+        "sweep": _cmd_sweep,
+        "crlb": _cmd_crlb,
+        "codebook": _cmd_codebook,
+        "validate": _cmd_validate,
+    }[args.command]
     try:
         return handler(args)
     except (FileNotFoundError, ScenarioError) as exc:

@@ -1,11 +1,9 @@
 """Angle-distance codebook construction.
 
 The angle axis samples cos(theta) uniformly; the distance axis samples 1/r
-uniformly per angle. Spacings are expressed through the dimensionless
-variables alpha = M (cos(theta) - cos(theta_t)) / 2 (angle mismatch) and
-beta = M^2 d^2 sin^2(theta) (1/r - 1/r_t) / (2 lambda) (curvature mismatch),
-whose ambiguity profiles |sinc(alpha)| and |(C + jS)(sqrt|beta|)| / sqrt|beta|
-(Fresnel integrals C and S) bound the acceptable grid steps.
+uniformly per angle. The steps delta_alpha and delta_beta are spacings in
+the dimensionless angle mismatch alpha and curvature mismatch beta, whose
+ambiguity profiles (a sinc and a Fresnel integral) bound them.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ Single-path machinery: the analytic gradient and Hessian of the reduced
 objective f(theta, r, g, phi) = sum_m 2|y_m| g cos(psi_m) - M g^2, with
 psi_m = k (r_m - r) + phi - arg y_m, and a guarded Newton step that only
 moves when the (theta, r) sub-Hessian is negative definite and the
-projection cost G does not decrease. Multi-path estimation greedily detects paths on
-the codebook and cyclically re-refines each one against the residual of
-the others. Each returned path then gets its soft information once: the
+projection cost G does not decrease. Multi-path estimation greedily detects
+paths on the codebook and cyclically re-refines each one against the
+residual of the others. Each returned path then gets its soft information once: the
 gradient and Hessian at its final point, against the final residual of the
 others.
 """
@@ -18,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .arraymodel import ArrayConfig, Measurement, PathParams, antenna_offsets, \
-    element_distances, near_steering, synthesize_channel
+from .arraymodel import ArrayConfig, Measurement, PathParams, \
+    distance_derivatives, near_steering, synthesize_channel
 from .codebook import Codebook
 
 THETA_EDGE = 1e-6
@@ -27,7 +27,6 @@ THETA_EDGE = 1e-6
 # Optional per-iteration trace record: (path_index, round_index, theta, r, g,
 # phi, cost_before, cost_after, accepted).
 TraceHook = Callable[..., None]
-
 
 PSD_FLOOR_SCALE = 1e-12  # per-antenna eigenvalue floor of the 4x4 information
 
@@ -100,65 +99,28 @@ def _gain_polar(gain: complex) -> tuple[float, float]:
     return g, phi
 
 
-def _psi_terms(cfg: ArrayConfig, y, p: PathParams):
-    """Shared per-element quantities for the objective derivatives."""
-    yv = _as_vector(y)
-    k = cfg.wavenumber
-    d = cfg.spacing
-    delta = antenna_offsets(cfg)
-    r_m = element_distances(cfg, p.theta, p.r)
-    psi = k * (r_m - p.r) + p.phi - np.angle(yv)
-    # psi depends on (theta, r) only through r_m:
-    #   dr_m/dtheta = -delta*d*r*sin(theta)/r_m
-    #   dr_m/dr     = (r + delta*d*cos(theta))/r_m
-    drm_dth = -delta * d * p.r * np.sin(p.theta) / r_m
-    drm_dr = (p.r + delta * d * np.cos(p.theta)) / r_m
-    psi_th = k * drm_dth
-    psi_r = k * (drm_dr - 1.0)
-    return yv, np.abs(yv), psi, psi_th, psi_r, delta, d, r_m, drm_dth, drm_dr
-
-
 def grad_hess(cfg: ArrayConfig, y, p: PathParams) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient and 4x4 Hessian of the objective in (theta, r, g,
-    phi) order, from one shared pass."""
-    (_, a, psi, psi_th, psi_r, delta, d, r_m,
-     drm_dth, drm_dr) = _psi_terms(cfg, y, p)
-    k = cfg.wavenumber
-    s, c = np.sin(psi), np.cos(psi)
-    sin_t, cos_t = np.sin(p.theta), np.cos(p.theta)
-    g = p.g
-    M = cfg.num_antennas
-
-    as_ = a * s
-    ac = a * c
-    grad = np.array([
-        np.sum(-2.0 * g * as_ * psi_th),
-        np.sum(-2.0 * g * as_ * psi_r),
-        np.sum(2.0 * ac) - 2.0 * M * g,
-        np.sum(-2.0 * g * as_),
-    ])
-
-    # Second derivatives of r_m.
-    drm_dthth = (-delta * d * p.r * cos_t - drm_dth**2) / r_m
-    drm_drr = (1.0 - drm_dr**2) / r_m
-    drm_dthr = (-delta * d * sin_t - drm_dth * drm_dr) / r_m
-
-    psi_thth = k * drm_dthth
-    psi_rr = k * drm_drr
-    psi_thr = k * drm_dthr
-
-    h = np.empty((4, 4))
-    h[0, 0] = np.sum(-2.0 * g * (ac * psi_th**2 + as_ * psi_thth))
-    h[0, 1] = h[1, 0] = np.sum(-2.0 * g * (ac * psi_th * psi_r + as_ * psi_thr))
-    h[1, 1] = np.sum(-2.0 * g * (ac * psi_r**2 + as_ * psi_rr))
-    h[0, 2] = h[2, 0] = np.sum(-2.0 * as_ * psi_th)
-    h[1, 2] = h[2, 1] = np.sum(-2.0 * as_ * psi_r)
-    h[0, 3] = h[3, 0] = np.sum(-2.0 * g * ac * psi_th)
-    h[1, 3] = h[3, 1] = np.sum(-2.0 * g * ac * psi_r)
-    h[2, 2] = -2.0 * M
-    h[2, 3] = h[3, 2] = np.sum(-2.0 * as_)
-    h[3, 3] = np.sum(-2.0 * g * ac)
-    return grad, h
+    phi) order, as products with P = dpsi/d(theta, r, g, phi) (g row zero,
+    phi row ones) and a = |y|: Hessian -2g P diag(a cos psi) P^T - 2g
+    (d^2 psi/d(theta, r)^2) . (a sin psi), g row -2 P (a sin psi), (g, g)
+    entry -2M; gradient g times the g row, g entry 2 sum(a cos psi) - 2Mg."""
+    yv = _as_vector(y)
+    a = np.abs(yv)
+    k, M = cfg.wavenumber, cfg.num_antennas
+    r_m, d1, d2 = distance_derivatives(cfg, p.theta, p.r)
+    psi = k * (r_m - p.r) + p.phi - np.angle(yv)
+    a_sin, a_cos = a * np.sin(psi), a * np.cos(psi)
+    P = np.stack([k * d1[0], k * (d1[1] - 1.0), np.zeros(M), np.ones(M)])
+    g_row = -2.0 * (P @ a_sin)
+    pap = (P * a_cos) @ P.T  # its (phi, phi) entry is sum(a cos psi)
+    hess = -2.0 * p.g * pap
+    hess[:2, :2] -= 2.0 * p.g * k * (d2 @ a_sin)[[0, 1, 1, 2]].reshape(2, 2)
+    hess[2] = hess[:, 2] = g_row
+    hess[2, 2] = -2.0 * M
+    grad = p.g * g_row
+    grad[2] = 2.0 * pap[3, 3] - 2.0 * M * p.g
+    return grad, hess
 
 
 def psd_repair(mat: np.ndarray, floor: float,

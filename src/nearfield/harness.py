@@ -279,8 +279,7 @@ def run_trial(scenario: Scenario, snr_db: float | None, point_idx: int,
     else:
         sigma2 = max(powers) / 10.0 ** (snr_db / 10.0)
 
-    arr = scenario.array
-    channels = [synthesize_channel(arr, paths) for paths in per_bs_paths]
+    channels = [synthesize_channel(scenario.array, paths) for paths in per_bs_paths]
     measurements = [add_noise(ch, sigma2, rng) for ch in channels]
     est_cfgs = [scenario.estimator_config(bs) for bs in scenario.bss]
     result = run_joint([bs.config for bs in scenario.bss], measurements,

@@ -102,38 +102,27 @@ def is_front_side(theta: float) -> bool:
     return 0.0 < theta < np.pi
 
 
-def _transform_coefficients(x: float, y: float):
-    """First and second derivatives of (theta, r) w.r.t. (x_r, y_r)."""
+def _transform_coefficients(x: float, y: float) -> tuple[np.ndarray, ...]:
+    """The Jacobian T = d(theta, r)/d(x_r, y_r) and the 2x2 Hessians of
+    theta and of r in (x_r, y_r)."""
     rho2 = x * x + y * y
     rho = np.sqrt(rho2)
-    th_x, th_y = -y / rho2, x / rho2
-    r_x, r_y = x / rho, y / rho
-    th_xx = 2.0 * x * y / rho2**2
-    th_yy = -2.0 * x * y / rho2**2
-    th_xy = (y * y - x * x) / rho2**2
-    r_xx = y * y / rho**3
-    r_yy = x * x / rho**3
-    r_xy = -x * y / rho**3
-    return (th_x, th_y, r_x, r_y), (th_xx, th_yy, th_xy, r_xx, r_yy, r_xy)
+    T = np.array([[-y / rho2, x / rho2], [x / rho, y / rho]])
+    hess_theta = np.array([[2.0 * x * y, y * y - x * x],
+                           [y * y - x * x, -2.0 * x * y]]) / rho2**2
+    hess_r = np.array([[y * y, -x * y], [-x * y, x * x]]) / rho**3
+    return T, hess_theta, hess_r
 
 
 def position_hessian(est: SoftEstimate, omega: float) -> np.ndarray:
     """Chain-rule Hessian of the objective in relative Cartesian coordinates,
-    from the estimate's gradient and Hessian in (theta, r)."""
+    T^T H T + f_theta Hess(theta) + f_r Hess(r), from the estimate's
+    gradient f and Hessian H in (theta, r)."""
     p = est.params
-    x, yr = polar_to_relative(p.theta, p.r, omega)
-    (th_x, th_y, r_x, r_y), (th_xx, th_yy, th_xy, r_xx, r_yy, r_xy) = \
-        _transform_coefficients(x, yr)
-    f_th, f_r = est.grad[0], est.grad[1]
-    f_thth, f_thr, f_rr = est.hess[0, 0], est.hess[0, 1], est.hess[1, 1]
-
-    f_xx = (th_x**2 * f_thth + 2.0 * th_x * r_x * f_thr + r_x**2 * f_rr
-            + th_xx * f_th + r_xx * f_r)
-    f_yy = (th_y**2 * f_thth + 2.0 * th_y * r_y * f_thr + r_y**2 * f_rr
-            + th_yy * f_th + r_yy * f_r)
-    f_xy = (th_x * th_y * f_thth + (th_x * r_y + th_y * r_x) * f_thr
-            + r_x * r_y * f_rr + th_xy * f_th + r_xy * f_r)
-    return np.array([[f_xx, f_xy], [f_xy, f_yy]])
+    T, hess_theta, hess_r = _transform_coefficients(
+        *polar_to_relative(p.theta, p.r, omega))
+    return (T.T @ est.hess[:2, :2] @ T
+            + est.grad[0] * hess_theta + est.grad[1] * hess_r)
 
 
 def position_covariance(est: SoftEstimate, omega: float,
@@ -170,6 +159,8 @@ def gaussian_fuse(positions: list[SoftPosition]) -> SoftPosition:
     """Information-form Gaussian product of soft positions."""
     if not positions:
         raise ValueError("nothing to fuse")
+    if len(positions) == 1:  # exactly itself, not an inverse of an inverse
+        return positions[0]
     info = np.zeros((2, 2))
     info_mean = np.zeros(2)
     for p in positions:
@@ -215,7 +206,6 @@ def gfcl(per_bs_estimates: list[list[SoftEstimate]], bs_configs: list[BsConfig],
         cand.consistent = bool(consistency(cand.position, ref.position, zeta))
 
     kept = [c.position for c in candidates if c.consistent]
-    fused = gaussian_fuse(kept)
-    return FusionReport(fused=fused, candidates=candidates,
+    return FusionReport(fused=gaussian_fuse(kept), candidates=candidates,
                         reference=ref.bs_index,
                         all_inconsistent=(len(kept) == 1 and len(candidates) > 1))

@@ -1,16 +1,22 @@
-"""Reference formulas that only the tests use.
-
-The reduced single-path objective that the estimator's derivatives are
-checked against, the planar-wave steering vector of the far-field limit, a
-path's parameter vector for finite differencing, and the s1/s2 ambiguity
-analysis in the dimensionless mismatches alpha and beta that justifies the
-codebook's grid steps.
-"""
+"""Reference formulas that only the tests use: finite differences and the
+objective they check the analytic derivatives against, the far-field
+steering vector, and the s1/s2 analysis behind the codebook's grid steps."""
 
 import numpy as np
 from scipy import special
 
 from nearfield.arraymodel import ArrayConfig, PathParams, element_distances
+
+
+def central_differences(fn, x, h) -> np.ndarray:
+    """One row (fn(x + h_i e_i) - fn(x - h_i e_i)) / (2 h_i) per coordinate i:
+    the gradient of a scalar fn, the transposed Jacobian of a vector fn."""
+    rows = []
+    for i, step in enumerate(h):
+        e = np.zeros(len(x))
+        e[i] = step
+        rows.append((fn(x + e) - fn(x - e)) / (2 * step))
+    return np.array(rows)
 
 
 def as_vector(p: PathParams) -> np.ndarray:

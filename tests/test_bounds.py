@@ -7,7 +7,7 @@ from nearfield.arraymodel import PathParams, near_steering, synthesize_channel
 from nearfield.bounds import FisherMatrix, crlb_diag, fim, steering_derivatives
 from nearfield.estimator import grad_hess
 from tests.conftest import random_path
-from tests.reference import as_vector
+from tests.reference import as_vector, central_differences
 
 
 def signal_of(cfg, x):
@@ -18,15 +18,9 @@ def signal_of(cfg, x):
 
 
 def fd_jacobian(cfg, p: PathParams, h=None):
-    x = as_vector(p)
     if h is None:
         h = np.array([1e-7, 1e-7 * max(p.r, 1.0), 1e-7, 1e-7])
-    rows = []
-    for i in range(4):
-        e = np.zeros(4)
-        e[i] = h[i]
-        rows.append((signal_of(cfg, x + e) - signal_of(cfg, x - e)) / (2 * h[i]))
-    return np.stack(rows)
+    return central_differences(lambda v: signal_of(cfg, v), as_vector(p), h)
 
 
 class TestSteeringDerivatives:

@@ -50,10 +50,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("flag,args", [
         ("--snr-db", ["--snr-db", "nan"]),
         ("--snr-db", ["--snr-db=-inf"]),
-        ("--snr-db", ["--snr-db", "10,inf"]),
         ("--snr-db", ["--snr-db", "abc"]),
         ("--trials", ["--trials", "0"]),
-        ("--trials", ["--trials", "1.5"]),
     ])
     def test_bad_sweep_argument_is_usage_error(self, tmp_path, capsys, flag,
                                                args):

@@ -14,7 +14,8 @@ from nearfield.estimator import (PSD_FLOOR_SCALE, EstimatorConfig,
                                  project, psd_repair, residual, soft_estimates,
                                  vnnce)
 from tests.conftest import random_path
-from tests.reference import alpha_of, as_vector, beta_of, objective
+from tests.reference import (alpha_of, as_vector, beta_of, central_differences,
+                             objective)
 
 
 def _recording(fn, calls):
@@ -25,14 +26,7 @@ def _recording(fn, calls):
     return wrapper
 
 
-def fd_grad(fn, x, h):
-    """Central finite-difference gradient with per-coordinate steps."""
-    g = np.zeros(len(x))
-    for i in range(len(x)):
-        e = np.zeros(len(x))
-        e[i] = h[i]
-        g[i] = (fn(x + e) - fn(x - e)) / (2 * h[i])
-    return g
+fd_grad = central_differences  # gradient of a scalar function
 
 
 def fd_hess(cfg, y, x, h):
@@ -42,13 +36,7 @@ def fd_hess(cfg, y, x, h):
     1e-4 tolerance; one FD layer on top of the FD-validated gradient keeps
     the oracle independent of the analytic Hessian formulas.
     """
-    H = np.zeros((4, 4))
-    for i in range(4):
-        e = np.zeros(4)
-        e[i] = h[i]
-        gp, _ = grad_hess(cfg, y, PathParams(*(x + e)))
-        gm, _ = grad_hess(cfg, y, PathParams(*(x - e)))
-        H[i] = (gp - gm) / (2 * h[i])
+    H = central_differences(lambda v: grad_hess(cfg, y, PathParams(*v))[0], x, h)
     return (H + H.T) / 2
 
 

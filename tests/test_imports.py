@@ -1,9 +1,6 @@
 """No module of the package or of the tests imports a name it never uses.
-
-No linter is among the test dependencies, so this scan of each module's
-syntax tree stands in for one. An import marked `# noqa: F401` is exempt:
-it binds a name that other code looks up on the module.
-"""
+No linter is among the test dependencies, so this syntax-tree scan stands
+in for one; as for flake8, an import line marked `# noqa: F401` is exempt."""
 
 import ast
 from pathlib import Path
@@ -21,12 +18,9 @@ def unused_imports(path: Path) -> list[str]:
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = []
     for node in ast.walk(tree):
-        if not isinstance(node, (ast.Import, ast.ImportFrom)):
-            continue
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if any("# noqa: F401" in line
-               for line in lines[node.lineno - 1:node.end_lineno]):
+        if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                or getattr(node, "module", None) == "__future__"
+                or "# noqa: F401" in lines[node.lineno - 1]):
             continue
         for alias in node.names:
             name = alias.asname or alias.name.split(".")[0]

@@ -14,7 +14,7 @@ from nearfield.localization import (BsConfig, SoftPosition, consistency,
                                     polar_to_relative, position_covariance,
                                     position_hessian, relative_to_polar,
                                     to_global, _transform_coefficients)
-from tests.reference import as_vector, objective
+from tests.reference import as_vector, central_differences, objective
 
 
 def random_psd_2x2(rng, scale=1.0):
@@ -51,28 +51,22 @@ class TestTransforms:
         assert not is_front_side(0.0) and not is_front_side(-1.0)
 
     def test_coefficients_at_3_4(self):
-        (th_x, th_y, r_x, r_y), _ = _transform_coefficients(3.0, 4.0)
-        assert r_x == pytest.approx(0.6)
-        assert r_y == pytest.approx(0.8)
-        assert th_x == pytest.approx(-4 / 25)
-        assert th_y == pytest.approx(3 / 25)
+        T, _, _ = _transform_coefficients(3.0, 4.0)
+        assert T[1, 0] == pytest.approx(0.6)
+        assert T[1, 1] == pytest.approx(0.8)
+        assert T[0, 0] == pytest.approx(-4 / 25)
+        assert T[0, 1] == pytest.approx(3 / 25)
 
     def test_coefficients_match_fd(self, rng):
         h = 1e-7
         for _ in range(10):
             x, y = rng.uniform(0.5, 5.0, size=2)
-            first, second = _transform_coefficients(x, y)
+            T, _, _ = _transform_coefficients(x, y)
 
-            def theta_r(xx, yy):
-                return np.arctan2(yy, xx), np.hypot(xx, yy)
-
-            fd = [
-                (theta_r(x + h, y)[0] - theta_r(x - h, y)[0]) / (2 * h),
-                (theta_r(x, y + h)[0] - theta_r(x, y - h)[0]) / (2 * h),
-                (theta_r(x + h, y)[1] - theta_r(x - h, y)[1]) / (2 * h),
-                (theta_r(x, y + h)[1] - theta_r(x, y - h)[1]) / (2 * h),
-            ]
-            assert np.allclose(first, fd, rtol=1e-5, atol=1e-8)
+            fd = central_differences(
+                lambda v: np.array([np.arctan2(v[1], v[0]), np.hypot(*v)]),
+                np.array([x, y]), [h, h])
+            assert np.allclose(T, fd.T, rtol=1e-5, atol=1e-8)
 
 
 class TestPositionHessian:
@@ -95,14 +89,9 @@ class TestPositionHessian:
                 return objective(desk_array, y,
                                  PathParams(theta=theta, r=r, g=p.g, phi=p.phi))
 
-            h = 1e-5 * max(p.r, 1.0)
-            num = np.zeros((2, 2))
-            for i in range(2):
-                for j in range(2):
-                    ei, ej = np.zeros(2), np.zeros(2)
-                    ei[i], ej[j] = h, h
-                    num[i, j] = (f_xy(x0 + ei + ej) - f_xy(x0 + ei - ej)
-                                 - f_xy(x0 - ei + ej) + f_xy(x0 - ei - ej)) / (4 * h * h)
+            h = [1e-5 * max(p.r, 1.0)] * 2
+            num = central_differences(
+                lambda v: central_differences(f_xy, v, h), x0, h)
             assert np.linalg.norm(ana - num) <= 1e-4 * max(
                 np.linalg.norm(num), 1.0)
 
@@ -176,8 +165,8 @@ class TestFusion:
     def test_single_input_identity(self, rng):
         p = SoftPosition(mean=[1.0, 2.0], cov=random_psd_2x2(rng))
         out = gaussian_fuse([p])
-        assert np.allclose(out.mean, p.mean, atol=1e-9)
-        assert np.allclose(out.cov, p.cov, atol=1e-9)
+        assert np.array_equal(out.mean, p.mean)
+        assert np.array_equal(out.cov, p.cov)
 
     def test_information_additivity(self, rng):
         for _ in range(50):
