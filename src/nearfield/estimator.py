@@ -6,9 +6,9 @@ psi_m = k (r_m - r) + phi - arg y_m, and a guarded Newton step that only
 moves when the (theta, r) sub-Hessian is negative definite and the
 projection cost G does not decrease. Multi-path estimation greedily detects
 paths on the codebook and cyclically re-refines each one against the
-residual of the others. Each returned path then gets its soft information once: the
-gradient and Hessian at its final point, against the final residual of the
-others.
+residual of the others. Each returned path then gets its soft information
+once: the gradient and Hessian at its final point, against the final
+residual of the others.
 """
 
 from __future__ import annotations

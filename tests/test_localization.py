@@ -61,12 +61,17 @@ class TestTransforms:
         h = 1e-7
         for _ in range(10):
             x, y = rng.uniform(0.5, 5.0, size=2)
-            T, _, _ = _transform_coefficients(x, y)
+            T, hess_theta, hess_r = _transform_coefficients(x, y)
 
             fd = central_differences(
                 lambda v: np.array([np.arctan2(v[1], v[0]), np.hypot(*v)]),
                 np.array([x, y]), [h, h])
             assert np.allclose(T, fd.T, rtol=1e-5, atol=1e-8)
+            # The Hessians are the derivatives of T's rows.
+            fd2 = central_differences(lambda v: _transform_coefficients(*v)[0],
+                                      np.array([x, y]), [h, h])
+            assert np.allclose(hess_theta, fd2[:, 0], rtol=1e-5, atol=1e-8)
+            assert np.allclose(hess_r, fd2[:, 1], rtol=1e-5, atol=1e-8)
 
 
 class TestPositionHessian:
