@@ -23,7 +23,7 @@ from .localization import is_front_side
 EXIT_OK, EXIT_USAGE, EXIT_CONFIG, EXIT_RUNTIME = 0, 1, 2, 3
 
 
-def _trial_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return int(text)
@@ -52,11 +52,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--threads", type=int, default=None,
+        p.add_argument("--threads", type=_positive_int, default=None,
                        help="sweep worker processes (default: $NEARFIELD_THREADS, "
                             "else 1); the other commands ignore it")
         if trials:
-            p.add_argument("--trials", type=_trial_count, default=200)
+            p.add_argument("--trials", type=_positive_int, default=200)
         if snr:
             p.add_argument("--snr-db", type=_snr_grid, default="0,10,20,30",
                            help="comma-separated SNR grid in dB")
@@ -121,10 +121,9 @@ def _cmd_sweep(args) -> int:
     if threads is None:
         env = os.environ.get("NEARFIELD_THREADS", "1")
         try:
-            threads = int(env)
-        except ValueError:
-            sys.stderr.write(f"error: NEARFIELD_THREADS must be an integer, "
-                             f"got {env!r}\n")
+            threads = _positive_int(env)
+        except argparse.ArgumentTypeError as exc:
+            sys.stderr.write(f"error: NEARFIELD_THREADS {exc}\n")
             return EXIT_USAGE
     result = harness.sweep(_load(args), args.snr_db, args.trials, threads=threads)
     _emit(result.to_csv(), args.out)

@@ -9,6 +9,7 @@ are bit-identical.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
@@ -340,10 +341,35 @@ def _fmt(v) -> str:
 
 _SCENARIO: Scenario | None = None  # the sweep's scenario in a pool worker
 
+# OpenBLAS's thread-count setter under the names its builds export, the
+# numpy wheels' scipy-openblas first.
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
+                        "scipy_openblas_set_num_threads",
+                        "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _blas_thread_setter():
+    """OpenBLAS's set_num_threads(int) in the BLAS numpy loaded, or None
+    when numpy links another BLAS (MKL, Accelerate). The lookup goes through
+    numpy's linalg extension, which links that BLAS and keeps its import
+    path across numpy 1 and 2."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for name in _BLAS_THREAD_SETTERS:
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            return setter
+    return None
+
 
 def _init_worker(scenario: Scenario):
     global _SCENARIO
     _SCENARIO = scenario
+    # One BLAS thread per worker: a forked worker inherits OpenBLAS's helper
+    # thread, which spins on the CPU another worker needs.
+    setter = _blas_thread_setter()
+    if setter is not None:
+        setter(1)
 
 
 def _sweep_task(task: tuple[float, int, int]) -> list[dict]:
@@ -355,15 +381,22 @@ def sweep(scenario: Scenario, snr_grid_db: list[float], trials: int,
     """Monte Carlo sweep over an SNR grid; deterministic given scenario.seed."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if not all(math.isfinite(snr) for snr in snr_grid_db):
         raise ValueError(f"every SNR must be a finite number of dB, got {snr_grid_db}")
     tasks = [(snr, pi, t) for pi, snr in enumerate(snr_grid_db) for t in range(trials)]
-    if threads > 1:
+    # A fork pool starts all its workers at once: no more than there are
+    # CPUs to run them (the affinity mask where the OS has one) and tasks.
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(threads, cpus, len(tasks))
+    if workers > 1:
         # Build the steering matrix once, here: the pool forks its workers,
         # which inherit the scenario with the matrix through the initializer,
         # so the tasks carry only indices and nothing large is pickled.
         scenario.codebook.steering_matrix
-        with ProcessPoolExecutor(max_workers=threads, initializer=_init_worker,
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(scenario,)) as pool:
             chunks = list(pool.map(_sweep_task, tasks))
     else:

@@ -316,7 +316,7 @@ class TestAcceptance:
         serial = sweep(sc, [10.0, 20.0], trials=3, threads=1).to_csv()
         parallel = sweep(sc, [10.0, 20.0], trials=3, threads=4).to_csv()
         ok = serial == parallel
-        verdict(10, ok, f"serial and 4-way parallel sweep CSVs "
+        verdict(10, ok, f"serial and threads=4 sweep CSVs "
                         f"{'byte-identical' if ok else 'DIFFER'} "
                         f"({len(serial.splitlines()) - 1} rows)")
         assert ok

@@ -52,12 +52,24 @@ class TestExitCodes:
         ("--snr-db", ["--snr-db=-inf"]),
         ("--snr-db", ["--snr-db", "abc"]),
         ("--trials", ["--trials", "0"]),
+        ("--threads", ["--threads", "0"]),
+        ("--threads", ["--threads", "-2"]),
+        ("--threads", ["--threads=-1"]),
     ])
     def test_bad_sweep_argument_is_usage_error(self, tmp_path, capsys, flag,
                                                args):
         out = tmp_path / "s.csv"
         assert cli(["sweep", "--config", SINGLE, "--out", str(out), *args]) == 1
         assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_threads_variable_is_usage_error(self, tmp_path, monkeypatch,
+                                                  capsys):
+        monkeypatch.setenv("NEARFIELD_THREADS", "0")
+        out = tmp_path / "s.csv"
+        assert cli(["sweep", "--config", SINGLE, "--trials", "1", "--snr-db",
+                    "10", "--out", str(out)]) == 1
+        assert "NEARFIELD_THREADS" in capsys.readouterr().err
         assert not out.exists()
 
     def test_malformed_finite_field_is_config_error(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Scenario parsing, metrics, seeded trials, and the Monte Carlo sweep."""
 
+import ctypes
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from nearfield import codebook
+from nearfield import codebook, harness
 from nearfield.harness import (CSV_HEADER, ScenarioError, draw_paths,
                                load_scenario, run_trial, scenario_from_dict,
                                sweep, to_db)
@@ -20,6 +21,30 @@ def desk_scenario(**overrides):
     data = dict(MINIMAL)
     data.update(overrides)
     return scenario_from_dict(data)
+
+
+def blas_thread_getter():
+    """OpenBLAS's get_num_threads() matching the setter the sweep's workers
+    call, or None when numpy links another BLAS."""
+    setter = harness._blas_thread_setter()
+    if setter is None:
+        return None
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    getter = getattr(lib, setter.__name__.replace("_set_", "_get_"))
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return getter
+
+
+def log_pids(monkeypatch, module, name, log):
+    """Make module.<name> append its process id to `log` on every call."""
+    orig = getattr(module, name)
+
+    def logged(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, logged)
 
 
 class TestScenarioParsing:
@@ -251,14 +276,7 @@ class TestSweep:
 
     def test_workers_never_build_the_steering_matrix(self, tmp_path, monkeypatch):
         log = tmp_path / "builds.txt"
-        build = codebook.near_steering_columns
-
-        def logged_build(*args, **kwargs):
-            with open(log, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
-            return build(*args, **kwargs)
-
-        monkeypatch.setattr(codebook, "near_steering_columns", logged_build)
+        log_pids(monkeypatch, codebook, "near_steering_columns", log)
         scenario = load_scenario("scenarios/tab2_desk.json")
         sweep(scenario, [20.0], trials=2, threads=2)
         assert log.read_text().split() == [str(os.getpid())]
@@ -266,6 +284,62 @@ class TestSweep:
     def test_rejects_zero_trials(self, scenario):
         with pytest.raises(ValueError):
             sweep(scenario, [10.0], trials=0)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_rejects_fewer_than_one_thread(self, scenario, threads):
+        with pytest.raises(ValueError, match="threads"):
+            sweep(scenario, [10.0], trials=1, threads=threads)
+
+    def test_pool_capped_at_available_cpus(self, scenario, tmp_path, monkeypatch):
+        cpus = len(os.sched_getaffinity(0))
+        log = tmp_path / "workers.txt"
+        log_pids(monkeypatch, harness, "_init_worker", log)  # once per started worker
+        sweep(scenario, [10.0, 20.0], trials=2, threads=cpus + 2)
+        started = log.read_text().split() if log.exists() else []
+        assert len(set(started)) <= cpus
+
+    def test_no_pool_for_a_single_task(self, scenario, tmp_path, monkeypatch):
+        log = tmp_path / "trials.txt"
+        log_pids(monkeypatch, harness, "run_trial", log)
+        sweep(scenario, [20.0], trials=1, threads=2)
+        assert log.read_text().split() == [str(os.getpid())]
+
+    def test_workers_run_single_threaded_blas(self, scenario, tmp_path,
+                                              monkeypatch):
+        getter = blas_thread_getter()
+        if getter is None:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("one CPU: the sweep runs serially")
+        log = tmp_path / "blas.txt"
+        orig = harness.run_trial
+
+        def logged_trial(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {getter()}\n")
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_trial", logged_trial)
+        before = getter()
+        sweep(scenario, [10.0, 20.0], trials=2, threads=2)
+        counts = [line.split() for line in log.read_text().splitlines()]
+        assert len(counts) == 4
+        assert all(pid != str(os.getpid()) and n == "1" for pid, n in counts)
+        assert getter() == before
+
+    def test_openblas_setter_resolves(self):
+        blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+        if blas.get("name") != "scipy-openblas":
+            pytest.skip(f"numpy links {blas.get('name')!r}, not scipy-openblas")
+        assert harness._blas_thread_setter() is not None
+
+    def test_serial_parallel_identical_at_paper_size(self):
+        # Single-threaded BLAS in the workers scores codewords with other
+        # roundings than the parent's threaded BLAS; the argmax must agree.
+        scenario = load_scenario("scenarios/tab2_paper.json")
+        serial = sweep(scenario, [0.0, 30.0], trials=1, threads=1).to_csv()
+        parallel = sweep(scenario, [0.0, 30.0], trials=1, threads=2).to_csv()
+        assert serial == parallel
 
     @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_snr(self, scenario, snr_db):

@@ -100,6 +100,32 @@ class TestPositionHessian:
             assert np.linalg.norm(ana - num) <= 1e-4 * max(
                 np.linalg.norm(num), 1.0)
 
+    def test_gradient_terms_match_fd_off_the_peak(self, desk_array):
+        # Near the peak the gradient vanishes and T^T H T swamps the terms
+        # f_theta Hess(theta) + f_r Hess(r). On the main lobe's flank of a
+        # noiseless broadside path close to the array the gradient is large
+        # and the angle curvature small, so each term must show up here.
+        truth = PathParams(theta=np.pi / 2, r=0.2, g=1.0, phi=0.3)
+        y = synthesize_channel(desk_array, [truth])
+        p = PathParams(theta=truth.theta + 0.026, r=0.17, g=truth.g,
+                       phi=truth.phi)
+        omega = 0.4
+        est = soft_estimates(desk_array, Measurement(y), [p])[0]
+        x0 = np.array(polar_to_relative(p.theta, p.r, omega))
+        _, hess_theta, hess_r = _transform_coefficients(*x0)
+        terms = [est.grad[0] * hess_theta, est.grad[1] * hess_r]
+
+        def f_xy(v):
+            theta, r = relative_to_polar(v[0], v[1], omega)
+            return objective(desk_array, y,
+                             PathParams(theta=theta, r=r, g=p.g, phi=p.phi))
+
+        h = [1e-5 * p.r] * 2
+        num = central_differences(
+            lambda v: central_differences(f_xy, v, h), x0, h)
+        tol = 1e-2 * min(np.linalg.norm(t) for t in terms)
+        assert np.linalg.norm(position_hessian(est, omega) - num) <= tol
+
 
 class TestPositionCovariance:
     def _high_snr_setup(self, desk_array):
