@@ -6,23 +6,9 @@ phi_L); the FIM is 4L x 4L with all inter-path cross blocks included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .arraymodel import ArrayConfig, PathParams, distance_derivatives
-
-
-@dataclass
-class FisherMatrix:
-    matrix: np.ndarray
-    sigma2: float
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        n = self.matrix.shape[0]
-        if self.matrix.shape != (n, n) or n % 4 != 0:
-            raise ValueError("FIM must be square with size a multiple of 4")
 
 
 def steering_derivatives(cfg: ArrayConfig, p: PathParams) -> np.ndarray:
@@ -39,24 +25,23 @@ def steering_derivatives(cfg: ArrayConfig, p: PathParams) -> np.ndarray:
     return np.stack([v_theta, v_r, v_g, v_phi])
 
 
-def fim(cfg: ArrayConfig, paths: list[PathParams], sigma2: float) -> FisherMatrix:
+def fim(cfg: ArrayConfig, paths: list[PathParams], sigma2: float) -> np.ndarray:
     """FIM F_ij = (2/sigma^2) Re{(ds/dmu_i)^H ds/dmu_j} over all paths."""
     if sigma2 <= 0:
         raise ValueError("sigma2 must be > 0")
     J = np.concatenate([steering_derivatives(cfg, p) for p in paths], axis=0)
     F = 2.0 / sigma2 * np.real(J.conj() @ J.T)
-    return FisherMatrix(matrix=(F + F.T) / 2.0, sigma2=sigma2)
+    return (F + F.T) / 2.0
 
 
 COND_LIMIT = 1e12  # condition number beyond which the FIM is pseudo-inverted
 
 
-def crlb_diag(F: FisherMatrix) -> tuple[np.ndarray, bool]:
+def crlb_diag(F: np.ndarray) -> tuple[np.ndarray, bool]:
     """Diagonal of F^{-1}; ill-conditioned matrices use the pseudo-inverse.
 
     Returns (variances, ill_conditioned_flag).
     """
-    mat = F.matrix
-    ill = bool(np.linalg.cond(mat) > COND_LIMIT)
-    inv = np.linalg.pinv(mat) if ill else np.linalg.inv(mat)
+    ill = bool(np.linalg.cond(F) > COND_LIMIT)
+    inv = np.linalg.pinv(F) if ill else np.linalg.inv(F)
     return np.diag(inv).copy(), ill

@@ -47,27 +47,26 @@ def _build_parser() -> argparse.ArgumentParser:
                     "localization simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trials=False, snr=False):
+    def common(p, seed=True):
         p.add_argument("--config", required=True, help="scenario JSON path")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the scenario seed")
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the scenario seed")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--threads", type=_positive_int, default=None,
-                       help="sweep worker processes (default: $NEARFIELD_THREADS, "
-                            "else 1); the other commands ignore it")
-        if trials:
-            p.add_argument("--trials", type=_positive_int, default=200)
-        if snr:
-            p.add_argument("--snr-db", type=_snr_grid, default="0,10,20,30",
-                           help="comma-separated SNR grid in dB")
+        return p
 
     common(sub.add_parser("estimate", help="one scenario, one draw, full "
                                            "joint result as JSON"))
-    common(sub.add_parser("sweep", help="Monte Carlo SNR sweep to CSV"),
-           trials=True, snr=True)
+    sweep = common(sub.add_parser("sweep", help="Monte Carlo SNR sweep to CSV"))
+    sweep.add_argument("--trials", type=_positive_int, default=200)
+    sweep.add_argument("--snr-db", type=_snr_grid, default="0,10,20,30",
+                       help="comma-separated SNR grid in dB")
+    sweep.add_argument("--threads", type=_positive_int, default=None,
+                       help="worker processes (default: $NEARFIELD_THREADS, "
+                            "else 1)")
     common(sub.add_parser("crlb", help="CRLB table for the scenario's LoS "
                                        "geometry to CSV"))
-    common(sub.add_parser("codebook", help="dump the codebook as CSV"))
+    common(sub.add_parser("codebook", help="dump the codebook as CSV"), seed=False)
     common(sub.add_parser("validate", help="run invariant checks on a scenario"))
     return parser
 
@@ -92,7 +91,7 @@ def _cmd_estimate(args) -> int:
     result_rows, result = harness.run_trial(scenario, None, 0, 0,
                                             return_joint=True)
     payload = {
-        "fusion": json.loads(result.step2.to_json()),
+        "fusion": result.step2.to_dict(),
         "anchored": result.anchored,
         "per_bs": [{
             "nmse_db_step1": harness.to_db(result.nmse_step1[i]),
@@ -149,7 +148,7 @@ def _cmd_crlb(args) -> int:
 
 
 def _cmd_codebook(args) -> int:
-    scenario = _load(args)
+    scenario = load_scenario(args.config)
     cb = scenario.codebook
     lines = ["n_theta,n_r,cos_theta,theta_rad,r_m"]
     for n_theta, n_r, cos_t, theta, r in zip(
@@ -188,11 +187,9 @@ def _cmd_validate(args) -> int:
     checks.append(("noiseless fused error < 1e-3 m",
                    all(r["fused_rmse_m"] < 1e-3 for r in rows)))
 
-    ok = True
-    for name, passed in checks:
-        print(f"{'PASS' if passed else 'FAIL'}  {name}")
-        ok &= passed
-    return EXIT_OK if ok else EXIT_RUNTIME
+    _emit("".join(f"{'PASS' if passed else 'FAIL'}  {name}\n"
+                  for name, passed in checks), args.out)
+    return EXIT_OK if all(passed for _, passed in checks) else EXIT_RUNTIME
 
 
 def cli(argv: list[str] | None = None) -> int:

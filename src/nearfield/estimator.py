@@ -42,10 +42,6 @@ class SoftEstimate:
     hess: np.ndarray
     sigma2: float
 
-    def __post_init__(self):
-        if np.shape(self.grad) != (4,) or np.shape(self.hess) != (4, 4):
-            raise ValueError("grad must have 4 entries and hess must be 4x4")
-
     def _laplace(self) -> tuple[np.ndarray, bool]:
         # The Hessian's (g, g) entry is -2M, so it carries the array size.
         floor = PSD_FLOOR_SCALE * (-self.hess[2, 2] / 2.0)
@@ -83,13 +79,10 @@ class EstimatorConfig:
             raise ValueError("refinement round counts must be >= 0")
 
 
-def _as_vector(y) -> np.ndarray:
-    return y.y if isinstance(y, Measurement) else np.asarray(y, dtype=complex)
-
-
-def project(cfg: ArrayConfig, y, theta: float, r: float) -> tuple[float, complex]:
+def project(cfg: ArrayConfig, y: np.ndarray, theta: float,
+            r: float) -> tuple[float, complex]:
     """Matched projection on b(theta, r): cost |b^H y|^2 / M and LS gain b^H y / M."""
-    inner = near_steering(cfg, theta, r).conj() @ _as_vector(y)
+    inner = near_steering(cfg, theta, r).conj() @ y
     return float(np.abs(inner) ** 2 / cfg.num_antennas), complex(inner / cfg.num_antennas)
 
 
@@ -99,17 +92,17 @@ def _gain_polar(gain: complex) -> tuple[float, float]:
     return g, phi
 
 
-def grad_hess(cfg: ArrayConfig, y, p: PathParams) -> tuple[np.ndarray, np.ndarray]:
+def grad_hess(cfg: ArrayConfig, y: np.ndarray,
+              p: PathParams) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient and 4x4 Hessian of the objective in (theta, r, g,
     phi) order, as products with P = dpsi/d(theta, r, g, phi) (g row zero,
     phi row ones) and a = |y|: Hessian -2g P diag(a cos psi) P^T - 2g
     (d^2 psi/d(theta, r)^2) . (a sin psi), g row -2 P (a sin psi), (g, g)
     entry -2M; gradient g times the g row, g entry 2 sum(a cos psi) - 2Mg."""
-    yv = _as_vector(y)
-    a = np.abs(yv)
+    a = np.abs(y)
     k, M = cfg.wavenumber, cfg.num_antennas
     r_m, d1, d2 = distance_derivatives(cfg, p.theta, p.r)
-    psi = k * (r_m - p.r) + p.phi - np.angle(yv)
+    psi = k * (r_m - p.r) + p.phi - np.angle(y)
     a_sin, a_cos = a * np.sin(psi), a * np.cos(psi)
     P = np.stack([k * d1[0], k * (d1[1] - 1.0), np.zeros(M), np.ones(M)])
     g_row = -2.0 * (P @ a_sin)
@@ -142,7 +135,7 @@ def _clamp_params(cfg: ArrayConfig, theta: float, r: float) -> tuple[float, floa
     return theta, r
 
 
-def newton_refine_once(cfg: ArrayConfig, y, p: PathParams,
+def newton_refine_once(cfg: ArrayConfig, y: np.ndarray, p: PathParams,
                        trace: TraceHook | None = None,
                        path_index: int = 0, round_index: int = 0) -> PathParams:
     """One guarded Newton update of (theta, r), then the LS gain.
@@ -151,11 +144,10 @@ def newton_refine_once(cfg: ArrayConfig, y, p: PathParams,
     definite, the distance is clamped into the near-field annulus, and the
     update is reverted if the projection cost decreased.
     """
-    yv = _as_vector(y)
     theta, r = p.theta, p.r
-    cost_before, gain = project(cfg, yv, theta, r)
+    cost_before, gain = project(cfg, y, theta, r)
 
-    grad, hess = grad_hess(cfg, yv, p)
+    grad, hess = grad_hess(cfg, y, p)
     h2 = hess[:2, :2]
     # Negative definite iff h00 < 0 and det > 0 (strict); singular => skip.
     det = h2[0, 0] * h2[1, 1] - h2[0, 1] * h2[1, 0]
@@ -165,7 +157,7 @@ def newton_refine_once(cfg: ArrayConfig, y, p: PathParams,
     if h2[0, 0] < 0.0 and det > 0.0:
         step = np.linalg.solve(h2, grad[:2])
         cand = _clamp_params(cfg, theta - step[0], r - step[1])
-        cand_cost, cand_gain = project(cfg, yv, *cand)
+        cand_cost, cand_gain = project(cfg, y, *cand)
         if cand_cost >= cost_before:
             accepted = True
             theta_new, r_new = cand
@@ -178,12 +170,9 @@ def newton_refine_once(cfg: ArrayConfig, y, p: PathParams,
     return PathParams(theta=theta_new, r=r_new, g=g, phi=phi)
 
 
-def residual(cfg: ArrayConfig, y, paths: list[PathParams]) -> np.ndarray:
-    """Measurement minus the reconstructed channel of `paths`."""
-    yv = _as_vector(y).copy()
-    if paths:
-        yv -= synthesize_channel(cfg, paths)
-    return yv
+def residual(cfg: ArrayConfig, y: np.ndarray, paths: list[PathParams]) -> np.ndarray:
+    """Snapshot minus the reconstructed channel of `paths`, as a new array."""
+    return y - synthesize_channel(cfg, paths) if paths else y.copy()
 
 
 def soft_estimates(cfg: ArrayConfig, y: Measurement,
@@ -192,7 +181,7 @@ def soft_estimates(cfg: ArrayConfig, y: Measurement,
     others: one derivative pass per path."""
     out = []
     for k, p in enumerate(paths):
-        y_rk = residual(cfg, y, paths[:k] + paths[k + 1:])
+        y_rk = residual(cfg, y.y, paths[:k] + paths[k + 1:])
         out.append(SoftEstimate(p, *grad_hess(cfg, y_rk, p), y.noise_variance))
     return out
 
@@ -203,21 +192,20 @@ def _detection_scores(codebook: Codebook, yv: np.ndarray) -> np.ndarray:
     return np.abs(yv.conj() @ codebook.steering_matrix) ** 2
 
 
-def omp_detect(cfg: ArrayConfig, y_r, codebook: Codebook,
+def omp_detect(cfg: ArrayConfig, y_r: np.ndarray, codebook: Codebook,
                scores: np.ndarray | None = None) -> PathParams:
     """Exhaustive codebook scan maximizing |b^H y_r|^2; ties -> lowest index.
     Pass `scores` when the scan of y_r is already done."""
     if len(codebook) == 0:
         raise ValueError("codebook is empty")
-    yv = _as_vector(y_r)
     if scores is None:
-        scores = _detection_scores(codebook, yv)
+        scores = _detection_scores(codebook, y_r)
     best = int(np.argmax(scores))  # first index on ties
     theta, r = float(codebook.theta[best]), float(codebook.r[best])
-    return PathParams(theta, r, *_gain_polar(project(cfg, yv, theta, r)[1]))
+    return PathParams(theta, r, *_gain_polar(project(cfg, y_r, theta, r)[1]))
 
 
-def _refine(cfg: EstimatorConfig, y_r, p: PathParams, k: int,
+def _refine(cfg: EstimatorConfig, y_r: np.ndarray, p: PathParams, k: int,
             trace: TraceHook | None, fixed: tuple[float, float] | None = None
             ) -> PathParams:
     """One turn of path k against its residual y_r.
@@ -246,7 +234,7 @@ def cyclic_refine(cfg: EstimatorConfig, y: Measurement, paths: list[PathParams],
     frozen = frozen or {}
     paths = list(paths)
     for k in [*frozen] + [*range(len(paths))] * rounds + [*frozen]:
-        y_rk = residual(array, y, paths[:k] + paths[k + 1:])
+        y_rk = residual(array, y.y, paths[:k] + paths[k + 1:])
         paths[k] = _refine(cfg, y_rk, paths[k], k, trace, frozen.get(k))
     return paths
 
@@ -263,7 +251,7 @@ def vnnce(y: Measurement, cfg: EstimatorConfig,
     array = cfg.codebook.array
     paths: list[PathParams] = []
     for _ in range(cfg.num_paths):
-        y_r = residual(array, y, paths)
+        y_r = residual(array, y.y, paths)
         scores = None
         if cfg.stop_tau is not None:
             scores = _detection_scores(cfg.codebook, y_r)
@@ -275,14 +263,3 @@ def vnnce(y: Measurement, cfg: EstimatorConfig,
         paths = cyclic_refine(cfg, y, paths, cfg.cyclic_rounds, trace)
     return soft_estimates(array, y, paths)
 
-
-def oracle_ls(cfg: ArrayConfig, y, true_paths: list[PathParams]) -> np.ndarray:
-    """Joint LS of all complex gains on the true steering vectors.
-
-    Returns the reconstructed channel; rank-deficient steering matrices fall
-    back to the minimum-norm solution.
-    """
-    yv = _as_vector(y)
-    B = np.stack([near_steering(cfg, p.theta, p.r) for p in true_paths], axis=1)
-    gains, *_ = np.linalg.lstsq(B, yv, rcond=None)
-    return B @ gains

@@ -38,8 +38,8 @@ class ScenarioError(ValueError):
 @dataclass
 class ScenarioBs:
     config: BsConfig
-    num_nlos: int = 1
-    nlos_paths: list[PathParams] = field(default_factory=list)
+    nlos_paths: list[PathParams]  # fixed scatterers (phi NaN: drawn per trial)
+    num_nlos: int  # random scatterers drawn per trial
 
 
 @dataclass
@@ -64,14 +64,12 @@ class Scenario:
         return self._codebook
 
     def estimator_config(self, bs: ScenarioBs) -> EstimatorConfig:
-        n = self.num_paths if self.num_paths is not None else 1 + self._bs_nlos_count(bs)
+        n = self.num_paths
+        if n is None:
+            n = 1 + len(bs.nlos_paths) + bs.num_nlos
         return EstimatorConfig(num_paths=n, codebook=self.codebook,
                                single_rounds=self.single_rounds,
                                cyclic_rounds=self.cyclic_rounds)
-
-    @staticmethod
-    def _bs_nlos_count(bs: ScenarioBs) -> int:
-        return len(bs.nlos_paths) if bs.nlos_paths else bs.num_nlos
 
     def los_geometry(self, bs: ScenarioBs) -> tuple[float, float]:
         """LoS (theta, r) of the user as seen from a BS."""
@@ -96,8 +94,15 @@ def _number(value, name: str, kind=float):
     return out
 
 
-def _object(value, name: str) -> dict:
+def _object(value, name: str, fields: tuple[str, ...]) -> dict:
+    """A JSON object with no key outside `fields`, else a ScenarioError naming
+    the object or the path of its first unknown key."""
     _require(isinstance(value, dict), f"{name} must be a JSON object, got {value!r}")
+    prefix = "" if name == "scenario" else f"{name}."
+    for key in value:
+        if key not in fields:
+            raise ScenarioError(f"unknown field {prefix}{key}; "
+                                f"{name} takes {', '.join(fields)}")
     return value
 
 
@@ -109,11 +114,14 @@ def _point(value, name: str) -> tuple[float, float]:
 
 def scenario_from_dict(data: dict) -> Scenario:
     """Build and validate a Scenario, filling defaults for omitted fields."""
-    _object(data, "scenario")
+    _object(data, "scenario", ("schema_version", "seed", "array", "user", "p_t",
+                               "sigma2", "sigma2_dbm", "zeta", "codebook",
+                               "estimator", "bss"))
     version = data.get("schema_version", SCHEMA_VERSION)
     _require(version == SCHEMA_VERSION, f"unsupported schema_version {version}")
 
-    arr = _object(data.get("array", {}), "array")
+    arr = _object(data.get("array", {}), "array",
+                  ("num_antennas", "wavelength", "spacing"))
     _require("num_antennas" in arr, "array.num_antennas is required")
     _require("wavelength" in arr, "array.wavelength is required")
     num_antennas = _number(arr["num_antennas"], "array.num_antennas", int)
@@ -137,7 +145,8 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ScenarioError(f"sigma2_dbm={dbm} overflows sigma2") from None
     _require(sigma2 >= 0, "sigma2 must be >= 0")
 
-    cb = _object(data.get("codebook", {}), "codebook")
+    cb = _object(data.get("codebook", {}), "codebook",
+                 ("delta_alpha", "delta_beta", "cover_far_edge"))
     delta_alpha = _number(cb.get("delta_alpha", 0.5), "codebook.delta_alpha")
     delta_beta = _number(cb.get("delta_beta", 1.0), "codebook.delta_beta")
     cover_far_edge = cb.get("cover_far_edge", False)
@@ -149,7 +158,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"codebook: {exc}") from exc
 
-    est = _object(data.get("estimator", {}), "estimator")
+    est = _object(data.get("estimator", {}), "estimator",
+                  ("num_paths", "single_rounds", "cyclic_rounds"))
     single_rounds = _number(est.get("single_rounds", 5), "estimator.single_rounds", int)
     cyclic_rounds = _number(est.get("cyclic_rounds", 5), "estimator.cyclic_rounds", int)
     _require(min(single_rounds, cyclic_rounds) >= 0,
@@ -167,7 +177,9 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     bss: list[ScenarioBs] = []
     for i, b in enumerate(bss_data):
-        _object(b, f"bss[{i}]")
+        _object(b, f"bss[{i}]", ("position", "rotation", "nlos", "num_nlos"))
+        _require("nlos" not in b or "num_nlos" not in b,
+                 f"bss[{i}] gives both nlos and num_nlos; give one")
         _require("position" in b or i == 0, f"bss[{i}].position is required")
         pos = _point(b.get("position", (0.0, 0.0)), f"bss[{i}].position")
         bs = BsConfig(position=pos, array=array,
@@ -176,7 +188,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         nlos = b.get("nlos", [])
         _require(isinstance(nlos, list), f"bss[{i}].nlos must be a list")
         for j, p in enumerate(nlos):
-            _object(p, f"bss[{i}].nlos[{j}]")
+            _object(p, f"bss[{i}].nlos[{j}]", ("theta", "r", "g", "phi"))
             phi = p.get("phi")  # omitted -> drawn uniformly per trial
             try:
                 path = PathParams(
@@ -189,10 +201,11 @@ def scenario_from_dict(data: dict) -> Scenario:
                      f"bss[{i}].nlos[{j}]: r={path.r} outside near-field annulus "
                      f"({array.min_near_distance}, {array.rayleigh_distance}]")
             nlos_paths.append(path)
-        num_nlos = _number(b.get("num_nlos", len(nlos_paths) or 1),
+        # Without either key a BS gets one random scatterer.
+        num_nlos = _number(b.get("num_nlos", 0 if "nlos" in b else 1),
                            f"bss[{i}].num_nlos", int)
         _require(num_nlos >= 0, f"bss[{i}].num_nlos must be >= 0")
-        bss.append(ScenarioBs(config=bs, num_nlos=num_nlos, nlos_paths=nlos_paths))
+        bss.append(ScenarioBs(config=bs, nlos_paths=nlos_paths, num_nlos=num_nlos))
 
     if "user" in data:
         user = _point(data["user"], "user")
@@ -240,7 +253,8 @@ def to_db(value: float) -> float:
 
 def draw_paths(scenario: Scenario, rng: np.random.Generator
                ) -> list[list[PathParams]]:
-    """Per-BS path lists: geometric LoS first, then explicit or random NLoS."""
+    """Per-BS path lists: geometric LoS first, then the fixed NLoS, then the
+    random ones."""
     arr = scenario.array
     out = []
     for bs in scenario.bss:
@@ -248,17 +262,15 @@ def draw_paths(scenario: Scenario, rng: np.random.Generator
         g_los = los_gain(arr.wavelength, scenario.p_t, r)
         paths = [PathParams(theta=theta, r=r, g=g_los,
                             phi=rng.uniform(0.0, 2.0 * np.pi))]
-        if bs.nlos_paths:
-            for p in bs.nlos_paths:
-                phi = p.phi if math.isfinite(p.phi) else rng.uniform(0.0, 2.0 * np.pi)
-                paths.append(PathParams(theta=p.theta, r=p.r, g=p.g, phi=phi))
-        else:
-            for _ in range(bs.num_nlos):
-                paths.append(PathParams(
-                    theta=rng.uniform(1e-3, np.pi - 1e-3),
-                    r=rng.uniform(arr.min_near_distance, arr.rayleigh_distance),
-                    g=rng.uniform(0.0, g_los / 3.0),
-                    phi=rng.uniform(0.0, 2.0 * np.pi)))
+        for p in bs.nlos_paths:
+            phi = p.phi if math.isfinite(p.phi) else rng.uniform(0.0, 2.0 * np.pi)
+            paths.append(PathParams(theta=p.theta, r=p.r, g=p.g, phi=phi))
+        for _ in range(bs.num_nlos):
+            paths.append(PathParams(
+                theta=rng.uniform(1e-3, np.pi - 1e-3),
+                r=rng.uniform(arr.min_near_distance, arr.rayleigh_distance),
+                g=rng.uniform(0.0, g_los / 3.0),
+                phi=rng.uniform(0.0, 2.0 * np.pi)))
         out.append(paths)
     return out
 

@@ -9,7 +9,6 @@ positions are fused by Gaussian product.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,19 +65,19 @@ class FusionReport:
     reference: int  # BS index of the least-cost (reference) candidate
     all_inconsistent: bool = False
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         def pos(p: SoftPosition):
             return {"mean": list(p.mean), "cov": [float(v) for v in p.cov.ravel()],
                     "cost": p.cost}
 
-        return json.dumps({
+        return {
             "fused": pos(self.fused),
             "reference_bs": self.reference,
             "all_inconsistent": self.all_inconsistent,
             "per_bs": [{"bs": c.bs_index, "path": c.path_index,
                         "eta": int(c.consistent), **pos(c.position)}
                        for c in self.candidates],
-        })
+        }
 
 
 def polar_to_relative(theta: float, r: float, omega: float) -> tuple[float, float]:
@@ -125,26 +124,13 @@ def position_hessian(est: SoftEstimate, omega: float) -> np.ndarray:
             + est.grad[0] * hess_theta + est.grad[1] * hess_r)
 
 
-def position_covariance(est: SoftEstimate, omega: float,
-                        jacobian_only: bool = False) -> SoftPosition:
+def position_covariance(est: SoftEstimate, omega: float) -> SoftPosition:
     """Soft relative position: mean from the polar transform, covariance from
-    the Laplace form sigma^2 * (-H)^{-1} of the Cartesian-coordinate Hessian.
-
-    With jacobian_only=True the covariance is pushed through the transform
-    Jacobian from the (theta, r) block of the estimate's covariance instead.
-    """
+    the Laplace form sigma^2 * (-H)^{-1} of the Cartesian-coordinate Hessian."""
     p = est.params
     x, yr = polar_to_relative(p.theta, p.r, omega)
-    if jacobian_only:
-        # d(x_r, y_r)/d(theta, r); est.cov already carries the noise scale
-        J = np.array([
-            [-p.r * np.sin(p.theta + omega), np.cos(p.theta + omega)],
-            [p.r * np.cos(p.theta + omega), np.sin(p.theta + omega)],
-        ])
-        cov = J @ est.cov[:2, :2] @ J.T
-    else:
-        info, _ = psd_repair(-position_hessian(est, omega), POSITION_PSD_FLOOR)
-        cov = est.sigma2 * np.linalg.inv(info)
+    info, _ = psd_repair(-position_hessian(est, omega), POSITION_PSD_FLOOR)
+    cov = est.sigma2 * np.linalg.inv(info)
     cov, repaired = psd_repair(cov, POSITION_PSD_FLOOR)
     return SoftPosition(mean=np.array([x, yr]), cov=cov, psd_repaired=repaired)
 

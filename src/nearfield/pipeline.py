@@ -44,9 +44,10 @@ def nmse(h_true: np.ndarray, h_est: np.ndarray) -> float:
 
 def run_joint(bs_configs: list[BsConfig], measurements: list[Measurement],
               est_cfgs: list[EstimatorConfig], zeta: float,
-              true_channels: list[np.ndarray] | None = None,
+              true_channels: list[np.ndarray],
               trace: TraceHook | None = None) -> JointResult:
-    """Run estimation, cooperative localization, and channel refinement."""
+    """Run estimation, cooperative localization, and channel refinement,
+    scoring both channel estimates against the true channels."""
     step1 = [vnnce(y, cfg, trace) for y, cfg in zip(measurements, est_cfgs)]
     report = gfcl(step1, bs_configs, zeta)
 
@@ -54,8 +55,7 @@ def run_joint(bs_configs: list[BsConfig], measurements: list[Measurement],
         h_est = synthesize_channel(bs_configs[i].array, [e.params for e in ests])
         return nmse(true_channels[i], h_est)
 
-    nmse1 = ([channel_nmse(i, ests) for i, ests in enumerate(step1)]
-             if true_channels is not None else [])
+    nmse1 = [channel_nmse(i, ests) for i, ests in enumerate(step1)]
 
     step3: list[list[SoftEstimate] | None] = [None] * len(bs_configs)
     nmse3: list[float | None] = [None] * len(bs_configs)
@@ -78,7 +78,6 @@ def run_joint(bs_configs: list[BsConfig], measurements: list[Measurement],
         step3[i] = soft_estimates(est_cfgs[i].codebook.array, measurements[i],
                                   paths)
         anchored[i] = True
-        if true_channels is not None:
-            nmse3[i] = channel_nmse(i, step3[i])
+        nmse3[i] = channel_nmse(i, step3[i])
     return JointResult(step1=step1, step2=report, step3=step3,
                        nmse_step1=nmse1, nmse_step3=nmse3, anchored=anchored)

@@ -1,11 +1,14 @@
 """Reference formulas that only the tests use: finite differences and the
 objective they check the analytic derivatives against, the far-field
-steering vector, and the s1/s2 analysis behind the codebook's grid steps."""
+steering vector, the s1/s2 analysis behind the codebook's grid steps, the
+gain-only oracle LS, and the marginal (delta-method) position covariance."""
 
 import numpy as np
 from scipy import special
 
-from nearfield.arraymodel import ArrayConfig, PathParams, element_distances
+from nearfield.arraymodel import (ArrayConfig, PathParams, element_distances,
+                                  near_steering)
+from nearfield.estimator import SoftEstimate
 
 
 def central_differences(fn, x, h) -> np.ndarray:
@@ -64,3 +67,25 @@ def beta_of(cfg: ArrayConfig, theta: float, r: float, r_true: float) -> float:
     """Dimensionless curvature mismatch between distances r and r_true at theta."""
     M, d, lam = cfg.num_antennas, cfg.spacing, cfg.wavelength
     return M**2 * d**2 * np.sin(theta) ** 2 / (2.0 * lam) * (1.0 / r - 1.0 / r_true)
+
+
+def oracle_ls(cfg: ArrayConfig, y: np.ndarray,
+              true_paths: list[PathParams]) -> np.ndarray:
+    """Joint LS of all complex gains on the true steering vectors.
+
+    Returns the reconstructed channel; rank-deficient steering matrices fall
+    back to the minimum-norm solution.
+    """
+    B = np.stack([near_steering(cfg, p.theta, p.r) for p in true_paths], axis=1)
+    gains, *_ = np.linalg.lstsq(B, y, rcond=None)
+    return B @ gains
+
+
+def marginal_position_covariance(est: SoftEstimate, omega: float) -> np.ndarray:
+    """Delta-method covariance of the relative position, J C J^T, with J =
+    d(x_r, y_r)/d(theta, r) and C the (theta, r) block of the estimate's
+    full 4x4 covariance: gain and phase marginalised, not held fixed."""
+    p = est.params
+    c, s = np.cos(p.theta + omega), np.sin(p.theta + omega)
+    J = np.array([[-p.r * s, c], [p.r * c, s]])
+    return J @ est.cov[:2, :2] @ J.T

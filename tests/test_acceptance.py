@@ -16,11 +16,11 @@ from nearfield.arraymodel import (ArrayConfig, Measurement, PathParams,
                                   add_noise, synthesize_channel)
 from nearfield.bounds import crlb_diag, fim, steering_derivatives
 from nearfield.codebook import CodebookConfig, angle_grid, build_codebook
-from nearfield.estimator import EstimatorConfig, grad_hess, oracle_ls, vnnce
+from nearfield.estimator import EstimatorConfig, grad_hess, vnnce
 from nearfield.harness import load_scenario, run_trial, sweep, to_db
 from nearfield.localization import SoftPosition, gaussian_fuse
 from tests.conftest import random_path
-from tests.reference import as_vector
+from tests.reference import as_vector, oracle_ls
 from tests.test_bounds import fd_jacobian
 from tests.test_estimator import fd_grad, fd_hess, fd_steps, obj_at
 
@@ -102,7 +102,7 @@ def crit2(codebook):
     sigma2 = sum(p.g**2 for p in paths) / 10**3
     h2 = np.linalg.norm(h) ** 2
     J = np.concatenate([steering_derivatives(ARRAY, p) for p in paths])
-    F = fim(ARRAY, paths, sigma2).matrix
+    F = fim(ARRAY, paths, sigma2)
     crlb = float(np.real(np.trace(J.T @ np.linalg.solve(F, J.conj())))) / h2
     cfg = EstimatorConfig(num_paths=2, codebook=codebook)
     rng = np.random.default_rng(7)
@@ -112,7 +112,7 @@ def crit2(codebook):
         ests = vnnce(y, cfg, trace=TRACE)
         h_est = synthesize_channel(ARRAY, [e.params for e in ests])
         est_nmse.append(np.linalg.norm(h - h_est) ** 2 / h2)
-        ls_nmse.append(np.linalg.norm(h - oracle_ls(ARRAY, y, paths)) ** 2 / h2)
+        ls_nmse.append(np.linalg.norm(h - oracle_ls(ARRAY, y.y, paths)) ** 2 / h2)
     return (to_db(float(np.mean(est_nmse))), to_db(crlb),
             to_db(float(np.median(est_nmse))), to_db(float(np.median(ls_nmse))))
 
@@ -263,7 +263,7 @@ class TestAcceptance:
         for _ in range(20):
             p = random_path(ARRAY, rng)
             sigma2 = float(rng.uniform(0.001, 1.0))
-            F = fim(ARRAY, [p], sigma2).matrix
+            F = fim(ARRAY, [p], sigma2)
             J = fd_jacobian(ARRAY, p)
             F_fd = 2.0 / sigma2 * np.real(J.conj() @ J.T)
             worst = max(worst, np.linalg.norm(F - F_fd) / np.linalg.norm(F_fd))

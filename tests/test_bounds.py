@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nearfield.arraymodel import PathParams, near_steering, synthesize_channel
-from nearfield.bounds import FisherMatrix, crlb_diag, fim, steering_derivatives
+from nearfield.bounds import crlb_diag, fim, steering_derivatives
 from nearfield.estimator import grad_hess
 from tests.conftest import random_path
 from tests.reference import as_vector, central_differences
@@ -43,21 +43,21 @@ class TestFim:
     def test_single_path_gain_information(self, desk_array):
         p = PathParams(theta=1.3, r=2.0, g=1.0, phi=0.4)
         F = fim(desk_array, [p], sigma2=1.0)
-        assert F.matrix[2, 2] == pytest.approx(128.0, rel=1e-12)  # 2M/sigma^2
+        assert F[2, 2] == pytest.approx(128.0, rel=1e-12)  # 2M/sigma^2
 
     def test_gain_row_decouples(self, desk_array, rng):
         # Cross inner products v_g^H v_x are purely imaginary, so the gain
         # row of the FIM vanishes off-diagonal.
         for _ in range(5):
             p = random_path(desk_array, rng)
-            F = fim(desk_array, [p], sigma2=1.0).matrix
+            F = fim(desk_array, [p], sigma2=1.0)
             assert abs(F[2, 0]) < 1e-9 * abs(F[2, 2])
             assert abs(F[2, 1]) < 1e-9 * abs(F[2, 2])
             assert abs(F[2, 3]) < 1e-9 * abs(F[2, 2])
 
     def test_symmetric_psd(self, desk_array, rng):
         paths = [random_path(desk_array, rng) for _ in range(2)]
-        F = fim(desk_array, paths, sigma2=0.01).matrix
+        F = fim(desk_array, paths, sigma2=0.01)
         assert F.shape == (8, 8)
         assert np.allclose(F, F.T, atol=1e-9)
         assert np.linalg.eigvalsh(F).min() >= -1e-9 * np.linalg.norm(F)
@@ -66,7 +66,7 @@ class TestFim:
         for _ in range(20):
             sigma2 = float(rng.uniform(0.001, 1.0))
             p = random_path(desk_array, rng)
-            F = fim(desk_array, [p], sigma2).matrix
+            F = fim(desk_array, [p], sigma2)
             J = fd_jacobian(desk_array, p)
             F_fd = 2.0 / sigma2 * np.real(J.conj() @ J.T)
             assert np.linalg.norm(F - F_fd) <= 1e-5 * np.linalg.norm(F_fd)
@@ -79,24 +79,20 @@ class TestFim:
         cfg = request.getfixturevalue(array)
         for _ in range(10):
             p = random_path(cfg, rng)
-            F = fim(cfg, [p], 1.0).matrix
+            F = fim(cfg, [p], 1.0)
             _, H = grad_hess(cfg, synthesize_channel(cfg, [p]), p)
             np.testing.assert_allclose(H, -F, rtol=1e-9,
                                        atol=1e-9 * np.abs(F).max())
 
     def test_scales_inversely_with_sigma2(self, desk_array, rng):
         p = random_path(desk_array, rng)
-        F1 = fim(desk_array, [p], 1.0).matrix
-        F2 = fim(desk_array, [p], 2.0).matrix
+        F1 = fim(desk_array, [p], 1.0)
+        F2 = fim(desk_array, [p], 2.0)
         assert np.allclose(F1, 2 * F2, rtol=1e-12)
 
     def test_rejects_bad_sigma2(self, desk_array, rng):
         with pytest.raises(ValueError):
             fim(desk_array, [random_path(desk_array, rng)], 0.0)
-
-    def test_fisher_matrix_validation(self):
-        with pytest.raises(ValueError):
-            FisherMatrix(matrix=np.eye(3), sigma2=1.0)
 
 
 class TestCrlb:

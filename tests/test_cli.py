@@ -47,6 +47,20 @@ class TestExitCodes:
         assert "NEARFIELD_THREADS" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("command,flag", [
+        ("estimate", ["--threads", "2"]),
+        ("crlb", ["--threads", "2"]),
+        ("codebook", ["--threads", "2"]),
+        ("validate", ["--threads", "2"]),
+        ("codebook", ["--seed", "1"]),
+    ])
+    def test_flag_a_command_does_not_read_is_usage_error(self, tmp_path, capsys,
+                                                         command, flag):
+        out = tmp_path / "out.txt"
+        assert cli([command, "--config", SINGLE, "--out", str(out), *flag]) == 1
+        assert flag[0] in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,args", [
         ("--snr-db", ["--snr-db", "nan"]),
         ("--snr-db", ["--snr-db=-inf"]),
@@ -141,3 +155,10 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "PASS" in out
+
+    def test_out_file_holds_the_verdicts(self, tmp_path, capsys):
+        out = tmp_path / "v.txt"
+        assert cli(["validate", "--config", SINGLE, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines and all(ln.startswith("PASS  ") for ln in lines)
+        assert capsys.readouterr().out == ""

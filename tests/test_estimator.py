@@ -10,12 +10,11 @@ from nearfield.codebook import CodebookConfig, build_codebook
 from nearfield import estimator
 from nearfield.estimator import (PSD_FLOOR_SCALE, EstimatorConfig,
                                  _detection_scores, grad_hess,
-                                 newton_refine_once, omp_detect, oracle_ls,
-                                 project, psd_repair, residual, soft_estimates,
-                                 vnnce)
+                                 newton_refine_once, omp_detect, project,
+                                 psd_repair, residual, soft_estimates, vnnce)
 from tests.conftest import random_path
 from tests.reference import (alpha_of, as_vector, beta_of, central_differences,
-                             objective)
+                             objective, oracle_ls)
 
 
 def _recording(fn, calls):
@@ -91,13 +90,6 @@ class TestCostAndGain:
             p, q = random_path(desk_array, rng), random_path(desk_array, rng)
             h = near_steering(desk_array, p.theta, p.r)
             assert abs(project(desk_array, h, q.theta, q.r)[1]) < 1.0
-
-    def test_accepts_measurement_wrapper(self, desk_array):
-        p = PathParams(theta=1.3, r=2.0, g=1.0)
-        h = synthesize_channel(desk_array, [p])
-        m = Measurement(y=h, noise_variance=0.0)
-        assert project(desk_array, m, p.theta, p.r)[0] == pytest.approx(
-            project(desk_array, h, p.theta, p.r)[0])
 
 
 class TestObjective:
@@ -277,7 +269,7 @@ class TestRefinementCovariance:
         sigma2 = 1e-3
         y = add_noise(synthesize_channel(desk_array, [truth]), sigma2, 5)
         est = vnnce(y, EstimatorConfig(num_paths=1, codebook=desk_codebook))[0]
-        info = -grad_hess(desk_array, y, est.params)[1]
+        info = -grad_hess(desk_array, y.y, est.params)[1]
         cov, repaired = psd_repair(info, PSD_FLOOR_SCALE * 64, invert=True)
         assert np.array_equal(est.cov, sigma2 * cov)
         assert est.psd_repaired == repaired
@@ -292,7 +284,7 @@ class TestRefinementCovariance:
         assert len(ests) == 2
         for k, est in enumerate(ests):
             other = ests[1 - k].params
-            grad, hess = grad_hess(desk_array, residual(desk_array, y, [other]),
+            grad, hess = grad_hess(desk_array, residual(desk_array, y.y, [other]),
                                    est.params)
             assert np.array_equal(est.grad, grad)
             assert np.array_equal(est.hess, hess)
@@ -308,9 +300,9 @@ class TestRefinementCovariance:
         cfg = EstimatorConfig(num_paths=1, codebook=desk_codebook,
                               single_rounds=0, cyclic_rounds=0)
         est = vnnce(y, cfg)[0]
-        coarse = omp_detect(desk_array, y, desk_codebook)
+        coarse = omp_detect(desk_array, y.y, desk_codebook)
         assert est.params == coarse
-        grad, hess = grad_hess(desk_array, y, coarse)
+        grad, hess = grad_hess(desk_array, y.y, coarse)
         assert np.array_equal(est.grad, grad)
         assert np.array_equal(est.hess, hess)
         assert est.sigma2 == sigma2
@@ -460,7 +452,7 @@ class TestOracleLs:
         vals = []
         for _ in range(400):
             y = add_noise(h, sigma2, rng)
-            h_ls = oracle_ls(desk_array, y, paths)
+            h_ls = oracle_ls(desk_array, y.y, paths)
             vals.append(np.linalg.norm(h - h_ls) ** 2)
         expected = 2 * sigma2  # L = 2
         assert np.mean(vals) == pytest.approx(expected, rel=0.2)

@@ -98,6 +98,22 @@ class TestScenarioParsing:
          r"bss\[0\]\.nlos\[0\]"),
         ({**MINIMAL, "bss": [{"position": [0.0, 0.0], "num_nlos": -1}]}, "num_nlos"),
         ({**MINIMAL, "estimator": {"single_rounds": -1}}, "round counts"),
+        # Unknown keys, one per section, named by their path.
+        ({**MINIMAL, "estimatr": {"single_rounds": 0}}, "unknown field estimatr;"),
+        ({**MINIMAL, "array": {**MINIMAL["array"], "spacng": 0.0015}},
+         r"unknown field array\.spacng;"),
+        ({**MINIMAL, "codebook": {"delta_alfa": 0.3}},
+         r"unknown field codebook\.delta_alfa;"),
+        ({**MINIMAL, "estimator": {"single_round": 0}},
+         r"unknown field estimator\.single_round;"),
+        ({**MINIMAL, "bss": [{"position": [0.0, 0.0], "rotaton": 0.0}]},
+         r"unknown field bss\[0\]\.rotaton;"),
+        ({**MINIMAL, "bss": [{"position": [0.0, 0.0]}, {"position": [0.0, 0.0], "nlos": [
+            {"theta": 1.0, "r": 3.0, "g": 1e-5, "ph": 0.1}]}]},
+         r"unknown field bss\[1\]\.nlos\[0\]\.ph;"),
+        ({**MINIMAL, "bss": [{"position": [0.0, 0.0], "num_nlos": 3,
+                              "nlos": [{"theta": 1.0, "r": 3.0, "g": 1e-5}]}]},
+         r"bss\[0\] gives both nlos and num_nlos"),
     ])
     def test_descriptive_errors(self, broken, needle):
         with pytest.raises(ScenarioError, match=needle):
@@ -193,6 +209,15 @@ class TestDrawPaths:
                 assert p.g <= g_los / 3
                 assert sc.array.min_near_distance < p.r <= sc.array.rayleigh_distance
                 assert 0 < p.theta < np.pi
+
+    @pytest.mark.parametrize("bs,count", [
+        ({}, 1), ({"nlos": []}, 0), ({"num_nlos": 0}, 0), ({"num_nlos": 3}, 3),
+        ({"nlos": [{"theta": 1.0, "r": 3.0, "g": 1e-5}]}, 1),
+    ])
+    def test_scatterer_count(self, bs, count):
+        sc = desk_scenario(bss=[{"position": [0.0, 0.0], **bs}])
+        assert len(draw_paths(sc, np.random.default_rng(0))[0]) == 1 + count
+        assert sc.estimator_config(sc.bss[0]).num_paths == 1 + count
 
     def test_fixed_nlos_with_random_phase(self):
         bss = [{"position": [0.0, 0.0], "rotation": 0.0,

@@ -14,7 +14,8 @@ from nearfield.localization import (BsConfig, SoftPosition, consistency,
                                     polar_to_relative, position_covariance,
                                     position_hessian, relative_to_polar,
                                     to_global, _transform_coefficients)
-from tests.reference import as_vector, central_differences, objective
+from tests.reference import (as_vector, central_differences,
+                             marginal_position_covariance, objective)
 
 
 def random_psd_2x2(rng, scale=1.0):
@@ -150,8 +151,8 @@ class TestPositionCovariance:
         pts = np.array([polar_to_relative(t, r, omega)
                         for t, r, _, _ in draws])
         mc_cov = np.cov(pts.T)
-        sp = position_covariance(est, omega, jacobian_only=True)
-        ratio = np.trace(sp.cov) / np.trace(mc_cov)
+        marginal = marginal_position_covariance(est, omega)
+        ratio = np.trace(marginal) / np.trace(mc_cov)
         assert 0.5 < ratio < 2.0
         # The measurement-Hessian route conditions on (g, phi) instead of
         # marginalizing them, so it is tighter by a stable structural
@@ -168,8 +169,8 @@ class TestPositionCovariance:
         y = Measurement(y=h, noise_variance=sigma2)
         est = soft_estimates(desk_array, y, [truth])[0]
         full = position_covariance(est, 0.0)
-        jac = position_covariance(est, 0.0, jacobian_only=True)
-        assert np.allclose(jac.cov, full.cov, rtol=0.2)
+        marginal = marginal_position_covariance(est, 0.0)
+        assert np.allclose(marginal, full.cov, rtol=0.2)
 
     def test_covariance_scales_with_sigma2(self, desk_array):
         truth, h, _ = self._high_snr_setup(desk_array)

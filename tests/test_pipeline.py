@@ -6,9 +6,10 @@ import pytest
 from nearfield.arraymodel import (Measurement, PathParams, add_noise,
                                   synthesize_channel)
 from nearfield.codebook import CodebookConfig, build_codebook
-from nearfield.estimator import EstimatorConfig, oracle_ls
+from nearfield.estimator import EstimatorConfig
 from nearfield.localization import BsConfig, relative_to_polar
 from nearfield.pipeline import run_joint
+from tests.reference import oracle_ls
 
 
 @pytest.fixture(scope="module")
