@@ -102,7 +102,7 @@ def element_distances(cfg: ArrayConfig, theta: float, r: float) -> np.ndarray:
 
 
 def _distances(delta_d, r_sq, r, cos_theta) -> np.ndarray:
-    # The one expression behind near_steering and near_steering_columns.
+    # The one expression behind every element distance.
     return np.sqrt(r_sq + delta_d**2 + 2.0 * delta_d * r * cos_theta)
 
 
@@ -111,12 +111,16 @@ def distance_derivatives(cfg: ArrayConfig, theta: float, r: float
     """Element distances r_m and their derivatives in (theta, r): d1 holds
     dr_m/dtheta and dr_m/dr, d2 the (theta, theta), (theta, r), (r, r) ones."""
     delta_d = antenna_offsets(cfg) * cfg.spacing
-    r_m = element_distances(cfg, theta, r)
     sin_t, cos_t = np.sin(theta), np.cos(theta)
-    d1 = np.stack([-delta_d * r * sin_t, r + delta_d * cos_t]) / r_m
-    d2 = np.stack([-delta_d * r * cos_t - d1[0] ** 2,
-                   -delta_d * sin_t - d1[0] * d1[1],
-                   1.0 - d1[1] ** 2]) / r_m
+    r_m = _distances(delta_d, r**2, r, cos_t)  # element_distances, sharing cos_t
+    neg_dr = -delta_d * r
+    d1, d2 = np.empty((2, cfg.num_antennas)), np.empty((3, cfg.num_antennas))
+    d1[0], d1[1] = neg_dr * sin_t, r + delta_d * cos_t
+    d1 /= r_m
+    d2[0] = neg_dr * cos_t - d1[0] ** 2
+    d2[1] = -delta_d * sin_t - d1[0] * d1[1]
+    d2[2] = 1.0 - d1[1] ** 2
+    d2 /= r_m
     return r_m, d1, d2
 
 

@@ -104,7 +104,8 @@ def grad_hess(cfg: ArrayConfig, y: np.ndarray,
     r_m, d1, d2 = distance_derivatives(cfg, p.theta, p.r)
     psi = k * (r_m - p.r) + p.phi - np.angle(y)
     a_sin, a_cos = a * np.sin(psi), a * np.cos(psi)
-    P = np.stack([k * d1[0], k * (d1[1] - 1.0), np.zeros(M), np.ones(M)])
+    P = np.empty((4, M))
+    P[0], P[1], P[2], P[3] = k * d1[0], k * (d1[1] - 1.0), 0.0, 1.0
     g_row = -2.0 * (P @ a_sin)
     pap = (P * a_cos) @ P.T  # its (phi, phi) entry is sum(a cos psi)
     hess = -2.0 * p.g * pap
@@ -130,22 +131,27 @@ def psd_repair(mat: np.ndarray, floor: float,
 
 
 def _clamp_params(cfg: ArrayConfig, theta: float, r: float) -> tuple[float, float]:
-    theta = float(np.clip(theta, THETA_EDGE, np.pi - THETA_EDGE))
-    r = float(np.clip(r, cfg.min_near_distance, cfg.rayleigh_distance))
+    # np.clip's result (NaN passes through) without its per-call overhead.
+    theta = float(min(max(theta, THETA_EDGE), np.pi - THETA_EDGE))
+    r = float(min(max(r, cfg.min_near_distance), cfg.rayleigh_distance))
     return theta, r
 
 
 def newton_refine_once(cfg: ArrayConfig, y: np.ndarray, p: PathParams,
                        trace: TraceHook | None = None,
-                       path_index: int = 0, round_index: int = 0) -> PathParams:
+                       path_index: int = 0, round_index: int = 0,
+                       proj: tuple[float, complex] | None = None
+                       ) -> tuple[PathParams, tuple[float, complex]]:
     """One guarded Newton update of (theta, r), then the LS gain.
 
     The (theta, r) step is taken only when the 2x2 sub-Hessian is negative
     definite, the distance is clamped into the near-field annulus, and the
-    update is reverted if the projection cost decreased.
+    update is reverted if the projection cost decreased. `proj` is
+    project(cfg, y, p.theta, p.r) when the caller already has it; the
+    projection at the returned point comes back beside it for the next step.
     """
     theta, r = p.theta, p.r
-    cost_before, gain = project(cfg, y, theta, r)
+    cost_before, gain = proj if proj is not None else project(cfg, y, theta, r)
 
     grad, hess = grad_hess(cfg, y, p)
     h2 = hess[:2, :2]
@@ -167,7 +173,7 @@ def newton_refine_once(cfg: ArrayConfig, y: np.ndarray, p: PathParams,
     if trace is not None:
         trace(path_index, round_index, theta_new, r_new, g, phi,
               cost_before, cost_after, accepted)
-    return PathParams(theta=theta_new, r=r_new, g=g, phi=phi)
+    return PathParams(theta=theta_new, r=r_new, g=g, phi=phi), (cost_after, gain)
 
 
 def residual(cfg: ArrayConfig, y: np.ndarray, paths: list[PathParams]) -> np.ndarray:
@@ -211,13 +217,20 @@ def _refine(cfg: EstimatorConfig, y_r: np.ndarray, p: PathParams, k: int,
     """One turn of path k against its residual y_r.
 
     A path with a fixed (theta, r) gets an LS gain refit there; any other
-    path gets single_rounds guarded Newton steps.
+    path gets up to single_rounds guarded Newton steps, each reusing the
+    previous step's projection. The turn stops at an exact fixed point: a
+    step that returns its input would do so again every later step.
     """
     array = cfg.codebook.array
     if fixed is not None:
         return PathParams(*fixed, *_gain_polar(project(array, y_r, *fixed)[1]))
+    proj = None
     for j in range(cfg.single_rounds):
-        p = newton_refine_once(array, y_r, p, trace, path_index=k, round_index=j)
+        q, proj = newton_refine_once(array, y_r, p, trace, path_index=k,
+                                     round_index=j, proj=proj)
+        if q == p:
+            break
+        p = q
     return p
 
 

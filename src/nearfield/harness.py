@@ -135,6 +135,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"array: {exc}") from exc
 
+    _require("sigma2" not in data or "sigma2_dbm" not in data,
+             "scenario gives both sigma2 and sigma2_dbm; give one")
     if "sigma2" in data:
         sigma2 = _number(data["sigma2"], "sigma2")
     else:

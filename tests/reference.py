@@ -1,14 +1,15 @@
 """Reference formulas that only the tests use: finite differences and the
 objective they check the analytic derivatives against, the far-field
 steering vector, the s1/s2 analysis behind the codebook's grid steps, the
-gain-only oracle LS, and the marginal (delta-method) position covariance."""
+gain-only oracle LS, the marginal (delta-method) position covariance, the
+stacked form of the distance derivatives and the plain Newton turn."""
 
 import numpy as np
 from scipy import special
 
-from nearfield.arraymodel import (ArrayConfig, PathParams, element_distances,
-                                  near_steering)
-from nearfield.estimator import SoftEstimate
+from nearfield.arraymodel import (ArrayConfig, PathParams, antenna_offsets,
+                                  element_distances, near_steering)
+from nearfield.estimator import EstimatorConfig, SoftEstimate, newton_refine_once
 
 
 def central_differences(fn, x, h) -> np.ndarray:
@@ -89,3 +90,25 @@ def marginal_position_covariance(est: SoftEstimate, omega: float) -> np.ndarray:
     c, s = np.cos(p.theta + omega), np.sin(p.theta + omega)
     J = np.array([[-p.r * s, c], [p.r * c, s]])
     return J @ est.cov[:2, :2] @ J.T
+
+
+def stacked_distance_derivatives(cfg: ArrayConfig, theta: float, r: float):
+    """distance_derivatives written with np.stack, one temporary per row."""
+    delta_d = antenna_offsets(cfg) * cfg.spacing
+    r_m = element_distances(cfg, theta, r)
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    d1 = np.stack([-delta_d * r * sin_t, r + delta_d * cos_t]) / r_m
+    d2 = np.stack([-delta_d * r * cos_t - d1[0] ** 2,
+                   -delta_d * sin_t - d1[0] * d1[1],
+                   1.0 - d1[1] ** 2]) / r_m
+    return r_m, d1, d2
+
+
+def plain_refine(cfg: EstimatorConfig, y_r: np.ndarray, p: PathParams, k: int,
+                 trace=None) -> PathParams:
+    """A Newton turn as single_rounds calls of newton_refine_once, each
+    projecting afresh, with no fixed-point exit."""
+    for j in range(cfg.single_rounds):
+        p, _ = newton_refine_once(cfg.codebook.array, y_r, p, trace,
+                                  path_index=k, round_index=j)
+    return p

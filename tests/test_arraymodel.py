@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearfield.arraymodel import (ArrayConfig, Measurement, PathParams,
-                                  add_noise, antenna_offsets, element_distances,
-                                  los_gain, near_steering, synthesize_channel)
+                                  add_noise, antenna_offsets, distance_derivatives,
+                                  element_distances, los_gain, near_steering,
+                                  synthesize_channel)
+from nearfield.estimator import THETA_EDGE
 from tests.conftest import random_path
-from tests.reference import as_vector, far_steering
+from tests.reference import as_vector, far_steering, stacked_distance_derivatives
 
 
 class TestArrayConfig:
@@ -81,6 +83,22 @@ class TestOffsetsAndDistances:
             elem = np.array([-delta * desk_array.spacing, 0.0])
             assert element_distances(desk_array, p.theta, p.r)[m] == pytest.approx(
                 np.linalg.norm(src - elem), rel=1e-12)
+
+    @pytest.mark.parametrize("num_antennas", [64, 256])
+    def test_derivatives_equal_stacked_form(self, num_antennas, rng):
+        # Row-filled and stacked forms evaluate the same expressions, so
+        # they agree bit for bit, endfire angles and annulus edges included.
+        cfg = ArrayConfig(num_antennas=num_antennas, wavelength=0.003)
+        thetas = [THETA_EDGE, 1e-3, np.pi / 2, np.pi - 1e-3, np.pi - THETA_EDGE,
+                  *np.arccos(rng.uniform(-1.0, 1.0, 8))]
+        radii = [cfg.min_near_distance, cfg.rayleigh_distance,
+                 *rng.uniform(cfg.min_near_distance, cfg.rayleigh_distance, 3)]
+        for theta in thetas:
+            for r in radii:
+                got = distance_derivatives(cfg, float(theta), float(r))
+                want = stacked_distance_derivatives(cfg, float(theta), float(r))
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)
 
 
 class TestSteering:

@@ -2,19 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from nearfield.arraymodel import (Measurement, PathParams, add_noise,
                                   near_steering, synthesize_channel)
 from nearfield.codebook import CodebookConfig, build_codebook
 from nearfield import estimator
-from nearfield.estimator import (PSD_FLOOR_SCALE, EstimatorConfig,
-                                 _detection_scores, grad_hess,
+from nearfield.estimator import (PSD_FLOOR_SCALE, THETA_EDGE, EstimatorConfig,
+                                 _clamp_params, _detection_scores, grad_hess,
                                  newton_refine_once, omp_detect, project,
                                  psd_repair, residual, soft_estimates, vnnce)
 from tests.conftest import random_path
 from tests.reference import (alpha_of, as_vector, beta_of, central_differences,
-                             objective, oracle_ls)
+                             objective, oracle_ls, plain_refine)
 
 
 def _recording(fn, calls):
@@ -157,11 +159,20 @@ class TestDerivatives:
         assert H[2, 2] == -2 * 64  # gain curvature is exactly -2M
 
 
+def _saddle_start(cfg, truth):
+    """A start in the theta valley between the main lobe and a side lobe,
+    where the (theta, r) sub-Hessian is not negative definite."""
+    h = synthesize_channel(cfg, [truth])
+    thetas = np.linspace(truth.theta + 0.02, truth.theta + 0.2, 400)
+    costs = [project(cfg, h, t, truth.r)[0] for t in thetas]
+    return PathParams(theta=float(thetas[int(np.argmin(costs))]), r=truth.r, g=0.5)
+
+
 class TestNewtonRefine:
     def test_truth_is_fixed_point(self, desk_array):
         p = PathParams(theta=1.3, r=2.0, g=1.0, phi=0.5)
         h = synthesize_channel(desk_array, [p])
-        out = newton_refine_once(desk_array, h, p)
+        out, _ = newton_refine_once(desk_array, h, p)
         assert out.theta == pytest.approx(p.theta, abs=1e-9)
         assert out.r == pytest.approx(p.r, rel=1e-9)
         assert out.g == pytest.approx(1.0, rel=1e-9)
@@ -180,7 +191,7 @@ class TestNewtonRefine:
             h = synthesize_channel(desk_array, [truth])
             p = omp_detect(desk_array, h, desk_codebook)
             for _ in range(20):
-                p = newton_refine_once(desk_array, h, p)
+                p, _ = newton_refine_once(desk_array, h, p)
             assert abs(p.theta - truth.theta) < 1e-6
             assert abs(p.r - truth.r) / truth.r < 1e-4
 
@@ -189,13 +200,10 @@ class TestNewtonRefine:
         # theta, so the sub-Hessian is not negative definite there.
         truth = PathParams(theta=1.3, r=2.0, g=1.0)
         h = synthesize_channel(desk_array, [truth])
-        thetas = np.linspace(truth.theta + 0.02, truth.theta + 0.2, 400)
-        costs = [project(desk_array, h, t, truth.r)[0] for t in thetas]
-        idx = int(np.argmin(costs))  # valley between main and side lobe
-        start = PathParams(theta=float(thetas[idx]), r=truth.r, g=0.5, phi=0.0)
+        start = _saddle_start(desk_array, truth)
         H2 = grad_hess(desk_array, h, start)[1][:2, :2]
         assert not (H2[0, 0] < 0 and np.linalg.det(H2) > 0)
-        out = newton_refine_once(desk_array, h, start)
+        out, _ = newton_refine_once(desk_array, h, start)
         assert out.theta == start.theta
         assert out.r == start.r
 
@@ -204,7 +212,7 @@ class TestNewtonRefine:
         h = synthesize_channel(desk_array, [truth])
         p = PathParams(theta=1.5, r=desk_array.rayleigh_distance, g=1.0)
         for _ in range(5):
-            p = newton_refine_once(desk_array, h, p)
+            p, _ = newton_refine_once(desk_array, h, p)
             assert desk_array.min_near_distance <= p.r
             assert p.r <= desk_array.rayleigh_distance
 
@@ -214,12 +222,107 @@ class TestNewtonRefine:
         records = []
         p = omp_detect(desk_array, h, desk_codebook)
         for j in range(5):
-            p = newton_refine_once(desk_array, h, p, trace=lambda *a: records.append(a),
-                                   round_index=j)
+            p, _ = newton_refine_once(desk_array, h, p,
+                                      trace=lambda *a: records.append(a),
+                                      round_index=j)
         assert len(records) == 5
         for (_, _, _, _, _, _, c_before, c_after, accepted) in records:
             if accepted:
                 assert c_after >= c_before
+
+    def test_returns_projection_at_returned_point(self, desk_array, rng):
+        # What a step returns beside its params is what the next step would
+        # have projected, so passing it on changes nothing.
+        truth = random_path(desk_array, rng)
+        y = add_noise(synthesize_channel(desk_array, [truth]), 1e-2, rng).y
+        p, proj = random_path(desk_array, rng), None
+        for _ in range(5):
+            p, proj = newton_refine_once(desk_array, y, p, proj=proj)
+            assert proj == project(desk_array, y, p.theta, p.r)
+
+
+def _turn_case(cfg, kind, u):
+    """Truth and start of a Newton turn from seven unit draws: mid-array,
+    within 1e-6..1e-2 rad of either endfire, or in the outer annulus half."""
+    if kind == "endfire":
+        th_t, th_s = 10 ** (-6 + 4 * u[0]), 10 ** (-6 + 4 * u[1])
+        if u[6] < 0.5:
+            th_t, th_s = np.pi - th_t, np.pi - th_s
+    else:
+        th_t = 0.3 + 2.5 * u[0]
+        th_s = th_t + 0.04 * (u[1] - 0.5)
+    far = cfg.rayleigh_distance
+    near = far / 2 if kind == "far_edge" else cfg.min_near_distance
+    r_t, r_s = (near + (far - near) * v for v in u[2:4])
+    return (PathParams(th_t, r_t, 1.0, 2 * np.pi * u[4]),
+            PathParams(th_s, r_s, 0.5 + u[5], 2 * np.pi * u[6]))
+
+
+def _assert_turn_exact(codebook, y, start, rounds):
+    """_refine returns the plain loop's params bit for bit, its steps are the
+    loop's first steps, it traces each executed step once, and it stops
+    early only at a fixed point the loop then repeats. Returns its records."""
+    cfg = EstimatorConfig(num_paths=1, codebook=codebook, single_rounds=rounds)
+    want_records, records, calls = [], [], []
+    want = plain_refine(cfg, y, start, 0, lambda *a: want_records.append(a))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimator, "newton_refine_once",
+                   _recording(estimator.newton_refine_once, calls))
+        got = estimator._refine(cfg, y, start, 0, lambda *a: records.append(a))
+    assert as_vector(got).tobytes() == as_vector(want).tobytes()
+    assert len(records) == len(calls) <= rounds
+    assert records == want_records[:len(records)]
+    for later in want_records[len(records):]:
+        assert later[2:] == records[-1][2:]
+    return records
+
+
+class TestRefineTurn:
+    @given(kind=st.sampled_from(["mid", "endfire", "far_edge"]),
+           u=st.lists(st.floats(0.0, 1.0), min_size=7, max_size=7),
+           sigma2=st.sampled_from([0.0, 1e-3, 1e-1]),
+           seed=st.integers(0, 2**32 - 1), rounds=st.integers(0, 8))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_plain_loop(self, desk_array, desk_codebook, kind, u,
+                                sigma2, seed, rounds):
+        truth, start = _turn_case(desk_array, kind, u)
+        y = add_noise(synthesize_channel(desk_array, [truth]), sigma2, seed).y
+        _assert_turn_exact(desk_codebook, y, start, rounds)
+
+    def test_skip_branch_stops_at_fixed_point(self, desk_array, desk_codebook):
+        truth = PathParams(theta=1.3, r=2.0, g=1.0)
+        start = _saddle_start(desk_array, truth)
+        h = synthesize_channel(desk_array, [truth])
+        H2 = grad_hess(desk_array, h, start)[1][:2, :2]
+        assert not (H2[0, 0] < 0 and np.linalg.det(H2) > 0)
+        # Step 1 only refits the gain; step 2 returns its input.
+        records = _assert_turn_exact(desk_codebook, h, start, 5)
+        assert len(records) == 2 and not any(r[8] for r in records)
+
+    @pytest.mark.parametrize("truth, start, sigma2, seed, hit", [
+        ((2e-4, 4.5, 1.0, 3.5), (1.5e-6, 2.0, 1.0), 0.0, 0, "theta_lo"),
+        ((np.pi - 1.7e-5, 5.4, 1.0, 2.1), (np.pi - 1.5e-4, 5.6, 1.0), 1e-3, 7,
+         "theta_hi"),
+        ((1.26, 6.09, 1.0, 3.9), (1.25, 5.18, 1.0), 0.1, 5, "r_hi"),
+    ])
+    def test_clamped_steps(self, desk_array, desk_codebook, truth, start,
+                           sigma2, seed, hit):
+        h = synthesize_channel(desk_array, [PathParams(*truth)])
+        y = add_noise(h, sigma2, seed).y
+        records = _assert_turn_exact(desk_codebook, y, PathParams(*start), 8)
+        edge = {"theta_lo": (2, THETA_EDGE), "theta_hi": (2, np.pi - THETA_EDGE),
+                "r_hi": (3, desk_array.rayleigh_distance)}[hit]
+        assert any(r[8] and r[edge[0]] == edge[1] for r in records)
+
+    @pytest.mark.parametrize("theta, r", [
+        (1.0, 2.0), (0.0, 0.0), (-1.0, 1e6), (4.0, -1.0), (np.inf, np.inf),
+        (-np.inf, -np.inf), (np.nan, np.nan), (THETA_EDGE, 6.144)])
+    def test_clamp_equals_np_clip(self, desk_array, theta, r):
+        got = _clamp_params(desk_array, np.float64(theta), np.float64(r))
+        want = (np.clip(theta, THETA_EDGE, np.pi - THETA_EDGE),
+                np.clip(r, desk_array.min_near_distance, desk_array.rayleigh_distance))
+        assert all(type(v) is float for v in got)
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestCovariance:

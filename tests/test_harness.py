@@ -114,6 +114,8 @@ class TestScenarioParsing:
         ({**MINIMAL, "bss": [{"position": [0.0, 0.0], "num_nlos": 3,
                               "nlos": [{"theta": 1.0, "r": 3.0, "g": 1e-5}]}]},
          r"bss\[0\] gives both nlos and num_nlos"),
+        ({**MINIMAL, "sigma2": 1e-9, "sigma2_dbm": -60.0},
+         "gives both sigma2 and sigma2_dbm"),
     ])
     def test_descriptive_errors(self, broken, needle):
         with pytest.raises(ScenarioError, match=needle):
