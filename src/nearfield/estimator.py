@@ -194,7 +194,8 @@ def soft_estimates(cfg: ArrayConfig, y: Measurement,
 
 def _detection_scores(codebook: Codebook, yv: np.ndarray) -> np.ndarray:
     """Detection score |b^H y|^2 of every codeword, as y^H B, which reads
-    the steering matrix in place (B^H y would copy it)."""
+    the steering matrix in place (B^H y would copy it). `yv` is one vector
+    or a stack of them, one per row, scored in one product."""
     return np.abs(yv.conj() @ codebook.steering_matrix) ** 2
 
 
@@ -252,27 +253,44 @@ def cyclic_refine(cfg: EstimatorConfig, y: Measurement, paths: list[PathParams],
     return paths
 
 
-def vnnce(y: Measurement, cfg: EstimatorConfig,
-          trace: TraceHook | None = None) -> list[SoftEstimate]:
-    """Greedy detect-and-refine estimation of num_paths paths.
+def vnnce(ys: list[Measurement], cfgs: list[EstimatorConfig],
+          trace: TraceHook | None = None) -> list[list[SoftEstimate]]:
+    """Greedy detect-and-refine estimation of num_paths paths per measurement.
 
-    Each new path is detected on the running residual, refined for
-    single_rounds Newton steps, and then all current paths are cyclically
-    re-refined (cyclic_rounds outer rounds) against the residual of the
-    others. The returned paths carry their soft information.
+    The measurements share one codebook and run in lockstep, one path order
+    at a time. The residuals of every measurement still adding paths are
+    scored in one product, which reads the steering matrix once. Then each,
+    in index order, detects its new path on its row of the scores, refines
+    it for single_rounds Newton steps, and cyclically re-refines all its
+    paths (cyclic_rounds outer rounds) against the residual of the others.
+    A measurement stops adding paths at its num_paths or when stop_tau
+    halts it. They share no state, so each takes the steps it takes alone.
+    The returned paths carry their soft information.
     """
-    array = cfg.codebook.array
-    paths: list[PathParams] = []
-    for _ in range(cfg.num_paths):
-        y_r = residual(array, y.y, paths)
-        scores = None
-        if cfg.stop_tau is not None:
-            scores = _detection_scores(cfg.codebook, y_r)
-            M = array.num_antennas
-            if scores.max() / M < cfg.stop_tau * M * y.noise_variance:
-                break
-        p = omp_detect(array, y_r, cfg.codebook, scores)
-        paths.append(_refine(cfg, y_r, p, len(paths), trace))
-        paths = cyclic_refine(cfg, y, paths, cfg.cyclic_rounds, trace)
-    return soft_estimates(array, y, paths)
-
+    if not ys:
+        raise ValueError("need at least one measurement")
+    if len(ys) != len(cfgs):
+        raise ValueError(f"{len(ys)} measurements but {len(cfgs)} estimator configs")
+    codebook = cfgs[0].codebook
+    if any(cfg.codebook is not codebook for cfg in cfgs):
+        raise ValueError("the estimator configs must share one Codebook object")
+    array = codebook.array
+    M = array.num_antennas
+    paths: list[list[PathParams]] = [[] for _ in ys]
+    active = list(range(len(ys)))
+    while active:
+        y_rs = [residual(array, ys[i].y, paths[i]) for i in active]
+        scores = _detection_scores(codebook, np.stack(y_rs))
+        still = []
+        for i, y_r, s in zip(active, y_rs, scores):
+            cfg = cfgs[i]
+            if (cfg.stop_tau is not None
+                    and s.max() / M < cfg.stop_tau * M * ys[i].noise_variance):
+                continue
+            p = omp_detect(array, y_r, codebook, s)
+            paths[i].append(_refine(cfg, y_r, p, len(paths[i]), trace))
+            paths[i] = cyclic_refine(cfg, ys[i], paths[i], cfg.cyclic_rounds, trace)
+            if len(paths[i]) < cfg.num_paths:
+                still.append(i)
+        active = still
+    return [soft_estimates(array, y, p) for y, p in zip(ys, paths)]

@@ -171,6 +171,9 @@ def consistency(a: SoftPosition, b: SoftPosition, zeta: float) -> int:
 def gfcl(per_bs_estimates: list[list[SoftEstimate]], bs_configs: list[BsConfig],
          zeta: float = 3.5) -> FusionReport:
     """Select the least-cost soft position per BS, gate, and fuse."""
+    if len(per_bs_estimates) != len(bs_configs):
+        raise ValueError(f"{len(per_bs_estimates)} per-BS estimate lists but "
+                         f"{len(bs_configs)} BS configs")
     if not per_bs_estimates or not any(per_bs_estimates):
         raise ValueError("need at least one BS with at least one path")
 

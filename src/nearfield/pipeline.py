@@ -1,9 +1,9 @@
 """Three-step joint architecture: per-BS estimation, fusion, LoS anchoring.
 
-Step 1 runs the channel estimator independently at every BS. Step 2 fuses
-the resulting soft positions. Step 3 rebuilds the LoS geometry of every
-gated BS from the fused position, freezes it, and cyclically re-refines
-the remaining paths.
+Step 1 runs the channel estimator independently at every BS, in one
+lockstep call that shares the codebook scans. Step 2 fuses the resulting
+soft positions. Step 3 rebuilds the LoS geometry of every gated BS from the
+fused position, freezes it, and cyclically re-refines the remaining paths.
 """
 
 from __future__ import annotations
@@ -48,7 +48,13 @@ def run_joint(bs_configs: list[BsConfig], measurements: list[Measurement],
               trace: TraceHook | None = None) -> JointResult:
     """Run estimation, cooperative localization, and channel refinement,
     scoring both channel estimates against the true channels."""
-    step1 = [vnnce(y, cfg, trace) for y, cfg in zip(measurements, est_cfgs)]
+    if not (len(bs_configs) == len(measurements) == len(est_cfgs)
+            == len(true_channels)):
+        raise ValueError(
+            f"per-BS lists differ in length: {len(bs_configs)} BS configs, "
+            f"{len(measurements)} measurements, {len(est_cfgs)} estimator "
+            f"configs, {len(true_channels)} true channels")
+    step1 = vnnce(measurements, est_cfgs, trace)
     report = gfcl(step1, bs_configs, zeta)
 
     def channel_nmse(i: int, ests: list[SoftEstimate]) -> float:

@@ -80,7 +80,7 @@ def crit1(codebook):
         truth = PathParams(theta=theta, r=r, g=1.0,
                            phi=float(rng.uniform(0, 2 * np.pi)))
         h = synthesize_channel(ARRAY, [truth])
-        ests = vnnce(Measurement(y=h), cfg, trace=TRACE)
+        ests = vnnce([Measurement(y=h)], [cfg], trace=TRACE)[0]
         h_est = synthesize_channel(ARRAY, [e.params for e in ests])
         err = np.linalg.norm(h - h_est) ** 2 \
             / np.linalg.norm(h) ** 2
@@ -109,7 +109,7 @@ def crit2(codebook):
     est_nmse, ls_nmse = [], []
     for _ in range(200):
         y = add_noise(h, sigma2, rng)
-        ests = vnnce(y, cfg, trace=TRACE)
+        ests = vnnce([y], [cfg], trace=TRACE)[0]
         h_est = synthesize_channel(ARRAY, [e.params for e in ests])
         est_nmse.append(np.linalg.norm(h - h_est) ** 2 / h2)
         ls_nmse.append(np.linalg.norm(h - oracle_ls(ARRAY, y.y, paths)) ** 2 / h2)
@@ -130,7 +130,7 @@ def crit3(codebook):
     e_theta, e_r = [], []
     for _ in range(500):
         y = add_noise(h, sigma2, rng)
-        p = vnnce(y, cfg, trace=TRACE)[0].params
+        p = vnnce([y], [cfg], trace=TRACE)[0][0].params
         e_theta.append(p.theta - truth.theta)
         e_r.append(p.r - truth.r)
     rmse_theta = float(np.sqrt(np.mean(np.square(e_theta))))

@@ -1,5 +1,7 @@
 """Single-path objective, derivatives, guarded Newton, and multi-path loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from nearfield.estimator import (PSD_FLOOR_SCALE, THETA_EDGE, EstimatorConfig,
                                  _clamp_params, _detection_scores, grad_hess,
                                  newton_refine_once, omp_detect, project,
                                  psd_repair, residual, soft_estimates, vnnce)
+from nearfield.harness import draw_paths, load_scenario, run_trial
 from tests.conftest import random_path
 from tests.reference import (alpha_of, as_vector, beta_of, central_differences,
                              objective, oracle_ls, plain_refine)
@@ -353,7 +356,7 @@ class TestCovariance:
         cfg = EstimatorConfig(num_paths=1, codebook=desk_codebook)
         for _ in range(300):
             y = add_noise(h, sigma2, rng)
-            est = vnnce(y, cfg)[0]
+            est = vnnce([y], [cfg])[0][0]
             errs.append(est.params.theta - truth.theta)
             stds.append(np.sqrt(est.cov[0, 0]))
         emp = float(np.sqrt(np.mean(np.square(errs))))
@@ -371,7 +374,7 @@ class TestRefinementCovariance:
         truth = PathParams(theta=1.35, r=2.2, g=1.0, phi=0.7)
         sigma2 = 1e-3
         y = add_noise(synthesize_channel(desk_array, [truth]), sigma2, 5)
-        est = vnnce(y, EstimatorConfig(num_paths=1, codebook=desk_codebook))[0]
+        est = vnnce([y], [EstimatorConfig(num_paths=1, codebook=desk_codebook)])[0][0]
         info = -grad_hess(desk_array, y.y, est.params)[1]
         cov, repaired = psd_repair(info, PSD_FLOOR_SCALE * 64, invert=True)
         assert np.array_equal(est.cov, sigma2 * cov)
@@ -383,7 +386,7 @@ class TestRefinementCovariance:
                  PathParams(theta=2.1, r=3.0, g=0.7, phi=2.5)]
         sigma2 = 1e-3
         y = add_noise(synthesize_channel(desk_array, paths), sigma2, 3)
-        ests = vnnce(y, EstimatorConfig(num_paths=2, codebook=desk_codebook))
+        ests = vnnce([y], [EstimatorConfig(num_paths=2, codebook=desk_codebook)])[0]
         assert len(ests) == 2
         for k, est in enumerate(ests):
             other = ests[1 - k].params
@@ -402,7 +405,7 @@ class TestRefinementCovariance:
         y = add_noise(synthesize_channel(desk_array, [truth]), sigma2, 5)
         cfg = EstimatorConfig(num_paths=1, codebook=desk_codebook,
                               single_rounds=0, cyclic_rounds=0)
-        est = vnnce(y, cfg)[0]
+        est = vnnce([y], [cfg])[0][0]
         coarse = omp_detect(desk_array, y.y, desk_codebook)
         assert est.params == coarse
         grad, hess = grad_hess(desk_array, y.y, coarse)
@@ -474,7 +477,7 @@ class TestVnnce:
         truth = PathParams(theta=float(desk_codebook.theta[700]),
                            r=float(desk_codebook.r[700]), g=1.2, phi=0.9)
         y = Measurement(y=synthesize_channel(desk_array, [truth]))
-        est = vnnce(y, EstimatorConfig(num_paths=1, codebook=desk_codebook))[0]
+        est = vnnce([y], [EstimatorConfig(num_paths=1, codebook=desk_codebook)])[0][0]
         assert est.params.theta == pytest.approx(truth.theta, abs=1e-9)
         assert est.params.r == pytest.approx(truth.r, rel=1e-6)
         assert est.params.g == pytest.approx(1.2, rel=1e-9)
@@ -484,7 +487,7 @@ class TestVnnce:
                  PathParams(theta=2.1, r=3.0, g=0.7, phi=2.5)]
         h = synthesize_channel(desk_array, paths)
         y = Measurement(y=h)
-        ests = vnnce(y, EstimatorConfig(num_paths=2, codebook=desk_codebook))
+        ests = vnnce([y], [EstimatorConfig(num_paths=2, codebook=desk_codebook)])[0]
         h_est = synthesize_channel(desk_array, [e.params for e in ests])
         nmse = np.linalg.norm(h - h_est) ** 2 / np.linalg.norm(h) ** 2
         assert 10 * np.log10(nmse) <= -60.0
@@ -496,7 +499,7 @@ class TestVnnce:
             paths = [PathParams(theta=1.0, r=1.5, g=gains[0], phi=0.4),
                      PathParams(theta=2.1, r=3.0, g=gains[1], phi=2.5)]
             y = Measurement(y=synthesize_channel(desk_array, paths))
-            ests = vnnce(y, EstimatorConfig(num_paths=2, codebook=desk_codebook))
+            ests = vnnce([y], [EstimatorConfig(num_paths=2, codebook=desk_codebook)])[0]
             D = np.array([[np.hypot(e.params.theta - p.theta,
                                     (e.params.r - p.r) / p.r)
                            for p in paths] for e in ests])
@@ -509,7 +512,7 @@ class TestVnnce:
         sigma2 = 1e-4
         y = add_noise(h, sigma2, 11)
         cfg = EstimatorConfig(num_paths=4, codebook=desk_codebook, stop_tau=3.0)
-        ests = vnnce(y, cfg)
+        ests = vnnce([y], [cfg])[0]
         assert len(ests) == 1
 
     def test_stop_tau_scores_each_path_once(self, desk_array, desk_codebook,
@@ -525,7 +528,7 @@ class TestVnnce:
         monkeypatch.setattr(estimator, "omp_detect",
                             _recording(estimator.omp_detect, detections))
         cfg = EstimatorConfig(num_paths=4, codebook=desk_codebook, stop_tau=3.0)
-        ests = vnnce(y, cfg)
+        ests = vnnce([y], [cfg])[0]
         assert len(ests) == 2
         assert len(detections) == 2
         assert len(scans) == 3
@@ -535,6 +538,107 @@ class TestVnnce:
             EstimatorConfig(num_paths=0, codebook=desk_codebook)
         with pytest.raises(ValueError):
             EstimatorConfig(num_paths=1, codebook=desk_codebook, single_rounds=-1)
+
+
+class TestLockstep:
+    """All BSs of a trial run step 1 in lockstep, one codebook scan per path
+    order; each BS still takes exactly the steps it takes alone."""
+
+    @pytest.fixture(scope="class")
+    def desk(self):
+        return load_scenario("scenarios/tab2_desk.json")
+
+    @staticmethod
+    def _draw(scenario, seed, snr_db):
+        rng = np.random.default_rng(seed)
+        per_bs = draw_paths(scenario, rng)
+        sigma2 = max(sum(p.g**2 for p in paths) for paths in per_bs) \
+            / 10.0 ** (snr_db / 10.0)
+        return [add_noise(synthesize_channel(scenario.array, paths), sigma2, rng)
+                for paths in per_bs]
+
+    @staticmethod
+    def _assert_matches_alone(ys, cfgs):
+        together = vnnce(ys, cfgs)
+        assert len(together) == len(ys)
+        for y, cfg, ests in zip(ys, cfgs, together):
+            alone = vnnce([y], [cfg])[0]
+            assert [e.params for e in ests] == [e.params for e in alone]
+        return together
+
+    def test_matches_per_bs_runs(self, desk):
+        cfgs = [desk.estimator_config(bs) for bs in desk.bss]
+        for seed in range(3):
+            for snr_db in (0.0, 10.0, 20.0, 30.0):
+                self._assert_matches_alone(self._draw(desk, seed, snr_db), cfgs)
+
+    def test_matches_per_bs_runs_with_different_path_counts(self, desk):
+        cfgs = [replace(desk.estimator_config(bs), num_paths=n)
+                for bs, n in zip(desk.bss, (1, 3, 2, 4))]
+        for seed in range(2):
+            out = self._assert_matches_alone(self._draw(desk, seed, 20.0), cfgs)
+            assert [len(ests) for ests in out] == [1, 3, 2, 4]
+
+    def test_matches_per_bs_runs_when_stop_tau_stops_one(self, desk):
+        # stop_tau halts BS 0 before 4 paths; the others run to 4.
+        cfgs = [replace(desk.estimator_config(bs), num_paths=4,
+                        stop_tau=3.0 if i == 0 else None)
+                for i, bs in enumerate(desk.bss)]
+        for seed in range(2):
+            out = self._assert_matches_alone(self._draw(desk, seed, 20.0), cfgs)
+            assert len(out[0]) < 4
+            assert [len(ests) for ests in out[1:]] == [4, 4, 4]
+
+    def test_trial_scans_once_per_path_order(self, desk, monkeypatch):
+        # tab2_desk: 4 BSs x 2 paths, so 2 scans of all 4 residuals.
+        scans = []
+        monkeypatch.setattr(estimator, "_detection_scores",
+                            _recording(estimator._detection_scores, scans))
+        run_trial(desk, 20.0, 0, 0)
+        assert [args[1].shape for args in scans] == [(4, 64), (4, 64)]
+
+    def test_scans_shrink_as_bss_finish(self, desk, monkeypatch):
+        scans = []
+        monkeypatch.setattr(estimator, "_detection_scores",
+                            _recording(estimator._detection_scores, scans))
+        cfgs = [replace(desk.estimator_config(bs), num_paths=n)
+                for bs, n in zip(desk.bss[:2], (1, 3))]
+        vnnce(self._draw(desk, 0, 20.0)[:2], cfgs)
+        assert [args[1].shape for args in scans] == [(2, 64), (1, 64), (1, 64)]
+
+    def test_stacked_scan_rows_match_single_scans(self, desk_codebook):
+        # A row of the stacked product (GEMM) can differ from the
+        # one-vector product (GEMV) in the last bit, since BLAS may sum in
+        # another order. Detection reads only the argmax, and omp_detect
+        # recomputes cost and gain with project, so the values are compared
+        # to a tolerance and the argmax exactly.
+        rng = np.random.default_rng(41)
+        for k in (1, 2, 4):
+            ys = rng.normal(size=(k, 64)) + 1j * rng.normal(size=(k, 64))
+            stacked = _detection_scores(desk_codebook, ys)
+            for row, y in zip(stacked, ys):
+                one = _detection_scores(desk_codebook, y)
+                assert np.argmax(row) == np.argmax(one)
+                assert np.allclose(row, one, rtol=1e-12, atol=1e-12 * one.max())
+
+    def test_rejects_empty_input(self):
+        with pytest.raises(ValueError, match="at least one"):
+            vnnce([], [])
+
+    def test_rejects_length_mismatch(self, desk_codebook):
+        y = Measurement(np.zeros(64, dtype=complex), 1e-3)
+        cfg = EstimatorConfig(num_paths=1, codebook=desk_codebook)
+        with pytest.raises(ValueError, match="2 measurements but 1"):
+            vnnce([y, y], [cfg])
+
+    def test_rejects_configs_without_one_shared_codebook(self, desk_array,
+                                                         desk_codebook):
+        y = Measurement(np.zeros(64, dtype=complex), 1e-3)
+        twin = build_codebook(desk_array, desk_codebook.config)
+        cfgs = [EstimatorConfig(num_paths=1, codebook=desk_codebook),
+                EstimatorConfig(num_paths=1, codebook=twin)]
+        with pytest.raises(ValueError, match="share one Codebook"):
+            vnnce([y, y], cfgs)
 
 
 class TestOracleLs:

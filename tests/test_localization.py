@@ -145,7 +145,7 @@ class TestPositionCovariance:
         cfg = EstimatorConfig(num_paths=1, codebook=cb)
         rng = np.random.default_rng(77)
         y = add_noise(h, sigma2, 77)
-        est = vnnce(y, cfg)[0]
+        est = vnnce([y], [cfg])[0][0]
         draws = rng.multivariate_normal(as_vector(est.params), est.cov,
                                         size=20000)
         pts = np.array([polar_to_relative(t, r, omega)
@@ -268,7 +268,7 @@ class TestGfcl:
             h = synthesize_channel(desk_array, paths)
             y = add_noise(h, sigma2, rng)
             cfg = EstimatorConfig(num_paths=1, codebook=cb)
-            ests.append(vnnce(y, cfg))
+            ests.append(vnnce([y], [cfg])[0])
         return ests
 
     def test_high_snr_fusion_quality(self, desk_array, rng):
@@ -305,14 +305,20 @@ class TestGfcl:
         bss2 = bss[:3] + [far_bs]
         y_bad = add_noise(h_bad, 1e-4, rng)
         cb = build_codebook(desk_array, CodebookConfig())
-        ests2 = ests[:3] + [vnnce(y_bad, EstimatorConfig(num_paths=1,
-                                                         codebook=cb))]
+        ests2 = ests[:3] + vnnce([y_bad], [EstimatorConfig(num_paths=1,
+                                                           codebook=cb)])
         report = gfcl(ests2, bss2)
         bad_cand = next(c for c in report.candidates if c.bs_index == 3)
         assert not bad_cand.consistent
         err = np.linalg.norm(report.fused.mean - user)
         base_err = np.linalg.norm(baseline.fused.mean - user)
         assert err < base_err * 3 + 0.01
+
+    def test_rejects_lists_of_different_lengths(self, desk_array, rng):
+        user, bss = self._bs_setup(desk_array)
+        ests = self._measure(desk_array, bss, user, 1e-4, rng)
+        with pytest.raises(ValueError, match="4 per-BS estimate lists but 3"):
+            gfcl(ests, bss[:3])
 
     def test_rejects_empty_input(self, desk_array):
         with pytest.raises(ValueError):

@@ -152,3 +152,14 @@ class TestGatingEdge:
         assert len(result.step1) == 1
         assert result.step2.reference == 0
         assert result.anchored[0]
+
+
+class TestPerBsLists:
+    def test_rejects_lists_of_different_lengths(self, desk_array, setup):
+        user, bss, cb = setup
+        per_bs = make_paths(desk_array, bss, user, np.random.default_rng(5))
+        channels = [synthesize_channel(desk_array, p) for p in per_bs]
+        meas = [add_noise(ch, 1e-4, 5) for ch in channels]
+        cfgs = [EstimatorConfig(num_paths=1, codebook=cb) for _ in bss]
+        with pytest.raises(ValueError, match="4 BS configs, 3 measurements"):
+            run_joint(bss, meas[:3], cfgs, zeta=3.5, true_channels=channels)
