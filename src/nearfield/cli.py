@@ -157,7 +157,9 @@ def _cmd_codebook(args) -> int:
         lines.append(f"{n_theta},{n_r},{cos_t:.12g},{theta:.12g},{r:.12g}")
     _emit("\n".join(lines) + "\n", args.out)
     n_angles = len(angle_grid(scenario.array, scenario.codebook_config.delta_alpha))
-    sys.stderr.write(f"codebook: {len(cb)} codewords over {n_angles} angles\n")
+    mib = scenario.array.num_antennas * len(cb.stored) * 16 / 2**20
+    sys.stderr.write(f"codebook: {len(cb)} codewords over {n_angles} angles, "
+                     f"{len(cb.stored)} stored steering columns ({mib:.1f} MiB)\n")
     return EXIT_OK
 
 

@@ -38,10 +38,16 @@ class CodebookConfig:
 @dataclass(eq=False)
 class Codebook:
     """Ordered codeword grid as read-only arrays, one entry per codeword,
-    with a cached steering matrix.
+    with a cached steering matrix of the stored half.
 
     Codeword j lies at angle theta[j] (cos_theta[j], angle index n_theta[j])
-    and distance r[j] (index n_r[j] within its angle).
+    and distance r[j] (index n_r[j] within its angle). mirror[j] is the
+    index of its mirror twin, the codeword at (-cos_theta[j], r[j]), or j
+    itself when it has none (cos_theta = 0 is its own twin); left out, it
+    makes every codeword its own twin. A symmetric ULA's twin column is the
+    row-reversed column, so only `stored` codewords get a steering column:
+    first each pair's cos_theta > 0 member, whose twins are `twin` in the
+    same order, then every codeword that is its own twin.
     """
 
     array: ArrayConfig
@@ -51,22 +57,35 @@ class Codebook:
     cos_theta: np.ndarray
     n_theta: np.ndarray
     n_r: np.ndarray
+    mirror: np.ndarray | None = None
     _steering: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        for name in ("theta", "r", "cos_theta", "n_theta", "n_r"):
+        index = np.arange(len(self.r))
+        if self.mirror is None:
+            self.mirror = index
+        for name in ("theta", "r", "cos_theta", "n_theta", "n_r", "mirror"):
             value = np.array(getattr(self, name))
             value.setflags(write=False)
             setattr(self, name, value)
+        alone = self.mirror == index
+        paired = np.flatnonzero(~alone & (self.cos_theta > 0.0))
+        self.stored = np.concatenate([paired, np.flatnonzero(alone)])
+        self.twin = self.mirror[paired]
+        self.stored.setflags(write=False)
+        self.twin.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.r)
 
     @property
     def steering_matrix(self) -> np.ndarray:
-        """M x N matrix, one near-field steering vector per codeword."""
+        """M x len(stored) matrix: column k is the near-field steering
+        vector of codeword stored[k]; the twin of a column k < len(twin) is
+        that column with its rows reversed."""
         if self._steering is None:
-            self._steering = near_steering_columns(self.array, self.theta, self.r)
+            self._steering = near_steering_columns(
+                self.array, self.theta[self.stored], self.r[self.stored])
         return self._steering
 
 
@@ -101,22 +120,36 @@ def distance_grid(cfg: ArrayConfig, theta: float, delta_beta: float) -> np.ndarr
 
 
 def build_codebook(cfg: ArrayConfig, cbcfg: CodebookConfig) -> Codebook:
-    """Cross product of the angle grid with per-angle distance grids."""
+    """Cross product of the angle grid with per-angle distance grids.
+
+    Each angle's distance grid is taken at arccos(|cos theta|), so the two
+    angles of a mirror pair (cos theta and -cos theta, both on the grid)
+    share one grid bit for bit and their codewords pair up one to one.
+    """
     cos_grid = angle_grid(cfg, cbcfg.delta_alpha)
-    thetas, grids = [], []
-    for cos_t in cos_grid:
-        theta = float(np.arccos(cos_t))
-        distances = distance_grid(cfg, theta, cbcfg.delta_beta)
+    thetas, grids, twin_angle = [], [], []
+    first_at: dict[float, int] = {}  # |cos theta| -> the first angle with it
+    for n, cos_t in enumerate(cos_grid.tolist()):
+        thetas.append(float(np.arccos(cos_t)))
+        m = first_at.setdefault(abs(cos_t), n)
+        if m != n:  # angle m's mirror: the pair shares m's grid
+            twin_angle[m] = n
+            twin_angle.append(m)
+            grids.append(grids[m])
+            continue
+        distances = distance_grid(cfg, float(np.arccos(abs(cos_t))), cbcfg.delta_beta)
         if cbcfg.cover_far_edge and cfg.rayleigh_distance not in distances:
             distances = np.append(distances, cfg.rayleigh_distance)
-        thetas.append(theta)
+        twin_angle.append(n)
         grids.append(distances)
     counts = np.array([len(g) for g in grids], dtype=int)
     starts = np.cumsum(counts) - counts
+    n_theta = np.repeat(np.arange(len(grids)), counts)
+    n_r = np.arange(counts.sum()) - starts[n_theta]
     return Codebook(array=cfg, config=cbcfg,
                     theta=np.repeat(thetas, counts),
                     r=np.concatenate([np.zeros(0), *grids]),
                     cos_theta=np.repeat(cos_grid, counts),
-                    n_theta=np.repeat(np.arange(len(grids)), counts),
-                    n_r=np.arange(counts.sum()) - np.repeat(starts, counts))
-
+                    n_theta=n_theta, n_r=n_r,
+                    # Twins share a grid: (n, k)'s twin is (twin_angle[n], k).
+                    mirror=starts[twin_angle][n_theta] + n_r)

@@ -193,10 +193,28 @@ def soft_estimates(cfg: ArrayConfig, y: Measurement,
 
 
 def _detection_scores(codebook: Codebook, yv: np.ndarray) -> np.ndarray:
-    """Detection score |b^H y|^2 of every codeword, as y^H B, which reads
-    the steering matrix in place (B^H y would copy it). `yv` is one vector
-    or a stack of them, one per row, scored in one product."""
-    return np.abs(yv.conj() @ codebook.steering_matrix) ** 2
+    """Detection score |b^H y|^2 of every codeword, full-length in codeword
+    order, for one vector or a stack of them, one per row.
+
+    The stored columns B are scored as y^H B, which reads B in place (B^H y
+    would copy it). A twin's column is its stored column reversed, so its
+    score is the reversed y's score on that column. A stack is scored with
+    its reversed rows in one product over the paired columns, which reads
+    each stored column once; one vector takes two matrix-vector products.
+    """
+    B = codebook.steering_matrix
+    P = len(codebook.twin)
+    yc = yv.conj()
+    out = np.empty(yv.shape[:-1] + (len(codebook),))
+    if yc.ndim == 1:
+        out[codebook.stored] = np.abs(yc @ B) ** 2
+        out[codebook.twin] = np.abs(yc[::-1] @ B[:, :P]) ** 2
+        return out
+    paired = np.abs(np.concatenate([yc, yc[:, ::-1]]) @ B[:, :P]) ** 2
+    out[:, codebook.stored[:P]] = paired[:len(yc)]
+    out[:, codebook.twin] = paired[len(yc):]
+    out[:, codebook.stored[P:]] = np.abs(yc @ B[:, P:]) ** 2
+    return out
 
 
 def omp_detect(cfg: ArrayConfig, y_r: np.ndarray, codebook: Codebook,
@@ -259,7 +277,8 @@ def vnnce(ys: list[Measurement], cfgs: list[EstimatorConfig],
 
     The measurements share one codebook and run in lockstep, one path order
     at a time. The residuals of every measurement still adding paths are
-    scored in one product, which reads the steering matrix once. Then each,
+    scored in one product with their reversals, which reads the stored half
+    of the steering matrix once and scores every codeword. Then each,
     in index order, detects its new path on its row of the scores, refines
     it for single_rounds Newton steps, and cyclically re-refines all its
     paths (cyclic_rounds outer rounds) against the residual of the others.

@@ -406,9 +406,10 @@ def sweep(scenario: Scenario, snr_grid_db: list[float], trials: int,
             else os.cpu_count() or 1)
     workers = min(threads, cpus, len(tasks))
     if workers > 1:
-        # Build the steering matrix once, here: the pool forks its workers,
-        # which inherit the scenario with the matrix through the initializer,
-        # so the tasks carry only indices and nothing large is pickled.
+        # Build the steering matrix of the codebook's stored half once, here:
+        # the pool forks its workers, which inherit the scenario with the
+        # matrix through the initializer, so the tasks carry only indices and
+        # nothing large is pickled.
         scenario.codebook.steering_matrix
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(scenario,)) as pool:

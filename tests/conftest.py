@@ -1,4 +1,5 @@
-"""Shared fixtures: the desk-scale array and deterministic RNG streams."""
+"""Shared fixtures: the desk-scale array, deterministic RNG streams and the
+codebooks the mirror-pair tests cover."""
 
 import sys
 
@@ -6,6 +7,8 @@ import numpy as np
 import pytest
 
 from nearfield.arraymodel import ArrayConfig
+from nearfield.codebook import CodebookConfig, build_codebook
+from nearfield.harness import load_scenario
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -28,6 +31,25 @@ def desk_array() -> ArrayConfig:
 def wide_array() -> ArrayConfig:
     """256-element array matching the large-scale reference configuration."""
     return ArrayConfig(num_antennas=256, wavelength=0.003)
+
+
+# name: (scenario, CodebookConfig kwargs, (codewords, stored, twins)). At
+# delta_alpha = 0.37 no cos theta of the 172 has its negation on the grid.
+MIRROR_CODEBOOKS = {
+    "tab2_desk": ("scenarios/tab2_desk.json", {}, (1083, 548, 535)),
+    "tab2_paper": ("scenarios/tab2_paper.json", {}, (17965, 9009, 8956)),
+    "desk_cover_far_edge": ("scenarios/tab2_desk.json", {"cover_far_edge": True},
+                            (1206, 610, 596)),
+    "desk_asymmetric_angles": ("scenarios/tab2_desk.json", {"delta_alpha": 0.37},
+                               (1464, 1464, 0)),
+}
+
+
+@pytest.fixture(scope="session", params=sorted(MIRROR_CODEBOOKS))
+def mirror_case(request):
+    """One of the mirror-pair codebooks, with its expected sizes."""
+    path, kwargs, sizes = MIRROR_CODEBOOKS[request.param]
+    return build_codebook(load_scenario(path).array, CodebookConfig(**kwargs)), sizes
 
 
 @pytest.fixture()

@@ -2,13 +2,15 @@
 objective they check the analytic derivatives against, the far-field
 steering vector, the s1/s2 analysis behind the codebook's grid steps, the
 gain-only oracle LS, the marginal (delta-method) position covariance, the
-stacked form of the distance derivatives and the plain Newton turn."""
+stacked form of the distance derivatives, the plain Newton turn and the
+full steering matrix of a codebook."""
 
 import numpy as np
 from scipy import special
 
 from nearfield.arraymodel import (ArrayConfig, PathParams, antenna_offsets,
                                   element_distances, near_steering)
+from nearfield.codebook import Codebook
 from nearfield.estimator import EstimatorConfig, SoftEstimate, newton_refine_once
 
 
@@ -112,3 +114,9 @@ def plain_refine(cfg: EstimatorConfig, y_r: np.ndarray, p: PathParams, k: int,
         p, _ = newton_refine_once(cfg.codebook.array, y_r, p, trace,
                                   path_index=k, round_index=j)
     return p
+
+
+def full_steering_matrix(codebook: Codebook) -> np.ndarray:
+    """M x N matrix, one near_steering column per codeword, twins included."""
+    return np.stack([near_steering(codebook.array, theta, r) for theta, r
+                     in zip(codebook.theta.tolist(), codebook.r.tolist())], axis=1)

@@ -146,7 +146,10 @@ class TestCodebook:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "n_theta,n_r,cos_theta,theta_rad,r_m"
         assert len(lines) == 1 + 1083
-        assert "1083 codewords" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "1083 codewords" in err
+        # Mirror twins share a column: 535 pairs and 13 cos theta = 0 columns.
+        assert "548 stored steering columns (0.5 MiB)" in err
 
 
 class TestValidate:

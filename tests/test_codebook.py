@@ -112,14 +112,16 @@ class TestBuildCodebook:
     def test_grid_arrays_are_aligned_and_read_only(self, desk_array):
         cb = build_codebook(desk_array, CodebookConfig())
         cos_grid = angle_grid(desk_array, 0.5)
-        for name in ("theta", "r", "cos_theta", "n_theta", "n_r"):
+        for name in ("theta", "r", "cos_theta", "n_theta", "n_r", "mirror"):
             arr = getattr(cb, name)
             assert arr.shape == (len(cb),) and not arr.flags.writeable
-        # Codewords run angle by angle, distances in grid order within each.
+        # Codewords run angle by angle, distances in grid order within each;
+        # an angle's grid is taken at arccos(|cos theta|), shared by its twin.
         for n, cos_t in enumerate(cos_grid):
             sel = cb.n_theta == n
             theta = float(np.arccos(cos_t))
-            assert np.array_equal(cb.r[sel], distance_grid(desk_array, theta, 1.0))
+            grid = distance_grid(desk_array, float(np.arccos(abs(cos_t))), 1.0)
+            assert np.array_equal(cb.r[sel], grid)
             assert np.array_equal(cb.n_r[sel], np.arange(sel.sum()))
             assert np.all(cb.theta[sel] == theta) and np.all(cb.cos_theta[sel] == cos_t)
         assert np.all(np.diff(cb.n_theta) >= 0)
@@ -135,7 +137,7 @@ class TestBuildCodebook:
     def test_steering_matrix_shape_and_cache(self, desk_array):
         cb = build_codebook(desk_array, CodebookConfig())
         B = cb.steering_matrix
-        assert B.shape == (64, len(cb))
+        assert B.shape == (64, len(cb.stored)) == (64, 548)
         assert np.allclose(np.abs(B), 1.0, atol=1e-12)
         assert cb.steering_matrix is B
 
@@ -145,9 +147,47 @@ class TestBuildCodebook:
         cb = build_codebook(scenario.array,
                             CodebookConfig(cover_far_edge=cover_far_edge))
         B = cb.steering_matrix
-        for j in range(len(cb)):
+        for k, j in enumerate(cb.stored):
             col = near_steering(scenario.array, float(cb.theta[j]), float(cb.r[j]))
-            assert np.array_equal(B[:, j], col), j
+            assert np.array_equal(B[:, k], col), j
+
+
+class TestMirrorPairs:
+    """Each codeword at (-cos theta, r) is the twin of the one at
+    (cos theta, r); only one member of each pair is stored."""
+
+    def test_twins_mirror_the_angle_and_share_the_distance(self, mirror_case):
+        cb, _ = mirror_case
+        P = len(cb.twin)
+        paired = cb.stored[:P]
+        assert np.all(cb.cos_theta[paired] > 0.0)
+        assert np.array_equal(cb.cos_theta[cb.twin], -cb.cos_theta[paired])
+        assert np.array_equal(cb.r[cb.twin], cb.r[paired])
+        assert np.array_equal(cb.mirror[paired], cb.twin)
+        # A codeword stored unpaired is its own twin.
+        assert np.array_equal(cb.mirror[cb.stored[P:]], cb.stored[P:])
+
+    def test_pairing_is_an_involution(self, mirror_case):
+        cb, _ = mirror_case
+        assert np.array_equal(cb.mirror[cb.mirror], np.arange(len(cb)))
+
+    def test_every_codeword_stored_or_twin_of_one_stored(self, mirror_case):
+        cb, _ = mirror_case
+        both = np.concatenate([cb.stored, cb.twin])
+        assert np.array_equal(np.sort(both), np.arange(len(cb)))
+
+    def test_sizes(self, mirror_case):
+        cb, sizes = mirror_case
+        assert (len(cb), len(cb.stored), len(cb.twin)) == sizes
+        assert cb.steering_matrix.shape == (cb.array.num_antennas, sizes[1])
+
+    def test_paper_cos_nonnegative_half_keeps_its_grids(self):
+        # The cos theta >= 0 half takes its grids at arccos(cos theta) itself.
+        cb = load_scenario("scenarios/tab2_paper.json").codebook
+        cos_grid = angle_grid(cb.array, 0.5)
+        for n in np.flatnonzero(cos_grid >= 0.0):
+            grid = distance_grid(cb.array, float(np.arccos(cos_grid[n])), 1.0)
+            assert np.array_equal(cb.r[cb.n_theta == n], grid)
 
 
 class TestAmbiguityFunctions:

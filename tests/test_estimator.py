@@ -19,7 +19,8 @@ from nearfield.estimator import (PSD_FLOOR_SCALE, THETA_EDGE, EstimatorConfig,
 from nearfield.harness import draw_paths, load_scenario, run_trial
 from tests.conftest import random_path
 from tests.reference import (alpha_of, as_vector, beta_of, central_differences,
-                             objective, oracle_ls, plain_refine)
+                             full_steering_matrix, objective, oracle_ls,
+                             plain_refine)
 
 
 def _recording(fn, calls):
@@ -451,13 +452,46 @@ class TestOmpDetect:
             omp_detect(desk_array, np.zeros(64, dtype=complex), empty)
 
     def test_scores_equal_copying_product(self, desk_array, desk_codebook):
-        # y^H B reads B in place; the scores match B^H y, which copies B.
+        # y^H B reads B in place; the stored columns' scores match B^H y,
+        # which copies B.
         B = desk_codebook.steering_matrix
         for seed in range(5):
             rng = np.random.default_rng(seed)
             y = rng.normal(size=64) + 1j * rng.normal(size=64)
             want = np.abs(B.conj().T @ y) ** 2
-            assert np.array_equal(_detection_scores(desk_codebook, y), want)
+            got = _detection_scores(desk_codebook, y)[desk_codebook.stored]
+            assert np.array_equal(got, want)
+
+
+class TestMirrorDetection:
+    """Scores from the stored half match a full steering matrix built one
+    near_steering per codeword, and detection picks the same codeword."""
+
+    @staticmethod
+    def _residuals(cb, seed):
+        # Two plain Gaussian rows and two with a random path in them.
+        rng = np.random.default_rng(seed)
+        M = cb.array.num_antennas
+        ys = rng.normal(size=(4, M)) + 1j * rng.normal(size=(4, M))
+        for y in ys[2:]:
+            y += 10.0 * synthesize_channel(cb.array, [random_path(cb.array, rng)])
+        return ys
+
+    def test_scores_and_argmax_match_full_matrix(self, mirror_case):
+        cb, _ = mirror_case
+        B_full = full_steering_matrix(cb)
+        for seed in range(3):
+            ys = self._residuals(cb, seed)
+            want = np.abs(ys.conj() @ B_full) ** 2
+            for got in (_detection_scores(cb, ys),
+                        [_detection_scores(cb, y) for y in ys],
+                        _detection_scores(cb, ys[:1])):
+                for g, w, y in zip(got, want, ys):
+                    assert g.shape == w.shape == (len(cb),)
+                    np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * w.max())
+                    best = int(np.argmax(w))
+                    p = omp_detect(cb.array, y, cb, g)
+                    assert (p.theta, p.r) == (cb.theta[best], cb.r[best])
 
 
 class TestResidual:
