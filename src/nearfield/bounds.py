@@ -40,8 +40,13 @@ COND_LIMIT = 1e12  # condition number beyond which the FIM is pseudo-inverted
 def crlb_diag(F: np.ndarray) -> tuple[np.ndarray, bool]:
     """Diagonal of F^{-1}; ill-conditioned matrices use the pseudo-inverse.
 
-    Returns (variances, ill_conditioned_flag).
+    The condition number is that of the equilibrated FIM D^{-1/2} F D^{-1/2},
+    D = diag(F), which the CRLB's units (radians, metres, linear gain) do not
+    move; F^{-1} is inverted through it. Returns (variances,
+    ill_conditioned_flag).
     """
-    ill = bool(np.linalg.cond(F) > COND_LIMIT)
-    inv = np.linalg.pinv(F) if ill else np.linalg.inv(F)
-    return np.diag(inv).copy(), ill
+    scale = 1.0 / np.sqrt(np.diag(F))
+    unit = F * np.outer(scale, scale)
+    ill = bool(np.linalg.cond(unit) > COND_LIMIT)
+    inv = np.linalg.pinv(unit) if ill else np.linalg.inv(unit)
+    return np.diag(inv) * scale**2, ill

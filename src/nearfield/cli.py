@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import harness
-from .bounds import crlb_diag, fim
+from .bounds import COND_LIMIT, crlb_diag, fim
 from .codebook import angle_grid
 from .harness import Scenario, ScenarioError, load_scenario
 from .localization import is_front_side
@@ -139,6 +139,10 @@ def _cmd_crlb(args) -> int:
     for i, paths in enumerate(per_bs_paths):
         F = fim(scenario.array, paths, scenario.sigma2)
         variances, ill = crlb_diag(F)
+        if ill:  # a pseudo-inverse's diagonal is no bound; it can go negative
+            raise np.linalg.LinAlgError(
+                f"bs{i}: the Fisher information is singular (condition number "
+                f"above {COND_LIMIT:g}, as with coincident paths); no CRLB exists")
         for l in range(len(paths)):
             for j, name in enumerate(names):
                 v = variances[4 * l + j]
@@ -151,15 +155,17 @@ def _cmd_codebook(args) -> int:
     scenario = load_scenario(args.config)
     cb = scenario.codebook
     lines = ["n_theta,n_r,cos_theta,theta_rad,r_m"]
+    grid_order = np.lexsort((cb.n_r, cb.n_theta))  # angle by angle
     for n_theta, n_r, cos_t, theta, r in zip(
-            cb.n_theta.tolist(), cb.n_r.tolist(), cb.cos_theta.tolist(),
-            cb.theta.tolist(), cb.r.tolist()):
+            *(a[grid_order].tolist() for a in (cb.n_theta, cb.n_r, cb.cos_theta,
+                                               cb.theta, cb.r))):
         lines.append(f"{n_theta},{n_r},{cos_t:.12g},{theta:.12g},{r:.12g}")
     _emit("\n".join(lines) + "\n", args.out)
     n_angles = len(angle_grid(scenario.array, scenario.codebook_config.delta_alpha))
-    mib = scenario.array.num_antennas * len(cb.stored) * 16 / 2**20
+    stored = len(cb) - cb.num_twins
+    mib = scenario.array.num_antennas * stored * 16 / 2**20
     sys.stderr.write(f"codebook: {len(cb)} codewords over {n_angles} angles, "
-                     f"{len(cb.stored)} stored steering columns ({mib:.1f} MiB)\n")
+                     f"{stored} stored steering columns ({mib:.1f} MiB)\n")
     return EXIT_OK
 
 

@@ -38,16 +38,14 @@ class CodebookConfig:
 @dataclass(eq=False)
 class Codebook:
     """Ordered codeword grid as read-only arrays, one entry per codeword,
-    with a cached steering matrix of the stored half.
+    with a cached steering matrix and the detection scan over it.
 
     Codeword j lies at angle theta[j] (cos_theta[j], angle index n_theta[j])
-    and distance r[j] (index n_r[j] within its angle). mirror[j] is the
-    index of its mirror twin, the codeword at (-cos_theta[j], r[j]), or j
-    itself when it has none (cos_theta = 0 is its own twin); left out, it
-    makes every codeword its own twin. A symmetric ULA's twin column is the
-    row-reversed column, so only `stored` codewords get a steering column:
-    first each pair's cos_theta > 0 member, whose twins are `twin` in the
-    same order, then every codeword that is its own twin.
+    and distance r[j] (index n_r[j] within its angle). The last num_twins
+    codewords are the mirror twins of the first num_twins, in the same
+    order: codeword len - num_twins + j lies at (-cos_theta[j], r[j]). A
+    symmetric ULA's twin column is the row-reversed column, so twins get
+    no steering column.
     """
 
     array: ArrayConfig
@@ -57,36 +55,47 @@ class Codebook:
     cos_theta: np.ndarray
     n_theta: np.ndarray
     n_r: np.ndarray
-    mirror: np.ndarray | None = None
+    num_twins: int = 0
     _steering: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        index = np.arange(len(self.r))
-        if self.mirror is None:
-            self.mirror = index
-        for name in ("theta", "r", "cos_theta", "n_theta", "n_r", "mirror"):
+        for name in ("theta", "r", "cos_theta", "n_theta", "n_r"):
             value = np.array(getattr(self, name))
             value.setflags(write=False)
             setattr(self, name, value)
-        alone = self.mirror == index
-        paired = np.flatnonzero(~alone & (self.cos_theta > 0.0))
-        self.stored = np.concatenate([paired, np.flatnonzero(alone)])
-        self.twin = self.mirror[paired]
-        self.stored.setflags(write=False)
-        self.twin.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.r)
 
     @property
     def steering_matrix(self) -> np.ndarray:
-        """M x len(stored) matrix: column k is the near-field steering
-        vector of codeword stored[k]; the twin of a column k < len(twin) is
-        that column with its rows reversed."""
+        """M x (len - num_twins) matrix: column j is the near-field steering
+        vector of codeword j; the twin of a column j < num_twins is that
+        column with its rows reversed."""
         if self._steering is None:
+            stored = len(self) - self.num_twins
             self._steering = near_steering_columns(
-                self.array, self.theta[self.stored], self.r[self.stored])
+                self.array, self.theta[:stored], self.r[:stored])
         return self._steering
+
+    def scores(self, yv: np.ndarray) -> np.ndarray:
+        """Detection score |b^H y|^2 of every codeword, in codeword order,
+        for one vector or a stack of them, one per row.
+
+        The steering matrix B is read as y^H B, in place (B^H y would copy
+        it). A twin's score is the reversed y's score on its mirror's
+        column. A stack is scored with its reversed rows in one product over
+        the mirrored columns, which reads each column once; one vector takes
+        two matrix-vector products.
+        """
+        B = self.steering_matrix
+        P = self.num_twins
+        yc = yv.conj()
+        if yc.ndim == 1:
+            return np.concatenate([np.abs(yc @ B) ** 2, np.abs(yc[::-1] @ B[:, :P]) ** 2])
+        paired = np.abs(np.concatenate([yc, yc[:, ::-1]]) @ B[:, :P]) ** 2
+        return np.concatenate([paired[:len(yc)], np.abs(yc @ B[:, P:]) ** 2,
+                               paired[len(yc):]], axis=1)
 
 
 def angle_grid(cfg: ArrayConfig, delta_alpha: float) -> np.ndarray:
@@ -122,34 +131,34 @@ def distance_grid(cfg: ArrayConfig, theta: float, delta_beta: float) -> np.ndarr
 def build_codebook(cfg: ArrayConfig, cbcfg: CodebookConfig) -> Codebook:
     """Cross product of the angle grid with per-angle distance grids.
 
-    Each angle's distance grid is taken at arccos(|cos theta|), so the two
-    angles of a mirror pair (cos theta and -cos theta, both on the grid)
-    share one grid bit for bit and their codewords pair up one to one.
+    Codewords run angle by angle, distances in grid order, in scan order:
+    first every angle with cos theta > 0 whose negation is on the grid, then
+    every angle without such a twin (cos theta = 0 included), then the twins
+    of the first block in the same order. Each angle's distance grid is
+    taken at arccos(|cos theta|), so a twin shares its mirror's grid bit for
+    bit and the two blocks pair up codeword by codeword.
     """
-    cos_grid = angle_grid(cfg, cbcfg.delta_alpha)
-    thetas, grids, twin_angle = [], [], []
-    first_at: dict[float, int] = {}  # |cos theta| -> the first angle with it
-    for n, cos_t in enumerate(cos_grid.tolist()):
-        thetas.append(float(np.arccos(cos_t)))
-        m = first_at.setdefault(abs(cos_t), n)
-        if m != n:  # angle m's mirror: the pair shares m's grid
-            twin_angle[m] = n
-            twin_angle.append(m)
-            grids.append(grids[m])
-            continue
-        distances = distance_grid(cfg, float(np.arccos(abs(cos_t))), cbcfg.delta_beta)
+    cos_list = angle_grid(cfg, cbcfg.delta_alpha).tolist()
+    on_grid = {c: n for n, c in enumerate(cos_list)}
+    mirrored = [n for n, c in enumerate(cos_list) if c > 0.0 and -c in on_grid]
+    twins = [on_grid[-cos_list[n]] for n in mirrored]
+    alone = sorted(set(range(len(cos_list))) - set(mirrored) - set(twins))
+    grids = []
+    for n in mirrored + alone:
+        theta_grid = float(np.arccos(abs(cos_list[n])))
+        distances = distance_grid(cfg, theta_grid, cbcfg.delta_beta)
         if cbcfg.cover_far_edge and cfg.rayleigh_distance not in distances:
             distances = np.append(distances, cfg.rayleigh_distance)
-        twin_angle.append(n)
         grids.append(distances)
+    grids += grids[:len(twins)]
+    angles = mirrored + alone + twins
+    thetas = [float(np.arccos(cos_list[n])) for n in angles]
     counts = np.array([len(g) for g in grids], dtype=int)
     starts = np.cumsum(counts) - counts
-    n_theta = np.repeat(np.arange(len(grids)), counts)
-    n_r = np.arange(counts.sum()) - starts[n_theta]
     return Codebook(array=cfg, config=cbcfg,
                     theta=np.repeat(thetas, counts),
                     r=np.concatenate([np.zeros(0), *grids]),
-                    cos_theta=np.repeat(cos_grid, counts),
-                    n_theta=n_theta, n_r=n_r,
-                    # Twins share a grid: (n, k)'s twin is (twin_angle[n], k).
-                    mirror=starts[twin_angle][n_theta] + n_r)
+                    cos_theta=np.repeat([cos_list[n] for n in angles], counts),
+                    n_theta=np.repeat(np.array(angles, dtype=int), counts),
+                    n_r=np.arange(counts.sum()) - np.repeat(starts, counts),
+                    num_twins=int(counts[len(counts) - len(twins):].sum()))

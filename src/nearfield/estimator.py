@@ -68,9 +68,6 @@ class EstimatorConfig:
     codebook: Codebook
     single_rounds: int = 5
     cyclic_rounds: int = 5
-    # Optional residual-energy stop for unknown path counts: stop adding
-    # paths once the best codeword cost falls below stop_tau * M * sigma^2.
-    stop_tau: float | None = None
 
     def __post_init__(self):
         if self.num_paths < 1:
@@ -192,39 +189,15 @@ def soft_estimates(cfg: ArrayConfig, y: Measurement,
     return out
 
 
-def _detection_scores(codebook: Codebook, yv: np.ndarray) -> np.ndarray:
-    """Detection score |b^H y|^2 of every codeword, full-length in codeword
-    order, for one vector or a stack of them, one per row.
-
-    The stored columns B are scored as y^H B, which reads B in place (B^H y
-    would copy it). A twin's column is its stored column reversed, so its
-    score is the reversed y's score on that column. A stack is scored with
-    its reversed rows in one product over the paired columns, which reads
-    each stored column once; one vector takes two matrix-vector products.
-    """
-    B = codebook.steering_matrix
-    P = len(codebook.twin)
-    yc = yv.conj()
-    out = np.empty(yv.shape[:-1] + (len(codebook),))
-    if yc.ndim == 1:
-        out[codebook.stored] = np.abs(yc @ B) ** 2
-        out[codebook.twin] = np.abs(yc[::-1] @ B[:, :P]) ** 2
-        return out
-    paired = np.abs(np.concatenate([yc, yc[:, ::-1]]) @ B[:, :P]) ** 2
-    out[:, codebook.stored[:P]] = paired[:len(yc)]
-    out[:, codebook.twin] = paired[len(yc):]
-    out[:, codebook.stored[P:]] = np.abs(yc @ B[:, P:]) ** 2
-    return out
-
-
 def omp_detect(cfg: ArrayConfig, y_r: np.ndarray, codebook: Codebook,
                scores: np.ndarray | None = None) -> PathParams:
-    """Exhaustive codebook scan maximizing |b^H y_r|^2; ties -> lowest index.
-    Pass `scores` when the scan of y_r is already done."""
+    """Exhaustive codebook scan maximizing |b^H y_r|^2; ties -> lowest
+    codeword index, which is the first in scan order. Pass `scores` when the
+    scan of y_r is already done."""
     if len(codebook) == 0:
         raise ValueError("codebook is empty")
     if scores is None:
-        scores = _detection_scores(codebook, y_r)
+        scores = codebook.scores(y_r)
     best = int(np.argmax(scores))  # first index on ties
     theta, r = float(codebook.theta[best]), float(codebook.r[best])
     return PathParams(theta, r, *_gain_polar(project(cfg, y_r, theta, r)[1]))
@@ -277,14 +250,13 @@ def vnnce(ys: list[Measurement], cfgs: list[EstimatorConfig],
 
     The measurements share one codebook and run in lockstep, one path order
     at a time. The residuals of every measurement still adding paths are
-    scored in one product with their reversals, which reads the stored half
-    of the steering matrix once and scores every codeword. Then each,
-    in index order, detects its new path on its row of the scores, refines
-    it for single_rounds Newton steps, and cyclically re-refines all its
-    paths (cyclic_rounds outer rounds) against the residual of the others.
-    A measurement stops adding paths at its num_paths or when stop_tau
-    halts it. They share no state, so each takes the steps it takes alone.
-    The returned paths carry their soft information.
+    scored in one codebook scan, which reads the steering matrix once. Then
+    each, in index order, detects its new path on its row of the scores,
+    refines it for single_rounds Newton steps, and cyclically re-refines all
+    its paths (cyclic_rounds outer rounds) against the residual of the
+    others. A measurement stops adding paths at its num_paths. They share no
+    state, so each takes the steps it takes alone. The returned paths carry
+    their soft information.
     """
     if not ys:
         raise ValueError("need at least one measurement")
@@ -294,18 +266,14 @@ def vnnce(ys: list[Measurement], cfgs: list[EstimatorConfig],
     if any(cfg.codebook is not codebook for cfg in cfgs):
         raise ValueError("the estimator configs must share one Codebook object")
     array = codebook.array
-    M = array.num_antennas
     paths: list[list[PathParams]] = [[] for _ in ys]
     active = list(range(len(ys)))
     while active:
         y_rs = [residual(array, ys[i].y, paths[i]) for i in active]
-        scores = _detection_scores(codebook, np.stack(y_rs))
+        scores = codebook.scores(np.stack(y_rs))
         still = []
         for i, y_r, s in zip(active, y_rs, scores):
             cfg = cfgs[i]
-            if (cfg.stop_tau is not None
-                    and s.max() / M < cfg.stop_tau * M * ys[i].noise_variance):
-                continue
             p = omp_detect(array, y_r, codebook, s)
             paths[i].append(_refine(cfg, y_r, p, len(paths[i]), trace))
             paths[i] = cyclic_refine(cfg, ys[i], paths[i], cfg.cyclic_rounds, trace)

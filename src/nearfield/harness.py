@@ -406,7 +406,7 @@ def sweep(scenario: Scenario, snr_grid_db: list[float], trials: int,
             else os.cpu_count() or 1)
     workers = min(threads, cpus, len(tasks))
     if workers > 1:
-        # Build the steering matrix of the codebook's stored half once, here:
+        # Build the codebook's steering matrix once, here:
         # the pool forks its workers, which inherit the scenario with the
         # matrix through the initializer, so the tasks carry only indices and
         # nothing large is pickled.

@@ -33,8 +33,9 @@ def wide_array() -> ArrayConfig:
     return ArrayConfig(num_antennas=256, wavelength=0.003)
 
 
-# name: (scenario, CodebookConfig kwargs, (codewords, stored, twins)). At
-# delta_alpha = 0.37 no cos theta of the 172 has its negation on the grid.
+# name: (scenario, CodebookConfig kwargs, (codewords, steering columns,
+# twins)). At delta_alpha = 0.37 no cos theta of the 172 has its negation
+# on the grid.
 MIRROR_CODEBOOKS = {
     "tab2_desk": ("scenarios/tab2_desk.json", {}, (1083, 548, 535)),
     "tab2_paper": ("scenarios/tab2_paper.json", {}, (17965, 9009, 8956)),

@@ -6,6 +6,7 @@ import pytest
 from nearfield.arraymodel import PathParams, near_steering, synthesize_channel
 from nearfield.bounds import crlb_diag, fim, steering_derivatives
 from nearfield.estimator import grad_hess
+from nearfield.harness import draw_paths, load_scenario
 from tests.conftest import random_path
 from tests.reference import as_vector, central_differences
 
@@ -125,3 +126,17 @@ class TestCrlb:
         hi, _ = crlb_diag(fim(desk_array, [p], 0.001))
         lo, _ = crlb_diag(fim(desk_array, [p], 0.1))
         assert np.all(hi < lo)
+
+    @pytest.mark.parametrize("path", ["scenarios/tab2_desk.json",
+                                      "scenarios/tab2_paper.json"])
+    def test_bundled_draws_are_well_conditioned(self, path):
+        # Their raw FIMs reach condition numbers of 1e13-3e19 from units
+        # alone (radians, metres, gains of 1e-7); equilibrated they are
+        # well conditioned. Every variance obeys [F^-1]_ii >= 1/F_ii.
+        scenario = load_scenario(path)
+        rng = np.random.default_rng(12)
+        for paths in draw_paths(scenario, rng):
+            F = fim(scenario.array, paths, scenario.sigma2)
+            var, ill = crlb_diag(F)
+            assert not ill
+            assert np.all(var * np.diag(F) >= 1.0 - 1e-9)

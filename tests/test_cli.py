@@ -1,6 +1,7 @@
 """CLI subcommands, output formats, and exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -138,6 +139,21 @@ class TestCrlb:
             assert float(sv) == pytest.approx(max(float(v), 0.0) ** 0.5,
                                               rel=1e-9)
 
+    def test_coincident_paths_are_runtime_error(self, tmp_path, capsys):
+        # A scatterer at the LoS (theta, r) makes the FIM singular; its
+        # pseudo-inverse would print a negative variance.
+        scenario = json.loads(open(SINGLE).read())
+        del scenario["bss"][0]["num_nlos"]
+        scenario["bss"][0]["nlos"] = [
+            {"theta": 3 * math.pi / 4, "r": 2.5 * math.sqrt(2), "g": 0.5}]
+        p = tmp_path / "coincident.json"
+        p.write_text(json.dumps(scenario))
+        out = tmp_path / "crlb.csv"
+        assert cli(["crlb", "--config", str(p), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: bs0:") and "1e+12" in err
+        assert not out.exists()
+
 
 class TestCodebook:
     def test_dump(self, tmp_path, capsys):
@@ -146,6 +162,9 @@ class TestCodebook:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "n_theta,n_r,cos_theta,theta_rad,r_m"
         assert len(lines) == 1 + 1083
+        # The dump runs angle by angle in grid order, whatever the layout.
+        cells = [tuple(int(v) for v in ln.split(",")[:2]) for ln in lines[1:]]
+        assert cells == sorted(cells) and cells[0] == (0, 0)
         err = capsys.readouterr().err
         assert "1083 codewords" in err
         # Mirror twins share a column: 535 pairs and 13 cos theta = 0 columns.

@@ -112,11 +112,12 @@ class TestBuildCodebook:
     def test_grid_arrays_are_aligned_and_read_only(self, desk_array):
         cb = build_codebook(desk_array, CodebookConfig())
         cos_grid = angle_grid(desk_array, 0.5)
-        for name in ("theta", "r", "cos_theta", "n_theta", "n_r", "mirror"):
+        for name in ("theta", "r", "cos_theta", "n_theta", "n_r"):
             arr = getattr(cb, name)
             assert arr.shape == (len(cb),) and not arr.flags.writeable
-        # Codewords run angle by angle, distances in grid order within each;
-        # an angle's grid is taken at arccos(|cos theta|), shared by its twin.
+        # Codewords run angle by angle, each angle's distances together and
+        # in grid order; an angle's grid is taken at arccos(|cos theta|),
+        # shared by its twin.
         for n, cos_t in enumerate(cos_grid):
             sel = cb.n_theta == n
             theta = float(np.arccos(cos_t))
@@ -124,7 +125,7 @@ class TestBuildCodebook:
             assert np.array_equal(cb.r[sel], grid)
             assert np.array_equal(cb.n_r[sel], np.arange(sel.sum()))
             assert np.all(cb.theta[sel] == theta) and np.all(cb.cos_theta[sel] == cos_t)
-        assert np.all(np.diff(cb.n_theta) >= 0)
+        assert np.count_nonzero(np.diff(cb.n_theta)) == len(cos_grid) - 1
 
     def test_cover_far_edge_adds_codewords(self, desk_array):
         base = build_codebook(desk_array, CodebookConfig())
@@ -137,7 +138,7 @@ class TestBuildCodebook:
     def test_steering_matrix_shape_and_cache(self, desk_array):
         cb = build_codebook(desk_array, CodebookConfig())
         B = cb.steering_matrix
-        assert B.shape == (64, len(cb.stored)) == (64, 548)
+        assert B.shape == (64, len(cb) - cb.num_twins) == (64, 548)
         assert np.allclose(np.abs(B), 1.0, atol=1e-12)
         assert cb.steering_matrix is B
 
@@ -147,38 +148,60 @@ class TestBuildCodebook:
         cb = build_codebook(scenario.array,
                             CodebookConfig(cover_far_edge=cover_far_edge))
         B = cb.steering_matrix
-        for k, j in enumerate(cb.stored):
+        for j in range(B.shape[1]):
             col = near_steering(scenario.array, float(cb.theta[j]), float(cb.r[j]))
-            assert np.array_equal(B[:, k], col), j
+            assert np.array_equal(B[:, j], col), j
 
 
 class TestMirrorPairs:
-    """Each codeword at (-cos theta, r) is the twin of the one at
-    (cos theta, r); only one member of each pair is stored."""
+    """Codewords come in three blocks: the mirrored codewords (cos theta >
+    0), the codewords without a twin, and the last num_twins codewords, the
+    twins of the first num_twins at (-cos theta, r) in the same order. Only
+    the first two blocks get steering columns."""
+
+    @staticmethod
+    def _blocks(cb):
+        P = cb.num_twins
+        return slice(0, P), slice(P, len(cb) - P), slice(len(cb) - P, len(cb))
 
     def test_twins_mirror_the_angle_and_share_the_distance(self, mirror_case):
         cb, _ = mirror_case
-        P = len(cb.twin)
-        paired = cb.stored[:P]
-        assert np.all(cb.cos_theta[paired] > 0.0)
-        assert np.array_equal(cb.cos_theta[cb.twin], -cb.cos_theta[paired])
-        assert np.array_equal(cb.r[cb.twin], cb.r[paired])
-        assert np.array_equal(cb.mirror[paired], cb.twin)
-        # A codeword stored unpaired is its own twin.
-        assert np.array_equal(cb.mirror[cb.stored[P:]], cb.stored[P:])
+        mirrored, _, twins = self._blocks(cb)
+        assert np.all(cb.cos_theta[mirrored] > 0.0)
+        assert np.array_equal(cb.cos_theta[twins], -cb.cos_theta[mirrored])
+        assert np.array_equal(cb.r[twins], cb.r[mirrored])
+        assert np.array_equal(cb.n_r[twins], cb.n_r[mirrored])
 
     def test_pairing_is_an_involution(self, mirror_case):
+        # The layout pairs block 1 with block 3 and leaves block 2 alone; a
+        # codeword of block 2 has no twin because its negation is off the
+        # grid (or is itself, at cos theta = 0).
         cb, _ = mirror_case
-        assert np.array_equal(cb.mirror[cb.mirror], np.arange(len(cb)))
+        mirrored, alone, twins = self._blocks(cb)
+        index = np.arange(len(cb))
+        mirror = np.concatenate([index[twins], index[alone], index[mirrored]])
+        assert np.array_equal(mirror[mirror], index)
+        cos_alone = cb.cos_theta[alone]
+        cos_grid = angle_grid(cb.array, cb.config.delta_alpha)
+        assert not np.any(np.isin(-cos_alone[cos_alone != 0.0], cos_grid))
 
     def test_every_codeword_stored_or_twin_of_one_stored(self, mirror_case):
+        # The (n_theta, n_r) pairs, stored columns and twins together,
+        # enumerate the angle-major grid exactly once.
         cb, _ = mirror_case
-        both = np.concatenate([cb.stored, cb.twin])
-        assert np.array_equal(np.sort(both), np.arange(len(cb)))
+        cos_grid = angle_grid(cb.array, cb.config.delta_alpha)
+        order = np.lexsort((cb.n_r, cb.n_theta))
+        counts = np.bincount(cb.n_theta, minlength=len(cos_grid))
+        assert len(counts) == len(cos_grid) and np.all(counts > 0)
+        assert np.array_equal(cb.n_theta[order],
+                              np.repeat(np.arange(len(counts)), counts))
+        assert np.array_equal(cb.n_r[order], np.arange(len(cb)) - np.repeat(
+            np.cumsum(counts) - counts, counts))
+        assert np.array_equal(cb.cos_theta, cos_grid[cb.n_theta])
 
     def test_sizes(self, mirror_case):
         cb, sizes = mirror_case
-        assert (len(cb), len(cb.stored), len(cb.twin)) == sizes
+        assert (len(cb), len(cb) - cb.num_twins, cb.num_twins) == sizes
         assert cb.steering_matrix.shape == (cb.array.num_antennas, sizes[1])
 
     def test_paper_cos_nonnegative_half_keeps_its_grids(self):
@@ -248,8 +271,9 @@ class TestInitialGuessGuarantee:
         angle cell of some codeword (away from the dropped grid edge)."""
         rng = np.random.default_rng(5)
         cb = build_codebook(desk_array, CodebookConfig())
-        grid = angle_grid(desk_array, 0.5)
-        lo, hi = grid[0], grid[-1]
+        # The angles come from the codebook, so one it dropped would fail.
+        grid = np.unique(cb.cos_theta)
+        lo, hi = angle_grid(desk_array, 0.5)[[0, -1]]
         for _ in range(200):
             cos_t = rng.uniform(lo, hi)
             alpha_errs = [abs(alpha_of(desk_array, c, cos_t)) for c in grid]

@@ -10,10 +10,10 @@ from scipy.optimize import linear_sum_assignment
 
 from nearfield.arraymodel import (Measurement, PathParams, add_noise,
                                   near_steering, synthesize_channel)
-from nearfield.codebook import CodebookConfig, build_codebook
+from nearfield.codebook import Codebook, CodebookConfig, build_codebook
 from nearfield import estimator
 from nearfield.estimator import (PSD_FLOOR_SCALE, THETA_EDGE, EstimatorConfig,
-                                 _clamp_params, _detection_scores, grad_hess,
+                                 _clamp_params, grad_hess,
                                  newton_refine_once, omp_detect, project,
                                  psd_repair, residual, soft_estimates, vnnce)
 from nearfield.harness import draw_paths, load_scenario, run_trial
@@ -444,7 +444,6 @@ class TestOmpDetect:
         assert p.r == desk_codebook.r[0]
 
     def test_empty_codebook_rejected(self, desk_array, desk_codebook):
-        from nearfield.codebook import Codebook
         empty = Codebook(array=desk_array, config=desk_codebook.config, theta=[],
                          r=[], cos_theta=[], n_theta=[], n_r=[])
         assert empty.steering_matrix.shape == (64, 0)
@@ -452,20 +451,21 @@ class TestOmpDetect:
             omp_detect(desk_array, np.zeros(64, dtype=complex), empty)
 
     def test_scores_equal_copying_product(self, desk_array, desk_codebook):
-        # y^H B reads B in place; the stored columns' scores match B^H y,
-        # which copies B.
+        # y^H B reads B in place; the scores of the codewords with a
+        # column match B^H y, which copies B.
         B = desk_codebook.steering_matrix
         for seed in range(5):
             rng = np.random.default_rng(seed)
             y = rng.normal(size=64) + 1j * rng.normal(size=64)
             want = np.abs(B.conj().T @ y) ** 2
-            got = _detection_scores(desk_codebook, y)[desk_codebook.stored]
+            got = desk_codebook.scores(y)[:len(desk_codebook) - desk_codebook.num_twins]
             assert np.array_equal(got, want)
 
 
 class TestMirrorDetection:
-    """Scores from the stored half match a full steering matrix built one
-    near_steering per codeword, and detection picks the same codeword."""
+    """Scores from the steering matrix without twin columns match a full
+    matrix built one near_steering per codeword, and detection picks the
+    same codeword."""
 
     @staticmethod
     def _residuals(cb, seed):
@@ -483,9 +483,8 @@ class TestMirrorDetection:
         for seed in range(3):
             ys = self._residuals(cb, seed)
             want = np.abs(ys.conj() @ B_full) ** 2
-            for got in (_detection_scores(cb, ys),
-                        [_detection_scores(cb, y) for y in ys],
-                        _detection_scores(cb, ys[:1])):
+            for got in (cb.scores(ys), [cb.scores(y) for y in ys],
+                        cb.scores(ys[:1])):
                 for g, w, y in zip(got, want, ys):
                     assert g.shape == w.shape == (len(cb),)
                     np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * w.max())
@@ -540,33 +539,6 @@ class TestVnnce:
             rows, cols = linear_sum_assignment(D)
             assert D[rows, cols].max() < 1e-4
 
-    def test_stop_tau_halts_on_pure_noise_residual(self, desk_array, desk_codebook):
-        truth = PathParams(theta=1.3, r=2.0, g=1.0, phi=0.2)
-        h = synthesize_channel(desk_array, [truth])
-        sigma2 = 1e-4
-        y = add_noise(h, sigma2, 11)
-        cfg = EstimatorConfig(num_paths=4, codebook=desk_codebook, stop_tau=3.0)
-        ests = vnnce([y], [cfg])[0]
-        assert len(ests) == 1
-
-    def test_stop_tau_scores_each_path_once(self, desk_array, desk_codebook,
-                                            monkeypatch):
-        # Two paths are estimated and a third scan stops the loop: three
-        # scans in all, each shared by the stop test and the detection.
-        paths = [PathParams(theta=1.0, r=1.5, g=1.0, phi=0.4),
-                 PathParams(theta=2.1, r=3.0, g=0.7, phi=2.5)]
-        y = add_noise(synthesize_channel(desk_array, paths), 1e-4, 3)
-        scans, detections = [], []
-        monkeypatch.setattr(estimator, "_detection_scores",
-                            _recording(estimator._detection_scores, scans))
-        monkeypatch.setattr(estimator, "omp_detect",
-                            _recording(estimator.omp_detect, detections))
-        cfg = EstimatorConfig(num_paths=4, codebook=desk_codebook, stop_tau=3.0)
-        ests = vnnce([y], [cfg])[0]
-        assert len(ests) == 2
-        assert len(detections) == 2
-        assert len(scans) == 3
-
     def test_config_validation(self, desk_codebook):
         with pytest.raises(ValueError):
             EstimatorConfig(num_paths=0, codebook=desk_codebook)
@@ -613,28 +585,16 @@ class TestLockstep:
             out = self._assert_matches_alone(self._draw(desk, seed, 20.0), cfgs)
             assert [len(ests) for ests in out] == [1, 3, 2, 4]
 
-    def test_matches_per_bs_runs_when_stop_tau_stops_one(self, desk):
-        # stop_tau halts BS 0 before 4 paths; the others run to 4.
-        cfgs = [replace(desk.estimator_config(bs), num_paths=4,
-                        stop_tau=3.0 if i == 0 else None)
-                for i, bs in enumerate(desk.bss)]
-        for seed in range(2):
-            out = self._assert_matches_alone(self._draw(desk, seed, 20.0), cfgs)
-            assert len(out[0]) < 4
-            assert [len(ests) for ests in out[1:]] == [4, 4, 4]
-
     def test_trial_scans_once_per_path_order(self, desk, monkeypatch):
         # tab2_desk: 4 BSs x 2 paths, so 2 scans of all 4 residuals.
         scans = []
-        monkeypatch.setattr(estimator, "_detection_scores",
-                            _recording(estimator._detection_scores, scans))
+        monkeypatch.setattr(Codebook, "scores", _recording(Codebook.scores, scans))
         run_trial(desk, 20.0, 0, 0)
         assert [args[1].shape for args in scans] == [(4, 64), (4, 64)]
 
     def test_scans_shrink_as_bss_finish(self, desk, monkeypatch):
         scans = []
-        monkeypatch.setattr(estimator, "_detection_scores",
-                            _recording(estimator._detection_scores, scans))
+        monkeypatch.setattr(Codebook, "scores", _recording(Codebook.scores, scans))
         cfgs = [replace(desk.estimator_config(bs), num_paths=n)
                 for bs, n in zip(desk.bss[:2], (1, 3))]
         vnnce(self._draw(desk, 0, 20.0)[:2], cfgs)
@@ -649,9 +609,9 @@ class TestLockstep:
         rng = np.random.default_rng(41)
         for k in (1, 2, 4):
             ys = rng.normal(size=(k, 64)) + 1j * rng.normal(size=(k, 64))
-            stacked = _detection_scores(desk_codebook, ys)
+            stacked = desk_codebook.scores(ys)
             for row, y in zip(stacked, ys):
-                one = _detection_scores(desk_codebook, y)
+                one = desk_codebook.scores(y)
                 assert np.argmax(row) == np.argmax(one)
                 assert np.allclose(row, one, rtol=1e-12, atol=1e-12 * one.max())
 

@@ -270,8 +270,12 @@ class TestRunTrial:
         assert a != b
 
     def test_return_joint(self, scenario):
-        rows, result = run_trial(scenario, 20.0, 0, 0, return_joint=True)
+        # At 0 dB BSs go unanchored, so step3_nmse_db has NaN cells.
+        rows, result = run_trial(scenario, 0.0, 0, 0, return_joint=True)
         assert len(result.step1) == len(scenario.bss)
+        assert any(math.isnan(row["step3_nmse_db"]) for row in rows)
+        # The same rows as a plain call; assert_equal takes NaN == NaN.
+        np.testing.assert_equal(rows, run_trial(scenario, 0.0, 0, 0))
 
 
 class TestSweep:

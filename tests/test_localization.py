@@ -139,7 +139,7 @@ class TestPositionCovariance:
         # Draw parameters from the 4x4 soft estimate, push them through the
         # polar transform, and compare the sample covariance of the
         # positions against the propagated covariance.
-        truth, h, sigma2 = self._high_snr_setup(desk_array)
+        _, h, sigma2 = self._high_snr_setup(desk_array)
         omega = 0.2
         cb = build_codebook(desk_array, CodebookConfig())
         cfg = EstimatorConfig(num_paths=1, codebook=cb)
