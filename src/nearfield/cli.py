@@ -101,6 +101,9 @@ def _cmd_estimate(args) -> int:
                        "g": e.params.g, "phi": e.params.phi,
                        "cov": [float(v) for v in e.cov.ravel()]}
                       for e in result.step1[i]],
+            "paths_step3": (None if result.step3[i] is None else
+                            [{"theta": p.theta, "r": p.r, "g": p.g, "phi": p.phi}
+                             for p in result.step3[i]]),
         } for i in range(len(scenario.bss))],
         "metrics": [{k: _jsonable(v) for k, v in row.items()
                      if not k.startswith("_")} for row in result_rows],

@@ -42,36 +42,27 @@ class SoftEstimate:
     hess: np.ndarray
     sigma2: float
 
-    def _laplace(self) -> tuple[np.ndarray, bool]:
-        # The Hessian's (g, g) entry is -2M, so it carries the array size.
-        floor = PSD_FLOOR_SCALE * (-self.hess[2, 2] / 2.0)
-        cov, repaired = psd_repair(-self.hess, floor, invert=True)
-        return self.sigma2 * cov, repaired
-
     @property
     def cov(self) -> np.ndarray:
         """Laplace covariance sigma^2 * (-H)^{-1}, the information matrix
         PSD-repaired (eigenvalue floor) before inversion. The reduced
         objective is the log-likelihood scaled by sigma^2, so the noise
         power is carried back in."""
-        return self._laplace()[0]
-
-    @property
-    def psd_repaired(self) -> bool:
-        """Whether the PSD repair behind `cov` floored an eigenvalue."""
-        return self._laplace()[1]
+        # The Hessian's (g, g) entry is -2M, so it carries the array size.
+        floor = PSD_FLOOR_SCALE * (-self.hess[2, 2] / 2.0)
+        return self.sigma2 * psd_repair(-self.hess, floor, invert=True)
 
 
 @dataclass
 class EstimatorConfig:
-    num_paths: int
+    """The settings every BS of a run shares: the codebook (whose array is
+    the one array) and the Newton and cyclic round counts."""
+
     codebook: Codebook
     single_rounds: int = 5
     cyclic_rounds: int = 5
 
     def __post_init__(self):
-        if self.num_paths < 1:
-            raise ValueError("num_paths must be >= 1")
         if self.single_rounds < 0 or self.cyclic_rounds < 0:
             raise ValueError("refinement round counts must be >= 0")
 
@@ -114,17 +105,14 @@ def grad_hess(cfg: ArrayConfig, y: np.ndarray,
     return grad, hess
 
 
-def psd_repair(mat: np.ndarray, floor: float,
-               invert: bool = False) -> tuple[np.ndarray, bool]:
+def psd_repair(mat: np.ndarray, floor: float, invert: bool = False) -> np.ndarray:
     """Symmetrise, floor the eigenvalues at `floor`, and rebuild the matrix
-    (or, with invert=True, its inverse); the flag says whether any
-    eigenvalue was floored."""
+    (or, with invert=True, its inverse)."""
     mat = (mat + mat.T) / 2.0
     w, v = np.linalg.eigh(mat)
-    repaired = bool(np.any(w < floor))
     w = np.maximum(w, floor)
     out = (v / w) @ v.T if invert else (v * w) @ v.T
-    return (out + out.T) / 2.0, repaired
+    return (out + out.T) / 2.0
 
 
 def _clamp_params(cfg: ArrayConfig, theta: float, r: float) -> tuple[float, float]:
@@ -244,27 +232,27 @@ def cyclic_refine(cfg: EstimatorConfig, y: Measurement, paths: list[PathParams],
     return paths
 
 
-def vnnce(ys: list[Measurement], cfgs: list[EstimatorConfig],
+def vnnce(ys: list[Measurement], num_paths: list[int], cfg: EstimatorConfig,
           trace: TraceHook | None = None) -> list[list[SoftEstimate]]:
-    """Greedy detect-and-refine estimation of num_paths paths per measurement.
+    """Greedy detect-and-refine estimation of num_paths[i] paths from ys[i].
 
-    The measurements share one codebook and run in lockstep, one path order
-    at a time. The residuals of every measurement still adding paths are
-    scored in one codebook scan, which reads the steering matrix once. Then
-    each, in index order, detects its new path on its row of the scores,
-    refines it for single_rounds Newton steps, and cyclically re-refines all
-    its paths (cyclic_rounds outer rounds) against the residual of the
-    others. A measurement stops adding paths at its num_paths. They share no
-    state, so each takes the steps it takes alone. The returned paths carry
-    their soft information.
+    The measurements run in lockstep, one path order at a time. The
+    residuals of every measurement still adding paths are scored in one
+    codebook scan, which reads the steering matrix once. Then each, in index
+    order, detects its new path on its row of the scores, refines it for
+    single_rounds Newton steps, and cyclically re-refines all its paths
+    (cyclic_rounds outer rounds) against the residual of the others. A
+    measurement stops adding paths at its path count. They share no state,
+    so each takes the steps it takes alone. The returned paths carry their
+    soft information.
     """
     if not ys:
         raise ValueError("need at least one measurement")
-    if len(ys) != len(cfgs):
-        raise ValueError(f"{len(ys)} measurements but {len(cfgs)} estimator configs")
-    codebook = cfgs[0].codebook
-    if any(cfg.codebook is not codebook for cfg in cfgs):
-        raise ValueError("the estimator configs must share one Codebook object")
+    if len(ys) != len(num_paths):
+        raise ValueError(f"{len(ys)} measurements but {len(num_paths)} path counts")
+    if min(num_paths) < 1:
+        raise ValueError(f"every path count must be >= 1, got {num_paths}")
+    codebook = cfg.codebook
     array = codebook.array
     paths: list[list[PathParams]] = [[] for _ in ys]
     active = list(range(len(ys)))
@@ -273,11 +261,10 @@ def vnnce(ys: list[Measurement], cfgs: list[EstimatorConfig],
         scores = codebook.scores(np.stack(y_rs))
         still = []
         for i, y_r, s in zip(active, y_rs, scores):
-            cfg = cfgs[i]
             p = omp_detect(array, y_r, codebook, s)
             paths[i].append(_refine(cfg, y_r, p, len(paths[i]), trace))
             paths[i] = cyclic_refine(cfg, ys[i], paths[i], cfg.cyclic_rounds, trace)
-            if len(paths[i]) < cfg.num_paths:
+            if len(paths[i]) < num_paths[i]:
                 still.append(i)
         active = still
     return [soft_estimates(array, y, p) for y, p in zip(ys, paths)]

@@ -63,13 +63,17 @@ class Scenario:
             self._codebook = build_codebook(self.array, self.codebook_config)
         return self._codebook
 
-    def estimator_config(self, bs: ScenarioBs) -> EstimatorConfig:
-        n = self.num_paths
-        if n is None:
-            n = 1 + len(bs.nlos_paths) + bs.num_nlos
-        return EstimatorConfig(num_paths=n, codebook=self.codebook,
+    def estimator_config(self) -> EstimatorConfig:
+        """The one estimator config every BS of a trial runs with."""
+        return EstimatorConfig(codebook=self.codebook,
                                single_rounds=self.single_rounds,
                                cyclic_rounds=self.cyclic_rounds)
+
+    def path_counts(self) -> list[int]:
+        """Estimator L' per BS: num_paths, else 1 + that BS's NLoS count."""
+        if self.num_paths is not None:
+            return [self.num_paths] * len(self.bss)
+        return [1 + len(bs.nlos_paths) + bs.num_nlos for bs in self.bss]
 
     def los_geometry(self, bs: ScenarioBs) -> tuple[float, float]:
         """LoS (theta, r) of the user as seen from a BS."""
@@ -184,8 +188,8 @@ def scenario_from_dict(data: dict) -> Scenario:
                  f"bss[{i}] gives both nlos and num_nlos; give one")
         _require("position" in b or i == 0, f"bss[{i}].position is required")
         pos = _point(b.get("position", (0.0, 0.0)), f"bss[{i}].position")
-        bs = BsConfig(position=pos, array=array,
-                      rotation=_number(b.get("rotation", 0.0), f"bss[{i}].rotation"))
+        bs = BsConfig(position=pos, rotation=_number(b.get("rotation", 0.0),
+                                                     f"bss[{i}].rotation"))
         nlos_paths = []
         nlos = b.get("nlos", [])
         _require(isinstance(nlos, list), f"bss[{i}].nlos must be a list")
@@ -296,10 +300,9 @@ def run_trial(scenario: Scenario, snr_db: float | None, point_idx: int,
 
     channels = [synthesize_channel(scenario.array, paths) for paths in per_bs_paths]
     measurements = [add_noise(ch, sigma2, rng) for ch in channels]
-    est_cfgs = [scenario.estimator_config(bs) for bs in scenario.bss]
     result = run_joint([bs.config for bs in scenario.bss], measurements,
-                       est_cfgs, scenario.zeta, true_channels=channels,
-                       trace=trace)
+                       scenario.path_counts(), scenario.estimator_config(),
+                       scenario.zeta, true_channels=channels, trace=trace)
 
     user = np.asarray(scenario.user)
     fused_err = float(np.linalg.norm(result.step2.fused.mean - user))

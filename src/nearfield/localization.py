@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arraymodel import ArrayConfig
 from .estimator import SoftEstimate, psd_repair
 from .estimator import residual  # noqa: F401 - rebound by bench/layertrace.py
 
@@ -22,11 +21,11 @@ POSITION_PSD_FLOOR = 1e-12  # m^2 eigenvalue floor for 2x2 covariances
 
 @dataclass(frozen=True)
 class BsConfig:
-    """Base station: position, array rotation from the +X axis, and its ULA."""
+    """Base station: position and array rotation from the +X axis. Every BS
+    carries the codebook's ULA."""
 
     position: tuple[float, float]
     rotation: float
-    array: ArrayConfig
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.position)):
@@ -37,7 +36,6 @@ class BsConfig:
 class SoftPosition:
     mean: np.ndarray
     cov: np.ndarray
-    psd_repaired: bool = False
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float).reshape(2)
@@ -93,7 +91,7 @@ def relative_to_polar(x_r: float, y_r: float, omega: float) -> tuple[float, floa
     if r == 0.0:
         raise ValueError("relative position must be nonzero")
     theta = float(np.arctan2(y_r, x_r)) - omega
-    theta = (theta + np.pi) % (2.0 * np.pi) - np.pi  # wrap to (-pi, pi]
+    theta = (theta + np.pi) % (2.0 * np.pi) - np.pi  # wrap to [-pi, pi)
     return theta, r
 
 
@@ -129,16 +127,15 @@ def position_covariance(est: SoftEstimate, omega: float) -> SoftPosition:
     the Laplace form sigma^2 * (-H)^{-1} of the Cartesian-coordinate Hessian."""
     p = est.params
     x, yr = polar_to_relative(p.theta, p.r, omega)
-    info, _ = psd_repair(-position_hessian(est, omega), POSITION_PSD_FLOOR)
-    cov = est.sigma2 * np.linalg.inv(info)
-    cov, repaired = psd_repair(cov, POSITION_PSD_FLOOR)
-    return SoftPosition(mean=np.array([x, yr]), cov=cov, psd_repaired=repaired)
+    info = psd_repair(-position_hessian(est, omega), POSITION_PSD_FLOOR)
+    cov = psd_repair(est.sigma2 * np.linalg.inv(info), POSITION_PSD_FLOOR)
+    return SoftPosition(mean=np.array([x, yr]), cov=cov)
 
 
 def to_global(rel: SoftPosition, bs: BsConfig) -> SoftPosition:
     """Translate a BS-relative soft position into the global frame."""
     return SoftPosition(mean=rel.mean + np.asarray(bs.position),
-                        cov=rel.cov.copy(), psd_repaired=rel.psd_repaired)
+                        cov=rel.cov.copy())
 
 
 def gaussian_fuse(positions: list[SoftPosition]) -> SoftPosition:

@@ -69,7 +69,7 @@ def crit1(codebook):
     the codebook's covered span, distance uniform over the annulus."""
     grid = angle_grid(ARRAY, 0.5)
     span = float(np.abs(grid).max())
-    cfg = EstimatorConfig(num_paths=1, codebook=codebook)
+    cfg = EstimatorConfig(codebook=codebook)
     rng = np.random.default_rng(7)
     hits = 0
     t0 = time.perf_counter()
@@ -80,7 +80,7 @@ def crit1(codebook):
         truth = PathParams(theta=theta, r=r, g=1.0,
                            phi=float(rng.uniform(0, 2 * np.pi)))
         h = synthesize_channel(ARRAY, [truth])
-        ests = vnnce([Measurement(y=h)], [cfg], trace=TRACE)[0]
+        ests = vnnce([Measurement(y=h)], [1], cfg, trace=TRACE)[0]
         h_est = synthesize_channel(ARRAY, [e.params for e in ests])
         err = np.linalg.norm(h - h_est) ** 2 \
             / np.linalg.norm(h) ** 2
@@ -104,12 +104,12 @@ def crit2(codebook):
     J = np.concatenate([steering_derivatives(ARRAY, p) for p in paths])
     F = fim(ARRAY, paths, sigma2)
     crlb = float(np.real(np.trace(J.T @ np.linalg.solve(F, J.conj())))) / h2
-    cfg = EstimatorConfig(num_paths=2, codebook=codebook)
+    cfg = EstimatorConfig(codebook=codebook)
     rng = np.random.default_rng(7)
     est_nmse, ls_nmse = [], []
     for _ in range(200):
         y = add_noise(h, sigma2, rng)
-        ests = vnnce([y], [cfg], trace=TRACE)[0]
+        ests = vnnce([y], [2], cfg, trace=TRACE)[0]
         h_est = synthesize_channel(ARRAY, [e.params for e in ests])
         est_nmse.append(np.linalg.norm(h - h_est) ** 2 / h2)
         ls_nmse.append(np.linalg.norm(h - oracle_ls(ARRAY, y.y, paths)) ** 2 / h2)
@@ -125,12 +125,12 @@ def crit3(codebook):
     sigma2 = truth.g**2 / 10**2
     var, ill = crlb_diag(fim(ARRAY, [truth], sigma2))
     assert not ill
-    cfg = EstimatorConfig(num_paths=1, codebook=codebook)
+    cfg = EstimatorConfig(codebook=codebook)
     rng = np.random.default_rng(7)
     e_theta, e_r = [], []
     for _ in range(500):
         y = add_noise(h, sigma2, rng)
-        p = vnnce([y], [cfg], trace=TRACE)[0][0].params
+        p = vnnce([y], [1], cfg, trace=TRACE)[0][0].params
         e_theta.append(p.theta - truth.theta)
         e_r.append(p.r - truth.r)
     rmse_theta = float(np.sqrt(np.mean(np.square(e_theta))))

@@ -106,6 +106,22 @@ class TestEstimate:
         assert set(path) == {"theta", "r", "g", "phi", "cov"}
         assert len(path["cov"]) == 16
 
+    def test_step3_paths_exactly_where_anchored(self, tmp_path):
+        # The bundled desk draw anchors some BSs and not others.
+        out = tmp_path / "est.json"
+        assert cli(["estimate", "--config", DESK, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        anchored = payload["anchored"]
+        assert True in anchored and False in anchored
+        for bs, flag in zip(payload["per_bs"], anchored):
+            if not flag:
+                assert bs["paths_step3"] is None
+                continue
+            assert len(bs["paths_step3"]) == len(bs["paths"])
+            for path in bs["paths_step3"]:
+                assert set(path) == {"theta", "r", "g", "phi"}
+                assert all(math.isfinite(v) for v in path.values())
+
 
 class TestSweep:
     def test_csv_contract(self, tmp_path):

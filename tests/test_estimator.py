@@ -1,7 +1,5 @@
 """Single-path objective, derivatives, guarded Newton, and multi-path loop."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -266,7 +264,7 @@ def _assert_turn_exact(codebook, y, start, rounds):
     """_refine returns the plain loop's params bit for bit, its steps are the
     loop's first steps, it traces each executed step once, and it stops
     early only at a fixed point the loop then repeats. Returns its records."""
-    cfg = EstimatorConfig(num_paths=1, codebook=codebook, single_rounds=rounds)
+    cfg = EstimatorConfig(codebook=codebook, single_rounds=rounds)
     want_records, records, calls = [], [], []
     want = plain_refine(cfg, y, start, 0, lambda *a: want_records.append(a))
     with pytest.MonkeyPatch.context() as mp:
@@ -354,10 +352,10 @@ class TestCovariance:
         sigma2 = truth.g**2 / 10**3  # 30 dB
         rng = np.random.default_rng(31)
         errs, stds = [], []
-        cfg = EstimatorConfig(num_paths=1, codebook=desk_codebook)
+        cfg = EstimatorConfig(codebook=desk_codebook)
         for _ in range(300):
             y = add_noise(h, sigma2, rng)
-            est = vnnce([y], [cfg])[0][0]
+            est = vnnce([y], [1], cfg)[0][0]
             errs.append(est.params.theta - truth.theta)
             stds.append(np.sqrt(est.cov[0, 0]))
         emp = float(np.sqrt(np.mean(np.square(errs))))
@@ -375,11 +373,10 @@ class TestRefinementCovariance:
         truth = PathParams(theta=1.35, r=2.2, g=1.0, phi=0.7)
         sigma2 = 1e-3
         y = add_noise(synthesize_channel(desk_array, [truth]), sigma2, 5)
-        est = vnnce([y], [EstimatorConfig(num_paths=1, codebook=desk_codebook)])[0][0]
+        est = vnnce([y], [1], EstimatorConfig(codebook=desk_codebook))[0][0]
         info = -grad_hess(desk_array, y.y, est.params)[1]
-        cov, repaired = psd_repair(info, PSD_FLOOR_SCALE * 64, invert=True)
+        cov = psd_repair(info, PSD_FLOOR_SCALE * 64, invert=True)
         assert np.array_equal(est.cov, sigma2 * cov)
-        assert est.psd_repaired == repaired
 
     def test_each_path_against_final_residual_of_the_other(self, desk_array,
                                                            desk_codebook):
@@ -387,7 +384,7 @@ class TestRefinementCovariance:
                  PathParams(theta=2.1, r=3.0, g=0.7, phi=2.5)]
         sigma2 = 1e-3
         y = add_noise(synthesize_channel(desk_array, paths), sigma2, 3)
-        ests = vnnce([y], [EstimatorConfig(num_paths=2, codebook=desk_codebook)])[0]
+        ests = vnnce([y], [2], EstimatorConfig(codebook=desk_codebook))[0]
         assert len(ests) == 2
         for k, est in enumerate(ests):
             other = ests[1 - k].params
@@ -395,18 +392,17 @@ class TestRefinementCovariance:
                                    est.params)
             assert np.array_equal(est.grad, grad)
             assert np.array_equal(est.hess, hess)
-            cov, repaired = psd_repair(-hess, PSD_FLOOR_SCALE * 64, invert=True)
+            cov = psd_repair(-hess, PSD_FLOOR_SCALE * 64, invert=True)
             assert np.array_equal(est.cov, sigma2 * cov)
-            assert est.psd_repaired == repaired
 
     def test_zero_rounds_return_detection_with_soft_information(
             self, desk_array, desk_codebook):
         truth = PathParams(theta=1.35, r=2.2, g=1.0, phi=0.7)
         sigma2 = 1e-3
         y = add_noise(synthesize_channel(desk_array, [truth]), sigma2, 5)
-        cfg = EstimatorConfig(num_paths=1, codebook=desk_codebook,
-                              single_rounds=0, cyclic_rounds=0)
-        est = vnnce([y], [cfg])[0][0]
+        cfg = EstimatorConfig(codebook=desk_codebook, single_rounds=0,
+                              cyclic_rounds=0)
+        est = vnnce([y], [1], cfg)[0][0]
         coarse = omp_detect(desk_array, y.y, desk_codebook)
         assert est.params == coarse
         grad, hess = grad_hess(desk_array, y.y, coarse)
@@ -510,7 +506,7 @@ class TestVnnce:
         truth = PathParams(theta=float(desk_codebook.theta[700]),
                            r=float(desk_codebook.r[700]), g=1.2, phi=0.9)
         y = Measurement(y=synthesize_channel(desk_array, [truth]))
-        est = vnnce([y], [EstimatorConfig(num_paths=1, codebook=desk_codebook)])[0][0]
+        est = vnnce([y], [1], EstimatorConfig(codebook=desk_codebook))[0][0]
         assert est.params.theta == pytest.approx(truth.theta, abs=1e-9)
         assert est.params.r == pytest.approx(truth.r, rel=1e-6)
         assert est.params.g == pytest.approx(1.2, rel=1e-9)
@@ -520,7 +516,7 @@ class TestVnnce:
                  PathParams(theta=2.1, r=3.0, g=0.7, phi=2.5)]
         h = synthesize_channel(desk_array, paths)
         y = Measurement(y=h)
-        ests = vnnce([y], [EstimatorConfig(num_paths=2, codebook=desk_codebook)])[0]
+        ests = vnnce([y], [2], EstimatorConfig(codebook=desk_codebook))[0]
         h_est = synthesize_channel(desk_array, [e.params for e in ests])
         nmse = np.linalg.norm(h - h_est) ** 2 / np.linalg.norm(h) ** 2
         assert 10 * np.log10(nmse) <= -60.0
@@ -532,7 +528,7 @@ class TestVnnce:
             paths = [PathParams(theta=1.0, r=1.5, g=gains[0], phi=0.4),
                      PathParams(theta=2.1, r=3.0, g=gains[1], phi=2.5)]
             y = Measurement(y=synthesize_channel(desk_array, paths))
-            ests = vnnce([y], [EstimatorConfig(num_paths=2, codebook=desk_codebook)])[0]
+            ests = vnnce([y], [2], EstimatorConfig(codebook=desk_codebook))[0]
             D = np.array([[np.hypot(e.params.theta - p.theta,
                                     (e.params.r - p.r) / p.r)
                            for p in paths] for e in ests])
@@ -540,10 +536,13 @@ class TestVnnce:
             assert D[rows, cols].max() < 1e-4
 
     def test_config_validation(self, desk_codebook):
+        y = Measurement(np.zeros(64, dtype=complex), 1e-3)
+        for counts in ([0], [2, 0]):
+            with pytest.raises(ValueError, match="path count must be >= 1"):
+                vnnce([y] * len(counts), counts,
+                      EstimatorConfig(codebook=desk_codebook))
         with pytest.raises(ValueError):
-            EstimatorConfig(num_paths=0, codebook=desk_codebook)
-        with pytest.raises(ValueError):
-            EstimatorConfig(num_paths=1, codebook=desk_codebook, single_rounds=-1)
+            EstimatorConfig(codebook=desk_codebook, single_rounds=-1)
 
 
 class TestLockstep:
@@ -564,25 +563,25 @@ class TestLockstep:
                 for paths in per_bs]
 
     @staticmethod
-    def _assert_matches_alone(ys, cfgs):
-        together = vnnce(ys, cfgs)
+    def _assert_matches_alone(ys, num_paths, cfg):
+        together = vnnce(ys, num_paths, cfg)
         assert len(together) == len(ys)
-        for y, cfg, ests in zip(ys, cfgs, together):
-            alone = vnnce([y], [cfg])[0]
+        for y, n, ests in zip(ys, num_paths, together):
+            alone = vnnce([y], [n], cfg)[0]
             assert [e.params for e in ests] == [e.params for e in alone]
         return together
 
     def test_matches_per_bs_runs(self, desk):
-        cfgs = [desk.estimator_config(bs) for bs in desk.bss]
         for seed in range(3):
             for snr_db in (0.0, 10.0, 20.0, 30.0):
-                self._assert_matches_alone(self._draw(desk, seed, snr_db), cfgs)
+                self._assert_matches_alone(self._draw(desk, seed, snr_db),
+                                           desk.path_counts(),
+                                           desk.estimator_config())
 
     def test_matches_per_bs_runs_with_different_path_counts(self, desk):
-        cfgs = [replace(desk.estimator_config(bs), num_paths=n)
-                for bs, n in zip(desk.bss, (1, 3, 2, 4))]
         for seed in range(2):
-            out = self._assert_matches_alone(self._draw(desk, seed, 20.0), cfgs)
+            out = self._assert_matches_alone(self._draw(desk, seed, 20.0),
+                                             [1, 3, 2, 4], desk.estimator_config())
             assert [len(ests) for ests in out] == [1, 3, 2, 4]
 
     def test_trial_scans_once_per_path_order(self, desk, monkeypatch):
@@ -595,9 +594,7 @@ class TestLockstep:
     def test_scans_shrink_as_bss_finish(self, desk, monkeypatch):
         scans = []
         monkeypatch.setattr(Codebook, "scores", _recording(Codebook.scores, scans))
-        cfgs = [replace(desk.estimator_config(bs), num_paths=n)
-                for bs, n in zip(desk.bss[:2], (1, 3))]
-        vnnce(self._draw(desk, 0, 20.0)[:2], cfgs)
+        vnnce(self._draw(desk, 0, 20.0)[:2], [1, 3], desk.estimator_config())
         assert [args[1].shape for args in scans] == [(2, 64), (1, 64), (1, 64)]
 
     def test_stacked_scan_rows_match_single_scans(self, desk_codebook):
@@ -615,24 +612,14 @@ class TestLockstep:
                 assert np.argmax(row) == np.argmax(one)
                 assert np.allclose(row, one, rtol=1e-12, atol=1e-12 * one.max())
 
-    def test_rejects_empty_input(self):
+    def test_rejects_empty_input(self, desk_codebook):
         with pytest.raises(ValueError, match="at least one"):
-            vnnce([], [])
+            vnnce([], [], EstimatorConfig(codebook=desk_codebook))
 
     def test_rejects_length_mismatch(self, desk_codebook):
         y = Measurement(np.zeros(64, dtype=complex), 1e-3)
-        cfg = EstimatorConfig(num_paths=1, codebook=desk_codebook)
-        with pytest.raises(ValueError, match="2 measurements but 1"):
-            vnnce([y, y], [cfg])
-
-    def test_rejects_configs_without_one_shared_codebook(self, desk_array,
-                                                         desk_codebook):
-        y = Measurement(np.zeros(64, dtype=complex), 1e-3)
-        twin = build_codebook(desk_array, desk_codebook.config)
-        cfgs = [EstimatorConfig(num_paths=1, codebook=desk_codebook),
-                EstimatorConfig(num_paths=1, codebook=twin)]
-        with pytest.raises(ValueError, match="share one Codebook"):
-            vnnce([y, y], cfgs)
+        with pytest.raises(ValueError, match="2 measurements but 1 path count"):
+            vnnce([y, y], [1], EstimatorConfig(codebook=desk_codebook))
 
 
 class TestOracleLs:

@@ -219,7 +219,7 @@ class TestDrawPaths:
     def test_scatterer_count(self, bs, count):
         sc = desk_scenario(bss=[{"position": [0.0, 0.0], **bs}])
         assert len(draw_paths(sc, np.random.default_rng(0))[0]) == 1 + count
-        assert sc.estimator_config(sc.bss[0]).num_paths == 1 + count
+        assert sc.path_counts() == [1 + count]
 
     def test_fixed_nlos_with_random_phase(self):
         bss = [{"position": [0.0, 0.0], "rotation": 0.0,

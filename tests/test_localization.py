@@ -142,10 +142,10 @@ class TestPositionCovariance:
         _, h, sigma2 = self._high_snr_setup(desk_array)
         omega = 0.2
         cb = build_codebook(desk_array, CodebookConfig())
-        cfg = EstimatorConfig(num_paths=1, codebook=cb)
+        cfg = EstimatorConfig(codebook=cb)
         rng = np.random.default_rng(77)
         y = add_noise(h, sigma2, 77)
-        est = vnnce([y], [cfg])[0][0]
+        est = vnnce([y], [1], cfg)[0][0]
         draws = rng.multivariate_normal(as_vector(est.params), est.cov,
                                         size=20000)
         pts = np.array([polar_to_relative(t, r, omega)
@@ -241,8 +241,8 @@ class TestConsistency:
 
 
 class TestToGlobal:
-    def test_translation_only(self, desk_array):
-        bs = BsConfig(position=(0.0, 50.0), rotation=np.pi, array=desk_array)
+    def test_translation_only(self):
+        bs = BsConfig(position=(0.0, 50.0), rotation=np.pi)
         rel = SoftPosition(mean=[10.0, -50.0], cov=np.eye(2))
         out = to_global(rel, bs)
         assert np.allclose(out.mean, [10.0, 0.0], atol=1e-12)
@@ -250,12 +250,11 @@ class TestToGlobal:
 
 
 class TestGfcl:
-    def _bs_setup(self, desk_array):
+    def _bs_setup(self):
         user = np.array([2.5, 2.5])
         specs = [((0.0, 5.0), np.pi), ((2.0, 5.0), np.pi),
                  ((5.0, 0.0), np.pi / 2), ((5.0, 2.0), np.pi / 2)]
-        return user, [BsConfig(position=p, rotation=w, array=desk_array)
-                      for p, w in specs]
+        return user, [BsConfig(position=p, rotation=w) for p, w in specs]
 
     def _measure(self, desk_array, bss, user, sigma2, rng, extra=None):
         cb = build_codebook(desk_array, CodebookConfig())
@@ -267,12 +266,11 @@ class TestGfcl:
                                 phi=float(rng.uniform(0, 2 * np.pi)))]
             h = synthesize_channel(desk_array, paths)
             y = add_noise(h, sigma2, rng)
-            cfg = EstimatorConfig(num_paths=1, codebook=cb)
-            ests.append(vnnce([y], [cfg])[0])
+            ests.append(vnnce([y], [1], EstimatorConfig(codebook=cb))[0])
         return ests
 
     def test_high_snr_fusion_quality(self, desk_array, rng):
-        user, bss = self._bs_setup(desk_array)
+        user, bss = self._bs_setup()
         sigma2 = 1e-4  # 40 dB with unit gains
         ests = self._measure(desk_array, bss, user, sigma2, rng)
         report = gfcl(ests, bss)
@@ -284,7 +282,7 @@ class TestGfcl:
         assert not report.all_inconsistent
 
     def test_reference_flag_and_selection_rule(self, desk_array, rng):
-        user, bss = self._bs_setup(desk_array)
+        user, bss = self._bs_setup()
         ests = self._measure(desk_array, bss, user, 1e-4, rng)
         report = gfcl(ests, bss)
         ref = next(c for c in report.candidates if c.bs_index == report.reference)
@@ -292,7 +290,7 @@ class TestGfcl:
         assert ref.position.cost == min(c.position.cost for c in report.candidates)
 
     def test_corrupted_bs_excluded(self, desk_array, rng):
-        user, bss = self._bs_setup(desk_array)
+        user, bss = self._bs_setup()
         ests = self._measure(desk_array, bss, user, 1e-4, rng)
         baseline = gfcl(ests, bss)
 
@@ -300,13 +298,11 @@ class TestGfcl:
         bad_theta, bad_r = 1.0, 5.0
         bad = PathParams(theta=bad_theta, r=bad_r, g=1.0, phi=0.0)
         h_bad = synthesize_channel(desk_array, [bad])
-        far_bs = BsConfig(position=(100.0, 100.0), rotation=0.0,
-                          array=desk_array)
+        far_bs = BsConfig(position=(100.0, 100.0), rotation=0.0)
         bss2 = bss[:3] + [far_bs]
         y_bad = add_noise(h_bad, 1e-4, rng)
         cb = build_codebook(desk_array, CodebookConfig())
-        ests2 = ests[:3] + vnnce([y_bad], [EstimatorConfig(num_paths=1,
-                                                           codebook=cb)])
+        ests2 = ests[:3] + vnnce([y_bad], [1], EstimatorConfig(codebook=cb))
         report = gfcl(ests2, bss2)
         bad_cand = next(c for c in report.candidates if c.bs_index == 3)
         assert not bad_cand.consistent
@@ -315,14 +311,13 @@ class TestGfcl:
         assert err < base_err * 3 + 0.01
 
     def test_rejects_lists_of_different_lengths(self, desk_array, rng):
-        user, bss = self._bs_setup(desk_array)
+        user, bss = self._bs_setup()
         ests = self._measure(desk_array, bss, user, 1e-4, rng)
         with pytest.raises(ValueError, match="4 per-BS estimate lists but 3"):
             gfcl(ests, bss[:3])
 
-    def test_rejects_empty_input(self, desk_array):
+    def test_rejects_empty_input(self):
         with pytest.raises(ValueError):
             gfcl([], [])
         with pytest.raises(ValueError):
-            gfcl([[]], [BsConfig(position=(0, 0), rotation=0.0,
-                                 array=desk_array)])
+            gfcl([[]], [BsConfig(position=(0, 0), rotation=0.0)])

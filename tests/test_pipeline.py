@@ -18,7 +18,7 @@ def setup(desk_array):
     user = np.array([2.5, 2.5])
     specs = [((0.0, 5.0), np.pi), ((2.0, 5.0), np.pi),
              ((5.0, 0.0), np.pi / 2), ((5.0, 2.0), np.pi / 2)]
-    bss = [BsConfig(position=p, rotation=w, array=desk_array) for p, w in specs]
+    bss = [BsConfig(position=p, rotation=w) for p, w in specs]
     cb = build_codebook(desk_array, CodebookConfig())
     return user, bss, cb
 
@@ -44,9 +44,8 @@ def run_once(desk_array, bss, cb, per_bs_paths, sigma2, seed):
     rng = np.random.default_rng(seed)
     meas = [Measurement(y=ch if sigma2 == 0 else add_noise(ch, sigma2, rng).y,
                         noise_variance=sigma2) for ch in channels]
-    cfgs = [EstimatorConfig(num_paths=len(p), codebook=cb)
-            for p in per_bs_paths]
-    return channels, run_joint(bss, meas, cfgs, zeta=3.5,
+    return channels, run_joint(bss, meas, [len(p) for p in per_bs_paths],
+                               EstimatorConfig(codebook=cb), zeta=3.5,
                                true_channels=channels)
 
 
@@ -94,11 +93,11 @@ class TestAnchoring:
         for i, bs in enumerate(bss):
             if not result.anchored[i]:
                 continue
-            est = result.step3[i][0]
+            los = result.step3[i][0]
             rel = user - np.asarray(bs.position)
             theta_t, r_t = relative_to_polar(rel[0], rel[1], bs.rotation)
-            assert est.params.theta == pytest.approx(theta_t, abs=1e-6)
-            assert est.params.r == pytest.approx(r_t, rel=1e-6)
+            assert los.theta == pytest.approx(theta_t, abs=1e-6)
+            assert los.r == pytest.approx(r_t, rel=1e-6)
             h_ls = oracle_ls(desk_array, channels[i], paths[i])
             nmse_ls = (np.linalg.norm(channels[i] - h_ls) ** 2
                        / np.linalg.norm(channels[i]) ** 2)
@@ -122,7 +121,7 @@ class TestAnchoring:
             theta_a, r_a = relative_to_polar(rel[0], rel[1], bs.rotation)
             r_a = float(np.clip(r_a, desk_array.min_near_distance,
                                 desk_array.rayleigh_distance))
-            anchor = result.step3[i][by_bs[i].path_index].params
+            anchor = result.step3[i][by_bs[i].path_index]
             assert (anchor.theta, anchor.r) == (theta_a, r_a)
 
     def test_refinement_not_worse_on_average(self, desk_array, setup):
@@ -144,7 +143,7 @@ class TestAnchoring:
 class TestGatingEdge:
     def test_lone_bs_still_runs(self, desk_array):
         user = np.array([0.0, 3.0])
-        bss = [BsConfig(position=(0.0, 0.0), rotation=0.0, array=desk_array)]
+        bss = [BsConfig(position=(0.0, 0.0), rotation=0.0)]
         cb = build_codebook(desk_array, CodebookConfig())
         rng = np.random.default_rng(11)
         paths = make_paths(desk_array, bss, user, rng)
@@ -160,6 +159,6 @@ class TestPerBsLists:
         per_bs = make_paths(desk_array, bss, user, np.random.default_rng(5))
         channels = [synthesize_channel(desk_array, p) for p in per_bs]
         meas = [add_noise(ch, 1e-4, 5) for ch in channels]
-        cfgs = [EstimatorConfig(num_paths=1, codebook=cb) for _ in bss]
         with pytest.raises(ValueError, match="4 BS configs, 3 measurements"):
-            run_joint(bss, meas[:3], cfgs, zeta=3.5, true_channels=channels)
+            run_joint(bss, meas[:3], [1] * len(bss), EstimatorConfig(codebook=cb),
+                      zeta=3.5, true_channels=channels)
