@@ -34,19 +34,21 @@ def fim(cfg: ArrayConfig, paths: list[PathParams], sigma2: float) -> np.ndarray:
     return (F + F.T) / 2.0
 
 
-COND_LIMIT = 1e12  # condition number beyond which the FIM is pseudo-inverted
+COND_LIMIT = 1e12  # condition number beyond which the FIM counts as singular
 
 
-def crlb_diag(F: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Diagonal of F^{-1}; ill-conditioned matrices use the pseudo-inverse.
+def crlb_diag(F: np.ndarray) -> np.ndarray:
+    """Diagonal of F^{-1}, the per-parameter CRLB variances.
 
     The condition number is that of the equilibrated FIM D^{-1/2} F D^{-1/2},
     D = diag(F), which the CRLB's units (radians, metres, linear gain) do not
-    move; F^{-1} is inverted through it. Returns (variances,
-    ill_conditioned_flag).
+    move; F^{-1} is inverted through it. Above COND_LIMIT (as with
+    coincident paths) no CRLB exists, and it raises np.linalg.LinAlgError.
     """
     scale = 1.0 / np.sqrt(np.diag(F))
     unit = F * np.outer(scale, scale)
-    ill = bool(np.linalg.cond(unit) > COND_LIMIT)
-    inv = np.linalg.pinv(unit) if ill else np.linalg.inv(unit)
-    return np.diag(inv) * scale**2, ill
+    if np.linalg.cond(unit) > COND_LIMIT:
+        raise np.linalg.LinAlgError(
+            f"the Fisher information is singular (condition number above "
+            f"{COND_LIMIT:g}, as with coincident paths); no CRLB exists")
+    return np.diag(np.linalg.inv(unit)) * scale**2

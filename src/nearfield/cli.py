@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import harness
-from .bounds import COND_LIMIT, crlb_diag, fim
+from .bounds import crlb_diag, fim
 from .codebook import angle_grid
 from .harness import Scenario, ScenarioError, load_scenario
 from .localization import is_front_side
@@ -94,9 +94,9 @@ def _cmd_estimate(args) -> int:
         "fusion": result.step2.to_dict(),
         "anchored": result.anchored,
         "per_bs": [{
-            "nmse_db_step1": harness.to_db(result.nmse_step1[i]),
-            "nmse_db_step3": (harness.to_db(result.nmse_step3[i])
-                              if result.nmse_step3[i] is not None else None),
+            "nmse_db_step1": row["nmse_db"],
+            "nmse_db_step3": (None if math.isnan(row["step3_nmse_db"])
+                              else row["step3_nmse_db"]),
             "paths": [{"theta": e.params.theta, "r": e.params.r,
                        "g": e.params.g, "phi": e.params.phi,
                        "cov": [float(v) for v in e.cov.ravel()]}
@@ -104,7 +104,7 @@ def _cmd_estimate(args) -> int:
             "paths_step3": (None if result.step3[i] is None else
                             [{"theta": p.theta, "r": p.r, "g": p.g, "phi": p.phi}
                              for p in result.step3[i]]),
-        } for i in range(len(scenario.bss))],
+        } for i, row in enumerate(result_rows)],
         "metrics": [{k: _jsonable(v) for k, v in row.items()
                      if not k.startswith("_")} for row in result_rows],
     }
@@ -134,18 +134,15 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_crlb(args) -> int:
     scenario = _load(args)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=scenario.seed,
-                                                       spawn_key=(0, 0)))
-    per_bs_paths = harness.draw_paths(scenario, rng)
+    per_bs_paths = harness.draw_paths(scenario, scenario.trial_rng(0, 0))
     lines = ["bs,path,param,crlb,sqrt_crlb"]
     names = ["theta", "r", "g", "phi"]
     for i, paths in enumerate(per_bs_paths):
         F = fim(scenario.array, paths, scenario.sigma2)
-        variances, ill = crlb_diag(F)
-        if ill:  # a pseudo-inverse's diagonal is no bound; it can go negative
-            raise np.linalg.LinAlgError(
-                f"bs{i}: the Fisher information is singular (condition number "
-                f"above {COND_LIMIT:g}, as with coincident paths); no CRLB exists")
+        try:
+            variances = crlb_diag(F)
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(f"bs{i}: {exc}") from None
         for l in range(len(paths)):
             for j, name in enumerate(names):
                 v = variances[4 * l + j]

@@ -2,9 +2,9 @@
 
 SNR convention: the sweep's snr_db is the per-antenna received SNR
 sum_l g_l^2 / sigma^2 at the strongest BS; every row also logs the actual
-per-BS SNR. Per-trial randomness is derived with a counter-based
-SeedSequence spawn key (grid point, trial), so parallel and serial runs
-are bit-identical.
+per-BS SNR. `Scenario.trial_rng` derives each trial's randomness from the
+scenario seed with a counter-based SeedSequence spawn key (grid point,
+trial), so parallel and serial runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -74,6 +74,11 @@ class Scenario:
         if self.num_paths is not None:
             return [self.num_paths] * len(self.bss)
         return [1 + len(bs.nlos_paths) + bs.num_nlos for bs in self.bss]
+
+    def trial_rng(self, point_idx: int, trial: int) -> np.random.Generator:
+        """The random stream of one trial (see the module docstring)."""
+        return np.random.default_rng(np.random.SeedSequence(
+            entropy=self.seed, spawn_key=(point_idx, trial)))
 
     def los_geometry(self, bs: ScenarioBs) -> tuple[float, float]:
         """LoS (theta, r) of the user as seen from a BS."""
@@ -257,6 +262,17 @@ def to_db(value: float) -> float:
     return -math.inf if value <= 0.0 else 10.0 * math.log10(value)
 
 
+def nmse(h_true: np.ndarray, h_est: np.ndarray) -> float:
+    """Normalized channel error ||h - h_est||^2 / ||h||^2."""
+    h_true, h_est = np.asarray(h_true), np.asarray(h_est)
+    if h_true.shape != h_est.shape:
+        raise ValueError("length mismatch")
+    denom = float(np.linalg.norm(h_true) ** 2)
+    if denom == 0.0:
+        raise ValueError("true channel is zero")
+    return float(np.linalg.norm(h_true - h_est) ** 2 / denom)
+
+
 def draw_paths(scenario: Scenario, rng: np.random.Generator
                ) -> list[list[PathParams]]:
     """Per-BS path lists: geometric LoS first, then the fixed NLoS, then the
@@ -283,14 +299,13 @@ def draw_paths(scenario: Scenario, rng: np.random.Generator
 
 def run_trial(scenario: Scenario, snr_db: float | None, point_idx: int,
               trial: int, trace=None, return_joint: bool = False):
-    """One Monte Carlo trial: synthesize, estimate, localize, refine.
+    """One Monte Carlo trial: synthesize, estimate, localize, refine, and
+    score the step-1 and step-3 channels against the drawn ones.
 
     Returns one metrics row per BS. snr_db=None uses the scenario's sigma2.
     With return_joint=True, returns (rows, JointResult) instead.
     """
-    ss = np.random.SeedSequence(entropy=scenario.seed,
-                                spawn_key=(point_idx, trial))
-    rng = np.random.default_rng(ss)
+    rng = scenario.trial_rng(point_idx, trial)
     per_bs_paths = draw_paths(scenario, rng)
     powers = [sum(p.g**2 for p in paths) for paths in per_bs_paths]
     if snr_db is None:
@@ -302,28 +317,29 @@ def run_trial(scenario: Scenario, snr_db: float | None, point_idx: int,
     measurements = [add_noise(ch, sigma2, rng) for ch in channels]
     result = run_joint([bs.config for bs in scenario.bss], measurements,
                        scenario.path_counts(), scenario.estimator_config(),
-                       scenario.zeta, true_channels=channels, trace=trace)
+                       scenario.zeta, trace=trace)
+
+    def channel_nmse_db(i: int, paths: list[PathParams]) -> float:
+        return to_db(nmse(channels[i], synthesize_channel(scenario.array, paths)))
 
     user = np.asarray(scenario.user)
     fused_err = float(np.linalg.norm(result.step2.fused.mean - user))
-    by_bs = {c.bs_index: c for c in result.step2.candidates}
     rows = []
-    for i, bs in enumerate(scenario.bss):
-        cand = by_bs[i]
+    for i, (bs, cand) in enumerate(zip(scenario.bss, result.step2.candidates)):
         sel = result.step1[i][cand.path_index].params
         theta_t, r_t = scenario.los_geometry(bs)
-        nmse3 = result.nmse_step3[i]
         snr_bs = to_db(powers[i] / sigma2) if sigma2 > 0 else math.inf
         rows.append({
             "snr_db": snr_db if snr_db is not None else snr_bs,
             "trial": trial,
             "bs": i,
-            "nmse_db": to_db(result.nmse_step1[i]),
+            "nmse_db": channel_nmse_db(i, [e.params for e in result.step1[i]]),
             "theta_rmse": abs(sel.theta - theta_t),
             "r_rmse": abs(sel.r - r_t),
             "single_rmse_m": float(np.linalg.norm(cand.position.mean - user)),
             "fused_rmse_m": fused_err,
-            "step3_nmse_db": to_db(nmse3) if nmse3 is not None else math.nan,
+            "step3_nmse_db": (math.nan if result.step3[i] is None
+                              else channel_nmse_db(i, result.step3[i])),
             "snr_bs_db": snr_bs,
             "_point": point_idx,
         })

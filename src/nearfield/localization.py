@@ -50,7 +50,6 @@ class SoftPosition:
 class BsCandidate:
     """One BS's selected soft user position (global frame) and bookkeeping."""
 
-    bs_index: int
     path_index: int
     position: SoftPosition
     consistent: bool = False
@@ -59,8 +58,8 @@ class BsCandidate:
 @dataclass
 class FusionReport:
     fused: SoftPosition
-    candidates: list[BsCandidate]
-    reference: int  # BS index of the least-cost (reference) candidate
+    candidates: list[BsCandidate]  # candidates[i] belongs to BS i
+    reference: int  # index of the least-cost (reference) candidate
     all_inconsistent: bool = False
 
     def to_dict(self) -> dict:
@@ -72,9 +71,9 @@ class FusionReport:
             "fused": pos(self.fused),
             "reference_bs": self.reference,
             "all_inconsistent": self.all_inconsistent,
-            "per_bs": [{"bs": c.bs_index, "path": c.path_index,
+            "per_bs": [{"bs": i, "path": c.path_index,
                         "eta": int(c.consistent), **pos(c.position)}
-                       for c in self.candidates],
+                       for i, c in enumerate(self.candidates)],
         }
 
 
@@ -167,22 +166,22 @@ def consistency(a: SoftPosition, b: SoftPosition, zeta: float) -> int:
 
 def gfcl(per_bs_estimates: list[list[SoftEstimate]], bs_configs: list[BsConfig],
          zeta: float = 3.5) -> FusionReport:
-    """Select the least-cost soft position per BS, gate, and fuse."""
+    """Select the least-cost soft position per BS, gate, and fuse. Returns
+    one candidate per BS, in BS order; a BS without a path is an error."""
     if len(per_bs_estimates) != len(bs_configs):
         raise ValueError(f"{len(per_bs_estimates)} per-BS estimate lists but "
                          f"{len(bs_configs)} BS configs")
-    if not per_bs_estimates or not any(per_bs_estimates):
-        raise ValueError("need at least one BS with at least one path")
+    if not per_bs_estimates:
+        raise ValueError("need at least one BS")
 
     candidates: list[BsCandidate] = []
     for i, (estimates, bs) in enumerate(zip(per_bs_estimates, bs_configs)):
         if not estimates:
-            continue
+            raise ValueError(f"BS {i} has no path; every BS needs at least one")
         rel_positions = [position_covariance(e, bs.rotation) for e in estimates]
         best = int(np.argmin([p.cost for p in rel_positions]))
         candidates.append(BsCandidate(
-            bs_index=i, path_index=best,
-            position=to_global(rel_positions[best], bs)))
+            path_index=best, position=to_global(rel_positions[best], bs)))
 
     order = sorted(range(len(candidates)), key=lambda j: candidates[j].position.cost)
     ref = candidates[order[0]]
@@ -193,5 +192,5 @@ def gfcl(per_bs_estimates: list[list[SoftEstimate]], bs_configs: list[BsConfig],
 
     kept = [c.position for c in candidates if c.consistent]
     return FusionReport(fused=gaussian_fuse(kept), candidates=candidates,
-                        reference=ref.bs_index,
+                        reference=order[0],
                         all_inconsistent=(len(kept) == 1 and len(candidates) > 1))

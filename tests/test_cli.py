@@ -122,6 +122,21 @@ class TestEstimate:
                 assert set(path) == {"theta", "r", "g", "phi"}
                 assert all(math.isfinite(v) for v in path.values())
 
+    def test_per_bs_nmse_is_the_metric_rows(self, tmp_path):
+        # The per-BS NMSE is the harness's score of the trial, not a second
+        # computation: step 1 equals the row's nmse_db, and step 3 is null
+        # exactly where the row's step3_nmse_db is.
+        out = tmp_path / "est.json"
+        assert cli(["estimate", "--config", DESK, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert len(payload["per_bs"]) == len(payload["metrics"]) == 4
+        for i, (bs, row) in enumerate(zip(payload["per_bs"], payload["metrics"])):
+            assert row["bs"] == i
+            assert bs["nmse_db_step1"] == row["nmse_db"]
+            assert bs["nmse_db_step3"] == row["step3_nmse_db"]
+        steps3 = [bs["nmse_db_step3"] for bs in payload["per_bs"]]
+        assert None in steps3 and any(v is not None for v in steps3)
+
 
 class TestSweep:
     def test_csv_contract(self, tmp_path):

@@ -10,9 +10,8 @@ import pytest
 
 from nearfield import codebook, harness
 from nearfield.harness import (CSV_HEADER, ScenarioError, draw_paths,
-                               load_scenario, run_trial, scenario_from_dict,
-                               sweep, to_db)
-from nearfield.pipeline import nmse
+                               load_scenario, nmse, run_trial,
+                               scenario_from_dict, sweep, to_db)
 
 MINIMAL = {"array": {"num_antennas": 64, "wavelength": 0.003}, "sigma2": 1e-9}
 

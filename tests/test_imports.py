@@ -1,7 +1,8 @@
 """No module of the package or of the tests imports a name it never uses or
 binds a function local it never reads. No linter is among the test
 dependencies, so these syntax-tree scans stand in for one; as for flake8, an
-import line marked `# noqa: F401` is exempt."""
+import line marked `# noqa: F401` is exempt. A third scan holds the
+package's modules to their layers."""
 
 import ast
 from pathlib import Path
@@ -82,3 +83,76 @@ def unused_locals(path: Path) -> list[str]:
 
 def test_no_unused_locals():
     assert [hit for path in MODULES for hit in unused_locals(path)] == []
+
+
+# The package's layers, lowest first. A module imports package modules only
+# from layers below its own, so the estimator never reaches into fusion, and
+# the algorithm never reaches into the harness that holds the true channels
+# and scores them. `__init__` imports nothing.
+LAYERS = (("__init__", "arraymodel"), ("codebook", "bounds"), ("estimator",),
+          ("localization",), ("pipeline",), ("harness",), ("cli",))
+
+
+def package_imports(tree: ast.AST, package: str) -> list[tuple[int, str]]:
+    """(line, module) for every import of a module of `package`, relative
+    (`from .x import y`, `from . import x`) or absolute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != package:
+                    continue
+                parts = parts[1:]
+            if parts and parts[0]:
+                found.append((node.lineno, parts[0]))
+            else:
+                found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name.split(".")[1])
+                      for alias in node.names
+                      if alias.name.startswith(package + ".")]
+    return found
+
+
+def layer_violations(package: Path, layers=LAYERS) -> list[str]:
+    """`file:line: module imports target` for every import of a package
+    module from the importer's own layer or one above it, and `file: not in
+    any layer` for a module the layers do not name."""
+    rank = {name: i for i, layer in enumerate(layers) for name in layer}
+    hits = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem not in rank:
+            hits.append(f"{path.name}: not in any layer")
+            continue
+        for line, target in package_imports(ast.parse(path.read_text()),
+                                            package.name):
+            if rank.get(target, len(layers)) >= rank[path.stem]:
+                hits.append(f"{path.name}:{line}: {path.stem} imports {target}")
+    return hits
+
+
+def test_package_imports_only_from_lower_layers():
+    package = ROOT / "src" / "nearfield"
+    assert {p.stem for p in package.glob("*.py")} == {
+        name for layer in LAYERS for name in layer}
+    assert layer_violations(package) == []
+
+
+def test_layer_scan_flags_upward_and_sideways_imports(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    layers = (("low",), ("mid_a", "mid_b"), ("high",))
+    (package / "low.py").write_text("import numpy as np\n")
+    (package / "mid_a.py").write_text("from .low import x\n")
+    (package / "mid_b.py").write_text("import pkg.low\nfrom pkg import low\n")
+    (package / "high.py").write_text("from . import mid_a, mid_b\n")
+    assert layer_violations(package, layers) == []
+    (package / "low.py").write_text("import numpy as np\nfrom .high import y\n")
+    (package / "mid_b.py").write_text("from pkg.mid_a import z\n")
+    (package / "extra.py").write_text("")
+    assert layer_violations(package, layers) == [
+        "extra.py: not in any layer",
+        "low.py:2: low imports high",
+        "mid_b.py:1: mid_b imports mid_a",
+    ]

@@ -285,9 +285,29 @@ class TestGfcl:
         user, bss = self._bs_setup()
         ests = self._measure(desk_array, bss, user, 1e-4, rng)
         report = gfcl(ests, bss)
-        ref = next(c for c in report.candidates if c.bs_index == report.reference)
+        ref = report.candidates[report.reference]
         assert ref.consistent
         assert ref.position.cost == min(c.position.cost for c in report.candidates)
+        # With the least-cost BS moved to each position in turn, reference
+        # follows it.
+        for k in range(len(bss)):
+            order = list(range(len(bss)))
+            order[k], order[report.reference] = order[report.reference], order[k]
+            moved = gfcl([ests[j] for j in order], [bss[j] for j in order])
+            assert moved.reference == k
+            assert moved.to_dict()["reference_bs"] == k
+
+    def test_candidate_i_belongs_to_bs_i(self, desk_array, rng):
+        # Candidate i is what BS i's estimates give when fused alone.
+        user, bss = self._bs_setup()
+        ests = self._measure(desk_array, bss, user, 1e-4, rng)
+        report = gfcl(ests, bss)
+        assert len(report.candidates) == len(bss)
+        for est, bs, cand in zip(ests, bss, report.candidates):
+            alone = gfcl([est], [bs]).candidates[0]
+            assert cand.path_index == alone.path_index
+            assert np.array_equal(cand.position.mean, alone.position.mean)
+        assert [d["bs"] for d in report.to_dict()["per_bs"]] == [0, 1, 2, 3]
 
     def test_corrupted_bs_excluded(self, desk_array, rng):
         user, bss = self._bs_setup()
@@ -304,7 +324,7 @@ class TestGfcl:
         cb = build_codebook(desk_array, CodebookConfig())
         ests2 = ests[:3] + vnnce([y_bad], [1], EstimatorConfig(codebook=cb))
         report = gfcl(ests2, bss2)
-        bad_cand = next(c for c in report.candidates if c.bs_index == 3)
+        bad_cand = report.candidates[3]
         assert not bad_cand.consistent
         err = np.linalg.norm(report.fused.mean - user)
         base_err = np.linalg.norm(baseline.fused.mean - user)
@@ -319,5 +339,12 @@ class TestGfcl:
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError):
             gfcl([], [])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="BS 0 has no path"):
             gfcl([[]], [BsConfig(position=(0, 0), rotation=0.0)])
+
+    def test_rejects_a_bs_without_a_path(self, desk_array, rng):
+        # Dropping the pathless BS would shift every later candidate's index.
+        user, bss = self._bs_setup()
+        ests = self._measure(desk_array, bss[:1], user, 1e-4, rng)
+        with pytest.raises(ValueError, match="BS 1 has no path"):
+            gfcl([ests[0], []], bss[:2])

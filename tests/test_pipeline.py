@@ -7,6 +7,7 @@ from nearfield.arraymodel import (Measurement, PathParams, add_noise,
                                   synthesize_channel)
 from nearfield.codebook import CodebookConfig, build_codebook
 from nearfield.estimator import EstimatorConfig
+from nearfield.harness import nmse
 from nearfield.localization import BsConfig, relative_to_polar
 from nearfield.pipeline import run_joint
 from tests.reference import oracle_ls
@@ -40,13 +41,19 @@ def make_paths(desk_array, bss, user, rng, with_nlos=False):
 
 
 def run_once(desk_array, bss, cb, per_bs_paths, sigma2, seed):
+    """Run the pipeline once and score it: (channels, result, step-1 NMSE
+    per BS, step-3 NMSE per BS or None where the BS was not anchored)."""
     channels = [synthesize_channel(desk_array, paths) for paths in per_bs_paths]
     rng = np.random.default_rng(seed)
     meas = [Measurement(y=ch if sigma2 == 0 else add_noise(ch, sigma2, rng).y,
                         noise_variance=sigma2) for ch in channels]
-    return channels, run_joint(bss, meas, [len(p) for p in per_bs_paths],
-                               EstimatorConfig(codebook=cb), zeta=3.5,
-                               true_channels=channels)
+    result = run_joint(bss, meas, [len(p) for p in per_bs_paths],
+                       EstimatorConfig(codebook=cb), zeta=3.5)
+    nmse1 = [nmse(h, synthesize_channel(desk_array, [e.params for e in ests]))
+             for h, ests in zip(channels, result.step1)]
+    nmse3 = [None if paths is None else nmse(h, synthesize_channel(desk_array, paths))
+             for h, paths in zip(channels, result.step3)]
+    return channels, result, nmse1, nmse3
 
 
 class TestNoiseless:
@@ -54,15 +61,15 @@ class TestNoiseless:
         user, bss, cb = setup
         rng = np.random.default_rng(1)
         paths = make_paths(desk_array, bss, user, rng)
-        _, result = run_once(desk_array, bss, cb, paths, 0.0, 1)
-        for v in result.nmse_step1:
+        _, result, nmse1, nmse3 = run_once(desk_array, bss, cb, paths, 0.0, 1)
+        for v in nmse1:
             assert 10 * np.log10(v) <= -60.0
         assert np.linalg.norm(result.step2.fused.mean - user) < 1e-3
         # Noiseless covariances bottom out at the PSD floor, so micron-level
         # refinement residue can push a candidate past the Mahalanobis gate;
         # a majority of BSs must still anchor.
         assert sum(result.anchored) >= 2
-        for i, v in enumerate(result.nmse_step3):
+        for i, v in enumerate(nmse3):
             if result.anchored[i]:
                 assert v is not None
                 assert 10 * np.log10(max(v, 1e-30)) <= -60.0
@@ -71,14 +78,13 @@ class TestNoiseless:
         user, bss, cb = setup
         rng = np.random.default_rng(2)
         paths = make_paths(desk_array, bss, user, rng, with_nlos=True)
-        _, result = run_once(desk_array, bss, cb, paths, 0.0, 2)
+        _, result, _, _ = run_once(desk_array, bss, cb, paths, 0.0, 2)
         for i, anchored in enumerate(result.anchored):
             if anchored:
                 assert result.step3[i] is not None
                 assert len(result.step3[i]) == len(result.step1[i])
             else:
                 assert result.step3[i] is None
-                assert result.nmse_step3[i] is None
 
 
 class TestAnchoring:
@@ -88,7 +94,7 @@ class TestAnchoring:
         user, bss, cb = setup
         rng = np.random.default_rng(3)
         paths = make_paths(desk_array, bss, user, rng)
-        channels, result = run_once(desk_array, bss, cb, paths, 0.0, 3)
+        channels, result, _, nmse3 = run_once(desk_array, bss, cb, paths, 0.0, 3)
         assert sum(result.anchored) >= 2
         for i, bs in enumerate(bss):
             if not result.anchored[i]:
@@ -103,7 +109,7 @@ class TestAnchoring:
                        / np.linalg.norm(channels[i]) ** 2)
             # The anchor carries the fused position's ~micron error, so
             # allow a -90 dB floor above the exact oracle-LS solution.
-            assert result.nmse_step3[i] <= max(nmse_ls * 10 ** 0.05, 1e-9)
+            assert nmse3[i] <= max(nmse_ls * 10 ** 0.05, 1e-9)
 
     def test_anchored_path_holds_fused_geometry(self, desk_array, setup):
         # Step 3 freezes the selected path at the fused position's polar
@@ -111,9 +117,8 @@ class TestAnchoring:
         user, bss, cb = setup
         rng = np.random.default_rng(4)
         paths = make_paths(desk_array, bss, user, rng, with_nlos=True)
-        _, result = run_once(desk_array, bss, cb, paths, 1e-2, 4)
+        _, result, _, _ = run_once(desk_array, bss, cb, paths, 1e-2, 4)
         assert any(result.anchored)
-        by_bs = {c.bs_index: c for c in result.step2.candidates}
         for i, bs in enumerate(bss):
             if not result.anchored[i]:
                 continue
@@ -121,7 +126,7 @@ class TestAnchoring:
             theta_a, r_a = relative_to_polar(rel[0], rel[1], bs.rotation)
             r_a = float(np.clip(r_a, desk_array.min_near_distance,
                                 desk_array.rayleigh_distance))
-            anchor = result.step3[i][by_bs[i].path_index]
+            anchor = result.step3[i][result.step2.candidates[i].path_index]
             assert (anchor.theta, anchor.r) == (theta_a, r_a)
 
     def test_refinement_not_worse_on_average(self, desk_array, setup):
@@ -132,10 +137,11 @@ class TestAnchoring:
         for seed in range(25):
             rng = np.random.default_rng(seed)
             paths = make_paths(desk_array, bss, user, rng, with_nlos=True)
-            _, result = run_once(desk_array, bss, cb, paths, sigma2, seed)
+            _, result, nmse1, nmse3 = run_once(desk_array, bss, cb, paths,
+                                               sigma2, seed)
             for i in range(len(bss)):
                 if result.anchored[i]:
-                    deltas.append(result.nmse_step3[i] - result.nmse_step1[i])
+                    deltas.append(nmse3[i] - nmse1[i])
         assert len(deltas) > 40
         assert np.mean(deltas) <= 0.0
 
@@ -147,7 +153,7 @@ class TestGatingEdge:
         cb = build_codebook(desk_array, CodebookConfig())
         rng = np.random.default_rng(11)
         paths = make_paths(desk_array, bss, user, rng)
-        _, result = run_once(desk_array, bss, cb, paths, 1e-4, 11)
+        _, result, _, _ = run_once(desk_array, bss, cb, paths, 1e-4, 11)
         assert len(result.step1) == 1
         assert result.step2.reference == 0
         assert result.anchored[0]
@@ -161,4 +167,4 @@ class TestPerBsLists:
         meas = [add_noise(ch, 1e-4, 5) for ch in channels]
         with pytest.raises(ValueError, match="4 BS configs, 3 measurements"):
             run_joint(bss, meas[:3], [1] * len(bss), EstimatorConfig(codebook=cb),
-                      zeta=3.5, true_channels=channels)
+                      zeta=3.5)
