@@ -110,9 +110,16 @@ def distance_derivatives(cfg: ArrayConfig, theta: float, r: float
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Element distances r_m and their derivatives in (theta, r): d1 holds
     dr_m/dtheta and dr_m/dr, d2 the (theta, theta), (theta, r), (r, r) ones."""
+    r_m = element_distances(cfg, theta, r)
+    return (r_m, *distance_slopes(cfg, theta, r, r_m))
+
+
+def distance_slopes(cfg: ArrayConfig, theta: float, r: float,
+                    r_m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """distance_derivatives' d1 and d2 from the element distances r_m at
+    (theta, r), for a caller that already has them."""
     delta_d = antenna_offsets(cfg) * cfg.spacing
     sin_t, cos_t = np.sin(theta), np.cos(theta)
-    r_m = _distances(delta_d, r**2, r, cos_t)  # element_distances, sharing cos_t
     neg_dr = -delta_d * r
     d1, d2 = np.empty((2, cfg.num_antennas)), np.empty((3, cfg.num_antennas))
     d1[0], d1[1] = neg_dr * sin_t, r + delta_d * cos_t
@@ -121,12 +128,16 @@ def distance_derivatives(cfg: ArrayConfig, theta: float, r: float
     d2[1] = -delta_d * sin_t - d1[0] * d1[1]
     d2[2] = 1.0 - d1[1] ** 2
     d2 /= r_m
-    return r_m, d1, d2
+    return d1, d2
 
 
 def near_steering(cfg: ArrayConfig, theta: float, r: float) -> np.ndarray:
     """Spherical-wave steering vector, entries exp(j*k*(r_m - r))."""
-    r_m = element_distances(cfg, theta, r)
+    return distance_steering(cfg, element_distances(cfg, theta, r), r)
+
+
+def distance_steering(cfg: ArrayConfig, r_m: np.ndarray, r: float) -> np.ndarray:
+    """near_steering from the element distances r_m of a source at distance r."""
     return np.exp(1j * cfg.wavenumber * (r_m - r))
 
 

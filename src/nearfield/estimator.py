@@ -19,7 +19,8 @@ from typing import Callable
 import numpy as np
 
 from .arraymodel import ArrayConfig, Measurement, PathParams, \
-    distance_derivatives, near_steering, synthesize_channel
+    distance_derivatives, distance_slopes, distance_steering, element_distances, \
+    near_steering, synthesize_channel
 from .codebook import Codebook
 
 THETA_EDGE = 1e-6
@@ -70,8 +71,30 @@ class EstimatorConfig:
 def project(cfg: ArrayConfig, y: np.ndarray, theta: float,
             r: float) -> tuple[float, complex]:
     """Matched projection on b(theta, r): cost |b^H y|^2 / M and LS gain b^H y / M."""
-    inner = near_steering(cfg, theta, r).conj() @ y
+    return _match(cfg, y, near_steering(cfg, theta, r))
+
+
+def _match(cfg: ArrayConfig, y: np.ndarray, b: np.ndarray) -> tuple[float, complex]:
+    inner = b.conj() @ y
     return float(np.abs(inner) ** 2 / cfg.num_antennas), complex(inner / cfg.num_antennas)
+
+
+class Projection(tuple):
+    """A Newton step's projection (cost, gain) at a point, equal to project's
+    there. It carries what the next step on the same residual reuses: the
+    residual's magnitude and phase, fixed for a turn, and the point's
+    element distances."""
+
+    polar: tuple[np.ndarray, np.ndarray]
+    r_m: np.ndarray
+
+    def __new__(cls, cfg: ArrayConfig, y: np.ndarray, theta: float, r: float,
+                polar: tuple[np.ndarray, np.ndarray] | None = None):
+        r_m = element_distances(cfg, theta, r)
+        out = super().__new__(cls, _match(cfg, y, distance_steering(cfg, r_m, r)))
+        out.polar = (np.abs(y), np.angle(y)) if polar is None else polar
+        out.r_m = r_m
+        return out
 
 
 def _gain_polar(gain: complex) -> tuple[float, float]:
@@ -87,10 +110,16 @@ def grad_hess(cfg: ArrayConfig, y: np.ndarray,
     phi row ones) and a = |y|: Hessian -2g P diag(a cos psi) P^T - 2g
     (d^2 psi/d(theta, r)^2) . (a sin psi), g row -2 P (a sin psi), (g, g)
     entry -2M; gradient g times the g row, g entry 2 sum(a cos psi) - 2Mg."""
-    a = np.abs(y)
+    return _grad_hess(cfg, (np.abs(y), np.angle(y)), p,
+                      *distance_derivatives(cfg, p.theta, p.r))
+
+
+def _grad_hess(cfg: ArrayConfig, polar: tuple[np.ndarray, np.ndarray],
+               p: PathParams, r_m: np.ndarray, d1: np.ndarray,
+               d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    a, arg_y = polar
     k, M = cfg.wavenumber, cfg.num_antennas
-    r_m, d1, d2 = distance_derivatives(cfg, p.theta, p.r)
-    psi = k * (r_m - p.r) + p.phi - np.angle(y)
+    psi = k * (r_m - p.r) + p.phi - arg_y
     a_sin, a_cos = a * np.sin(psi), a * np.cos(psi)
     P = np.empty((4, M))
     P[0], P[1], P[2], P[3] = k * d1[0], k * (d1[1] - 1.0), 0.0, 1.0
@@ -125,40 +154,41 @@ def _clamp_params(cfg: ArrayConfig, theta: float, r: float) -> tuple[float, floa
 def newton_refine_once(cfg: ArrayConfig, y: np.ndarray, p: PathParams,
                        trace: TraceHook | None = None,
                        path_index: int = 0, round_index: int = 0,
-                       proj: tuple[float, complex] | None = None
-                       ) -> tuple[PathParams, tuple[float, complex]]:
+                       proj: Projection | None = None
+                       ) -> tuple[PathParams, Projection]:
     """One guarded Newton update of (theta, r), then the LS gain.
 
     The (theta, r) step is taken only when the 2x2 sub-Hessian is negative
     definite, the distance is clamped into the near-field annulus, and the
-    update is reverted if the projection cost decreased. `proj` is
-    project(cfg, y, p.theta, p.r) when the caller already has it; the
-    projection at the returned point comes back beside it for the next step.
+    update is reverted if the projection cost decreased. `proj` is what the
+    previous step on the same y returned beside its params, or None to
+    project afresh; the projection at the returned point comes back beside
+    the params for the next step.
     """
     theta, r = p.theta, p.r
-    cost_before, gain = proj if proj is not None else project(cfg, y, theta, r)
+    if proj is None:
+        proj = Projection(cfg, y, theta, r)
+    cost_before = proj[0]
 
-    grad, hess = grad_hess(cfg, y, p)
+    grad, hess = _grad_hess(cfg, proj.polar, p, proj.r_m,
+                            *distance_slopes(cfg, theta, r, proj.r_m))
     h2 = hess[:2, :2]
     # Negative definite iff h00 < 0 and det > 0 (strict); singular => skip.
     det = h2[0, 0] * h2[1, 1] - h2[0, 1] * h2[1, 0]
-    accepted = False
-    theta_new, r_new = theta, r
-    cost_after = cost_before
+    out = proj
     if h2[0, 0] < 0.0 and det > 0.0:
         step = np.linalg.solve(h2, grad[:2])
         cand = _clamp_params(cfg, theta - step[0], r - step[1])
-        cand_cost, cand_gain = project(cfg, y, *cand)
-        if cand_cost >= cost_before:
-            accepted = True
-            theta_new, r_new = cand
-            cost_after, gain = cand_cost, cand_gain
+        cand_proj = Projection(cfg, y, *cand, proj.polar)
+        if cand_proj[0] >= cost_before:
+            out = cand_proj
+            theta, r = cand
 
-    g, phi = _gain_polar(gain)
+    g, phi = _gain_polar(out[1])
     if trace is not None:
-        trace(path_index, round_index, theta_new, r_new, g, phi,
-              cost_before, cost_after, accepted)
-    return PathParams(theta=theta_new, r=r_new, g=g, phi=phi), (cost_after, gain)
+        trace(path_index, round_index, theta, r, g, phi,
+              cost_before, out[0], out is not proj)
+    return PathParams(theta=theta, r=r, g=g, phi=phi), out
 
 
 def residual(cfg: ArrayConfig, y: np.ndarray, paths: list[PathParams]) -> np.ndarray:
