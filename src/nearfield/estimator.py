@@ -30,6 +30,9 @@ THETA_EDGE = 1e-6
 TraceHook = Callable[..., None]
 
 PSD_FLOOR_SCALE = 1e-12  # per-antenna eigenvalue floor of the 4x4 information
+# A Newton turn ends after an accepted step that moved (theta, r) and raised
+# the log-likelihood by less than this many nats.
+MIN_LOGLIK_GAIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -151,6 +154,18 @@ def _clamp_params(cfg: ArrayConfig, theta: float, r: float) -> tuple[float, floa
     return theta, r
 
 
+def _newton_step(grad: np.ndarray, hess: np.ndarray) -> tuple[float, float] | None:
+    """The (theta, r) block's Newton step H^-1 g in closed form, or None
+    unless that 2x2 sub-Hessian is negative definite."""
+    (h00, h01), (h10, h11) = hess[:2, :2].tolist()
+    # Negative definite iff h00 < 0 and det > 0 (strict); singular => skip.
+    det = h00 * h11 - h01 * h10
+    if not (h00 < 0.0 and det > 0.0):
+        return None
+    g0, g1 = grad[:2].tolist()
+    return (h11 * g0 - h01 * g1) / det, (h00 * g1 - h10 * g0) / det
+
+
 def newton_refine_once(cfg: ArrayConfig, y: np.ndarray, p: PathParams,
                        trace: TraceHook | None = None,
                        path_index: int = 0, round_index: int = 0,
@@ -170,14 +185,10 @@ def newton_refine_once(cfg: ArrayConfig, y: np.ndarray, p: PathParams,
         proj = Projection(cfg, y, theta, r)
     cost_before = proj[0]
 
-    grad, hess = _grad_hess(cfg, proj.polar, p, proj.r_m,
-                            *distance_slopes(cfg, theta, r, proj.r_m))
-    h2 = hess[:2, :2]
-    # Negative definite iff h00 < 0 and det > 0 (strict); singular => skip.
-    det = h2[0, 0] * h2[1, 1] - h2[0, 1] * h2[1, 0]
+    step = _newton_step(*_grad_hess(cfg, proj.polar, p, proj.r_m,
+                                    *distance_slopes(cfg, theta, r, proj.r_m)))
     out = proj
-    if h2[0, 0] < 0.0 and det > 0.0:
-        step = np.linalg.solve(h2, grad[:2])
+    if step is not None:
         cand = _clamp_params(cfg, theta - step[0], r - step[1])
         cand_proj = Projection(cfg, y, *cand, proj.polar)
         if cand_proj[0] >= cost_before:
@@ -221,26 +232,33 @@ def omp_detect(cfg: ArrayConfig, y_r: np.ndarray, codebook: Codebook,
     return PathParams(theta, r, *_gain_polar(project(cfg, y_r, theta, r)[1]))
 
 
-def _refine(cfg: EstimatorConfig, y_r: np.ndarray, p: PathParams, k: int,
-            trace: TraceHook | None, fixed: tuple[float, float] | None = None
-            ) -> PathParams:
-    """One turn of path k against its residual y_r.
+def _refine(cfg: EstimatorConfig, y_r: np.ndarray, sigma2: float, p: PathParams,
+            k: int, trace: TraceHook | None,
+            fixed: tuple[float, float] | None = None) -> PathParams:
+    """One turn of path k against its residual y_r, whose noise power is sigma2.
 
     A path with a fixed (theta, r) gets an LS gain refit there; any other
     path gets up to single_rounds guarded Newton steps, each reusing the
     previous step's projection. The turn stops at an exact fixed point: a
-    step that returns its input would do so again every later step.
+    step that returns its input would do so again every later step. It also
+    stops after an accepted step that moved (theta, r) and raised the cost
+    by less than MIN_LOGLIK_GAIN * sigma2: the cost is the log-likelihood
+    scaled by sigma2, so that step gained less than MIN_LOGLIK_GAIN nats.
+    At sigma2 = 0 only the fixed point stops a turn early.
     """
     array = cfg.codebook.array
     if fixed is not None:
         return PathParams(*fixed, *_gain_polar(project(array, y_r, *fixed)[1]))
-    proj = None
+    proj = Projection(array, y_r, p.theta, p.r)
     for j in range(cfg.single_rounds):
-        q, proj = newton_refine_once(array, y_r, p, trace, path_index=k,
-                                     round_index=j, proj=proj)
+        q, after = newton_refine_once(array, y_r, p, trace, path_index=k,
+                                      round_index=j, proj=proj)
         if q == p:
             break
-        p = q
+        moved = (q.theta, q.r) != (p.theta, p.r)
+        if moved and after[0] - proj[0] < MIN_LOGLIK_GAIN * sigma2:
+            return q
+        p, proj = q, after
     return p
 
 
@@ -258,7 +276,8 @@ def cyclic_refine(cfg: EstimatorConfig, y: Measurement, paths: list[PathParams],
     paths = list(paths)
     for k in [*frozen] + [*range(len(paths))] * rounds + [*frozen]:
         y_rk = residual(array, y.y, paths[:k] + paths[k + 1:])
-        paths[k] = _refine(cfg, y_rk, paths[k], k, trace, frozen.get(k))
+        paths[k] = _refine(cfg, y_rk, y.noise_variance, paths[k], k, trace,
+                           frozen.get(k))
     return paths
 
 
@@ -292,7 +311,8 @@ def vnnce(ys: list[Measurement], num_paths: list[int], cfg: EstimatorConfig,
         still = []
         for i, y_r, s in zip(active, y_rs, scores):
             p = omp_detect(array, y_r, codebook, s)
-            paths[i].append(_refine(cfg, y_r, p, len(paths[i]), trace))
+            paths[i].append(_refine(cfg, y_r, ys[i].noise_variance, p,
+                                    len(paths[i]), trace))
             paths[i] = cyclic_refine(cfg, ys[i], paths[i], cfg.cyclic_rounds, trace)
             if len(paths[i]) < num_paths[i]:
                 still.append(i)

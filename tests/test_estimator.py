@@ -10,9 +10,9 @@ from nearfield.arraymodel import (Measurement, PathParams, add_noise,
                                   near_steering, synthesize_channel)
 from nearfield.codebook import Codebook, CodebookConfig, build_codebook
 from nearfield import estimator
-from nearfield.estimator import (PSD_FLOOR_SCALE, THETA_EDGE, EstimatorConfig,
-                                 _clamp_params, grad_hess,
-                                 newton_refine_once, omp_detect, project,
+from nearfield.estimator import (MIN_LOGLIK_GAIN, PSD_FLOOR_SCALE, THETA_EDGE,
+                                 EstimatorConfig, _clamp_params, _newton_step,
+                                 grad_hess, newton_refine_once, omp_detect, project,
                                  psd_repair, residual, soft_estimates, vnnce)
 from nearfield.harness import draw_paths, load_scenario, run_trial
 from tests.conftest import random_path
@@ -260,22 +260,44 @@ def _turn_case(cfg, kind, u):
             PathParams(th_s, r_s, 0.5 + u[5], 2 * np.pi * u[6]))
 
 
-def _assert_turn_exact(codebook, y, start, rounds):
-    """_refine returns the plain loop's params bit for bit, its steps are the
-    loop's first steps, it traces each executed step once, and it stops
-    early only at a fixed point the loop then repeats. Returns its records."""
+def _stops_turn(prev, rec, sigma2):
+    """Whether a step that left `prev` (theta, r, g, phi) with trace record
+    `rec` ends _refine's turn: it returned its input, or it was accepted,
+    moved (theta, r) and gained less than MIN_LOGLIK_GAIN * sigma2."""
+    if tuple(rec[2:6]) == tuple(prev):
+        return True
+    moved = tuple(rec[2:4]) != tuple(prev[:2])
+    return rec[8] and moved and rec[7] - rec[6] < MIN_LOGLIK_GAIN * sigma2
+
+
+def _assert_turn_exact(codebook, y, start, rounds, sigma2):
+    """_refine's steps are bit for bit the plain loop's first steps, it
+    traces each executed step once, returns the last step's params, and it
+    stops early exactly after the first step that ends a turn (a fixed
+    point, which the loop then repeats, or an accepted, moved step below the
+    gain stop). At sigma2 = 0 it returns the plain loop's params bit for bit.
+    Returns its records."""
     cfg = EstimatorConfig(codebook=codebook, single_rounds=rounds)
     want_records, records, calls = [], [], []
     want = plain_refine(cfg, y, start, 0, lambda *a: want_records.append(a))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimator, "newton_refine_once",
                    _recording(estimator.newton_refine_once, calls))
-        got = estimator._refine(cfg, y, start, 0, lambda *a: records.append(a))
-    assert as_vector(got).tobytes() == as_vector(want).tobytes()
+        got = estimator._refine(cfg, y, sigma2, start, 0,
+                                lambda *a: records.append(a))
     assert len(records) == len(calls) <= rounds
     assert records == want_records[:len(records)]
-    for later in want_records[len(records):]:
-        assert later[2:] == records[-1][2:]
+    states = [as_vector(start)] + [np.array(r[2:6]) for r in records]
+    assert as_vector(got).tobytes() == states[-1].tobytes()
+    stops = [_stops_turn(prev, rec, sigma2) for prev, rec in zip(states, records)]
+    assert not any(stops[:-1])
+    if len(records) < rounds:
+        assert stops[-1]
+    if records and tuple(records[-1][2:6]) == tuple(states[-2]):
+        for later in want_records[len(records):]:
+            assert later[2:] == records[-1][2:]
+    if sigma2 == 0.0:
+        assert as_vector(got).tobytes() == as_vector(want).tobytes()
     return records
 
 
@@ -289,7 +311,7 @@ class TestRefineTurn:
                                 sigma2, seed, rounds):
         truth, start = _turn_case(desk_array, kind, u)
         y = add_noise(synthesize_channel(desk_array, [truth]), sigma2, seed).y
-        _assert_turn_exact(desk_codebook, y, start, rounds)
+        _assert_turn_exact(desk_codebook, y, start, rounds, sigma2)
 
     def test_skip_branch_stops_at_fixed_point(self, desk_array, desk_codebook):
         truth = PathParams(theta=1.3, r=2.0, g=1.0)
@@ -298,7 +320,7 @@ class TestRefineTurn:
         H2 = grad_hess(desk_array, h, start)[1][:2, :2]
         assert not (H2[0, 0] < 0 and np.linalg.det(H2) > 0)
         # Step 1 only refits the gain; step 2 returns its input.
-        records = _assert_turn_exact(desk_codebook, h, start, 5)
+        records = _assert_turn_exact(desk_codebook, h, start, 5, 0.0)
         assert len(records) == 2 and not any(r[8] for r in records)
 
     @pytest.mark.parametrize("truth, start, sigma2, seed, hit", [
@@ -311,10 +333,65 @@ class TestRefineTurn:
                            sigma2, seed, hit):
         h = synthesize_channel(desk_array, [PathParams(*truth)])
         y = add_noise(h, sigma2, seed).y
-        records = _assert_turn_exact(desk_codebook, y, PathParams(*start), 8)
+        records = _assert_turn_exact(desk_codebook, y, PathParams(*start), 8,
+                                     sigma2)
         edge = {"theta_lo": (2, THETA_EDGE), "theta_hi": (2, np.pi - THETA_EDGE),
                 "r_hi": (3, desk_array.rayleigh_distance)}[hit]
         assert any(r[8] and r[edge[0]] == edge[1] for r in records)
+
+    def test_rejected_first_step_does_not_end_turn(self, desk_array, desk_codebook):
+        # Step 0's sub-Hessian is negative definite, but its candidate lowers
+        # the cost, so it is reverted: the step only refits the gain, and
+        # from that gain step 1 is accepted.
+        truth = PathParams(2.4394, 1.7196, 1.0, 3.3845)
+        start = PathParams(2.4481, 1.1712, 0.54, 4.597)
+        y = add_noise(synthesize_channel(desk_array, [truth]), 0.1, 183).y
+        assert _newton_step(*grad_hess(desk_array, y, start)) is not None
+        records = _assert_turn_exact(desk_codebook, y, start, 5, 0.1)
+        assert not records[0][8] and records[0][7] == records[0][6]
+        assert records[1][8] and len(records) > 2
+
+    def test_closed_form_step_matches_solve(self, desk_array, rng):
+        # Negative-definite (theta, r) blocks with the scale disparity of the
+        # real ones (curvatures over eight decades), and a turn's systems.
+        systems = []
+        for _ in range(1000):
+            scale = 10.0 ** rng.uniform(-4, 4, 2)
+            rho = rng.uniform(-0.9, 0.9)
+            hess = rng.normal(size=(4, 4))
+            hess[:2, :2] = -np.outer(scale, scale) * np.array([[1.0, rho], [rho, 1.0]])
+            systems.append((rng.normal(size=4), hess))
+        truth = random_path(desk_array, rng)
+        y = add_noise(synthesize_channel(desk_array, [truth]), 1e-2, rng).y
+        p = PathParams(truth.theta + 0.003, truth.r * 1.2, truth.g)
+        for _ in range(8):
+            systems.append(grad_hess(desk_array, y, p))
+            p, _ = newton_refine_once(desk_array, y, p)
+        for grad, hess in systems:
+            want = np.linalg.solve(hess[:2, :2], grad[:2])
+            got = _newton_step(grad, hess)
+            assert np.linalg.norm(np.subtract(got, want)) <= 1e-12 * np.linalg.norm(want)
+
+    def test_step_not_taken_unless_negative_definite(self):
+        grad = np.ones(4)
+        for block in ([[1.0, 0.0], [0.0, -1.0]], [[-1.0, 2.0], [2.0, -1.0]],
+                      [[-1.0, 1.0], [1.0, -1.0]], [[0.0, 0.0], [0.0, -1.0]],
+                      [[np.nan, 0.0], [0.0, -1.0]]):
+            hess = -np.eye(4)
+            hess[:2, :2] = block
+            assert _newton_step(grad, hess) is None
+
+    @pytest.mark.parametrize("name", ["tab2_desk", "tab2_paper"])
+    def test_step_count_budget(self, name):
+        # The first trial of each default sweep grid point: 736 (desk) and
+        # 649 (paper) Newton steps with the gain stop, 1,362 and 1,207 when
+        # every turn runs its single_rounds steps. A count, so it does not
+        # depend on the machine.
+        scenario = load_scenario(f"scenarios/{name}.json")
+        steps = []
+        for idx, snr_db in enumerate([0.0, 10.0, 20.0, 30.0]):
+            run_trial(scenario, snr_db, idx, 0, trace=lambda *a: steps.append(a))
+        assert len(steps) <= 900
 
     @pytest.mark.parametrize("theta, r", [
         (1.0, 2.0), (0.0, 0.0), (-1.0, 1e6), (4.0, -1.0), (np.inf, np.inf),
