@@ -4,11 +4,13 @@ Single-path machinery: the analytic gradient and Hessian of the reduced
 objective f(theta, r, g, phi) = sum_m 2|y_m| g cos(psi_m) - M g^2, with
 psi_m = k (r_m - r) + phi - arg y_m, and a guarded Newton step that only
 moves when the (theta, r) sub-Hessian is negative definite and the
-projection cost G does not decrease. Multi-path estimation greedily detects
-paths on the codebook and cyclically re-refines each one against the
-residual of the others. Each returned path then gets its soft information
-once: the gradient and Hessian at its final point, against the final
-residual of the others.
+projection cost G does not decrease. A path's turn of such steps ends at a
+fixed point, or once an accepted step raises the log-likelihood (f over
+sigma^2, up to a constant) by less than MIN_LOGLIK_GAIN nats. Multi-path
+estimation greedily detects paths on the codebook and cyclically re-refines
+each one against the residual of the others. Each returned path then gets
+its soft information once: the gradient and Hessian at its final point,
+against the final residual of the others.
 """
 
 from __future__ import annotations
@@ -175,9 +177,9 @@ def newton_refine_once(cfg: ArrayConfig, y: np.ndarray, p: PathParams,
 
     The (theta, r) step is taken only when the 2x2 sub-Hessian is negative
     definite, the distance is clamped into the near-field annulus, and the
-    update is reverted if the projection cost decreased. `proj` is what the
-    previous step on the same y returned beside its params, or None to
-    project afresh; the projection at the returned point comes back beside
+    update is reverted if the projection cost decreased. `proj` is the
+    Projection of y at p, as the previous step on y returned it, or None to
+    project afresh; the Projection at the returned point comes back beside
     the params for the next step.
     """
     theta, r = p.theta, p.r
