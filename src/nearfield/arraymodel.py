@@ -83,6 +83,15 @@ class Measurement:
 
 _OFFSETS_CACHE: dict[int, np.ndarray] = {}
 STEERING_BLOCK = 1 << 14  # entries per block: 256 KiB complex temporaries
+STEERING_DTYPE = np.dtype(np.complex64)  # near_steering_columns' entries
+U32 = 2.0**-24  # float32 unit roundoff
+# Largest |b~_m - b_m| of a near_steering_columns entry against near_steering's
+# b_m: 2 pi u from rounding the reduced phase in [0, 2 pi] to float32; 2 ulp
+# (2u) from each of float32 cos and sin, whose errors numpy (1.49 ulp) and libm
+# (under 1 ulp) bound, so 2 sqrt(2) u for the pair; under 0.2u for the float64
+# phase, its reduction and near_steering's own rounding (while M d / wavelength
+# stays below 10^7).
+STEERING_ENTRY_ERROR = (2.0 * np.pi + 3.0) * U32
 
 
 def antenna_offsets(cfg: ArrayConfig) -> np.ndarray:
@@ -143,10 +152,15 @@ def distance_steering(cfg: ArrayConfig, r_m: np.ndarray, r: float) -> np.ndarray
 
 def near_steering_columns(cfg: ArrayConfig, theta: np.ndarray,
                           r: np.ndarray) -> np.ndarray:
-    """M x N matrix whose column j is near_steering(cfg, theta[j], r[j]) bit
-    for bit, filled STEERING_BLOCK entries at a time to keep temporaries small."""
+    """M x N complex64 matrix whose column j is near_steering(cfg, theta[j],
+    r[j]) within STEERING_ENTRY_ERROR per entry, filled STEERING_BLOCK
+    entries at a time to keep temporaries small.
+
+    The phase k(r_m - r) is near_steering's, in float64; it is reduced mod
+    2 pi there, and only then rounded to float32 for cos and sin.
+    """
     M = cfg.num_antennas
-    out = np.empty((M, len(r)), dtype=complex)
+    out = np.empty((M, len(r)), dtype=STEERING_DTYPE)
     delta_d = (antenna_offsets(cfg) * cfg.spacing)[:, None]
     r_sq = np.array([v**2 for v in r.tolist()])  # float pow, not np.square
     cos_theta = np.cos(theta)
@@ -154,7 +168,10 @@ def near_steering_columns(cfg: ArrayConfig, theta: np.ndarray,
     for j in range(0, len(r), step):
         cols = slice(j, j + step)
         r_m = _distances(delta_d, r_sq[cols], r[cols], cos_theta[cols])
-        np.exp(1j * cfg.wavenumber * (r_m - r[cols]), out=out[:, cols])
+        phase = np.mod(cfg.wavenumber * (r_m - r[cols]), 2.0 * np.pi)
+        phase = phase.astype(np.float32)
+        out.real[:, cols] = np.cos(phase)
+        out.imag[:, cols] = np.sin(phase)
     return out
 
 

@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from . import harness
+from .arraymodel import STEERING_DTYPE, STEERING_ENTRY_ERROR
 from .bounds import crlb_diag, fim
 from .codebook import angle_grid
 from .harness import Scenario, ScenarioError, load_scenario
@@ -163,7 +164,7 @@ def _cmd_codebook(args) -> int:
     _emit("\n".join(lines) + "\n", args.out)
     n_angles = len(angle_grid(scenario.array, scenario.codebook_config.delta_alpha))
     stored = len(cb) - cb.num_twins
-    mib = scenario.array.num_antennas * stored * 16 / 2**20
+    mib = scenario.array.num_antennas * stored * STEERING_DTYPE.itemsize / 2**20
     sys.stderr.write(f"codebook: {len(cb)} codewords over {n_angles} angles, "
                      f"{stored} stored steering columns ({mib:.1f} MiB)\n")
     return EXIT_OK
@@ -181,7 +182,8 @@ def _cmd_validate(args) -> int:
                                & (cb.r <= arr.rayleigh_distance)))))
     B = cb.steering_matrix
     checks.append(("steering entries unit modulus",
-                   bool(np.allclose(np.abs(B), 1.0, atol=1e-12))))
+                   bool(np.allclose(np.abs(B), 1.0, rtol=0,
+                                    atol=STEERING_ENTRY_ERROR))))
     for i, bs in enumerate(scenario.bss):
         theta, r = scenario.los_geometry(bs)
         checks.append((f"bs{i} LoS front-side", is_front_side(theta)))

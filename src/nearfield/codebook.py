@@ -8,11 +8,15 @@ ambiguity profiles (a sinc and a Fresnel integral) bound them.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arraymodel import ArrayConfig, near_steering_columns
+from .arraymodel import (STEERING_ENTRY_ERROR, U32, ArrayConfig, near_steering,
+                         near_steering_columns)
 
 MAX_DELTA_ALPHA = 0.9
 MAX_DELTA_BETA = 2.98
@@ -69,9 +73,10 @@ class Codebook:
 
     @property
     def steering_matrix(self) -> np.ndarray:
-        """M x (len - num_twins) matrix: column j is the near-field steering
-        vector of codeword j; the twin of a column j < num_twins is that
-        column with its rows reversed."""
+        """M x (len - num_twins) complex64 matrix: column j is the near-field
+        steering vector of codeword j, within STEERING_ENTRY_ERROR per entry;
+        the twin of a column j < num_twins is that column with its rows
+        reversed."""
         if self._steering is None:
             stored = len(self) - self.num_twins
             self._steering = near_steering_columns(
@@ -80,22 +85,125 @@ class Codebook:
 
     def scores(self, yv: np.ndarray) -> np.ndarray:
         """Detection score |b^H y|^2 of every codeword, in codeword order,
-        for one vector or a stack of them, one per row.
+        for one vector or a stack of them, one per row; exact in float64 for
+        every codeword that can be a row's largest, so the argmax is the
+        float64 scan's, first index on ties.
+
+        The scan runs in complex64 on one BLAS thread. Each row is divided
+        by its largest |y_m| before its complex64 cast, which neither
+        overflows nor underflows then, and an all-zero row scores 0
+        everywhere. A codeword's float32 amplitude |b~^H y~| then lies within
+        delta = scan_error(M) * ||y||_1 of |b^H y| (see scan_error). The
+        largest float32 amplitude, A, is within delta of a float64 one, so
+        the float64 argmax scores at least A - 2 delta in float32: every
+        codeword scoring that much is re-scored in float64, on
+        near_steering's column, and every other keeps its float32 score,
+        more than delta below the re-scored largest.
 
         The steering matrix B is read as y^H B, in place (B^H y would copy
         it). A twin's score is the reversed y's score on its mirror's
-        column. A stack is scored with its reversed rows in one product over
-        the mirrored columns, which reads each column once; one vector takes
-        two matrix-vector products.
+        column: the stack is scored with its reversed rows in one product
+        over the mirrored columns, which reads each column once.
         """
+        Y = np.atleast_2d(yv)
         B = self.steering_matrix
-        P = self.num_twins
-        yc = yv.conj()
-        if yc.ndim == 1:
-            return np.concatenate([np.abs(yc @ B) ** 2, np.abs(yc[::-1] @ B[:, :P]) ** 2])
-        paired = np.abs(np.concatenate([yc, yc[:, ::-1]]) @ B[:, :P]) ** 2
-        return np.concatenate([paired[:len(yc)], np.abs(yc @ B[:, P:]) ** 2,
-                               paired[len(yc):]], axis=1)
+        P, k = self.num_twins, len(Y)
+        scale = np.abs(Y).max(axis=1, keepdims=True)
+        yc = (Y / np.where(scale > 0.0, scale, 1.0)).astype(B.dtype).conj()
+        with _one_blas_thread():
+            paired = np.abs(np.concatenate([yc, yc[:, ::-1]]) @ B[:, :P])
+            alone = np.abs(yc @ B[:, P:])
+        amp = np.concatenate([paired[:k], alone, paired[k:]], axis=1) * scale
+        out = amp**2
+        delta = scan_error(self.array.num_antennas) * np.abs(Y).sum(axis=1)
+        for y, a, d, row in zip(Y, amp, delta, out):
+            if d > 0.0:
+                window = np.flatnonzero(a >= a.max(initial=0.0) - 2.0 * d)
+                row[window] = [self._exact_score(y, j) for j in window.tolist()]
+        return out[0] if yv.ndim == 1 else out
+
+    def _exact_score(self, y: np.ndarray, j: int) -> float:
+        # |b^H y|^2 in float64 on near_steering's column; a twin's is the
+        # reversed y's on its mirror's, so a mirror tie stays exact.
+        stored = len(self) - self.num_twins
+        i, y = (j - stored, y[::-1]) if j >= stored else (j, y)
+        b = near_steering(self.array, float(self.theta[i]), float(self.r[i]))
+        return abs(y.conj() @ b) ** 2
+
+
+def scan_error(M: int) -> float:
+    """c(M) u: Codebook.scores' float32 amplitude |b~^H y~| lies within
+    c(M) u ||y||_1 of the float64 |b^H y|, u the float32 unit roundoff.
+
+    Let y be a row scaled to max |y_m| = 1 (so ||y||_1 >= 1 absorbs the
+    underflow of its tiny entries), y~ its complex64 cast, |y~_m - y_m| <=
+    u |y_m|, and e = STEERING_ENTRY_ERROR >= |b~_m - b_m|. Then
+        |b~^H y~ - b^H y| <= sum |y~_m| |b~_m - b_m| + |y~_m - y_m| |b_m|
+                          <= ((1 + u) e + u) ||y||_1.
+    Each part of the complex dot product is a real dot product of 2M
+    products, and the computed one is within gamma_2M = 2Mu / (1 - 2Mu) of
+    the sum of their magnitudes in any order of summation, with or without
+    fused multiply-adds (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 3.1); the two parts together are within
+    sqrt(2) gamma_2M sum |y~_m| |b~_m| <= sqrt(2) gamma_2M (1 + u)(1 + e)
+    ||y||_1. The float32 modulus adds 2u ||y||_1 at most, and the float64
+    reference and the scaling under u ||y||_1.
+    """
+    e = STEERING_ENTRY_ERROR
+    gamma = 2 * M * U32 / (1.0 - 2 * M * U32)
+    return (1.0 + U32) * (e + U32 + np.sqrt(2.0) * gamma * (1.0 + e)) + 3.0 * U32
+
+
+# OpenBLAS's thread-count setter under the names its builds export, the
+# numpy wheels' scipy-openblas first.
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
+                        "scipy_openblas_set_num_threads",
+                        "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+@functools.cache
+def _blas_thread_setter():
+    """OpenBLAS's set_num_threads(int) in the BLAS numpy loaded, or None
+    when numpy links another BLAS (MKL, Accelerate). The lookup goes through
+    numpy's linalg extension, which links that BLAS and keeps its import
+    path across numpy 1 and 2."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for name in _BLAS_THREAD_SETTERS:
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            return setter
+    return None
+
+
+@functools.cache
+def _blas_thread_getter():
+    """The get_num_threads() matching _blas_thread_setter, or None."""
+    setter = _blas_thread_setter()
+    if setter is None:
+        return None
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    getter = getattr(lib, setter.__name__.replace("_set_", "_get_"), None)
+    if getter is not None:
+        getter.argtypes, getter.restype = [], ctypes.c_int
+    return getter
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread and restore the count after,
+    also when it raises: a serial scan would wake OpenBLAS's helper thread,
+    which then spins. Without OpenBLAS the block runs as it is."""
+    setter, getter = _blas_thread_setter(), _blas_thread_getter()
+    if getter is None:
+        yield
+        return
+    before = getter()
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(before)
 
 
 def angle_grid(cfg: ArrayConfig, delta_alpha: float) -> np.ndarray:

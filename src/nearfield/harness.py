@@ -9,7 +9,6 @@ trial), so parallel and serial runs are bit-identical.
 
 from __future__ import annotations
 
-import ctypes
 import json
 import math
 import os
@@ -20,7 +19,8 @@ import numpy as np
 
 from .arraymodel import (ArrayConfig, PathParams, add_noise, los_gain,
                          synthesize_channel)
-from .codebook import Codebook, CodebookConfig, build_codebook
+from .codebook import (Codebook, CodebookConfig, _blas_thread_setter,
+                       build_codebook)
 from .estimator import EstimatorConfig
 from .localization import BsConfig, polar_to_relative, relative_to_polar, is_front_side
 from .pipeline import run_joint
@@ -373,26 +373,6 @@ def _fmt(v) -> str:
 
 
 _SCENARIO: Scenario | None = None  # the sweep's scenario in a pool worker
-
-# OpenBLAS's thread-count setter under the names its builds export, the
-# numpy wheels' scipy-openblas first.
-_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
-                        "scipy_openblas_set_num_threads",
-                        "openblas_set_num_threads64_", "openblas_set_num_threads")
-
-
-def _blas_thread_setter():
-    """OpenBLAS's set_num_threads(int) in the BLAS numpy loaded, or None
-    when numpy links another BLAS (MKL, Accelerate). The lookup goes through
-    numpy's linalg extension, which links that BLAS and keeps its import
-    path across numpy 1 and 2."""
-    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    for name in _BLAS_THREAD_SETTERS:
-        setter = getattr(lib, name, None)
-        if setter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            return setter
-    return None
 
 
 def _init_worker(scenario: Scenario):

@@ -199,7 +199,7 @@ class TestCodebook:
         err = capsys.readouterr().err
         assert "1083 codewords" in err
         # Mirror twins share a column: 535 pairs and 13 cos theta = 0 columns.
-        assert "548 stored steering columns (0.5 MiB)" in err
+        assert "548 stored steering columns (0.3 MiB)" in err
 
 
 class TestValidate:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nearfield.arraymodel import ArrayConfig, near_steering
+from nearfield import codebook
+from nearfield.arraymodel import STEERING_ENTRY_ERROR, ArrayConfig, near_steering
 from nearfield.codebook import (CodebookConfig, angle_grid, build_codebook,
                                 distance_grid)
 from nearfield.harness import load_scenario
@@ -139,18 +140,27 @@ class TestBuildCodebook:
         cb = build_codebook(desk_array, CodebookConfig())
         B = cb.steering_matrix
         assert B.shape == (64, len(cb) - cb.num_twins) == (64, 548)
-        assert np.allclose(np.abs(B), 1.0, atol=1e-12)
+        assert B.dtype == np.complex64
+        # A float32 entry is within STEERING_ENTRY_ERROR of a unit-modulus
+        # float64 one; that bounds its modulus too.
+        assert np.allclose(np.abs(B), 1.0, rtol=0, atol=STEERING_ENTRY_ERROR)
         assert cb.steering_matrix is B
 
     @pytest.mark.parametrize("cover_far_edge", [False, True])
-    def test_steering_columns_bitwise_equal_near_steering(self, cover_far_edge):
+    def test_steering_columns_match_near_steering(self, cover_far_edge):
         scenario = load_scenario("scenarios/tab2_desk.json")
         cb = build_codebook(scenario.array,
                             CodebookConfig(cover_far_edge=cover_far_edge))
         B = cb.steering_matrix
         for j in range(B.shape[1]):
             col = near_steering(scenario.array, float(cb.theta[j]), float(cb.r[j]))
-            assert np.array_equal(B[:, j], col), j
+            assert np.abs(B[:, j] - col).max() <= STEERING_ENTRY_ERROR, j
+
+    def test_paper_steering_matrix_is_complex64(self):
+        cb = load_scenario("scenarios/tab2_paper.json").codebook
+        B = cb.steering_matrix
+        assert (B.dtype, B.shape) == (np.complex64, (256, 9009))
+        assert round(B.nbytes / 2**20, 1) == 17.6
 
 
 class TestMirrorPairs:
@@ -211,6 +221,28 @@ class TestMirrorPairs:
         for n in np.flatnonzero(cos_grid >= 0.0):
             grid = distance_grid(cb.array, float(np.arccos(cos_grid[n])), 1.0)
             assert np.array_equal(cb.r[cb.n_theta == n], grid)
+
+
+class TestScanBlasThreads:
+    def test_scan_restores_the_thread_count(self, desk_array):
+        getter = codebook._blas_thread_getter()
+        if getter is None:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        setter = codebook._blas_thread_setter()
+        cb = build_codebook(desk_array, CodebookConfig())
+        before = getter()
+        try:
+            setter(2)
+            with codebook._one_blas_thread():
+                assert getter() == 1
+            assert getter() == 2
+            cb.scores(np.ones(64, dtype=complex))
+            assert getter() == 2
+            with pytest.raises(ValueError):  # raised by the product, 63 != 64
+                cb.scores(np.ones(63, dtype=complex))
+            assert getter() == 2
+        finally:
+            setter(before)
 
 
 class TestAmbiguityFunctions:

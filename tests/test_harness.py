@@ -1,6 +1,5 @@
 """Scenario parsing, metrics, seeded trials, and the Monte Carlo sweep."""
 
-import ctypes
 import json
 import math
 import os
@@ -20,18 +19,6 @@ def desk_scenario(**overrides):
     data = dict(MINIMAL)
     data.update(overrides)
     return scenario_from_dict(data)
-
-
-def blas_thread_getter():
-    """OpenBLAS's get_num_threads() matching the setter the sweep's workers
-    call, or None when numpy links another BLAS."""
-    setter = harness._blas_thread_setter()
-    if setter is None:
-        return None
-    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    getter = getattr(lib, setter.__name__.replace("_set_", "_get_"))
-    getter.argtypes, getter.restype = [], ctypes.c_int
-    return getter
 
 
 def log_pids(monkeypatch, module, name, log):
@@ -336,7 +323,7 @@ class TestSweep:
 
     def test_workers_run_single_threaded_blas(self, scenario, tmp_path,
                                               monkeypatch):
-        getter = blas_thread_getter()
+        getter = codebook._blas_thread_getter()
         if getter is None:
             pytest.skip("numpy's BLAS is not OpenBLAS")
         if len(os.sched_getaffinity(0)) < 2:
@@ -362,6 +349,7 @@ class TestSweep:
         if blas.get("name") != "scipy-openblas":
             pytest.skip(f"numpy links {blas.get('name')!r}, not scipy-openblas")
         assert harness._blas_thread_setter() is not None
+        assert codebook._blas_thread_getter() is not None
 
     def test_serial_parallel_identical_at_paper_size(self):
         # Single-threaded BLAS in the workers scores codewords with other
