@@ -13,6 +13,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,151 +92,133 @@ def _require(cond: bool, msg: str):
         raise ScenarioError(msg)
 
 
-def _number(value, name: str, kind=float):
-    """A scenario field as a finite float (or int), else a ScenarioError
-    naming the field."""
-    try:
-        out = kind(value)
-        ok = math.isfinite(out)
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    _require(ok, f"{name} must be a finite number, got {value!r}")
+# The scenario schema: each object maps its fields, in the order errors list
+# them, to (kind, default). A kind is int, float (finite), bool, POINT, an
+# object's own table, or [item table] for a list of objects. REQUIRED fields
+# have no default, and a default that is an object or a list is read as given.
+REQUIRED = object()
+POINT = (float, float)  # [x, y]
+_NLOS = {"theta": (float, REQUIRED), "r": (float, REQUIRED),
+         "g": (float, REQUIRED), "phi": (float, math.nan)}  # NaN: drawn per trial
+_BS = {"position": (POINT, REQUIRED), "rotation": (float, 0.0),
+       "nlos": ([_NLOS], None), "num_nlos": (int, None)}
+SCHEMA = {
+    "schema_version": (int, SCHEMA_VERSION),
+    "seed": (int, 0),
+    "array": ({"num_antennas": (int, REQUIRED), "wavelength": (float, REQUIRED),
+               "spacing": (float, None)}, {}),
+    "user": (POINT, None),  # unset: mid-annulus on BS 0's boresight
+    "p_t": (float, 1.0),
+    "sigma2": (float, None),
+    "sigma2_dbm": (float, -110.0),
+    "zeta": (float, 3.5),
+    "codebook": ({"delta_alpha": (float, 0.5), "delta_beta": (float, 1.0),
+                  "cover_far_edge": (bool, False)}, {}),
+    "estimator": ({"num_paths": (int, None), "single_rounds": (int, 5),
+                   "cyclic_rounds": (int, 5)}, {}),
+    "bss": ([_BS], [{"position": [0.0, 0.0]}]),  # one BS at the origin
+}
+EXCLUSIVE = (("sigma2", "sigma2_dbm"), ("nlos", "num_nlos"))  # give at most one
+
+
+def _read(value, path: str, kind):
+    """`value` read as `kind`, with every omitted field's default filled in;
+    a ScenarioError names the path of the first field that does not fit."""
+    if kind is int:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        raise ScenarioError(f"{path} must be an integer, got {value!r}")
+    if kind is float:
+        with suppress(TypeError, OverflowError):  # not a number, or an int past float
+            if not isinstance(value, bool) and math.isfinite(value):
+                return float(value)
+        raise ScenarioError(f"{path} must be a finite number, got {value!r}")
+    if kind is bool:
+        if isinstance(value, bool):
+            return value
+        raise ScenarioError(f"{path} must be true or false, got {value!r}")
+    if kind is POINT:
+        if not isinstance(value, (list, tuple)) or len(value) != 2:
+            raise ScenarioError(f"{path} must be a pair [x, y], got {value!r}")
+        return tuple(_read(v, f"{path}[{i}]", float) for i, v in enumerate(value))
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ScenarioError(f"{path} must be a list, got {value!r}")
+        return [_read(v, f"{path}[{i}]", kind[0]) for i, v in enumerate(value)]
+    name, prefix = (path, f"{path}.") if path else ("scenario", "")
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{name} must be a JSON object, got {value!r}")
+    for key in value:
+        if key not in kind:
+            raise ScenarioError(f"unknown field {prefix}{key}; "
+                                f"{name} takes {', '.join(kind)}")
+    for a, b in EXCLUSIVE:
+        if a in value and b in value:
+            raise ScenarioError(f"{name} gives both {a} and {b}; give one")
+    out = {}
+    for key, (sub, default) in kind.items():
+        if key not in value and default is REQUIRED:
+            raise ScenarioError(f"{prefix}{key} is required")
+        if key in value or isinstance(default, (dict, list)):  # fill in its fields
+            out[key] = _read(value.get(key, default), prefix + key, sub)
+        else:
+            out[key] = default
     return out
 
 
-def _object(value, name: str, fields: tuple[str, ...]) -> dict:
-    """A JSON object with no key outside `fields`, else a ScenarioError naming
-    the object or the path of its first unknown key."""
-    _require(isinstance(value, dict), f"{name} must be a JSON object, got {value!r}")
-    prefix = "" if name == "scenario" else f"{name}."
-    for key in value:
-        if key not in fields:
-            raise ScenarioError(f"unknown field {prefix}{key}; "
-                                f"{name} takes {', '.join(fields)}")
-    return value
-
-
-def _point(value, name: str) -> tuple[float, float]:
-    _require(isinstance(value, (list, tuple)) and len(value) == 2,
-             f"{name} must be a pair [x, y], got {value!r}")
-    return _number(value[0], f"{name}[0]"), _number(value[1], f"{name}[1]")
+def _build(cls, path: str, fields: dict):
+    """cls(**fields), its ValueError a ScenarioError naming the path."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Build and validate a Scenario, filling defaults for omitted fields."""
-    _object(data, "scenario", ("schema_version", "seed", "array", "user", "p_t",
-                               "sigma2", "sigma2_dbm", "zeta", "codebook",
-                               "estimator", "bss"))
-    version = data.get("schema_version", SCHEMA_VERSION)
-    _require(version == SCHEMA_VERSION, f"unsupported schema_version {version}")
-
-    arr = _object(data.get("array", {}), "array",
-                  ("num_antennas", "wavelength", "spacing"))
-    _require("num_antennas" in arr, "array.num_antennas is required")
-    _require("wavelength" in arr, "array.wavelength is required")
-    num_antennas = _number(arr["num_antennas"], "array.num_antennas", int)
-    wavelength = _number(arr["wavelength"], "array.wavelength")
-    spacing = arr.get("spacing")
-    if spacing is not None:
-        spacing = _number(spacing, "array.spacing")
-    try:
-        array = ArrayConfig(num_antennas=num_antennas, wavelength=wavelength,
-                            spacing=spacing)
-    except ValueError as exc:
-        raise ScenarioError(f"array: {exc}") from exc
-
-    _require("sigma2" not in data or "sigma2_dbm" not in data,
-             "scenario gives both sigma2 and sigma2_dbm; give one")
-    if "sigma2" in data:
-        sigma2 = _number(data["sigma2"], "sigma2")
-    else:
-        dbm = _number(data.get("sigma2_dbm", -110.0), "sigma2_dbm")
-        try:
-            sigma2 = 10.0 ** (dbm / 10.0)
-        except OverflowError:
-            raise ScenarioError(f"sigma2_dbm={dbm} overflows sigma2") from None
-    _require(sigma2 >= 0, "sigma2 must be >= 0")
-
-    cb = _object(data.get("codebook", {}), "codebook",
-                 ("delta_alpha", "delta_beta", "cover_far_edge"))
-    delta_alpha = _number(cb.get("delta_alpha", 0.5), "codebook.delta_alpha")
-    delta_beta = _number(cb.get("delta_beta", 1.0), "codebook.delta_beta")
-    cover_far_edge = cb.get("cover_far_edge", False)
-    _require(isinstance(cover_far_edge, bool),
-             f"codebook.cover_far_edge must be true or false, got {cover_far_edge!r}")
-    try:
-        cbcfg = CodebookConfig(delta_alpha=delta_alpha, delta_beta=delta_beta,
-                               cover_far_edge=cover_far_edge)
-    except ValueError as exc:
-        raise ScenarioError(f"codebook: {exc}") from exc
-
-    est = _object(data.get("estimator", {}), "estimator",
-                  ("num_paths", "single_rounds", "cyclic_rounds"))
-    single_rounds = _number(est.get("single_rounds", 5), "estimator.single_rounds", int)
-    cyclic_rounds = _number(est.get("cyclic_rounds", 5), "estimator.cyclic_rounds", int)
-    _require(min(single_rounds, cyclic_rounds) >= 0,
+    """Build and validate a Scenario from a dict of SCHEMA's fields."""
+    d = _read(data, "", SCHEMA)
+    est = d["estimator"]
+    _require(d["schema_version"] == SCHEMA_VERSION,
+             f"unsupported schema_version {d['schema_version']}")
+    _require(min(est["single_rounds"], est["cyclic_rounds"]) >= 0,
              "estimator round counts must be >= 0")
-    num_paths = est.get("num_paths")
-    if num_paths is not None:
-        num_paths = _number(num_paths, "estimator.num_paths", int)
-        _require(num_paths >= 1, "estimator.num_paths must be >= 1")
-
-    bss_data = data.get("bss")
-    if bss_data is None:
-        bss_data = [{"position": [0.0, 0.0], "rotation": 0.0, "num_nlos": 1}]
-    _require(isinstance(bss_data, list) and len(bss_data) >= 1,
-             "at least one BS is required")
-
+    _require(est["num_paths"] is None or est["num_paths"] >= 1,
+             "estimator.num_paths must be >= 1")
+    _require(d["p_t"] > 0, "p_t must be > 0")
+    _require(d["zeta"] > 0, "zeta must be > 0")
+    _require(len(d["bss"]) >= 1, "at least one BS is required")
+    array = _build(ArrayConfig, "array", d["array"])
+    cbcfg = _build(CodebookConfig, "codebook", d["codebook"])
+    try:
+        sigma2 = (d["sigma2"] if d["sigma2"] is not None
+                  else 10.0 ** (d["sigma2_dbm"] / 10.0))
+    except OverflowError:
+        raise ScenarioError(f"sigma2_dbm={d['sigma2_dbm']} overflows sigma2") from None
+    _require(sigma2 >= 0, "sigma2 must be >= 0")
     bss: list[ScenarioBs] = []
-    for i, b in enumerate(bss_data):
-        _object(b, f"bss[{i}]", ("position", "rotation", "nlos", "num_nlos"))
-        _require("nlos" not in b or "num_nlos" not in b,
-                 f"bss[{i}] gives both nlos and num_nlos; give one")
-        _require("position" in b or i == 0, f"bss[{i}].position is required")
-        pos = _point(b.get("position", (0.0, 0.0)), f"bss[{i}].position")
-        bs = BsConfig(position=pos, rotation=_number(b.get("rotation", 0.0),
-                                                     f"bss[{i}].rotation"))
+    for i, b in enumerate(d["bss"]):
         nlos_paths = []
-        nlos = b.get("nlos", [])
-        _require(isinstance(nlos, list), f"bss[{i}].nlos must be a list")
-        for j, p in enumerate(nlos):
-            _object(p, f"bss[{i}].nlos[{j}]", ("theta", "r", "g", "phi"))
-            phi = p.get("phi")  # omitted -> drawn uniformly per trial
-            try:
-                path = PathParams(
-                    theta=_number(p["theta"], "theta"), r=_number(p["r"], "r"),
-                    g=_number(p["g"], "g"),
-                    phi=math.nan if phi is None else _number(phi, "phi"))
-            except (KeyError, ValueError) as exc:
-                raise ScenarioError(f"bss[{i}].nlos[{j}]: {exc}") from exc
+        for j, p in enumerate(b["nlos"] or []):
+            path = _build(PathParams, f"bss[{i}].nlos[{j}]", p)
             _require(array.min_near_distance < path.r <= array.rayleigh_distance,
                      f"bss[{i}].nlos[{j}]: r={path.r} outside near-field annulus "
                      f"({array.min_near_distance}, {array.rayleigh_distance}]")
             nlos_paths.append(path)
-        # Without either key a BS gets one random scatterer.
-        num_nlos = _number(b.get("num_nlos", 0 if "nlos" in b else 1),
-                           f"bss[{i}].num_nlos", int)
+        num_nlos = b["num_nlos"]
+        if num_nlos is None:  # without either key a BS gets one random scatterer
+            num_nlos = 1 if b["nlos"] is None else 0
         _require(num_nlos >= 0, f"bss[{i}].num_nlos must be >= 0")
+        bs = BsConfig(position=b["position"], rotation=b["rotation"])
         bss.append(ScenarioBs(config=bs, nlos_paths=nlos_paths, num_nlos=num_nlos))
-
-    if "user" in data:
-        user = _point(data["user"], "user")
-    else:
-        # Default: mid-annulus along the first BS's boresight.
+    user = d["user"]
+    if user is None:  # mid-annulus along the first BS's boresight
         mid = (array.min_near_distance + array.rayleigh_distance) / 2.0
         bs0 = bss[0].config
         x, y = polar_to_relative(np.pi / 2, mid, bs0.rotation)
         user = (bs0.position[0] + x, bs0.position[1] + y)
-
     scenario = Scenario(array=array, bss=bss, user=user, sigma2=sigma2,
-                        p_t=_number(data.get("p_t", 1.0), "p_t"),
-                        codebook_config=cbcfg, num_paths=num_paths,
-                        single_rounds=single_rounds, cyclic_rounds=cyclic_rounds,
-                        zeta=_number(data.get("zeta", 3.5), "zeta"),
-                        seed=_number(data.get("seed", 0), "seed", int))
-    _require(scenario.p_t > 0, "p_t must be > 0")
-    _require(scenario.zeta > 0, "zeta must be > 0")
-
+                        codebook_config=cbcfg, p_t=d["p_t"], zeta=d["zeta"],
+                        seed=d["seed"], **est)
     for i, bs in enumerate(bss):
         theta, r = scenario.los_geometry(bs)
         _require(is_front_side(theta),
@@ -249,11 +232,13 @@ def scenario_from_dict(data: dict) -> Scenario:
 def load_scenario(path: str) -> Scenario:
     if not os.path.exists(path):
         raise FileNotFoundError(f"scenario file not found: {path}")
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"{path}: invalid JSON ({exc})") from exc
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ScenarioError(f"{path}: invalid JSON ({exc})") from exc
+    except OSError as exc:  # a directory, or unreadable
+        raise ScenarioError(f"{path}: cannot read ({exc.strerror})") from exc
     return scenario_from_dict(data)
 
 

@@ -94,6 +94,18 @@ class TestExitCodes:
         assert cli(["validate", "--config", str(p)]) == 2
         assert "user" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["a_directory", "latin1.json"])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        if name == "a_directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"array": {"num_antennas": 64, "wavelength": 0.003}, '
+                             b'"note\xe9": 1}')
+        assert cli(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
 
 class TestEstimate:
     def test_json_payload(self, tmp_path):

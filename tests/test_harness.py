@@ -102,6 +102,20 @@ class TestScenarioParsing:
          r"bss\[0\] gives both nlos and num_nlos"),
         ({**MINIMAL, "sigma2": 1e-9, "sigma2_dbm": -60.0},
          "gives both sigma2 and sigma2_dbm"),
+        # JSON values of the wrong type, never coerced.
+        ({**MINIMAL, "array": {**MINIMAL["array"], "num_antennas": "64"}},
+         r"array\.num_antennas must be an integer, got '64'"),
+        ({**MINIMAL, "array": {**MINIMAL["array"], "num_antennas": 64.9}},
+         r"array\.num_antennas must be an integer, got 64\.9"),
+        ({**MINIMAL, "sigma2": "1e-9"}, "sigma2 must be a finite number, got '1e-9'"),
+        ({**MINIMAL, "zeta": True}, "zeta must be a finite number, got True"),
+        ({**MINIMAL, "seed": 1.7}, r"seed must be an integer, got 1\.7"),
+        ({**MINIMAL, "estimator": {"single_rounds": 2.9}},
+         r"estimator\.single_rounds must be an integer, got 2\.9"),
+        # Required fields, named by their path.
+        ({**MINIMAL, "bss": [{"position": [0.0, 0.0], "nlos": [{"r": 3.0, "g": 1e-5}]}]},
+         r"bss\[0\]\.nlos\[0\]\.theta is required"),
+        ({**MINIMAL, "bss": [{"rotation": 0.0}]}, r"bss\[0\]\.position is required"),
     ])
     def test_descriptive_errors(self, broken, needle):
         with pytest.raises(ScenarioError, match=needle):

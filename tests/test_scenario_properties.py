@@ -10,24 +10,86 @@ then the loader rejects the dict. Every BS has no scatterer (`nlos: []` or
 `num_nlos: 0`), the estimator's `num_paths` is drawn at or above that one
 true path, the round counts include 0, and sigma2 is 0. Some dicts carry
 one malformed field: a BS behind its array or beyond the annulus, a
-`num_paths` of 0, a negative round count, or a BS with both scatterer keys.
+`num_paths` of 0, a negative round count, a BS with both scatterer keys, or
+a value of the wrong kind at a leaf field drawn from the loader's schema
+table, which the loader must reject naming that field's path.
 """
 
+import copy
 import math
+import re
 
 import numpy as np
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from nearfield.arraymodel import ArrayConfig
-from nearfield.harness import ScenarioError, run_trial, scenario_from_dict
+from nearfield.harness import (EXCLUSIVE, POINT, REQUIRED, SCHEMA, ScenarioError,
+                               run_trial, scenario_from_dict)
 
 WAVELENGTH = 0.003
 FINITE = ("nmse_db", "theta_rmse", "r_rmse", "single_rmse_m", "fused_rmse_m")
+# Per leaf kind: values the loader must refuse, and one it reads.
+WRONG = {int: ["3", 2.5, True, None], float: ["1.5", True, None, [1.0]],
+         bool: [1, "true", None], POINT: [[1.0], [1.0, "2"], "0,0", None]}
+RIGHT = {int: 1, float: 1.0, bool: False, POINT: [0.0, 0.0]}
+
+
+def leaves(kind, steps=()):
+    """(steps, kind) of every leaf field of a schema table, through item 0
+    of each list of objects."""
+    if isinstance(kind, list):
+        yield from leaves(kind[0], steps + (0,))
+    elif isinstance(kind, dict):
+        for key, (sub, _) in kind.items():
+            yield from leaves(sub, steps + (key,))
+    else:
+        yield steps, kind
+
+
+LEAVES = list(leaves(SCHEMA))
+
+
+def well_typed(kind):
+    """A value of `kind` holding only its required fields."""
+    if isinstance(kind, list):
+        return [well_typed(kind[0])]
+    if isinstance(kind, dict):
+        return {key: well_typed(sub) for key, (sub, default) in kind.items()
+                if default is REQUIRED}
+    return RIGHT[kind]
+
+
+def plant(data: dict, steps: tuple, value) -> None:
+    """Put `value` at `steps` in `data`, dropping the exclusive partner of
+    each field on the way and making each missing parent well-typed."""
+    node, kind = data, SCHEMA
+    for depth, step in enumerate(steps):
+        if isinstance(step, int):  # item 0 of a list of objects
+            kind = kind[0]
+            if not node:
+                node.append(well_typed(kind))
+        else:
+            kind = kind[step][0]
+            for pair in EXCLUSIVE:
+                if step in pair:
+                    node.pop(pair[1 - pair.index(step)], None)
+            if depth == len(steps) - 1:
+                node[step] = value
+                return
+            node.setdefault(step, well_typed(kind))
+        node = node[step]
+
+
+def path_of(steps: tuple) -> str:
+    """The path a loader error gives for the field at `steps`."""
+    return "".join(f"[{s}]" if isinstance(s, int) else f".{s}"
+                   for s in steps).lstrip(".")
 
 
 @st.composite
-def scenario_dicts(draw) -> dict:
+def scenario_dicts(draw) -> tuple[dict, str | None]:
     m = draw(st.integers(16, 64))
     array = ArrayConfig(num_antennas=m, wavelength=WAVELENGTH)
     near, far = array.min_near_distance, array.rayleigh_distance
@@ -47,7 +109,7 @@ def scenario_dicts(draw) -> dict:
         estimator["num_paths"] = num_paths
     # At most one malformed field, so that most dicts load.
     fault = draw(st.sampled_from([None] * 6 + ["behind", "beyond", "num_paths",
-                                               "rounds", "nlos"]))
+                                               "rounds", "nlos", "kind"]))
     if fault == "behind":
         views[0][0] = -views[0][0]
     elif fault == "beyond":
@@ -62,20 +124,28 @@ def scenario_dicts(draw) -> dict:
                                               np.sin(theta + rotation)])).tolist(),
             "rotation": rotation, **keys}
            for (theta, r, rotation), keys in zip(views, scatterers)]
-    return {"array": {"num_antennas": m, "wavelength": WAVELENGTH},
+    data = {"array": {"num_antennas": m, "wavelength": WAVELENGTH},
             "user": user.tolist(), "sigma2": 0.0, "seed": draw(st.integers(0, 99)),
             "estimator": estimator, "bss": bss}
+    if fault != "kind":
+        return data, None
+    steps, kind = draw(st.sampled_from(LEAVES))
+    plant(data, steps, draw(st.sampled_from(WRONG[kind])))
+    return data, path_of(steps)
 
 
-@given(data=scenario_dicts(),
+@given(case=scenario_dicts(),
        snr_db=st.one_of(st.none(), st.floats(0.0, 40.0)))
 @settings(max_examples=150, deadline=None)
-def test_accepted_scenarios_run_to_finite_metrics(data, snr_db):
+def test_accepted_scenarios_run_to_finite_metrics(case, snr_db):
+    data, wrong_kind = case
     try:
         scenario = scenario_from_dict(data)
-    except ScenarioError:
+    except ScenarioError as exc:
+        assert wrong_kind is None or wrong_kind in str(exc), (wrong_kind, exc)
         event("rejected")
         return
+    assert wrong_kind is None, f"{wrong_kind} of the wrong kind loaded"
     event("accepted")
     rows, result = run_trial(scenario, snr_db, 0, 0, return_joint=True)
     assert [row["bs"] for row in rows] == list(range(len(data["bss"])))
@@ -89,3 +159,17 @@ def test_accepted_scenarios_run_to_finite_metrics(data, snr_db):
         # "inf" in the CSV: the SNR at sigma2 = 0.
         for key in ("snr_db", "snr_bs_db"):
             assert (row[key] == math.inf) if noiseless else math.isfinite(row[key])
+
+
+def test_every_wrong_kind_is_named():
+    """The table-driven fault, at every leaf with every wrong value."""
+    base = {"array": {"num_antennas": 64, "wavelength": WAVELENGTH},
+            "user": [2.5, 2.5], "sigma2": 0.0,
+            "bss": [{"position": [0.0, 5.0], "rotation": math.pi, "num_nlos": 0}]}
+    scenario_from_dict(base)
+    for steps, kind in LEAVES:
+        for value in WRONG[kind]:
+            data = copy.deepcopy(base)
+            plant(data, steps, value)
+            with pytest.raises(ScenarioError, match=re.escape(path_of(steps))):
+                scenario_from_dict(data)
