@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arraymodel import ArrayConfig, PathParams, distance_derivatives
+from .arraymodel import (ArrayConfig, PathParams, distance_derivatives,
+                         distance_steering)
 
 
 def steering_derivatives(cfg: ArrayConfig, p: PathParams) -> np.ndarray:
@@ -16,7 +17,7 @@ def steering_derivatives(cfg: ArrayConfig, p: PathParams) -> np.ndarray:
     g, phi), as the rows of a 4 x M complex array in that order."""
     k = cfg.wavenumber
     r_m, d1, _ = distance_derivatives(cfg, p.theta, p.r)
-    b = np.exp(1j * k * (r_m - p.r))
+    b = distance_steering(cfg, r_m, p.r)
     s_m = p.g * np.exp(1j * p.phi) * b
     v_theta = s_m * 1j * k * d1[0]
     v_r = s_m * 1j * k * (d1[1] - 1.0)

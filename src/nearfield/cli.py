@@ -24,10 +24,14 @@ from .localization import is_front_side
 EXIT_OK, EXIT_USAGE, EXIT_CONFIG, EXIT_RUNTIME = 0, 1, 2, 3
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return int(text)
+def _int_at_least(least: int):
+    """An argparse type: a decimal integer >= least."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < least:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {least}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _snr_grid(text: str) -> list[float]:
@@ -51,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, seed=True):
         p.add_argument("--config", required=True, help="scenario JSON path")
         if seed:
-            p.add_argument("--seed", type=int, default=None,
+            p.add_argument("--seed", type=_int_at_least(0), default=None,
                            help="override the scenario seed")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         return p
@@ -59,10 +63,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("estimate", help="one scenario, one draw, full "
                                            "joint result as JSON"))
     sweep = common(sub.add_parser("sweep", help="Monte Carlo SNR sweep to CSV"))
-    sweep.add_argument("--trials", type=_positive_int, default=200)
+    sweep.add_argument("--trials", type=_int_at_least(1), default=200)
     sweep.add_argument("--snr-db", type=_snr_grid, default="0,10,20,30",
                        help="comma-separated SNR grid in dB")
-    sweep.add_argument("--threads", type=_positive_int, default=None,
+    sweep.add_argument("--threads", type=_int_at_least(1), default=None,
                        help="worker processes (default: $NEARFIELD_THREADS, "
                             "else 1)")
     common(sub.add_parser("crlb", help="CRLB table for the scenario's LoS "
@@ -124,7 +128,7 @@ def _cmd_sweep(args) -> int:
     if threads is None:
         env = os.environ.get("NEARFIELD_THREADS", "1")
         try:
-            threads = _positive_int(env)
+            threads = _int_at_least(1)(env)
         except argparse.ArgumentTypeError as exc:
             sys.stderr.write(f"error: NEARFIELD_THREADS {exc}\n")
             return EXIT_USAGE

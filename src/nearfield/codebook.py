@@ -155,38 +155,27 @@ def scan_error(M: int) -> float:
 
 
 # OpenBLAS's thread-count setter under the names its builds export, the
-# numpy wheels' scipy-openblas first.
+# numpy wheels' scipy-openblas first; each getter swaps _set_ for _get_.
 _BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
                         "scipy_openblas_set_num_threads",
                         "openblas_set_num_threads64_", "openblas_set_num_threads")
 
 
 @functools.cache
-def _blas_thread_setter():
-    """OpenBLAS's set_num_threads(int) in the BLAS numpy loaded, or None
-    when numpy links another BLAS (MKL, Accelerate). The lookup goes through
-    numpy's linalg extension, which links that BLAS and keeps its import
-    path across numpy 1 and 2."""
+def _blas_threads():
+    """OpenBLAS's (get_num_threads, set_num_threads) in the BLAS numpy
+    loaded, or None when numpy links another BLAS (MKL, Accelerate). The
+    lookup goes through numpy's linalg extension, which links that BLAS and
+    keeps its import path across numpy 1 and 2."""
     lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     for name in _BLAS_THREAD_SETTERS:
         setter = getattr(lib, name, None)
-        if setter is not None:
+        getter = getattr(lib, name.replace("_set_", "_get_"), None)
+        if setter is not None and getter is not None:
             setter.argtypes, setter.restype = [ctypes.c_int], None
-            return setter
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return getter, setter
     return None
-
-
-@functools.cache
-def _blas_thread_getter():
-    """The get_num_threads() matching _blas_thread_setter, or None."""
-    setter = _blas_thread_setter()
-    if setter is None:
-        return None
-    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    getter = getattr(lib, setter.__name__.replace("_set_", "_get_"), None)
-    if getter is not None:
-        getter.argtypes, getter.restype = [], ctypes.c_int
-    return getter
 
 
 @contextmanager
@@ -194,10 +183,11 @@ def _one_blas_thread():
     """Run the block on one OpenBLAS thread and restore the count after,
     also when it raises: a serial scan would wake OpenBLAS's helper thread,
     which then spins. Without OpenBLAS the block runs as it is."""
-    setter, getter = _blas_thread_setter(), _blas_thread_getter()
-    if getter is None:
+    threads = _blas_threads()
+    if threads is None:
         yield
         return
+    getter, setter = threads
     before = getter()
     setter(1)
     try:

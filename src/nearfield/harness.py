@@ -20,10 +20,9 @@ import numpy as np
 
 from .arraymodel import (ArrayConfig, PathParams, add_noise, los_gain,
                          synthesize_channel)
-from .codebook import (Codebook, CodebookConfig, _blas_thread_setter,
-                       build_codebook)
+from .codebook import Codebook, CodebookConfig, build_codebook
 from .estimator import EstimatorConfig
-from .localization import BsConfig, polar_to_relative, relative_to_polar, is_front_side
+from .localization import BsConfig, is_front_side
 from .pipeline import run_joint
 
 SCHEMA_VERSION = 1
@@ -83,8 +82,7 @@ class Scenario:
 
     def los_geometry(self, bs: ScenarioBs) -> tuple[float, float]:
         """LoS (theta, r) of the user as seen from a BS."""
-        rel = np.asarray(self.user) - np.asarray(bs.config.position)
-        return relative_to_polar(rel[0], rel[1], bs.config.rotation)
+        return bs.config.polar(self.user)
 
 
 def _require(cond: bool, msg: str):
@@ -166,10 +164,10 @@ def _read(value, path: str, kind):
     return out
 
 
-def _build(cls, path: str, fields: dict):
-    """cls(**fields), its ValueError a ScenarioError naming the path."""
+def _build(path: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), its ValueError a ScenarioError naming the path."""
     try:
-        return cls(**fields)
+        return fn(*args, **kwargs)
     except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
@@ -180,6 +178,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     est = d["estimator"]
     _require(d["schema_version"] == SCHEMA_VERSION,
              f"unsupported schema_version {d['schema_version']}")
+    _require(d["seed"] >= 0, f"seed must be >= 0, got {d['seed']}")
     _require(min(est["single_rounds"], est["cyclic_rounds"]) >= 0,
              "estimator round counts must be >= 0")
     _require(est["num_paths"] is None or est["num_paths"] >= 1,
@@ -187,8 +186,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     _require(d["p_t"] > 0, "p_t must be > 0")
     _require(d["zeta"] > 0, "zeta must be > 0")
     _require(len(d["bss"]) >= 1, "at least one BS is required")
-    array = _build(ArrayConfig, "array", d["array"])
-    cbcfg = _build(CodebookConfig, "codebook", d["codebook"])
+    array = _build("array", ArrayConfig, **d["array"])
+    cbcfg = _build("codebook", CodebookConfig, **d["codebook"])
     try:
         sigma2 = (d["sigma2"] if d["sigma2"] is not None
                   else 10.0 ** (d["sigma2_dbm"] / 10.0))
@@ -199,7 +198,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     for i, b in enumerate(d["bss"]):
         nlos_paths = []
         for j, p in enumerate(b["nlos"] or []):
-            path = _build(PathParams, f"bss[{i}].nlos[{j}]", p)
+            path = _build(f"bss[{i}].nlos[{j}]", PathParams, **p)
             _require(array.min_near_distance < path.r <= array.rayleigh_distance,
                      f"bss[{i}].nlos[{j}]: r={path.r} outside near-field annulus "
                      f"({array.min_near_distance}, {array.rayleigh_distance}]")
@@ -213,14 +212,12 @@ def scenario_from_dict(data: dict) -> Scenario:
     user = d["user"]
     if user is None:  # mid-annulus along the first BS's boresight
         mid = (array.min_near_distance + array.rayleigh_distance) / 2.0
-        bs0 = bss[0].config
-        x, y = polar_to_relative(np.pi / 2, mid, bs0.rotation)
-        user = (bs0.position[0] + x, bs0.position[1] + y)
+        user = tuple(bss[0].config.point(np.pi / 2, mid))
     scenario = Scenario(array=array, bss=bss, user=user, sigma2=sigma2,
                         codebook_config=cbcfg, p_t=d["p_t"], zeta=d["zeta"],
                         seed=d["seed"], **est)
     for i, bs in enumerate(bss):
-        theta, r = scenario.los_geometry(bs)
+        theta, r = _build(f"bss[{i}]", scenario.los_geometry, bs)
         _require(is_front_side(theta),
                  f"bss[{i}]: user lies behind the array (theta={theta:.4f})")
         _require(array.min_near_distance < r <= array.rayleigh_distance,
@@ -363,11 +360,6 @@ _SCENARIO: Scenario | None = None  # the sweep's scenario in a pool worker
 def _init_worker(scenario: Scenario):
     global _SCENARIO
     _SCENARIO = scenario
-    # One BLAS thread per worker: a forked worker inherits OpenBLAS's helper
-    # thread, which spins on the CPU another worker needs.
-    setter = _blas_thread_setter()
-    if setter is not None:
-        setter(1)
 
 
 def _sweep_task(task: tuple[float, int, int]) -> list[dict]:
@@ -400,6 +392,5 @@ def sweep(scenario: Scenario, snr_grid_db: list[float], trials: int,
             chunks = list(pool.map(_sweep_task, tasks))
     else:
         chunks = [run_trial(scenario, *t) for t in tasks]
-    rows = [row for chunk in chunks for row in chunk]
-    rows.sort(key=lambda r: (r["_point"], r["trial"], r["bs"]))
-    return SweepResult(rows=rows)
+    # Both paths return the rows in task order: grid point, trial, BS.
+    return SweepResult(rows=[row for chunk in chunks for row in chunk])

@@ -31,6 +31,20 @@ class BsConfig:
         if not np.all(np.isfinite(self.position)):
             raise ValueError("BS position must be finite")
 
+    def polar(self, point) -> tuple[float, float]:
+        """(theta, r) of a global point in this BS's frame, theta wrapped to
+        [-pi, pi); theta lies in (0, pi) only for front-side points."""
+        x, y = np.asarray(point, dtype=float) - np.asarray(self.position)
+        r = float(np.hypot(x, y))
+        if r == 0.0:
+            raise ValueError("the point is the BS position")
+        theta = float(np.arctan2(y, x)) - self.rotation
+        return (theta + np.pi) % (2.0 * np.pi) - np.pi, r
+
+    def point(self, theta: float, r: float) -> np.ndarray:
+        """The global point at (theta, r) in this BS's frame."""
+        return np.asarray(self.position) + _offset(theta, r, self.rotation)
+
 
 @dataclass
 class SoftPosition:
@@ -77,21 +91,12 @@ class FusionReport:
         }
 
 
-def polar_to_relative(theta: float, r: float, omega: float) -> tuple[float, float]:
-    """BS-relative Cartesian position (r cos(theta+omega), r sin(theta+omega))."""
+def _offset(theta: float, r: float, omega: float) -> np.ndarray:
+    """(r cos(theta+omega), r sin(theta+omega)): the point at (theta, r)
+    relative to a BS rotated by omega."""
     if r <= 0:
         raise ValueError("r must be > 0")
-    return r * np.cos(theta + omega), r * np.sin(theta + omega)
-
-
-def relative_to_polar(x_r: float, y_r: float, omega: float) -> tuple[float, float]:
-    """Inverse transform; theta in (0, pi) only for front-side positions."""
-    r = float(np.hypot(x_r, y_r))
-    if r == 0.0:
-        raise ValueError("relative position must be nonzero")
-    theta = float(np.arctan2(y_r, x_r)) - omega
-    theta = (theta + np.pi) % (2.0 * np.pi) - np.pi  # wrap to [-pi, pi)
-    return theta, r
+    return np.array([r * np.cos(theta + omega), r * np.sin(theta + omega)])
 
 
 def is_front_side(theta: float) -> bool:
@@ -115,26 +120,18 @@ def position_hessian(est: SoftEstimate, omega: float) -> np.ndarray:
     T^T H T + f_theta Hess(theta) + f_r Hess(r), from the estimate's
     gradient f and Hessian H in (theta, r)."""
     p = est.params
-    T, hess_theta, hess_r = _transform_coefficients(
-        *polar_to_relative(p.theta, p.r, omega))
+    T, hess_theta, hess_r = _transform_coefficients(*_offset(p.theta, p.r, omega))
     return (T.T @ est.hess[:2, :2] @ T
             + est.grad[0] * hess_theta + est.grad[1] * hess_r)
 
 
-def position_covariance(est: SoftEstimate, omega: float) -> SoftPosition:
-    """Soft relative position: mean from the polar transform, covariance from
+def position_covariance(est: SoftEstimate, bs: BsConfig) -> SoftPosition:
+    """Soft global position: mean from the polar transform, covariance from
     the Laplace form sigma^2 * (-H)^{-1} of the Cartesian-coordinate Hessian."""
     p = est.params
-    x, yr = polar_to_relative(p.theta, p.r, omega)
-    info = psd_repair(-position_hessian(est, omega), POSITION_PSD_FLOOR)
+    info = psd_repair(-position_hessian(est, bs.rotation), POSITION_PSD_FLOOR)
     cov = psd_repair(est.sigma2 * np.linalg.inv(info), POSITION_PSD_FLOOR)
-    return SoftPosition(mean=np.array([x, yr]), cov=cov)
-
-
-def to_global(rel: SoftPosition, bs: BsConfig) -> SoftPosition:
-    """Translate a BS-relative soft position into the global frame."""
-    return SoftPosition(mean=rel.mean + np.asarray(bs.position),
-                        cov=rel.cov.copy())
+    return SoftPosition(mean=bs.point(p.theta, p.r), cov=cov)
 
 
 def gaussian_fuse(positions: list[SoftPosition]) -> SoftPosition:
@@ -178,10 +175,9 @@ def gfcl(per_bs_estimates: list[list[SoftEstimate]], bs_configs: list[BsConfig],
     for i, (estimates, bs) in enumerate(zip(per_bs_estimates, bs_configs)):
         if not estimates:
             raise ValueError(f"BS {i} has no path; every BS needs at least one")
-        rel_positions = [position_covariance(e, bs.rotation) for e in estimates]
-        best = int(np.argmin([p.cost for p in rel_positions]))
-        candidates.append(BsCandidate(
-            path_index=best, position=to_global(rel_positions[best], bs)))
+        positions = [position_covariance(e, bs) for e in estimates]
+        best = int(np.argmin([p.cost for p in positions]))
+        candidates.append(BsCandidate(path_index=best, position=positions[best]))
 
     order = sorted(range(len(candidates)), key=lambda j: candidates[j].position.cost)
     ref = candidates[order[0]]

@@ -19,8 +19,7 @@ from .arraymodel import Measurement, PathParams
 from .estimator import (EstimatorConfig, SoftEstimate, TraceHook, cyclic_refine,
                         vnnce)
 from .estimator import residual  # noqa: F401 - rebound by bench/layertrace.py
-from .localization import (BsConfig, FusionReport, gfcl, is_front_side,
-                           relative_to_polar)
+from .localization import BsConfig, FusionReport, gfcl, is_front_side
 
 
 @dataclass
@@ -50,8 +49,7 @@ def run_joint(bs_configs: list[BsConfig], measurements: list[Measurement],
     for i, (bs, cand) in enumerate(zip(bs_configs, report.candidates)):
         if not cand.consistent:
             continue
-        rel = report.fused.mean - np.asarray(bs.position)
-        theta_a, r_a = relative_to_polar(rel[0], rel[1], bs.rotation)
+        theta_a, r_a = bs.polar(report.fused.mean)
         if not is_front_side(theta_a):
             continue
         r_a = float(np.clip(r_a, array.min_near_distance, array.rayleigh_distance))

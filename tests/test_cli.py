@@ -70,6 +70,7 @@ class TestExitCodes:
         ("--threads", ["--threads", "0"]),
         ("--threads", ["--threads", "-2"]),
         ("--threads", ["--threads=-1"]),
+        ("--seed", ["--seed", "-1"]),
     ])
     def test_bad_sweep_argument_is_usage_error(self, tmp_path, capsys, flag,
                                                args):

@@ -225,10 +225,9 @@ class TestMirrorPairs:
 
 class TestScanBlasThreads:
     def test_scan_restores_the_thread_count(self, desk_array):
-        getter = codebook._blas_thread_getter()
-        if getter is None:
+        if codebook._blas_threads() is None:
             pytest.skip("numpy's BLAS is not OpenBLAS")
-        setter = codebook._blas_thread_setter()
+        getter, setter = codebook._blas_threads()
         cb = build_codebook(desk_array, CodebookConfig())
         before = getter()
         try:

@@ -116,6 +116,11 @@ class TestScenarioParsing:
         ({**MINIMAL, "bss": [{"position": [0.0, 0.0], "nlos": [{"r": 3.0, "g": 1e-5}]}]},
          r"bss\[0\]\.nlos\[0\]\.theta is required"),
         ({**MINIMAL, "bss": [{"rotation": 0.0}]}, r"bss\[0\]\.position is required"),
+        # Values of the right kind that no scenario can take.
+        ({**MINIMAL, "seed": -3}, "seed must be >= 0, got -3"),
+        ({**MINIMAL, "user": [2.0, 5.0], "bss": [{"position": [0.0, 0.0]},
+                                                 {"position": [2.0, 5.0]}]},
+         r"bss\[1\]: the point is the BS position"),
     ])
     def test_descriptive_errors(self, broken, needle):
         with pytest.raises(ScenarioError, match=needle):
@@ -335,39 +340,13 @@ class TestSweep:
         sweep(scenario, [20.0], trials=1, threads=2)
         assert log.read_text().split() == [str(os.getpid())]
 
-    def test_workers_run_single_threaded_blas(self, scenario, tmp_path,
-                                              monkeypatch):
-        getter = codebook._blas_thread_getter()
-        if getter is None:
-            pytest.skip("numpy's BLAS is not OpenBLAS")
-        if len(os.sched_getaffinity(0)) < 2:
-            pytest.skip("one CPU: the sweep runs serially")
-        log = tmp_path / "blas.txt"
-        orig = harness.run_trial
-
-        def logged_trial(*args, **kwargs):
-            with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {getter()}\n")
-            return orig(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "run_trial", logged_trial)
-        before = getter()
-        sweep(scenario, [10.0, 20.0], trials=2, threads=2)
-        counts = [line.split() for line in log.read_text().splitlines()]
-        assert len(counts) == 4
-        assert all(pid != str(os.getpid()) and n == "1" for pid, n in counts)
-        assert getter() == before
-
     def test_openblas_setter_resolves(self):
         blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
         if blas.get("name") != "scipy-openblas":
             pytest.skip(f"numpy links {blas.get('name')!r}, not scipy-openblas")
-        assert harness._blas_thread_setter() is not None
-        assert codebook._blas_thread_getter() is not None
+        assert codebook._blas_threads() is not None
 
     def test_serial_parallel_identical_at_paper_size(self):
-        # Single-threaded BLAS in the workers scores codewords with other
-        # roundings than the parent's threaded BLAS; the argmax must agree.
         scenario = load_scenario("scenarios/tab2_paper.json")
         serial = sweep(scenario, [0.0, 30.0], trials=1, threads=1).to_csv()
         parallel = sweep(scenario, [0.0, 30.0], trials=1, threads=2).to_csv()

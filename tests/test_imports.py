@@ -156,3 +156,38 @@ def test_layer_scan_flags_upward_and_sideways_imports(tmp_path):
         "low.py:2: low imports high",
         "mid_b.py:1: mid_b imports mid_a",
     ]
+
+
+def private_imports(package: Path) -> list[str]:
+    """`file:line: module imports name` for every underscore-prefixed name a
+    module takes from another module of the package with a `from` import,
+    relative or absolute: a private name has one owner, its module."""
+    hits = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != package.name:
+                continue
+            hits += [f"{path.name}:{node.lineno}: {path.stem} imports {alias.name}"
+                     for alias in node.names if alias.name.startswith("_")]
+    return hits
+
+
+def test_package_imports_no_private_names():
+    assert private_imports(ROOT / "src" / "nearfield") == []
+
+
+def test_private_import_scan_flags_underscore_names(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "low.py").write_text("from os import _exit\n_x = 1\n")
+    (package / "high.py").write_text("from .low import y\nfrom pkg import low\n")
+    assert private_imports(package) == []
+    (package / "high.py").write_text("from .low import y, _x\n"
+                                     "from pkg.low import _x as x\n")
+    assert private_imports(package) == [
+        "high.py:1: high imports _x",
+        "high.py:2: high imports _x",
+    ]

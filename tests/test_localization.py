@@ -11,9 +11,8 @@ from nearfield.codebook import CodebookConfig, build_codebook
 from nearfield.estimator import EstimatorConfig, soft_estimates, vnnce
 from nearfield.localization import (BsConfig, SoftPosition, consistency,
                                     gaussian_fuse, gfcl, is_front_side,
-                                    polar_to_relative, position_covariance,
-                                    position_hessian, relative_to_polar,
-                                    to_global, _transform_coefficients)
+                                    position_covariance, position_hessian,
+                                    _transform_coefficients)
 from tests.reference import (as_vector, central_differences,
                              marginal_position_covariance, objective)
 
@@ -25,23 +24,30 @@ def random_psd_2x2(rng, scale=1.0):
 
 class TestTransforms:
     def test_known_points(self):
-        assert polar_to_relative(np.pi / 2, 10.0, np.pi / 2) == pytest.approx(
-            (-10.0, 0.0), abs=1e-12)
-        assert polar_to_relative(np.pi / 2, 5.0, 0.0) == pytest.approx(
-            (0.0, 5.0), abs=1e-12)
+        assert BsConfig((0.0, 0.0), np.pi / 2).point(np.pi / 2, 10.0) == \
+            pytest.approx((-10.0, 0.0), abs=1e-12)
+        assert BsConfig((0.0, 0.0), 0.0).point(np.pi / 2, 5.0) == \
+            pytest.approx((0.0, 5.0), abs=1e-12)
+        # Away from the origin the BS position translates the point.
+        bs = BsConfig(position=(0.0, 50.0), rotation=np.pi)
+        assert bs.point(np.pi / 2, 50.0) == pytest.approx((0.0, 0.0), abs=1e-12)
+        assert bs.polar((10.0, 0.0)) == pytest.approx(
+            (np.pi / 2 + np.arctan(0.2), np.hypot(10.0, 50.0)), abs=1e-12)
 
     def test_rejects_nonpositive_r(self):
+        bs = BsConfig(position=(1.0, 2.0), rotation=0.3)
         with pytest.raises(ValueError):
-            polar_to_relative(1.0, 0.0, 0.0)
+            bs.point(1.0, 0.0)
         with pytest.raises(ValueError):
-            relative_to_polar(0.0, 0.0, 0.0)
+            bs.polar((1.0, 2.0))
 
     @given(theta=st.floats(0.01, np.pi - 0.01), r=st.floats(0.1, 100.0),
-           omega=st.floats(-np.pi, np.pi))
+           omega=st.floats(-np.pi, np.pi), x=st.floats(-10.0, 10.0),
+           y=st.floats(-10.0, 10.0))
     @settings(max_examples=100, deadline=None)
-    def test_round_trip(self, theta, r, omega):
-        x, y = polar_to_relative(theta, r, omega)
-        theta2, r2 = relative_to_polar(x, y, omega)
+    def test_round_trip(self, theta, r, omega, x, y):
+        bs = BsConfig(position=(x, y), rotation=omega)
+        theta2, r2 = bs.polar(bs.point(theta, r))
         assert r2 == pytest.approx(r, rel=1e-12)
         # Allow the 2*pi wrap of the angle representation.
         assert np.cos(theta2) == pytest.approx(np.cos(theta), abs=1e-9)
@@ -88,10 +94,11 @@ class TestPositionHessian:
             est = soft_estimates(desk_array, Measurement(y), [p])[0]
             ana = position_hessian(est, omega)
 
-            x0 = np.array(polar_to_relative(p.theta, p.r, omega))
+            bs = BsConfig(position=(0.0, 0.0), rotation=omega)
+            x0 = bs.point(p.theta, p.r)
 
             def f_xy(v):
-                theta, r = relative_to_polar(v[0], v[1], omega)
+                theta, r = bs.polar(v)
                 return objective(desk_array, y,
                                  PathParams(theta=theta, r=r, g=p.g, phi=p.phi))
 
@@ -112,12 +119,13 @@ class TestPositionHessian:
                        phi=truth.phi)
         omega = 0.4
         est = soft_estimates(desk_array, Measurement(y), [p])[0]
-        x0 = np.array(polar_to_relative(p.theta, p.r, omega))
+        bs = BsConfig(position=(0.0, 0.0), rotation=omega)
+        x0 = bs.point(p.theta, p.r)
         _, hess_theta, hess_r = _transform_coefficients(*x0)
         terms = [est.grad[0] * hess_theta, est.grad[1] * hess_r]
 
         def f_xy(v):
-            theta, r = relative_to_polar(v[0], v[1], omega)
+            theta, r = bs.polar(v)
             return objective(desk_array, y,
                              PathParams(theta=theta, r=r, g=p.g, phi=p.phi))
 
@@ -141,6 +149,7 @@ class TestPositionCovariance:
         # positions against the propagated covariance.
         _, h, sigma2 = self._high_snr_setup(desk_array)
         omega = 0.2
+        bs = BsConfig(position=(3.0, -1.0), rotation=omega)
         cb = build_codebook(desk_array, CodebookConfig())
         cfg = EstimatorConfig(codebook=cb)
         rng = np.random.default_rng(77)
@@ -148,8 +157,7 @@ class TestPositionCovariance:
         est = vnnce([y], [1], cfg)[0][0]
         draws = rng.multivariate_normal(as_vector(est.params), est.cov,
                                         size=20000)
-        pts = np.array([polar_to_relative(t, r, omega)
-                        for t, r, _, _ in draws])
+        pts = np.array([bs.point(t, r) for t, r, _, _ in draws])
         mc_cov = np.cov(pts.T)
         marginal = marginal_position_covariance(est, omega)
         ratio = np.trace(marginal) / np.trace(mc_cov)
@@ -157,7 +165,7 @@ class TestPositionCovariance:
         # The measurement-Hessian route conditions on (g, phi) instead of
         # marginalizing them, so it is tighter by a stable structural
         # factor (~2.26 across geometries); bound it rather than equate it.
-        full = position_covariance(est, omega)
+        full = position_covariance(est, bs)
         ratio_full = np.trace(full.cov) / np.trace(mc_cov)
         assert 1 / 3 < ratio_full <= ratio + 1e-9
 
@@ -168,23 +176,24 @@ class TestPositionCovariance:
         sigma2 = 1e-8
         y = Measurement(y=h, noise_variance=sigma2)
         est = soft_estimates(desk_array, y, [truth])[0]
-        full = position_covariance(est, 0.0)
+        full = position_covariance(est, BsConfig(position=(0.0, 0.0), rotation=0.0))
         marginal = marginal_position_covariance(est, 0.0)
         assert np.allclose(marginal, full.cov, rtol=0.2)
 
     def test_covariance_scales_with_sigma2(self, desk_array):
         truth, h, _ = self._high_snr_setup(desk_array)
+        bs = BsConfig(position=(0.0, 0.0), rotation=0.0)
         a = position_covariance(
-            soft_estimates(desk_array, Measurement(h, 1e-6), [truth])[0], 0.0)
+            soft_estimates(desk_array, Measurement(h, 1e-6), [truth])[0], bs)
         b = position_covariance(
-            soft_estimates(desk_array, Measurement(h, 2e-6), [truth])[0], 0.0)
+            soft_estimates(desk_array, Measurement(h, 2e-6), [truth])[0], bs)
         assert np.allclose(b.cov, 2 * a.cov, rtol=1e-9)
 
     def test_psd_output(self, desk_array, rng):
         truth, h, sigma2 = self._high_snr_setup(desk_array)
         y = add_noise(h, sigma2, rng)
         est = soft_estimates(desk_array, y, [truth])[0]
-        sp = position_covariance(est, 0.0)
+        sp = position_covariance(est, BsConfig(position=(0.0, 0.0), rotation=0.0))
         assert np.allclose(sp.cov, sp.cov.T, atol=1e-12)
         assert np.linalg.eigvalsh(sp.cov).min() >= 0
 
@@ -240,15 +249,6 @@ class TestConsistency:
             assert consistency(a, b, 3.5) == consistency(b, a, 3.5)
 
 
-class TestToGlobal:
-    def test_translation_only(self):
-        bs = BsConfig(position=(0.0, 50.0), rotation=np.pi)
-        rel = SoftPosition(mean=[10.0, -50.0], cov=np.eye(2))
-        out = to_global(rel, bs)
-        assert np.allclose(out.mean, [10.0, 0.0], atol=1e-12)
-        assert np.allclose(out.cov, rel.cov)
-
-
 class TestGfcl:
     def _bs_setup(self):
         user = np.array([2.5, 2.5])
@@ -260,8 +260,7 @@ class TestGfcl:
         cb = build_codebook(desk_array, CodebookConfig())
         ests = []
         for bs in bss:
-            rel = user - np.asarray(bs.position)
-            theta, r = relative_to_polar(rel[0], rel[1], bs.rotation)
+            theta, r = bs.polar(user)
             paths = [PathParams(theta=theta, r=r, g=1.0,
                                 phi=float(rng.uniform(0, 2 * np.pi)))]
             h = synthesize_channel(desk_array, paths)

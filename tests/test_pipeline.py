@@ -8,7 +8,7 @@ from nearfield.arraymodel import (Measurement, PathParams, add_noise,
 from nearfield.codebook import CodebookConfig, build_codebook
 from nearfield.estimator import EstimatorConfig
 from nearfield.harness import nmse
-from nearfield.localization import BsConfig, relative_to_polar
+from nearfield.localization import BsConfig
 from nearfield.pipeline import run_joint
 from tests.reference import oracle_ls
 
@@ -27,8 +27,7 @@ def setup(desk_array):
 def make_paths(desk_array, bss, user, rng, with_nlos=False):
     per_bs = []
     for bs in bss:
-        rel = user - np.asarray(bs.position)
-        theta, r = relative_to_polar(rel[0], rel[1], bs.rotation)
+        theta, r = bs.polar(user)
         paths = [PathParams(theta=theta, r=r, g=1.0,
                             phi=float(rng.uniform(0, 2 * np.pi)))]
         if with_nlos:
@@ -100,8 +99,7 @@ class TestAnchoring:
             if not result.anchored[i]:
                 continue
             los = result.step3[i][0]
-            rel = user - np.asarray(bs.position)
-            theta_t, r_t = relative_to_polar(rel[0], rel[1], bs.rotation)
+            theta_t, r_t = bs.polar(user)
             assert los.theta == pytest.approx(theta_t, abs=1e-6)
             assert los.r == pytest.approx(r_t, rel=1e-6)
             h_ls = oracle_ls(desk_array, channels[i], paths[i])
@@ -122,8 +120,7 @@ class TestAnchoring:
         for i, bs in enumerate(bss):
             if not result.anchored[i]:
                 continue
-            rel = result.step2.fused.mean - np.asarray(bs.position)
-            theta_a, r_a = relative_to_polar(rel[0], rel[1], bs.rotation)
+            theta_a, r_a = bs.polar(result.step2.fused.mean)
             r_a = float(np.clip(r_a, desk_array.min_near_distance,
                                 desk_array.rayleigh_distance))
             anchor = result.step3[i][result.step2.candidates[i].path_index]
