@@ -115,18 +115,11 @@ def _distances(delta_d, r_sq, r, cos_theta) -> np.ndarray:
     return np.sqrt(r_sq + delta_d**2 + 2.0 * delta_d * r * cos_theta)
 
 
-def distance_derivatives(cfg: ArrayConfig, theta: float, r: float
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Element distances r_m and their derivatives in (theta, r): d1 holds
-    dr_m/dtheta and dr_m/dr, d2 the (theta, theta), (theta, r), (r, r) ones."""
-    r_m = element_distances(cfg, theta, r)
-    return (r_m, *distance_slopes(cfg, theta, r, r_m))
-
-
-def distance_slopes(cfg: ArrayConfig, theta: float, r: float,
-                    r_m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """distance_derivatives' d1 and d2 from the element distances r_m at
-    (theta, r), for a caller that already has them."""
+def distance_derivatives(cfg: ArrayConfig, theta: float, r: float,
+                         r_m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Derivatives in (theta, r) of the element distances r_m at (theta, r):
+    d1 holds dr_m/dtheta and dr_m/dr, d2 the (theta, theta), (theta, r),
+    (r, r) ones."""
     delta_d = antenna_offsets(cfg) * cfg.spacing
     sin_t, cos_t = np.sin(theta), np.cos(theta)
     neg_dr = -delta_d * r

@@ -9,14 +9,15 @@ from __future__ import annotations
 import numpy as np
 
 from .arraymodel import (ArrayConfig, PathParams, distance_derivatives,
-                         distance_steering)
+                         distance_steering, element_distances)
 
 
 def steering_derivatives(cfg: ArrayConfig, p: PathParams) -> np.ndarray:
     """Per-element derivatives of g e^{j phi} b(theta, r) w.r.t. (theta, r,
     g, phi), as the rows of a 4 x M complex array in that order."""
     k = cfg.wavenumber
-    r_m, d1, _ = distance_derivatives(cfg, p.theta, p.r)
+    r_m = element_distances(cfg, p.theta, p.r)
+    d1, _ = distance_derivatives(cfg, p.theta, p.r, r_m)
     b = distance_steering(cfg, r_m, p.r)
     s_m = p.g * np.exp(1j * p.phi) * b
     v_theta = s_m * 1j * k * d1[0]

@@ -83,9 +83,9 @@ class Codebook:
                 self.array, self.theta[:stored], self.r[:stored])
         return self._steering
 
-    def scores(self, yv: np.ndarray) -> np.ndarray:
+    def scores(self, Y: np.ndarray) -> np.ndarray:
         """Detection score |b^H y|^2 of every codeword, in codeword order,
-        for one vector or a stack of them, one per row; exact in float64 for
+        for a stack of vectors y, one per row of Y; exact in float64 for
         every codeword that can be a row's largest, so the argmax is the
         float64 scan's, first index on ties.
 
@@ -105,7 +105,6 @@ class Codebook:
         column: the stack is scored with its reversed rows in one product
         over the mirrored columns, which reads each column once.
         """
-        Y = np.atleast_2d(yv)
         B = self.steering_matrix
         P, k = self.num_twins, len(Y)
         scale = np.abs(Y).max(axis=1, keepdims=True)
@@ -120,7 +119,7 @@ class Codebook:
             if d > 0.0:
                 window = np.flatnonzero(a >= a.max(initial=0.0) - 2.0 * d)
                 row[window] = [self._exact_score(y, j) for j in window.tolist()]
-        return out[0] if yv.ndim == 1 else out
+        return out
 
     def _exact_score(self, y: np.ndarray, j: int) -> float:
         # |b^H y|^2 in float64 on near_steering's column; a twin's is the

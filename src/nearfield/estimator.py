@@ -16,13 +16,13 @@ against the final residual of the others.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .arraymodel import ArrayConfig, Measurement, PathParams, \
-    distance_derivatives, distance_slopes, distance_steering, element_distances, \
-    near_steering, synthesize_channel
+    distance_derivatives, distance_steering, element_distances, synthesize_channel
+from .arraymodel import near_steering  # noqa: F401 - rebound by bench/layertrace.py
 from .codebook import Codebook
 
 THETA_EDGE = 1e-6
@@ -73,33 +73,27 @@ class EstimatorConfig:
             raise ValueError("refinement round counts must be >= 0")
 
 
-def project(cfg: ArrayConfig, y: np.ndarray, theta: float,
-            r: float) -> tuple[float, complex]:
-    """Matched projection on b(theta, r): cost |b^H y|^2 / M and LS gain b^H y / M."""
-    return _match(cfg, y, near_steering(cfg, theta, r))
+class Projection(NamedTuple):
+    """The matched projection of y on b(theta, r): cost |b^H y|^2 / M and LS
+    gain b^H y / M, with what the derivatives and the next Newton step on
+    the same y read: y's magnitude and phase, and the point's element
+    distances."""
 
-
-def _match(cfg: ArrayConfig, y: np.ndarray, b: np.ndarray) -> tuple[float, complex]:
-    inner = b.conj() @ y
-    return float(np.abs(inner) ** 2 / cfg.num_antennas), complex(inner / cfg.num_antennas)
-
-
-class Projection(tuple):
-    """A Newton step's projection (cost, gain) at a point, equal to project's
-    there. It carries what the next step on the same residual reuses: the
-    residual's magnitude and phase, fixed for a turn, and the point's
-    element distances."""
-
+    cost: float
+    gain: complex
     polar: tuple[np.ndarray, np.ndarray]
     r_m: np.ndarray
 
-    def __new__(cls, cfg: ArrayConfig, y: np.ndarray, theta: float, r: float,
-                polar: tuple[np.ndarray, np.ndarray] | None = None):
-        r_m = element_distances(cfg, theta, r)
-        out = super().__new__(cls, _match(cfg, y, distance_steering(cfg, r_m, r)))
-        out.polar = (np.abs(y), np.angle(y)) if polar is None else polar
-        out.r_m = r_m
-        return out
+
+def project(cfg: ArrayConfig, y: np.ndarray, theta: float, r: float,
+            polar: tuple[np.ndarray, np.ndarray] | None = None) -> Projection:
+    """The Projection of y at (theta, r); pass `polar`, y's (|y|, arg y),
+    when a previous projection of the same y holds it."""
+    r_m = element_distances(cfg, theta, r)
+    inner = distance_steering(cfg, r_m, r).conj() @ y
+    M = cfg.num_antennas
+    return Projection(float(np.abs(inner) ** 2 / M), complex(inner / M),
+                      (np.abs(y), np.angle(y)) if polar is None else polar, r_m)
 
 
 def _gain_polar(gain: complex) -> tuple[float, float]:
@@ -108,23 +102,18 @@ def _gain_polar(gain: complex) -> tuple[float, float]:
     return g, phi
 
 
-def grad_hess(cfg: ArrayConfig, y: np.ndarray,
+def grad_hess(cfg: ArrayConfig, proj: Projection,
               p: PathParams) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient and 4x4 Hessian of the objective in (theta, r, g,
-    phi) order, as products with P = dpsi/d(theta, r, g, phi) (g row zero,
-    phi row ones) and a = |y|: Hessian -2g P diag(a cos psi) P^T - 2g
-    (d^2 psi/d(theta, r)^2) . (a sin psi), g row -2 P (a sin psi), (g, g)
-    entry -2M; gradient g times the g row, g entry 2 sum(a cos psi) - 2Mg."""
-    return _grad_hess(cfg, (np.abs(y), np.angle(y)), p,
-                      *distance_derivatives(cfg, p.theta, p.r))
-
-
-def _grad_hess(cfg: ArrayConfig, polar: tuple[np.ndarray, np.ndarray],
-               p: PathParams, r_m: np.ndarray, d1: np.ndarray,
-               d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a, arg_y = polar
+    """Analytic gradient and 4x4 Hessian of the objective on the projected y,
+    at p, whose (theta, r) is proj's point, in (theta, r, g, phi) order, as
+    products with P = dpsi/d(theta, r, g, phi) (g row zero, phi row ones)
+    and a = |y|: Hessian -2g P diag(a cos psi) P^T - 2g (d^2 psi/d(theta,
+    r)^2) . (a sin psi), g row -2 P (a sin psi), (g, g) entry -2M; gradient
+    g times the g row, g entry 2 sum(a cos psi) - 2Mg."""
+    a, arg_y = proj.polar
+    d1, d2 = distance_derivatives(cfg, p.theta, p.r, proj.r_m)
     k, M = cfg.wavenumber, cfg.num_antennas
-    psi = k * (r_m - p.r) + p.phi - arg_y
+    psi = k * (proj.r_m - p.r) + p.phi - arg_y
     a_sin, a_cos = a * np.sin(psi), a * np.cos(psi)
     P = np.empty((4, M))
     P[0], P[1], P[2], P[3] = k * d1[0], k * (d1[1] - 1.0), 0.0, 1.0
@@ -169,38 +158,32 @@ def _newton_step(grad: np.ndarray, hess: np.ndarray) -> tuple[float, float] | No
 
 
 def newton_refine_once(cfg: ArrayConfig, y: np.ndarray, p: PathParams,
-                       trace: TraceHook | None = None,
-                       path_index: int = 0, round_index: int = 0,
-                       proj: Projection | None = None
+                       proj: Projection, trace: TraceHook | None = None,
+                       path_index: int = 0, round_index: int = 0
                        ) -> tuple[PathParams, Projection]:
     """One guarded Newton update of (theta, r), then the LS gain.
 
     The (theta, r) step is taken only when the 2x2 sub-Hessian is negative
     definite, the distance is clamped into the near-field annulus, and the
     update is reverted if the projection cost decreased. `proj` is the
-    Projection of y at p, as the previous step on y returned it, or None to
-    project afresh; the Projection at the returned point comes back beside
-    the params for the next step.
+    Projection of y at p, as the previous step on y returned it; the
+    Projection at the returned point comes back beside the params for the
+    next step.
     """
     theta, r = p.theta, p.r
-    if proj is None:
-        proj = Projection(cfg, y, theta, r)
-    cost_before = proj[0]
-
-    step = _newton_step(*_grad_hess(cfg, proj.polar, p, proj.r_m,
-                                    *distance_slopes(cfg, theta, r, proj.r_m)))
+    step = _newton_step(*grad_hess(cfg, proj, p))
     out = proj
     if step is not None:
         cand = _clamp_params(cfg, theta - step[0], r - step[1])
-        cand_proj = Projection(cfg, y, *cand, proj.polar)
-        if cand_proj[0] >= cost_before:
+        cand_proj = project(cfg, y, *cand, proj.polar)
+        if cand_proj.cost >= proj.cost:
             out = cand_proj
             theta, r = cand
 
-    g, phi = _gain_polar(out[1])
+    g, phi = _gain_polar(out.gain)
     if trace is not None:
         trace(path_index, round_index, theta, r, g, phi,
-              cost_before, out[0], out is not proj)
+              proj.cost, out.cost, out is not proj)
     return PathParams(theta=theta, r=r, g=g, phi=phi), out
 
 
@@ -216,22 +199,22 @@ def soft_estimates(cfg: ArrayConfig, y: Measurement,
     out = []
     for k, p in enumerate(paths):
         y_rk = residual(cfg, y.y, paths[:k] + paths[k + 1:])
-        out.append(SoftEstimate(p, *grad_hess(cfg, y_rk, p), y.noise_variance))
+        proj = project(cfg, y_rk, p.theta, p.r)
+        out.append(SoftEstimate(p, *grad_hess(cfg, proj, p), y.noise_variance))
     return out
 
 
-def omp_detect(cfg: ArrayConfig, y_r: np.ndarray, codebook: Codebook,
-               scores: np.ndarray | None = None) -> PathParams:
-    """Exhaustive codebook scan maximizing |b^H y_r|^2; ties -> lowest
-    codeword index, which is the first in scan order. Pass `scores` when the
-    scan of y_r is already done."""
+def omp_detect(y_r: np.ndarray, codebook: Codebook,
+               scores: np.ndarray) -> PathParams:
+    """The codeword maximizing |b^H y_r|^2 on y_r's row of the codebook scan,
+    `scores`, with its LS gain; ties -> lowest codeword index, which is the
+    first in scan order."""
     if len(codebook) == 0:
         raise ValueError("codebook is empty")
-    if scores is None:
-        scores = codebook.scores(y_r)
     best = int(np.argmax(scores))  # first index on ties
     theta, r = float(codebook.theta[best]), float(codebook.r[best])
-    return PathParams(theta, r, *_gain_polar(project(cfg, y_r, theta, r)[1]))
+    gain = project(codebook.array, y_r, theta, r).gain
+    return PathParams(theta, r, *_gain_polar(gain))
 
 
 def _refine(cfg: EstimatorConfig, y_r: np.ndarray, sigma2: float, p: PathParams,
@@ -250,15 +233,15 @@ def _refine(cfg: EstimatorConfig, y_r: np.ndarray, sigma2: float, p: PathParams,
     """
     array = cfg.codebook.array
     if fixed is not None:
-        return PathParams(*fixed, *_gain_polar(project(array, y_r, *fixed)[1]))
-    proj = Projection(array, y_r, p.theta, p.r)
+        return PathParams(*fixed, *_gain_polar(project(array, y_r, *fixed).gain))
+    proj = project(array, y_r, p.theta, p.r)
     for j in range(cfg.single_rounds):
-        q, after = newton_refine_once(array, y_r, p, trace, path_index=k,
-                                      round_index=j, proj=proj)
+        q, after = newton_refine_once(array, y_r, p, proj, trace, path_index=k,
+                                      round_index=j)
         if q == p:
             break
         moved = (q.theta, q.r) != (p.theta, p.r)
-        if moved and after[0] - proj[0] < MIN_LOGLIK_GAIN * sigma2:
+        if moved and after.cost - proj.cost < MIN_LOGLIK_GAIN * sigma2:
             return q
         p, proj = q, after
     return p
@@ -312,7 +295,7 @@ def vnnce(ys: list[Measurement], num_paths: list[int], cfg: EstimatorConfig,
         scores = codebook.scores(np.stack(y_rs))
         still = []
         for i, y_r, s in zip(active, y_rs, scores):
-            p = omp_detect(array, y_r, codebook, s)
+            p = omp_detect(y_r, codebook, s)
             paths[i].append(_refine(cfg, y_r, ys[i].noise_variance, p,
                                     len(paths[i]), trace))
             paths[i] = cyclic_refine(cfg, ys[i], paths[i], cfg.cyclic_rounds, trace)

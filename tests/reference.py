@@ -11,7 +11,8 @@ from scipy import special
 from nearfield.arraymodel import (ArrayConfig, PathParams, antenna_offsets,
                                   element_distances, near_steering)
 from nearfield.codebook import Codebook
-from nearfield.estimator import EstimatorConfig, SoftEstimate, newton_refine_once
+from nearfield.estimator import (EstimatorConfig, SoftEstimate, newton_refine_once,
+                                 project)
 
 
 def central_differences(fn, x, h) -> np.ndarray:
@@ -110,9 +111,10 @@ def plain_refine(cfg: EstimatorConfig, y_r: np.ndarray, p: PathParams, k: int,
                  trace=None) -> PathParams:
     """A Newton turn as single_rounds calls of newton_refine_once, each
     projecting afresh, with no fixed-point exit."""
+    array = cfg.codebook.array
     for j in range(cfg.single_rounds):
-        p, _ = newton_refine_once(cfg.codebook.array, y_r, p, trace,
-                                  path_index=k, round_index=j)
+        p, _ = newton_refine_once(array, y_r, p, project(array, y_r, p.theta, p.r),
+                                  trace, path_index=k, round_index=j)
     return p
 
 

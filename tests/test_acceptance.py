@@ -16,7 +16,7 @@ from nearfield.arraymodel import (ArrayConfig, Measurement, PathParams,
                                   add_noise, synthesize_channel)
 from nearfield.bounds import crlb_diag, fim, steering_derivatives
 from nearfield.codebook import CodebookConfig, angle_grid, build_codebook
-from nearfield.estimator import EstimatorConfig, grad_hess, vnnce
+from nearfield.estimator import EstimatorConfig, grad_hess, project, vnnce
 from nearfield.harness import load_scenario, run_trial, sweep, to_db
 from nearfield.localization import SoftPosition, gaussian_fuse
 from tests.conftest import random_path
@@ -238,7 +238,7 @@ class TestAcceptance:
                 y = add_noise(y, truth.g**2 / 10.0, rng).y
             steps = fd_steps(p)
             g_num = fd_grad(lambda v: obj_at(ARRAY, y, v), as_vector(p), steps)
-            g_ana, h_ana = grad_hess(ARRAY, y, p)
+            g_ana, h_ana = grad_hess(ARRAY, project(ARRAY, y, p.theta, p.r), p)
             worst_g = max(worst_g, np.linalg.norm(g_ana - g_num)
                           / max(np.linalg.norm(g_num), 1.0))
             h_num = fd_hess(ARRAY, y, as_vector(p), steps * 0.1)

@@ -95,7 +95,8 @@ class TestOffsetsAndDistances:
                  *rng.uniform(cfg.min_near_distance, cfg.rayleigh_distance, 3)]
         for theta in thetas:
             for r in radii:
-                got = distance_derivatives(cfg, float(theta), float(r))
+                r_m = element_distances(cfg, float(theta), float(r))
+                got = (r_m, *distance_derivatives(cfg, float(theta), float(r), r_m))
                 want = stacked_distance_derivatives(cfg, float(theta), float(r))
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w)

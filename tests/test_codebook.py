@@ -235,10 +235,10 @@ class TestScanBlasThreads:
             with codebook._one_blas_thread():
                 assert getter() == 1
             assert getter() == 2
-            cb.scores(np.ones(64, dtype=complex))
+            cb.scores(np.ones((1, 64), dtype=complex))
             assert getter() == 2
             with pytest.raises(ValueError):  # raised by the product, 63 != 64
-                cb.scores(np.ones(63, dtype=complex))
+                cb.scores(np.ones((1, 63), dtype=complex))
             assert getter() == 2
         finally:
             setter(before)

@@ -46,7 +46,9 @@ def fd_hess(cfg, y, x, h):
     1e-4 tolerance; one FD layer on top of the FD-validated gradient keeps
     the oracle independent of the analytic Hessian formulas.
     """
-    H = central_differences(lambda v: grad_hess(cfg, y, PathParams(*v))[0], x, h)
+    H = central_differences(
+        lambda v: grad_hess(cfg, project(cfg, y, v[0], v[1]), PathParams(*v))[0],
+        x, h)
     return (H + H.T) / 2
 
 
@@ -68,29 +70,29 @@ class TestCostAndGain:
     def test_cost_at_truth_equals_g2m(self, desk_array):
         p = PathParams(theta=1.3, r=2.0, g=1.0)
         h = synthesize_channel(desk_array, [p])
-        c, _ = project(desk_array, h, p.theta, p.r)
+        c = project(desk_array, h, p.theta, p.r).cost
         assert c == pytest.approx(64.0, rel=1e-12)
 
     def test_cost_scales_with_gain(self, desk_array):
         p = PathParams(theta=1.3, r=2.0, g=0.5)
         h = synthesize_channel(desk_array, [p])
-        c, _ = project(desk_array, h, p.theta, p.r)
+        c = project(desk_array, h, p.theta, p.r).cost
         assert c == pytest.approx(16.0, rel=1e-12)
 
     def test_cost_zero_input(self, desk_array):
-        assert project(desk_array, np.zeros(64, dtype=complex), 1.0, 2.0)[0] == 0.0
+        assert project(desk_array, np.zeros(64, dtype=complex), 1.0, 2.0).cost == 0.0
 
     def test_cost_global_phase_invariant(self, desk_array, rng):
         p = random_path(desk_array, rng)
         h = synthesize_channel(desk_array, [p])
-        c0, _ = project(desk_array, h, 1.0, 2.0)
-        c1, _ = project(desk_array, h * np.exp(1j * 0.77), 1.0, 2.0)
+        c0 = project(desk_array, h, 1.0, 2.0).cost
+        c1 = project(desk_array, h * np.exp(1j * 0.77), 1.0, 2.0).cost
         assert c1 == pytest.approx(c0, rel=1e-12)
 
     def test_ls_gain_recovers_complex_gain(self, desk_array):
         p = PathParams(theta=1.3, r=2.0, g=0.8, phi=2.1)
         h = synthesize_channel(desk_array, [p])
-        _, gain = project(desk_array, h, p.theta, p.r)
+        gain = project(desk_array, h, p.theta, p.r).gain
         assert abs(gain) == pytest.approx(0.8, rel=1e-12)
         assert np.angle(gain) == pytest.approx(2.1, abs=1e-12)
 
@@ -100,7 +102,7 @@ class TestCostAndGain:
         for _ in range(10):
             p, q = random_path(desk_array, rng), random_path(desk_array, rng)
             h = near_steering(desk_array, p.theta, p.r)
-            assert abs(project(desk_array, h, q.theta, q.r)[1]) < 1.0
+            assert abs(project(desk_array, h, q.theta, q.r).gain) < 1.0
 
 
 class TestObjective:
@@ -128,7 +130,7 @@ class TestDerivatives:
         for _ in range(5):
             p = random_path(desk_array, rng)
             h = synthesize_channel(desk_array, [p])
-            grad, _ = grad_hess(desk_array, h, p)
+            grad, _ = grad_hess(desk_array, project(desk_array, h, p.theta, p.r), p)
             assert np.linalg.norm(grad) < 1e-6 * 64
 
     @pytest.mark.parametrize("snr_db", [None, 10.0])
@@ -141,7 +143,7 @@ class TestDerivatives:
                 sigma2 = truth.g**2 / 10 ** (snr_db / 10)
                 y = add_noise(y, sigma2, rng).y
             x = as_vector(p)
-            ana, _ = grad_hess(desk_array, y, p)
+            ana, _ = grad_hess(desk_array, project(desk_array, y, p.theta, p.r), p)
             num = fd_grad(lambda v: obj_at(desk_array, y, v), x, fd_steps(p))
             assert np.linalg.norm(ana - num) <= 1e-5 * max(
                 np.linalg.norm(num), 1.0)
@@ -155,7 +157,7 @@ class TestDerivatives:
             if snr_db is not None:
                 sigma2 = truth.g**2 / 10 ** (snr_db / 10)
                 y = add_noise(y, sigma2, rng).y
-            _, ana = grad_hess(desk_array, y, p)
+            _, ana = grad_hess(desk_array, project(desk_array, y, p.theta, p.r), p)
             num = fd_hess(desk_array, y, as_vector(p), fd_steps(p) * 0.1)
             assert np.linalg.norm(ana - num) <= 1e-4 * max(
                 np.linalg.norm(num), 1.0)
@@ -163,7 +165,7 @@ class TestDerivatives:
     def test_hessian_symmetric(self, desk_array, rng):
         p = random_path(desk_array, rng)
         y = synthesize_channel(desk_array, [random_path(desk_array, rng)])
-        _, H = grad_hess(desk_array, y, p)
+        _, H = grad_hess(desk_array, project(desk_array, y, p.theta, p.r), p)
         assert np.allclose(H, H.T, atol=1e-9)
         assert H[2, 2] == -2 * 64  # gain curvature is exactly -2M
 
@@ -173,7 +175,7 @@ def _saddle_start(cfg, truth):
     where the (theta, r) sub-Hessian is not negative definite."""
     h = synthesize_channel(cfg, [truth])
     thetas = np.linspace(truth.theta + 0.02, truth.theta + 0.2, 400)
-    costs = [project(cfg, h, t, truth.r)[0] for t in thetas]
+    costs = [project(cfg, h, t, truth.r).cost for t in thetas]
     return PathParams(theta=float(thetas[int(np.argmin(costs))]), r=truth.r, g=0.5)
 
 
@@ -181,7 +183,8 @@ class TestNewtonRefine:
     def test_truth_is_fixed_point(self, desk_array):
         p = PathParams(theta=1.3, r=2.0, g=1.0, phi=0.5)
         h = synthesize_channel(desk_array, [p])
-        out, _ = newton_refine_once(desk_array, h, p)
+        out, _ = newton_refine_once(
+            desk_array, h, p, project(desk_array, h, p.theta, p.r))
         assert out.theta == pytest.approx(p.theta, abs=1e-9)
         assert out.r == pytest.approx(p.r, rel=1e-9)
         assert out.g == pytest.approx(1.0, rel=1e-9)
@@ -198,9 +201,10 @@ class TestNewtonRefine:
                                r=float(rng.uniform(0.3, 1.5)),
                                g=1.0, phi=float(rng.uniform(0, 2 * np.pi)))
             h = synthesize_channel(desk_array, [truth])
-            p = omp_detect(desk_array, h, desk_codebook)
+            p = omp_detect(h, desk_codebook, desk_codebook.scores(h[None])[0])
             for _ in range(20):
-                p, _ = newton_refine_once(desk_array, h, p)
+                p, _ = newton_refine_once(
+                    desk_array, h, p, project(desk_array, h, p.theta, p.r))
             assert abs(p.theta - truth.theta) < 1e-6
             assert abs(p.r - truth.r) / truth.r < 1e-4
 
@@ -210,9 +214,10 @@ class TestNewtonRefine:
         truth = PathParams(theta=1.3, r=2.0, g=1.0)
         h = synthesize_channel(desk_array, [truth])
         start = _saddle_start(desk_array, truth)
-        H2 = grad_hess(desk_array, h, start)[1][:2, :2]
+        at_start = project(desk_array, h, start.theta, start.r)
+        H2 = grad_hess(desk_array, at_start, start)[1][:2, :2]
         assert not (H2[0, 0] < 0 and np.linalg.det(H2) > 0)
-        out, _ = newton_refine_once(desk_array, h, start)
+        out, _ = newton_refine_once(desk_array, h, start, at_start)
         assert out.theta == start.theta
         assert out.r == start.r
 
@@ -221,7 +226,8 @@ class TestNewtonRefine:
         h = synthesize_channel(desk_array, [truth])
         p = PathParams(theta=1.5, r=desk_array.rayleigh_distance, g=1.0)
         for _ in range(5):
-            p, _ = newton_refine_once(desk_array, h, p)
+            p, _ = newton_refine_once(
+                desk_array, h, p, project(desk_array, h, p.theta, p.r))
             assert desk_array.min_near_distance <= p.r
             assert p.r <= desk_array.rayleigh_distance
 
@@ -229,25 +235,33 @@ class TestNewtonRefine:
         truth = PathParams(theta=1.25, r=2.3, g=1.0, phi=1.0)
         h = synthesize_channel(desk_array, [truth])
         records = []
-        p = omp_detect(desk_array, h, desk_codebook)
+        p = omp_detect(h, desk_codebook, desk_codebook.scores(h[None])[0])
         for j in range(5):
-            p, _ = newton_refine_once(desk_array, h, p,
-                                      trace=lambda *a: records.append(a),
-                                      round_index=j)
+            p, _ = newton_refine_once(
+                desk_array, h, p, project(desk_array, h, p.theta, p.r),
+                trace=lambda *a: records.append(a), round_index=j)
         assert len(records) == 5
         for (_, _, _, _, _, _, c_before, c_after, accepted) in records:
             if accepted:
                 assert c_after >= c_before
 
     def test_returns_projection_at_returned_point(self, desk_array, rng):
-        # What a step returns beside its params is what the next step would
-        # have projected, so passing it on changes nothing.
+        # What a step returns beside its params is, bit for bit, what a
+        # fresh projection at the returned point gives, derivatives included,
+        # so passing it on to the next step changes nothing.
         truth = random_path(desk_array, rng)
         y = add_noise(synthesize_channel(desk_array, [truth]), 1e-2, rng).y
-        p, proj = random_path(desk_array, rng), None
+        p = random_path(desk_array, rng)
+        proj = project(desk_array, y, p.theta, p.r)
         for _ in range(5):
-            p, proj = newton_refine_once(desk_array, y, p, proj=proj)
-            assert proj == project(desk_array, y, p.theta, p.r)
+            p, proj = newton_refine_once(desk_array, y, p, proj)
+            fresh = project(desk_array, y, p.theta, p.r)
+            assert (proj.cost, proj.gain) == (fresh.cost, fresh.gain)
+            for got, want in [*zip(proj.polar, fresh.polar), (proj.r_m, fresh.r_m)]:
+                assert got.tobytes() == want.tobytes()
+            for got, want in zip(grad_hess(desk_array, proj, p),
+                                 grad_hess(desk_array, fresh, p)):
+                assert got.tobytes() == want.tobytes()
 
 
 def _turn_case(cfg, kind, u):
@@ -324,7 +338,8 @@ class TestRefineTurn:
         truth = PathParams(theta=1.3, r=2.0, g=1.0)
         start = _saddle_start(desk_array, truth)
         h = synthesize_channel(desk_array, [truth])
-        H2 = grad_hess(desk_array, h, start)[1][:2, :2]
+        at_start = project(desk_array, h, start.theta, start.r)
+        H2 = grad_hess(desk_array, at_start, start)[1][:2, :2]
         assert not (H2[0, 0] < 0 and np.linalg.det(H2) > 0)
         # Step 1 only refits the gain; step 2 returns its input.
         records = _assert_turn_exact(desk_codebook, h, start, 5, 0.0)
@@ -353,7 +368,8 @@ class TestRefineTurn:
         truth = PathParams(2.4394, 1.7196, 1.0, 3.3845)
         start = PathParams(2.4481, 1.1712, 0.54, 4.597)
         y = add_noise(synthesize_channel(desk_array, [truth]), 0.1, 183).y
-        assert _newton_step(*grad_hess(desk_array, y, start)) is not None
+        at_start = project(desk_array, y, start.theta, start.r)
+        assert _newton_step(*grad_hess(desk_array, at_start, start)) is not None
         records = _assert_turn_exact(desk_codebook, y, start, 5, 0.1)
         assert not records[0][8] and records[0][7] == records[0][6]
         assert records[1][8]
@@ -371,9 +387,10 @@ class TestRefineTurn:
         truth = random_path(desk_array, rng)
         y = add_noise(synthesize_channel(desk_array, [truth]), 1e-2, rng).y
         p = PathParams(truth.theta + 0.003, truth.r * 1.2, truth.g)
+        proj = project(desk_array, y, p.theta, p.r)
         for _ in range(8):
-            systems.append(grad_hess(desk_array, y, p))
-            p, _ = newton_refine_once(desk_array, y, p)
+            systems.append(grad_hess(desk_array, proj, p))
+            p, proj = newton_refine_once(desk_array, y, p, proj)
         for grad, hess in systems:
             want = np.linalg.solve(hess[:2, :2], grad[:2])
             got = _newton_step(grad, hess)
@@ -458,7 +475,8 @@ class TestRefinementCovariance:
         sigma2 = 1e-3
         y = add_noise(synthesize_channel(desk_array, [truth]), sigma2, 5)
         est = vnnce([y], [1], EstimatorConfig(codebook=desk_codebook))[0][0]
-        info = -grad_hess(desk_array, y.y, est.params)[1]
+        p = est.params
+        info = -grad_hess(desk_array, project(desk_array, y.y, p.theta, p.r), p)[1]
         cov = psd_repair(info, PSD_FLOOR_SCALE * 64, invert=True)
         assert np.array_equal(est.cov, sigma2 * cov)
 
@@ -472,8 +490,9 @@ class TestRefinementCovariance:
         assert len(ests) == 2
         for k, est in enumerate(ests):
             other = ests[1 - k].params
-            grad, hess = grad_hess(desk_array, residual(desk_array, y.y, [other]),
-                                   est.params)
+            y_r = residual(desk_array, y.y, [other])
+            p = est.params
+            grad, hess = grad_hess(desk_array, project(desk_array, y_r, p.theta, p.r), p)
             assert np.array_equal(est.grad, grad)
             assert np.array_equal(est.hess, hess)
             cov = psd_repair(-hess, PSD_FLOOR_SCALE * 64, invert=True)
@@ -487,9 +506,9 @@ class TestRefinementCovariance:
         cfg = EstimatorConfig(codebook=desk_codebook, single_rounds=0,
                               cyclic_rounds=0)
         est = vnnce([y], [1], cfg)[0][0]
-        coarse = omp_detect(desk_array, y.y, desk_codebook)
+        coarse = omp_detect(y.y, desk_codebook, desk_codebook.scores(y.y[None])[0])
         assert est.params == coarse
-        grad, hess = grad_hess(desk_array, y.y, coarse)
+        grad, hess = grad_hess(desk_array, project(desk_array, y.y, coarse.theta, coarse.r), coarse)
         assert np.array_equal(est.grad, grad)
         assert np.array_equal(est.hess, hess)
         assert est.sigma2 == sigma2
@@ -500,7 +519,7 @@ class TestOmpDetect:
         theta, r = float(desk_codebook.theta[500]), float(desk_codebook.r[500])
         h = synthesize_channel(
             desk_array, [PathParams(theta=theta, r=r, g=1.0, phi=0.3)])
-        p = omp_detect(desk_array, h, desk_codebook)
+        p = omp_detect(h, desk_codebook, desk_codebook.scores(h[None])[0])
         assert p.theta == pytest.approx(theta, abs=1e-12)
         assert p.r == pytest.approx(r, rel=1e-12)
         assert p.g == pytest.approx(1.0, rel=1e-9)
@@ -512,14 +531,15 @@ class TestOmpDetect:
                                r=float(rng.uniform(0.5, 5.0)), g=1.0,
                                phi=float(rng.uniform(0, 2 * np.pi)))
             h = synthesize_channel(desk_array, [truth])
-            p = omp_detect(desk_array, h, desk_codebook)
+            p = omp_detect(h, desk_codebook, desk_codebook.scores(h[None])[0])
             a = alpha_of(desk_array, np.cos(p.theta), np.cos(truth.theta))
             b = beta_of(desk_array, truth.theta, p.r, truth.r)
             assert abs(a) <= 0.5 + 1e-9
             assert abs(b) <= 1.0 + 1e-6
 
     def test_tie_breaks_to_lowest_index(self, desk_array, desk_codebook):
-        p = omp_detect(desk_array, np.zeros(64, dtype=complex), desk_codebook)
+        zero = np.zeros(64, dtype=complex)
+        p = omp_detect(zero, desk_codebook, desk_codebook.scores(zero[None])[0])
         assert p.theta == desk_codebook.theta[0]
         assert p.r == desk_codebook.r[0]
 
@@ -527,8 +547,10 @@ class TestOmpDetect:
         empty = Codebook(array=desk_array, config=desk_codebook.config, theta=[],
                          r=[], cos_theta=[], n_theta=[], n_r=[])
         assert empty.steering_matrix.shape == (64, 0)
+        zero = np.zeros(64, dtype=complex)
+        scores = empty.scores(zero[None])[0]
         with pytest.raises(ValueError):
-            omp_detect(desk_array, np.zeros(64, dtype=complex), empty)
+            omp_detect(zero, empty, scores)
 
     def test_scores_equal_copying_product(self, desk_array, desk_codebook):
         # y^H B reads B in place; the scores of the codewords with a
@@ -540,7 +562,7 @@ class TestOmpDetect:
             rng = np.random.default_rng(seed)
             y = rng.normal(size=64) + 1j * rng.normal(size=64)
             want = np.abs(B.conj().T @ y) ** 2
-            got = desk_codebook.scores(y)[:stored]
+            got = desk_codebook.scores(y[None])[0, :stored]
             assert_within_scan_bound(got, want, y)
             assert np.argmax(got) == np.argmax(want)
 
@@ -551,7 +573,7 @@ class TestOmpDetect:
         for _ in range(5):
             y = rng.normal(size=64) + 1j * rng.normal(size=64)
             y += 5.0 * synthesize_channel(desk_array, [random_path(desk_array, rng)])
-            best = {int(np.argmax(desk_codebook.scores(y * f)))
+            best = {int(np.argmax(desk_codebook.scores(y[None] * f)[0]))
                     for f in (1e-45, 1e-30, 1.0, 1e30, 1e40)}
             assert len(best) == 1
         zero = np.zeros(64, dtype=complex)
@@ -581,13 +603,13 @@ class TestMirrorDetection:
         for seed in range(3):
             ys = self._residuals(cb, seed)
             want = np.abs(ys.conj() @ B_full) ** 2
-            for got in (cb.scores(ys), [cb.scores(y) for y in ys],
+            for got in (cb.scores(ys), [cb.scores(y[None])[0] for y in ys],
                         cb.scores(ys[:1])):
                 for g, w, y in zip(got, want, ys):
                     assert g.shape == w.shape == (len(cb),)
                     assert_within_scan_bound(g, w, y)
                     best = int(np.argmax(w))
-                    p = omp_detect(cb.array, y, cb, g)
+                    p = omp_detect(y, cb, g)
                     assert (p.theta, p.r) == (cb.theta[best], cb.r[best])
 
     def test_exact_mirror_tie_goes_to_first_in_scan_order(self, mirror_case):
@@ -600,9 +622,9 @@ class TestMirrorDetection:
         twin = len(cb) - cb.num_twins + j
         b = near_steering(cb.array, float(cb.theta[j]), float(cb.r[j]))
         y = b + b[::-1]
-        for scores in (cb.scores(y), cb.scores(np.stack([y, y[::-1]]))[1]):
+        for scores in (cb.scores(y[None])[0], cb.scores(np.stack([y, y[::-1]]))[1]):
             assert scores[j] == scores[twin] == scores.max()
-            p = omp_detect(cb.array, y, cb, scores)
+            p = omp_detect(y, cb, scores)
             assert (p.theta, p.r) == (cb.theta[j], cb.r[j])
 
     def test_tie_below_float32_resolution_follows_float64(self, mirror_case):
@@ -619,7 +641,7 @@ class TestMirrorDetection:
             b = near_steering(cb.array, float(cb.theta[j]), float(cb.r[j]))
             y = (1.0 - 1e-9) * b + b[::-1]
             assert abs(b[::-1].conj() @ y) > abs(b.conj() @ y)
-            assert np.argmax(cb.scores(y)) == stored + j
+            assert np.argmax(cb.scores(y[None])[0]) == stored + j
 
 
 class TestResidual:
@@ -740,7 +762,7 @@ class TestLockstep:
             ys = rng.normal(size=(k, 64)) + 1j * rng.normal(size=(k, 64))
             stacked = desk_codebook.scores(ys)
             for row, y in zip(stacked, ys):
-                one = desk_codebook.scores(y)
+                one = desk_codebook.scores(y[None])[0]
                 assert np.argmax(row) == np.argmax(one)
                 assert_within_scan_bound(row, one, y, bounds=2)
 

@@ -1,10 +1,12 @@
 """No module of the package or of the tests imports a name it never uses or
 binds a function local it never reads. No linter is among the test
 dependencies, so these syntax-tree scans stand in for one; as for flake8, an
-import line marked `# noqa: F401` is exempt. A third scan holds the
-package's modules to their layers."""
+import line marked `# noqa: F401` is exempt, and in the package such a line
+may only import what the benchmark's layer tracer rebinds on that module. A
+further scan holds the package's modules to their layers."""
 
 import ast
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,6 +36,59 @@ def unused_imports(path: Path) -> list[str]:
 def test_no_unused_imports():
     assert len(MODULES) > 10
     assert [hit for path in MODULES for hit in unused_imports(path)] == []
+
+
+def unrebound_noqa_imports(package: Path, rebound: set[tuple[str, str]]) -> list[str]:
+    """`file:line: name` for every name a `# noqa: F401` import line of the
+    package imports that `rebound`, a set of (module, attribute) pairs, does
+    not hold for that line's module."""
+    hits = []
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and "# noqa: F401" in lines[node.lineno - 1]):
+                hits += [f"{path.name}:{node.lineno}: {name}" for name in
+                         (alias.asname or alias.name.split(".")[0]
+                          for alias in node.names)
+                         if (path.stem, name) not in rebound]
+    return hits
+
+
+def test_noqa_imports_are_rebound_by_the_layer_tracer(tmp_path, monkeypatch):
+    # A name the package imports only for the tracer to rebind is unused in
+    # the package itself; the marker may hide no other unused import.
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import layertrace
+
+    tracer = layertrace.Tracer(tmp_path, full=True)
+    tracer.install()
+    try:
+        rebound = {(owner.__name__.removeprefix("nearfield."), attr)
+                   for owner, attr, _ in tracer._saved
+                   if isinstance(owner, types.ModuleType)}
+    finally:
+        tracer.uninstall()
+    package = ROOT / "src" / "nearfield"
+    assert ("estimator", "near_steering") in rebound
+    assert unrebound_noqa_imports(package, rebound) == []
+
+
+def test_noqa_scan_flags_imports_not_rebound(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "low.py").write_text("x = y = 1\n")
+    (package / "high.py").write_text("from .low import x  # noqa: F401 - rebound\n"
+                                     "import os\n")
+    rebound = {("high", "x")}
+    assert unrebound_noqa_imports(package, rebound) == []
+    (package / "high.py").write_text("from .low import x, y  # noqa: F401\n"
+                                     "import os.path  # noqa: F401\n")
+    assert unrebound_noqa_imports(package, rebound) == [
+        "high.py:1: y",
+        "high.py:2: os",
+    ]
 
 
 def _own_nodes(fn: ast.AST):
