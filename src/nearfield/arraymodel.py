@@ -5,7 +5,9 @@ All functions are pure; stochastic ones take an explicit seed or Generator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +49,22 @@ class ArrayConfig:
         # Constant-amplitude model is only valid beyond 1.2 apertures.
         return 1.2 * self.aperture
 
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Read-only element coordinates delta_m d in meters, delta_m = (2m -
+        M + 1)/2, symmetric about the array centre."""
+        m = np.arange(self.num_antennas)
+        out = (2.0 * m - self.num_antennas + 1.0) / 2.0 * self.spacing
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def offsets_sq(self) -> np.ndarray:
+        """Read-only squares of `offsets`."""
+        out = self.offsets**2
+        out.setflags(write=False)
+        return out
+
 
 @dataclass(frozen=True)
 class PathParams:
@@ -81,7 +99,6 @@ class Measurement:
             raise ValueError("noise_variance must be >= 0")
 
 
-_OFFSETS_CACHE: dict[int, np.ndarray] = {}
 STEERING_BLOCK = 1 << 14  # entries per block: 256 KiB complex temporaries
 STEERING_DTYPE = np.dtype(np.complex64)  # near_steering_columns' entries
 U32 = 2.0**-24  # float32 unit roundoff
@@ -95,43 +112,55 @@ U32 = 2.0**-24  # float32 unit roundoff
 STEERING_ENTRY_ERROR = (2.0 * np.pi + 3.0) * U32
 
 
-def antenna_offsets(cfg: ArrayConfig) -> np.ndarray:
-    """Element coordinates delta_m = (2m - M + 1)/2, symmetric about zero."""
-    delta = _OFFSETS_CACHE.get(cfg.num_antennas)
-    if delta is None:
-        m = np.arange(cfg.num_antennas)
-        delta = (2.0 * m - cfg.num_antennas + 1.0) / 2.0
-        delta.setflags(write=False)
-        _OFFSETS_CACHE[cfg.num_antennas] = delta
-    return delta
-
-
 def element_distances(cfg: ArrayConfig, theta: float, r: float) -> np.ndarray:
     """Distance from each antenna to a source at (theta, r)."""
-    return _distances(antenna_offsets(cfg) * cfg.spacing, r**2, r, np.cos(theta))
+    return _distances(cfg.offsets, cfg.offsets_sq, r**2, r, math.cos(theta))
 
 
-def _distances(delta_d, r_sq, r, cos_theta) -> np.ndarray:
-    # The one expression behind every element distance.
-    return np.sqrt(r_sq + delta_d**2 + 2.0 * delta_d * r * cos_theta)
+def _distances(delta_d, delta_d_sq, r_sq, r, cos_theta) -> np.ndarray:
+    # The one expression behind every element distance: the law of cosines,
+    # r_sq + delta_d^2 + 2 delta_d r cos(theta).
+    return np.sqrt(delta_d * (2.0 * r) * cos_theta + (r_sq + delta_d_sq))
 
 
 def distance_derivatives(cfg: ArrayConfig, theta: float, r: float,
-                         r_m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Derivatives in (theta, r) of the element distances r_m at (theta, r):
-    d1 holds dr_m/dtheta and dr_m/dr, d2 the (theta, theta), (theta, r),
-    (r, r) ones."""
-    delta_d = antenna_offsets(cfg) * cfg.spacing
-    sin_t, cos_t = np.sin(theta), np.cos(theta)
-    neg_dr = -delta_d * r
-    d1, d2 = np.empty((2, cfg.num_antennas)), np.empty((3, cfg.num_antennas))
-    d1[0], d1[1] = neg_dr * sin_t, r + delta_d * cos_t
-    d1 /= r_m
-    d2[0] = neg_dr * cos_t - d1[0] ** 2
-    d2[1] = -delta_d * sin_t - d1[0] * d1[1]
-    d2[2] = 1.0 - d1[1] ** 2
-    d2 /= r_m
-    return d1, d2
+                         r_m: np.ndarray) -> np.ndarray:
+    """Derivatives in (theta, r) of the element distances r_m at (theta, r),
+    as the rows of a 6 x M array: dr_m/dtheta, dr_m/dr - 1, ones (the
+    phase's own derivative in phi), d2r_m/dtheta2, d2r_m/dtheta dr and
+    d2r_m/dr2.
+
+    No row is a difference of nearly equal terms. With x = delta_m d, the
+    law of cosines gives (r + x cos theta)^2 = r_m^2 - x^2 sin^2 theta, so
+    dr_m/dr - 1 = -x^2 sin^2 theta / (r_m (r_m + r + x cos theta)), 1 -
+    (dr_m/dr)^2 = x^2 sin^2 theta / r_m^2 and r_m^2 - r (r + x cos theta) =
+    x (x + r cos theta); near endfire and far from the array, dr_m/dr is 1
+    to within less than its own rounding error.
+    """
+    x, x_sq = cfg.offsets, cfg.offsets_sq
+    sin_t, cos_t = math.sin(theta), math.cos(theta)
+    inv = 1.0 / r_m
+    x_sq_inv = x_sq * inv  # x^2 / r_m
+    x_sq_inv3 = x_sq_inv * inv
+    x_sq_inv3 *= inv  # x^2 / r_m^3
+    out = np.empty((6, cfg.num_antennas))
+    d_t, d_r, _, d_tt, d_tr, d_rr = out
+    out[2] = 1.0
+    np.multiply(x, -r * sin_t, out=d_t)
+    d_t *= inv
+    np.multiply(x, cos_t, out=d_r)
+    d_r += r
+    d_r += r_m
+    np.divide(x_sq_inv, d_r, out=d_r)
+    d_r *= -sin_t * sin_t
+    np.multiply(x, -r * cos_t, out=d_tt)
+    d_tt -= d_t * d_t
+    d_tt *= inv
+    np.add(x, r * cos_t, out=d_tr)
+    d_tr *= x_sq_inv3
+    d_tr *= -sin_t
+    np.multiply(x_sq_inv3, sin_t * sin_t, out=d_rr)
+    return out
 
 
 def near_steering(cfg: ArrayConfig, theta: float, r: float) -> np.ndarray:
@@ -155,13 +184,13 @@ def near_steering_columns(cfg: ArrayConfig, theta: np.ndarray,
     """
     M = cfg.num_antennas
     out = np.empty((M, len(r)), dtype=STEERING_DTYPE)
-    delta_d = (antenna_offsets(cfg) * cfg.spacing)[:, None]
+    delta_d, delta_d_sq = cfg.offsets[:, None], cfg.offsets_sq[:, None]
     r_sq = np.array([v**2 for v in r.tolist()])  # float pow, not np.square
     cos_theta = np.cos(theta)
     step = max(1, STEERING_BLOCK // M)
     for j in range(0, len(r), step):
         cols = slice(j, j + step)
-        r_m = _distances(delta_d, r_sq[cols], r[cols], cos_theta[cols])
+        r_m = _distances(delta_d, delta_d_sq, r_sq[cols], r[cols], cos_theta[cols])
         phase = cfg.wavenumber * (r_m - r[cols])
         phase -= 2.0 * np.pi * np.floor(phase / (2.0 * np.pi))  # np.mod, 8x cheaper
         phase = phase.astype(np.float32)

@@ -17,11 +17,11 @@ def steering_derivatives(cfg: ArrayConfig, p: PathParams) -> np.ndarray:
     g, phi), as the rows of a 4 x M complex array in that order."""
     k = cfg.wavenumber
     r_m = element_distances(cfg, p.theta, p.r)
-    d1, _ = distance_derivatives(cfg, p.theta, p.r, r_m)
+    d_theta, d_r = distance_derivatives(cfg, p.theta, p.r, r_m)[:2]
     b = distance_steering(cfg, r_m, p.r)
     s_m = p.g * np.exp(1j * p.phi) * b
-    v_theta = s_m * 1j * k * d1[0]
-    v_r = s_m * 1j * k * (d1[1] - 1.0)
+    v_theta = s_m * 1j * k * d_theta
+    v_r = s_m * 1j * k * d_r
     v_g = np.exp(1j * p.phi) * b
     v_phi = 1j * s_m
     return np.stack([v_theta, v_r, v_g, v_phi])

@@ -15,6 +15,8 @@ against the final residual of the others.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -75,56 +77,62 @@ class EstimatorConfig:
 
 class Projection(NamedTuple):
     """The matched projection of y on b(theta, r): cost |b^H y|^2 / M and LS
-    gain b^H y / M, with what the derivatives and the next Newton step on
-    the same y read: y's magnitude and phase, and the point's element
-    distances."""
+    gain b^H y / M, with what the derivatives read: w = y o conj(b), whose
+    sum is b^H y, and the point's element distances."""
 
     cost: float
     gain: complex
-    polar: tuple[np.ndarray, np.ndarray]
+    w: np.ndarray
     r_m: np.ndarray
 
 
-def project(cfg: ArrayConfig, y: np.ndarray, theta: float, r: float,
-            polar: tuple[np.ndarray, np.ndarray] | None = None) -> Projection:
-    """The Projection of y at (theta, r); pass `polar`, y's (|y|, arg y),
-    when a previous projection of the same y holds it."""
+def project(cfg: ArrayConfig, y: np.ndarray, theta: float, r: float) -> Projection:
+    """The Projection of y at (theta, r)."""
     r_m = element_distances(cfg, theta, r)
-    inner = distance_steering(cfg, r_m, r).conj() @ y
+    w = distance_steering(cfg, r_m, r).conj()
+    w *= y
+    inner = complex(w.sum())
     M = cfg.num_antennas
-    return Projection(float(np.abs(inner) ** 2 / M), complex(inner / M),
-                      (np.abs(y), np.angle(y)) if polar is None else polar, r_m)
+    return Projection(abs(inner) ** 2 / M, inner / M, w, r_m)
 
 
 def _gain_polar(gain: complex) -> tuple[float, float]:
-    g = abs(gain)
-    phi = float(np.angle(gain)) % (2.0 * np.pi)
-    return g, phi
+    return abs(gain), cmath.phase(gain) % (2.0 * math.pi)
 
 
 def grad_hess(cfg: ArrayConfig, proj: Projection,
               p: PathParams) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient and 4x4 Hessian of the objective on the projected y,
-    at p, whose (theta, r) is proj's point, in (theta, r, g, phi) order, as
-    products with P = dpsi/d(theta, r, g, phi) (g row zero, phi row ones)
-    and a = |y|: Hessian -2g P diag(a cos psi) P^T - 2g (d^2 psi/d(theta,
-    r)^2) . (a sin psi), g row -2 P (a sin psi), (g, g) entry -2M; gradient
-    g times the g row, g entry 2 sum(a cos psi) - 2Mg."""
-    a, arg_y = proj.polar
-    d1, d2 = distance_derivatives(cfg, p.theta, p.r, proj.r_m)
-    k, M = cfg.wavenumber, cfg.num_antennas
-    psi = k * (proj.r_m - p.r) + p.phi - arg_y
-    a_sin, a_cos = a * np.sin(psi), a * np.cos(psi)
-    P = np.empty((4, M))
-    P[0], P[1], P[2], P[3] = k * d1[0], k * (d1[1] - 1.0), 0.0, 1.0
-    g_row = -2.0 * (P @ a_sin)
-    pap = (P * a_cos) @ P.T  # its (phi, phi) entry is sum(a cos psi)
-    hess = -2.0 * p.g * pap
-    hess[:2, :2] -= 2.0 * p.g * k * (d2 @ a_sin)[[0, 1, 1, 2]].reshape(2, 2)
-    hess[2] = hess[:, 2] = g_row
-    hess[2, 2] = -2.0 * M
-    grad = p.g * g_row
-    grad[2] = 2.0 * pap[3, 3] - 2.0 * M * p.g
+    at p, whose (theta, r) is proj's point, in (theta, r, g, phi) order.
+
+    With a = |y|, a cos psi and a sin psi are the real and imaginary parts
+    of conj(w) e^{j phi}. Every weighted sum comes from the rows F of
+    distance_derivatives: s = F (a sin psi) and C = F' diag(a cos psi) F'^T
+    over its first three rows F' = (dr_m/dtheta, dr_m/dr - 1, 1), which are
+    dpsi/d(theta, r, phi) over (k, k, 1). Hessian -2g (dpsi dpsi^T . a cos
+    psi + d^2 psi . a sin psi) in (theta, r, phi), g row -2 dpsi . a sin
+    psi, (g, g) entry -2M; gradient g times the g row, g entry 2 sum(a cos
+    psi) - 2Mg.
+    """
+    k, M, g = cfg.wavenumber, cfg.num_antennas, p.g
+    a_exp = proj.w.conj()  # a e^{j psi}
+    a_exp *= cmath.exp(1j * p.phi)
+    F = distance_derivatives(cfg, p.theta, p.r, proj.r_m)
+    s_t, s_r, s_1, s_tt, s_tr, s_rr = (F @ a_exp.imag).tolist()
+    P = F[:3]
+    (c_tt, c_tr, c_t1), (_, c_rr, c_r1), (_, _, c_11) = (
+        (P * a_exp.real) @ P.T).tolist()
+    gk = -2.0 * g * k
+    h_tt = gk * (k * c_tt + s_tt)
+    h_tr = gk * (k * c_tr + s_tr)
+    h_rr = gk * (k * c_rr + s_rr)
+    h_tp, h_rp, h_pp = gk * c_t1, gk * c_r1, -2.0 * g * c_11
+    g_t, g_r, g_p = -2.0 * k * s_t, -2.0 * k * s_r, -2.0 * s_1
+    hess = np.array([[h_tt, h_tr, g_t, h_tp],
+                     [h_tr, h_rr, g_r, h_rp],
+                     [g_t, g_r, -2.0 * M, g_p],
+                     [h_tp, h_rp, g_p, h_pp]])
+    grad = np.array([g * g_t, g * g_r, 2.0 * c_11 - 2.0 * M * g, g * g_p])
     return grad, hess
 
 
@@ -175,7 +183,7 @@ def newton_refine_once(cfg: ArrayConfig, y: np.ndarray, p: PathParams,
     out = proj
     if step is not None:
         cand = _clamp_params(cfg, theta - step[0], r - step[1])
-        cand_proj = project(cfg, y, *cand, proj.polar)
+        cand_proj = project(cfg, y, *cand)
         if cand_proj.cost >= proj.cost:
             out = cand_proj
             theta, r = cand

@@ -2,14 +2,18 @@
 objective they check the analytic derivatives against, the far-field
 steering vector, the s1/s2 analysis behind the codebook's grid steps, the
 gain-only oracle LS, the marginal (delta-method) position covariance, the
-stacked form of the distance derivatives, the plain Newton turn and the
-full steering matrix of a codebook."""
+stacked form of the distance derivatives, the extended-precision oracle of
+the derivatives, the plain Newton turn and the full steering matrix of a
+codebook."""
 
+import math
+
+import mpmath
 import numpy as np
 from scipy import special
 
-from nearfield.arraymodel import (ArrayConfig, PathParams, antenna_offsets,
-                                  element_distances, near_steering)
+from nearfield.arraymodel import (ArrayConfig, PathParams, element_distances,
+                                  near_steering)
 from nearfield.codebook import Codebook
 from nearfield.estimator import (EstimatorConfig, SoftEstimate, newton_refine_once,
                                  project)
@@ -96,15 +100,108 @@ def marginal_position_covariance(est: SoftEstimate, omega: float) -> np.ndarray:
 
 
 def stacked_distance_derivatives(cfg: ArrayConfig, theta: float, r: float):
-    """distance_derivatives written with np.stack, one temporary per row."""
-    delta_d = antenna_offsets(cfg) * cfg.spacing
+    """The element distances and distance_derivatives' rows, written with
+    np.stack, one temporary per row."""
+    x, x_sq = cfg.offsets, cfg.offsets_sq
     r_m = element_distances(cfg, theta, r)
-    sin_t, cos_t = np.sin(theta), np.cos(theta)
-    d1 = np.stack([-delta_d * r * sin_t, r + delta_d * cos_t]) / r_m
-    d2 = np.stack([-delta_d * r * cos_t - d1[0] ** 2,
-                   -delta_d * sin_t - d1[0] * d1[1],
-                   1.0 - d1[1] ** 2]) / r_m
-    return r_m, d1, d2
+    sin_t, cos_t = math.sin(theta), math.cos(theta)
+    inv = 1.0 / r_m
+    x_sq_inv3 = x_sq * inv * inv * inv
+    d_t = x * (-r * sin_t) * inv
+    return r_m, np.stack([d_t,
+                          x_sq * inv / (x * cos_t + r + r_m) * (-sin_t * sin_t),
+                          np.ones_like(r_m),
+                          (x * (-r * cos_t) - d_t * d_t) * inv,
+                          (x + r * cos_t) * x_sq_inv3 * (-sin_t),
+                          x_sq_inv3 * (sin_t * sin_t)])
+
+
+ORACLE_DIGITS = 50
+ORACLE_RTOL = 1e-8  # relative error the float64 derivatives must meet per entry
+
+
+def _mp_distance_derivatives(cfg: ArrayConfig, theta: float, r: float):
+    """Per element m, the textbook r_m = sqrt(r^2 + (delta_m d)^2 + 2 delta_m d r
+    cos theta) and its derivatives by direct differentiation, (r_m, dr_m/dtheta,
+    dr_m/dr, d2r_m/dtheta2, d2r_m/dtheta dr, d2r_m/dr2), in mpmath at the
+    working precision. The float inputs are taken as exact."""
+    theta, r, d = mpmath.mpf(theta), mpmath.mpf(r), mpmath.mpf(cfg.spacing)
+    sin_t, cos_t = mpmath.sin(theta), mpmath.cos(theta)
+    M = cfg.num_antennas
+    out = []
+    for m in range(M):
+        x = mpmath.mpf(2 * m - M + 1) / 2 * d
+        r_m = mpmath.sqrt(r**2 + x**2 + 2 * x * r * cos_t)
+        d_t = -x * r * sin_t / r_m
+        d_r = (r + x * cos_t) / r_m
+        out.append((r_m, d_t, d_r, (-x * r * cos_t - d_t**2) / r_m,
+                    (-x * sin_t - d_t * d_r) / r_m, (1 - d_r**2) / r_m))
+    return out
+
+
+def oracle_grad_hess(cfg: ArrayConfig, y, p: PathParams):
+    """grad_hess's gradient and 4x4 Hessian of f = sum 2|y_m| g cos(psi_m) - M
+    g^2, psi_m = k (r_m - r) + phi - arg y_m, differentiated by hand and
+    evaluated in mpmath at ORACLE_DIGITS digits, then rounded to float64."""
+    with mpmath.workdps(ORACLE_DIGITS):
+        k, g, phi = (mpmath.mpf(v) for v in (cfg.wavenumber, p.g, p.phi))
+        grad = [mpmath.mpf(0)] * 4
+        hess = [[mpmath.mpf(0)] * 4 for _ in range(4)]
+        rows = _mp_distance_derivatives(cfg, p.theta, p.r)
+        for y_m, (r_m, d_t, d_r, d_tt, d_tr, d_rr) in zip(y.tolist(), rows):
+            y_m = mpmath.mpc(y_m)
+            psi = k * (r_m - p.r) + phi - mpmath.arg(y_m)
+            a_cos, a_sin = abs(y_m) * mpmath.cos(psi), abs(y_m) * mpmath.sin(psi)
+            dpsi = [k * d_t, k * (d_r - 1), 0, 1]
+            d2psi = [[k * d_tt, k * d_tr], [k * d_tr, k * d_rr]]
+            for i in range(4):
+                if i != 2:
+                    grad[i] -= 2 * g * a_sin * dpsi[i]
+                    hess[2][i] -= 2 * a_sin * dpsi[i]
+                for j in range(4):
+                    hess[i][j] -= 2 * g * a_cos * dpsi[i] * dpsi[j]
+                    if i < 2 and j < 2:
+                        hess[i][j] -= 2 * g * a_sin * d2psi[i][j]
+            grad[2] += 2 * a_cos
+        M = cfg.num_antennas
+        grad[2] -= 2 * M * g
+        for i in range(4):
+            hess[i][2] = hess[2][i]
+        hess[2][2] = mpmath.mpf(-2 * M)
+        return (np.array([float(v) for v in grad]),
+                np.array([[float(v) for v in row] for row in hess]))
+
+
+def oracle_steering_derivatives(cfg: ArrayConfig, p: PathParams) -> np.ndarray:
+    """bounds.steering_derivatives' 4 x M rows, d(g e^{j phi} b_m)/d(theta, r,
+    g, phi) with b_m = e^{j k (r_m - r)}, in mpmath at ORACLE_DIGITS digits,
+    then rounded to complex128."""
+    with mpmath.workdps(ORACLE_DIGITS):
+        k, g, phi = (mpmath.mpf(v) for v in (cfg.wavenumber, p.g, p.phi))
+        cols = []
+        for r_m, d_t, d_r, *_ in _mp_distance_derivatives(cfg, p.theta, p.r):
+            unit = mpmath.expj(phi + k * (r_m - p.r))
+            s_m = g * unit
+            cols.append([s_m * 1j * k * d_t, s_m * 1j * k * (d_r - 1), unit,
+                         1j * s_m])
+        return np.array([[complex(v) for v in col] for col in cols]).T
+
+
+def turn_case(cfg, kind, u):
+    """Truth and start of a Newton turn from seven unit draws: mid-array,
+    within 1e-6..1e-2 rad of either endfire, or in the outer annulus half."""
+    if kind == "endfire":
+        th_t, th_s = 10 ** (-6 + 4 * u[0]), 10 ** (-6 + 4 * u[1])
+        if u[6] < 0.5:
+            th_t, th_s = np.pi - th_t, np.pi - th_s
+    else:
+        th_t = 0.3 + 2.5 * u[0]
+        th_s = th_t + 0.04 * (u[1] - 0.5)
+    far = cfg.rayleigh_distance
+    near = far / 2 if kind == "far_edge" else cfg.min_near_distance
+    r_t, r_s = (near + (far - near) * v for v in u[2:4])
+    return (PathParams(th_t, r_t, 1.0, 2 * np.pi * u[4]),
+            PathParams(th_s, r_s, 0.5 + u[5], 2 * np.pi * u[6]))
 
 
 def plain_refine(cfg: EstimatorConfig, y_r: np.ndarray, p: PathParams, k: int,

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dataclasses import FrozenInstanceError
+
 from nearfield.arraymodel import (ArrayConfig, Measurement, PathParams,
-                                  add_noise, antenna_offsets, distance_derivatives,
+                                  add_noise, distance_derivatives,
                                   element_distances, los_gain, near_steering,
                                   synthesize_channel)
 from nearfield.estimator import THETA_EDGE
@@ -54,14 +56,26 @@ class TestPathParams:
 
 class TestOffsetsAndDistances:
     def test_offsets_symmetric(self, wide_array):
-        delta = antenna_offsets(wide_array)
-        assert delta[0] == -127.5
-        assert delta[-1] == 127.5
-        assert delta.sum() == 0.0
+        x = wide_array.offsets
+        assert x[0] == -127.5 * wide_array.spacing
+        assert x[-1] == 127.5 * wide_array.spacing
+        assert np.array_equal(x, -x[::-1])
 
     def test_offsets_m64(self, desk_array):
-        delta = antenna_offsets(desk_array)
-        assert delta[0] == -31.5 and delta[-1] == 31.5
+        x = desk_array.offsets
+        assert x[0] == -31.5 * desk_array.spacing
+        assert x[-1] == 31.5 * desk_array.spacing
+
+    def test_offsets_cached_and_read_only(self):
+        cfg = ArrayConfig(num_antennas=8, wavelength=0.003)
+        for name in ("offsets", "offsets_sq"):
+            value = getattr(cfg, name)
+            assert getattr(cfg, name) is value
+            with pytest.raises(ValueError):
+                value[0] = 0.0
+            with pytest.raises(FrozenInstanceError):
+                setattr(cfg, name, value)
+        assert np.array_equal(cfg.offsets_sq, cfg.offsets**2)
 
     def test_element_distance_law_of_cosines(self):
         # M=2, m=1: delta=+1/2, d=0.0015, theta=pi/2 -> sqrt(r^2 + (d/2)^2).
@@ -76,11 +90,10 @@ class TestOffsetsAndDistances:
         for _ in range(20):
             p = random_path(desk_array, rng)
             m = int(rng.integers(0, desk_array.num_antennas))
-            delta = antenna_offsets(desk_array)[m]
             # theta is measured from the -x array axis: element m sits at
-            # -delta*d on the x axis (the +2*delta*d*r*cos factor fixes this).
+            # -delta_m d on the x axis (the +2*delta*d*r*cos factor fixes this).
             src = np.array([p.r * np.cos(p.theta), p.r * np.sin(p.theta)])
-            elem = np.array([-delta * desk_array.spacing, 0.0])
+            elem = np.array([-desk_array.offsets[m], 0.0])
             assert element_distances(desk_array, p.theta, p.r)[m] == pytest.approx(
                 np.linalg.norm(src - elem), rel=1e-12)
 
@@ -96,7 +109,7 @@ class TestOffsetsAndDistances:
         for theta in thetas:
             for r in radii:
                 r_m = element_distances(cfg, float(theta), float(r))
-                got = (r_m, *distance_derivatives(cfg, float(theta), float(r), r_m))
+                got = (r_m, distance_derivatives(cfg, float(theta), float(r), r_m))
                 want = stacked_distance_derivatives(cfg, float(theta), float(r))
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w)

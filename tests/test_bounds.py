@@ -8,7 +8,8 @@ from nearfield.bounds import crlb_diag, fim, steering_derivatives
 from nearfield.estimator import grad_hess, project
 from nearfield.harness import draw_paths, load_scenario
 from tests.conftest import random_path
-from tests.reference import as_vector, central_differences
+from tests.reference import (ORACLE_RTOL, as_vector, central_differences,
+                             oracle_steering_derivatives, turn_case)
 
 
 def signal_of(cfg, x):
@@ -31,6 +32,16 @@ class TestSteeringDerivatives:
             ana = steering_derivatives(desk_array, p)
             num = fd_jacobian(desk_array, p)
             assert np.linalg.norm(ana - num) <= 1e-6 * np.linalg.norm(num)
+
+    @pytest.mark.parametrize("kind", ["mid", "endfire", "far_edge"])
+    @pytest.mark.parametrize("array", ["desk_array", "wide_array"])
+    def test_matches_extended_precision_oracle(self, request, rng, array, kind):
+        cfg = request.getfixturevalue(array)
+        for _ in range(6):
+            p = turn_case(cfg, kind, rng.uniform(size=7))[1]
+            got = steering_derivatives(cfg, p)
+            want = oracle_steering_derivatives(cfg, p)
+            assert np.all(np.abs(got - want) <= ORACLE_RTOL * np.abs(want)), p
 
     def test_gain_derivative_is_unit_steering(self, desk_array, rng):
         p = random_path(desk_array, rng)
