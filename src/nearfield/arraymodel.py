@@ -192,7 +192,7 @@ def near_steering_columns(cfg: ArrayConfig, theta: np.ndarray,
         cols = slice(j, j + step)
         r_m = _distances(delta_d, delta_d_sq, r_sq[cols], r[cols], cos_theta[cols])
         phase = cfg.wavenumber * (r_m - r[cols])
-        phase -= 2.0 * np.pi * np.floor(phase / (2.0 * np.pi))  # np.mod, 8x cheaper
+        phase -= 2.0 * np.pi * np.floor(phase / (2.0 * np.pi))  # 8x cheaper than np.mod
         phase = phase.astype(np.float32)
         out.real[:, cols] = np.cos(phase)
         out.imag[:, cols] = np.sin(phase)

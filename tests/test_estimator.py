@@ -165,9 +165,9 @@ class TestDerivatives:
     @pytest.mark.parametrize("kind", ["mid", "endfire", "far_edge"])
     @pytest.mark.parametrize("array", ["desk_array", "wide_array"])
     def test_matches_extended_precision_oracle(self, request, rng, array, kind):
-        # Near endfire dr_m/dr - 1 and 1 - (dr_m/dr)^2 are below the rounding
+        # Near endfire dr_m/dr - 1 and 1 - (dr_m/dr)^2 lie below the rounding
         # error of dr_m/dr, so forming them by subtraction leaves no correct
-        # digit in the r entries; at the far edge, fewer.
+        # digit in the r entries.
         cfg = request.getfixturevalue(array)
         for _ in range(6):
             truth, p = turn_case(cfg, kind, rng.uniform(size=7))
@@ -344,9 +344,9 @@ class TestRefineTurn:
 
     # Each edge is reached by an accepted step that strictly raises the cost,
     # so no tie decides it: at theta_lo, the unclamped step from the start
-    # lands at theta = -8.4e-6 in 50-digit arithmetic as well.
+    # lands at theta = -0.014 in 50-digit arithmetic as well.
     @pytest.mark.parametrize("truth, start, sigma2, seed, hit", [
-        ((3.4e-5, 0.3, 1.0, 6.1), (3.2e-4, 3.1, 1.0), 0.1, 2, "theta_lo"),
+        ((3.1e-3, 3.5, 1.0, 5.7), (8.1e-3, 0.7, 1.0), 0.0, 0, "theta_lo"),
         ((np.pi - 1.7e-5, 5.4, 1.0, 2.1), (np.pi - 1.5e-4, 5.6, 1.0), 1e-3, 7,
          "theta_hi"),
         ((1.26, 6.09, 1.0, 3.9), (1.25, 5.18, 1.0), 0.1, 5, "r_hi"),
