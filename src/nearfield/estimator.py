@@ -4,7 +4,7 @@ Single-path machinery: the analytic gradient and Hessian of the reduced
 objective f(theta, r, g, phi) = sum_m 2|y_m| g cos(psi_m) - M g^2, with
 psi_m = k (r_m - r) + phi - arg y_m, and a guarded Newton step that only
 moves when the (theta, r) sub-Hessian is negative definite and the
-projection cost G does not decrease. A path's turn of such steps ends at a
+projection cost G strictly rises. A path's turn of such steps ends at a
 fixed point, or once an accepted step raises the log-likelihood (f over
 sigma^2, up to a constant) by less than MIN_LOGLIK_GAIN nats. Multi-path
 estimation greedily detects paths on the codebook and cyclically re-refines
@@ -173,7 +173,9 @@ def newton_refine_once(cfg: ArrayConfig, y: np.ndarray, p: PathParams,
 
     The (theta, r) step is taken only when the 2x2 sub-Hessian is negative
     definite, the distance is clamped into the near-field annulus, and the
-    update is reverted if the projection cost decreased. `proj` is the
+    update is kept only if it strictly raises the projection cost: a tie is
+    rejected, since near endfire the cost can be flat in r below float64
+    resolution and a tie would carry r across the annulus. `proj` is the
     Projection of y at p, as the previous step on y returned it; the
     Projection at the returned point comes back beside the params for the
     next step.
@@ -184,7 +186,7 @@ def newton_refine_once(cfg: ArrayConfig, y: np.ndarray, p: PathParams,
     if step is not None:
         cand = _clamp_params(cfg, theta - step[0], r - step[1])
         cand_proj = project(cfg, y, *cand)
-        if cand_proj.cost >= proj.cost:
+        if cand_proj.cost > proj.cost:
             out = cand_proj
             theta, r = cand
 

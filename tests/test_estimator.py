@@ -235,6 +235,23 @@ class TestNewtonRefine:
         assert out.theta == start.theta
         assert out.r == start.r
 
+    def test_cost_tie_is_rejected(self, desk_array):
+        # Near endfire the cost is flat in r below float64 resolution: from
+        # this start the step's candidate is (1e-6, 0.1152), the annulus's
+        # near edge, at exactly the start's cost. Only a strict rise is
+        # accepted, so the step keeps the start's geometry and refits the
+        # gain.
+        truth = PathParams(2e-4, 4.5, 1.0, 3.5)
+        h = synthesize_channel(desk_array, [truth])
+        start = PathParams(1.5e-6, 2.0, 1.0)
+        records = []
+        out, _ = newton_refine_once(
+            desk_array, h, start, project(desk_array, h, start.theta, start.r),
+            trace=lambda *a: records.append(a))
+        assert (out.theta, out.r) == (start.theta, start.r)
+        (rec,) = records
+        assert not rec[8] and rec[7] == rec[6]
+
     def test_distance_clamped_into_annulus(self, desk_array):
         truth = PathParams(theta=1.5, r=desk_array.rayleigh_distance * 0.99, g=1.0)
         h = synthesize_channel(desk_array, [truth])
