@@ -6,11 +6,13 @@ psi_m = k (r_m - r) + phi - arg y_m, and a guarded Newton step that only
 moves when the (theta, r) sub-Hessian is negative definite and the
 projection cost G strictly rises. A path's turn of such steps ends at a
 fixed point, or once an accepted step raises the log-likelihood (f over
-sigma^2, up to a constant) by less than MIN_LOGLIK_GAIN nats. Multi-path
-estimation greedily detects paths on the codebook and cyclically re-refines
-each one against the residual of the others. Each returned path then gets
-its soft information once: the gradient and Hessian at its final point,
-against the final residual of the others.
+sigma^2, up to a constant) by less than MIN_LOGLIK_GAIN nats, and reports
+its exact gain. Multi-path estimation greedily detects paths on the
+codebook and cyclically re-refines each one against the residual of the
+others, in rounds that stop once a round gains less than MIN_LOGLIK_GAIN
+nats or moves nothing. Each returned path then gets its soft information
+once: the gradient and Hessian at its final point, against the final
+residual of the others.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ TraceHook = Callable[..., None]
 
 PSD_FLOOR_SCALE = 1e-12  # per-antenna eigenvalue floor of the 4x4 information
 # A Newton turn ends after an accepted step that moved (theta, r) and raised
-# the log-likelihood by less than this many nats.
+# the log-likelihood by less than this many nats; the cyclic rounds end after
+# a round whose turns together raised it by less.
 MIN_LOGLIK_GAIN = 1e-3
 
 
@@ -64,7 +67,8 @@ class SoftEstimate:
 @dataclass
 class EstimatorConfig:
     """The settings every BS of a run shares: the codebook (whose array is
-    the one array) and the Newton and cyclic round counts."""
+    the one array), the most Newton steps a turn takes, and the most cyclic
+    rounds a refinement runs; either may stop earlier on MIN_LOGLIK_GAIN."""
 
     codebook: Codebook
     single_rounds: int = 5
@@ -229,8 +233,9 @@ def omp_detect(y_r: np.ndarray, codebook: Codebook,
 
 def _refine(cfg: EstimatorConfig, y_r: np.ndarray, sigma2: float, p: PathParams,
             k: int, trace: TraceHook | None,
-            fixed: tuple[float, float] | None = None) -> PathParams:
-    """One turn of path k against its residual y_r, whose noise power is sigma2.
+            fixed: tuple[float, float] | None = None) -> tuple[PathParams, float]:
+    """One turn of path k against its residual y_r, whose noise power is
+    sigma2: the path it returns and the turn's gain.
 
     A path with a fixed (theta, r) gets an LS gain refit there; any other
     path gets up to single_rounds guarded Newton steps, each reusing the
@@ -240,39 +245,73 @@ def _refine(cfg: EstimatorConfig, y_r: np.ndarray, sigma2: float, p: PathParams,
     by less than MIN_LOGLIK_GAIN * sigma2: the cost is the log-likelihood
     scaled by sigma2, so that step gained less than MIN_LOGLIK_GAIN nats.
     At sigma2 = 0 only the fixed point stops a turn early.
+
+    The gain is the drop in ||y_r - c||^2, c the path's reconstruction,
+    from p to the returned path, which carries its LS gain: with `start`
+    the projection at p's (theta, r), it is the final cost minus start.cost
+    plus M |start.gain - g e^{j phi}|^2, the LS refit at the start. It is
+    sigma2 times the turn's rise in log-likelihood and never negative. A
+    fixed path's gain is that refit term at the fixed (theta, r), which is
+    the drop once p sits there.
     """
     array = cfg.codebook.array
+    start = project(array, y_r, *(fixed or (p.theta, p.r)))
     if fixed is not None:
-        return PathParams(*fixed, *_gain_polar(project(array, y_r, *fixed).gain))
-    proj = project(array, y_r, p.theta, p.r)
-    for j in range(cfg.single_rounds):
-        q, after = newton_refine_once(array, y_r, p, proj, trace, path_index=k,
-                                      round_index=j)
-        if q == p:
-            break
-        moved = (q.theta, q.r) != (p.theta, p.r)
-        if moved and after.cost - proj.cost < MIN_LOGLIK_GAIN * sigma2:
-            return q
-        p, proj = q, after
-    return p
+        q, proj = PathParams(*fixed, *_gain_polar(start.gain)), start
+    else:
+        q, proj = p, start
+        for j in range(cfg.single_rounds):
+            step, after = newton_refine_once(array, y_r, q, proj, trace,
+                                             path_index=k, round_index=j)
+            if step == q:
+                break
+            moved = (step.theta, step.r) != (q.theta, q.r)
+            low = moved and after.cost - proj.cost < MIN_LOGLIK_GAIN * sigma2
+            q, proj = step, after
+            if low:
+                break
+        if q is p:  # no step ran, or the first returned p: nothing changed
+            return p, 0.0
+    refit = array.num_antennas * abs(start.gain - cmath.rect(p.g, p.phi)) ** 2
+    return q, proj.cost - start.cost + refit
 
 
 def cyclic_refine(cfg: EstimatorConfig, y: Measurement, paths: list[PathParams],
                   rounds: int, trace: TraceHook | None = None,
                   frozen: dict[int, tuple[float, float]] | None = None
                   ) -> list[PathParams]:
-    """Re-refine every path against the residual of the others, `rounds` times.
+    """Re-refine every path against the residual of the others, in up to
+    `rounds` rounds of one turn per path.
 
-    A frozen path (index -> fixed (theta, r)) keeps that geometry and only
-    has its gain refit; it also takes a turn before and after the rounds.
+    The rounds stop after the first one whose turns together raise the
+    log-likelihood by less than MIN_LOGLIK_GAIN nats (a summed gain below
+    MIN_LOGLIK_GAIN * sigma2), or that leaves every path as it was: the
+    turns' gains sum to the drop in ||y - sum of paths||^2 over the round,
+    so the rule costs no extra projection. At sigma2 = 0 only a round that
+    moved nothing stops early. A frozen path (index -> fixed (theta, r))
+    keeps that geometry and only has its gain refit; it also takes a turn
+    before and after the rounds.
     """
     array = cfg.codebook.array
     frozen = frozen or {}
     paths = list(paths)
-    for k in [*frozen] + [*range(len(paths))] * rounds + [*frozen]:
-        y_rk = residual(array, y.y, paths[:k] + paths[k + 1:])
-        paths[k] = _refine(cfg, y_rk, y.noise_variance, paths[k], k, trace,
-                           frozen.get(k))
+
+    def turns(ks) -> float:
+        gain = 0.0
+        for k in ks:
+            y_rk = residual(array, y.y, paths[:k] + paths[k + 1:])
+            paths[k], turn_gain = _refine(cfg, y_rk, y.noise_variance, paths[k],
+                                          k, trace, frozen.get(k))
+            gain += turn_gain
+        return gain
+
+    turns(frozen)
+    for _ in range(rounds):
+        before = list(paths)
+        if turns(range(len(paths))) < MIN_LOGLIK_GAIN * y.noise_variance \
+                or paths == before:
+            break
+    turns(frozen)
     return paths
 
 
@@ -283,9 +322,9 @@ def vnnce(ys: list[Measurement], num_paths: list[int], cfg: EstimatorConfig,
     The measurements run in lockstep, one path order at a time. The
     residuals of every measurement still adding paths are scored in one
     codebook scan, which reads the steering matrix once. Then each, in index
-    order, detects its new path on its row of the scores, refines it for
-    single_rounds Newton steps, and cyclically re-refines all its paths
-    (cyclic_rounds outer rounds) against the residual of the others. A
+    order, detects its new path on its row of the scores, refines it for up
+    to single_rounds Newton steps, and cyclically re-refines all its paths
+    (up to cyclic_rounds rounds) against the residual of the others. A
     measurement stops adding paths at its path count. They share no state,
     so each takes the steps it takes alone. The returned paths carry their
     soft information.
@@ -307,7 +346,7 @@ def vnnce(ys: list[Measurement], num_paths: list[int], cfg: EstimatorConfig,
         for i, y_r, s in zip(active, y_rs, scores):
             p = omp_detect(y_r, codebook, s)
             paths[i].append(_refine(cfg, y_r, ys[i].noise_variance, p,
-                                    len(paths[i]), trace))
+                                    len(paths[i]), trace)[0])
             paths[i] = cyclic_refine(cfg, ys[i], paths[i], cfg.cyclic_rounds, trace)
             if len(paths[i]) < num_paths[i]:
                 still.append(i)

@@ -3,8 +3,8 @@ objective they check the analytic derivatives against, the far-field
 steering vector, the s1/s2 analysis behind the codebook's grid steps, the
 gain-only oracle LS, the marginal (delta-method) position covariance, the
 stacked form of the distance derivatives, the extended-precision oracle of
-the derivatives, the plain Newton turn and the full steering matrix of a
-codebook."""
+the derivatives, the plain Newton turn, the fixed-round cyclic loop and the
+full steering matrix of a codebook."""
 
 import math
 
@@ -12,11 +12,11 @@ import mpmath
 import numpy as np
 from scipy import special
 
-from nearfield.arraymodel import (ArrayConfig, PathParams, element_distances,
-                                  near_steering)
+from nearfield.arraymodel import (ArrayConfig, Measurement, PathParams,
+                                  element_distances, near_steering)
 from nearfield.codebook import Codebook
-from nearfield.estimator import (EstimatorConfig, SoftEstimate, newton_refine_once,
-                                 project)
+from nearfield.estimator import (EstimatorConfig, SoftEstimate, _refine,
+                                 newton_refine_once, project, residual)
 
 
 def central_differences(fn, x, h) -> np.ndarray:
@@ -213,6 +213,32 @@ def plain_refine(cfg: EstimatorConfig, y_r: np.ndarray, p: PathParams, k: int,
         p, _ = newton_refine_once(array, y_r, p, project(array, y_r, p.theta, p.r),
                                   trace, path_index=k, round_index=j)
     return p
+
+
+def plain_cyclic(cfg: EstimatorConfig, y: Measurement, paths: list[PathParams],
+                 rounds: int, trace=None, frozen=None
+                 ) -> tuple[list[list[PathParams]], list[PathParams]]:
+    """cyclic_refine without its stop: the frozen turns, then all `rounds`
+    rounds of one _refine turn per path against the residual of the others,
+    then the frozen turns again. Returns the paths at the start of each
+    round and after the last one, and the paths it ends with."""
+    array = cfg.codebook.array
+    frozen = frozen or {}
+    paths = list(paths)
+
+    def turns(ks):
+        for k in ks:
+            y_rk = residual(array, y.y, paths[:k] + paths[k + 1:])
+            paths[k] = _refine(cfg, y_rk, y.noise_variance, paths[k], k, trace,
+                               frozen.get(k))[0]
+
+    turns(frozen)
+    snapshots = [list(paths)]
+    for _ in range(rounds):
+        turns(range(len(paths)))
+        snapshots.append(list(paths))
+    turns(frozen)
+    return snapshots, paths
 
 
 def full_steering_matrix(codebook: Codebook) -> np.ndarray:

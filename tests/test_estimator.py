@@ -18,7 +18,8 @@ from nearfield.harness import draw_paths, load_scenario, run_trial
 from tests.conftest import random_path
 from tests.reference import (ORACLE_RTOL, alpha_of, as_vector, beta_of,
                              central_differences, full_steering_matrix, objective,
-                             oracle_grad_hess, oracle_ls, plain_refine, turn_case)
+                             oracle_grad_hess, oracle_ls, plain_cyclic, plain_refine,
+                             turn_case)
 
 
 def _recording(fn, calls):
@@ -310,17 +311,21 @@ def _assert_turn_exact(codebook, y, start, rounds, sigma2):
     traces each executed step once, returns the last step's params, and it
     stops early exactly after the first step that ends a turn (a fixed
     point, which the loop then repeats, or an accepted, moved step below the
-    gain stop). At sigma2 = 0 it returns the plain loop's params bit for bit.
-    Returns its records."""
+    gain stop). The gain it returns is the drop in the misfit ||y - c||^2
+    of the path's reconstruction c. At sigma2 = 0 it returns the plain
+    loop's params bit for bit. Returns its records."""
     cfg = EstimatorConfig(codebook=codebook, single_rounds=rounds)
     want_records, records, calls = [], [], []
     want = plain_refine(cfg, y, start, 0, lambda *a: want_records.append(a))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimator, "newton_refine_once",
                    _recording(estimator.newton_refine_once, calls))
-        got = estimator._refine(cfg, y, sigma2, start, 0,
-                                lambda *a: records.append(a))
+        got, gain = estimator._refine(cfg, y, sigma2, start, 0,
+                                      lambda *a: records.append(a))
     assert len(records) == len(calls) <= rounds
+    misfit = [np.linalg.norm(y - synthesize_channel(codebook.array, [p])) ** 2
+              for p in (start, got)]
+    assert abs(gain - (misfit[0] - misfit[1])) <= 1e-12 * np.linalg.norm(y) ** 2
     assert records == want_records[:len(records)]
     states = [as_vector(start)] + [np.array(r[2:6]) for r in records]
     assert as_vector(got).tobytes() == states[-1].tobytes()
@@ -424,15 +429,16 @@ class TestRefineTurn:
 
     @pytest.mark.parametrize("name", ["tab2_desk", "tab2_paper"])
     def test_step_count_budget(self, name):
-        # The first trial of each default sweep grid point: 734 (desk) and
-        # 649 (paper) Newton steps with the gain stop, 1,357 and 1,208
-        # without it (MIN_LOGLIK_GAIN = -inf; fixed points still end a
-        # turn). A count, so it does not depend on the machine.
+        # The first trial of each default sweep grid point: 573 (desk) and
+        # 497 (paper) Newton steps with the turn's gain stop and the cyclic
+        # rounds' stop; 734 and 649 with the turn's stop alone, 1,357 and
+        # 1,208 with neither (MIN_LOGLIK_GAIN = -inf; fixed points still end
+        # a turn). A count, so it does not depend on the machine.
         scenario = load_scenario(f"scenarios/{name}.json")
         steps = []
         for idx, snr_db in enumerate([0.0, 10.0, 20.0, 30.0]):
             run_trial(scenario, snr_db, idx, 0, trace=lambda *a: steps.append(a))
-        assert len(steps) <= 900
+        assert len(steps) <= 700
 
     @pytest.mark.parametrize("theta, r", [
         (1.0, 2.0), (0.0, 0.0), (-1.0, 1e6), (4.0, -1.0), (np.inf, np.inf),
@@ -443,6 +449,63 @@ class TestRefineTurn:
                 np.clip(r, desk_array.min_near_distance, desk_array.rayleigh_distance))
         assert all(type(v) is float for v in got)
         assert np.array_equal(got, want, equal_nan=True)
+
+
+def _returning(fn, results):
+    """fn, appending its result to `results` on every call."""
+    def wrapper(*args, **kwargs):
+        results.append(fn(*args, **kwargs))
+        return results[-1]
+    return wrapper
+
+
+class TestCyclicRefine:
+    @given(seed=st.integers(0, 2**32 - 1), sigma2=st.sampled_from([0.0, 1e-3, 1e-1]),
+           rounds=st.integers(0, 6), freeze=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_stops_after_first_round_without_gain(self, desk_array, desk_codebook,
+                                                  seed, sigma2, rounds, freeze):
+        # From two detected paths, each after its own first turn: the loop's
+        # steps are the fixed-round loop's first steps, each round's turn
+        # gains sum to the drop in the misfit ||y - sum of paths||^2, and the
+        # loop stops exactly after the first round that gains under
+        # MIN_LOGLIK_GAIN nats or leaves every path unchanged.
+        rng = np.random.default_rng(seed)
+        truth = [random_path(desk_array, rng) for _ in range(2)]
+        y = add_noise(synthesize_channel(desk_array, truth), sigma2, rng)
+        detect = EstimatorConfig(codebook=desk_codebook, cyclic_rounds=0)
+        start = [e.params for e in vnnce([y], [2], detect)[0]]
+        frozen = {0: (start[0].theta, start[0].r)} if freeze else None
+        cfg = EstimatorConfig(codebook=desk_codebook)
+        want_records = []
+        snapshots, _ = plain_cyclic(cfg, y, start, rounds,
+                                    lambda *a: want_records.append(a), frozen)
+        records, turns = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimator, "_refine", _returning(estimator._refine, turns))
+            got = estimator.cyclic_refine(cfg, y, start, rounds,
+                                          lambda *a: records.append(a), frozen)
+        assert records == want_records[:len(records)]
+        fixed = len(frozen or {})  # turns before and after the rounds
+        gains = [gain for _, gain in turns[fixed:len(turns) - fixed]]
+        ran = len(gains) // 2
+        assert len(gains) == 2 * ran and got == plain_cyclic(cfg, y, start, ran,
+                                                             None, frozen)[1]
+
+        def misfit(paths):
+            return np.linalg.norm(y.y - synthesize_channel(desk_array, paths)) ** 2
+
+        stops = []
+        for before, after, gain in zip(snapshots, snapshots[1:],
+                                       np.add(gains[::2], gains[1::2])):
+            assert abs(gain - (misfit(before) - misfit(after))) \
+                <= 1e-12 * np.linalg.norm(y.y) ** 2
+            unchanged = after == before
+            stops.append(gain < MIN_LOGLIK_GAIN * sigma2 or unchanged)
+            if sigma2 == 0.0:
+                assert stops[-1] == unchanged
+        assert not any(stops[:-1])
+        assert ran == rounds or stops[-1]
 
 
 class TestCovariance:
