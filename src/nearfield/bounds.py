@@ -45,12 +45,18 @@ def crlb_diag(F: np.ndarray) -> np.ndarray:
     The condition number is that of the equilibrated FIM D^{-1/2} F D^{-1/2},
     D = diag(F), which the CRLB's units (radians, metres, linear gain) do not
     move; F^{-1} is inverted through it. Above COND_LIMIT (as with
-    coincident paths) no CRLB exists, and it raises np.linalg.LinAlgError.
+    coincident paths), or with a diagonal entry that is not positive (as
+    with a zero-gain path, whose rows of the PSD F are then zero), no CRLB
+    exists, and it raises np.linalg.LinAlgError.
     """
-    scale = 1.0 / np.sqrt(np.diag(F))
-    unit = F * np.outer(scale, scale)
-    if np.linalg.cond(unit) > COND_LIMIT:
+    diag = np.diag(F)
+    positive = bool(np.all(diag > 0))
+    if positive:
+        scale = 1.0 / np.sqrt(diag)
+        unit = F * np.outer(scale, scale)
+    if not positive or np.linalg.cond(unit) > COND_LIMIT:
         raise np.linalg.LinAlgError(
             f"the Fisher information is singular (condition number above "
-            f"{COND_LIMIT:g}, as with coincident paths); no CRLB exists")
+            f"{COND_LIMIT:g}, as with coincident paths or a zero gain); no "
+            f"CRLB exists")
     return np.diag(np.linalg.inv(unit)) * scale**2

@@ -4,15 +4,16 @@ Single-path machinery: the analytic gradient and Hessian of the reduced
 objective f(theta, r, g, phi) = sum_m 2|y_m| g cos(psi_m) - M g^2, with
 psi_m = k (r_m - r) + phi - arg y_m, and a guarded Newton step that only
 moves when the (theta, r) sub-Hessian is negative definite and the
-projection cost G strictly rises. A path's turn of such steps ends at a
-fixed point, or once an accepted step raises the log-likelihood (f over
-sigma^2, up to a constant) by less than MIN_LOGLIK_GAIN nats, and reports
-its exact gain. Multi-path estimation greedily detects paths on the
-codebook and cyclically re-refines each one against the residual of the
-others, in rounds that stop once a round gains less than MIN_LOGLIK_GAIN
-nats or moves nothing. Each returned path then gets its soft information
-once: the gradient and Hessian at its final point, against the final
-residual of the others.
+projection cost G strictly rises. A path's turn opens at its point with
+the LS gain there and takes such steps until one is rejected, or until an
+accepted one raises the log-likelihood (f over sigma^2, up to a constant)
+by less than MIN_LOGLIK_GAIN nats; it reports its exact gain. A frozen
+path's turn takes no step. Multi-path estimation greedily detects paths
+on the codebook, each a bare codeword, and cyclically re-refines each one
+against the residual of the others, in rounds that stop once a round
+gains less than MIN_LOGLIK_GAIN nats or moves nothing. Each returned path
+then gets its soft information once: the gradient and Hessian at its
+final point, against the final residual of the others.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ THETA_EDGE = 1e-6
 TraceHook = Callable[..., None]
 
 PSD_FLOOR_SCALE = 1e-12  # per-antenna eigenvalue floor of the 4x4 information
-# A Newton turn ends after an accepted step that moved (theta, r) and raised
-# the log-likelihood by less than this many nats; the cyclic rounds end after
-# a round whose turns together raised it by less.
+# A Newton turn ends after an accepted step that raised the log-likelihood by
+# less than this many nats; the cyclic rounds end after a round whose turns
+# together raised it by less.
 MIN_LOGLIK_GAIN = 1e-3
 
 
@@ -221,65 +222,54 @@ def soft_estimates(cfg: ArrayConfig, y: Measurement,
 def omp_detect(y_r: np.ndarray, codebook: Codebook,
                scores: np.ndarray) -> PathParams:
     """The codeword maximizing |b^H y_r|^2 on y_r's row of the codebook scan,
-    `scores`, with its LS gain; ties -> lowest codeword index, which is the
-    first in scan order."""
+    `scores`, as a zero-gain path: the turn that refines it opens with its
+    LS gain. Ties -> lowest codeword index, which is the first in scan
+    order."""
     if len(codebook) == 0:
         raise ValueError("codebook is empty")
     best = int(np.argmax(scores))  # first index on ties
-    theta, r = float(codebook.theta[best]), float(codebook.r[best])
-    gain = project(codebook.array, y_r, theta, r).gain
-    return PathParams(theta, r, *_gain_polar(gain))
+    return PathParams(float(codebook.theta[best]), float(codebook.r[best]), 0.0)
 
 
 def _refine(cfg: EstimatorConfig, y_r: np.ndarray, sigma2: float, p: PathParams,
             k: int, trace: TraceHook | None,
-            fixed: tuple[float, float] | None = None) -> tuple[PathParams, float]:
+            frozen: bool = False) -> tuple[PathParams, float]:
     """One turn of path k against its residual y_r, whose noise power is
     sigma2: the path it returns and the turn's gain.
 
-    A path with a fixed (theta, r) gets an LS gain refit there; any other
-    path gets up to single_rounds guarded Newton steps, each reusing the
-    previous step's projection. The turn stops at an exact fixed point: a
-    step that returns its input would do so again every later step. It also
-    stops after an accepted step that moved (theta, r) and raised the cost
-    by less than MIN_LOGLIK_GAIN * sigma2: the cost is the log-likelihood
-    scaled by sigma2, so that step gained less than MIN_LOGLIK_GAIN nats.
-    At sigma2 = 0 only the fixed point stops a turn early.
+    The turn opens at p's (theta, r) with the LS gain there, then takes up
+    to single_rounds guarded Newton steps (none for a frozen path), each
+    reusing the previous step's projection. Each step ends on the LS gain
+    at the point it reaches, so a rejected step returns its input, as every
+    later step would: the turn stops there. It also stops after an accepted
+    step that raised the cost by less than MIN_LOGLIK_GAIN * sigma2: the
+    cost is the log-likelihood scaled by sigma2, so that step gained less
+    than MIN_LOGLIK_GAIN nats. At sigma2 = 0 only a rejection stops a turn
+    early.
 
     The gain is the drop in ||y_r - c||^2, c the path's reconstruction,
-    from p to the returned path, which carries its LS gain: with `start`
-    the projection at p's (theta, r), it is the final cost minus start.cost
-    plus M |start.gain - g e^{j phi}|^2, the LS refit at the start. It is
-    sigma2 times the turn's rise in log-likelihood and never negative. A
-    fixed path's gain is that refit term at the fixed (theta, r), which is
-    the drop once p sits there.
+    from p to the returned path: with `start` the projection at p's (theta,
+    r), it is the final cost minus start.cost plus M |start.gain - g e^{j
+    phi}|^2, the LS refit at the start. It is sigma2 times the turn's rise
+    in log-likelihood and never negative.
     """
     array = cfg.codebook.array
-    start = project(array, y_r, *(fixed or (p.theta, p.r)))
-    if fixed is not None:
-        q, proj = PathParams(*fixed, *_gain_polar(start.gain)), start
-    else:
-        q, proj = p, start
-        for j in range(cfg.single_rounds):
-            step, after = newton_refine_once(array, y_r, q, proj, trace,
-                                             path_index=k, round_index=j)
-            if step == q:
-                break
-            moved = (step.theta, step.r) != (q.theta, q.r)
-            low = moved and after.cost - proj.cost < MIN_LOGLIK_GAIN * sigma2
-            q, proj = step, after
-            if low:
-                break
-        if q is p:  # no step ran, or the first returned p: nothing changed
-            return p, 0.0
+    start = proj = project(array, y_r, p.theta, p.r)
+    q = PathParams(p.theta, p.r, *_gain_polar(start.gain))
+    for j in range(0 if frozen else cfg.single_rounds):
+        q, after = newton_refine_once(array, y_r, q, proj, trace,
+                                      path_index=k, round_index=j)
+        stop = after is proj or after.cost - proj.cost < MIN_LOGLIK_GAIN * sigma2
+        proj = after
+        if stop:
+            break
     refit = array.num_antennas * abs(start.gain - cmath.rect(p.g, p.phi)) ** 2
     return q, proj.cost - start.cost + refit
 
 
 def cyclic_refine(cfg: EstimatorConfig, y: Measurement, paths: list[PathParams],
                   rounds: int, trace: TraceHook | None = None,
-                  frozen: dict[int, tuple[float, float]] | None = None
-                  ) -> list[PathParams]:
+                  frozen: int | None = None) -> list[PathParams]:
     """Re-refine every path against the residual of the others, in up to
     `rounds` rounds of one turn per path.
 
@@ -288,12 +278,11 @@ def cyclic_refine(cfg: EstimatorConfig, y: Measurement, paths: list[PathParams],
     MIN_LOGLIK_GAIN * sigma2), or that leaves every path as it was: the
     turns' gains sum to the drop in ||y - sum of paths||^2 over the round,
     so the rule costs no extra projection. At sigma2 = 0 only a round that
-    moved nothing stops early. A frozen path (index -> fixed (theta, r))
-    keeps that geometry and only has its gain refit; it also takes a turn
-    before and after the rounds.
+    moved nothing stops early. The path at index `frozen` keeps its (theta,
+    r): its turns take no step and only refit its gain. It also takes a
+    turn before and after the rounds.
     """
     array = cfg.codebook.array
-    frozen = frozen or {}
     paths = list(paths)
 
     def turns(ks) -> float:
@@ -301,17 +290,18 @@ def cyclic_refine(cfg: EstimatorConfig, y: Measurement, paths: list[PathParams],
         for k in ks:
             y_rk = residual(array, y.y, paths[:k] + paths[k + 1:])
             paths[k], turn_gain = _refine(cfg, y_rk, y.noise_variance, paths[k],
-                                          k, trace, frozen.get(k))
+                                          k, trace, k == frozen)
             gain += turn_gain
         return gain
 
-    turns(frozen)
+    pinned = [] if frozen is None else [frozen]
+    turns(pinned)
     for _ in range(rounds):
         before = list(paths)
         if turns(range(len(paths))) < MIN_LOGLIK_GAIN * y.noise_variance \
                 or paths == before:
             break
-    turns(frozen)
+    turns(pinned)
     return paths
 
 

@@ -11,7 +11,7 @@ the harness's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,8 +53,10 @@ def run_joint(bs_configs: list[BsConfig], measurements: list[Measurement],
         if not is_front_side(theta_a):
             continue
         r_a = float(np.clip(r_a, array.min_near_distance, array.rayleigh_distance))
-        step3[i] = cyclic_refine(cfg, measurements[i],
-                                 [e.params for e in step1[i]],
+        paths = [e.params for e in step1[i]]
+        paths[cand.path_index] = replace(paths[cand.path_index],
+                                         theta=theta_a, r=r_a)
+        step3[i] = cyclic_refine(cfg, measurements[i], paths,
                                  max(cfg.cyclic_rounds, 1), trace,
-                                 frozen={cand.path_index: (theta_a, r_a)})
+                                 frozen=cand.path_index)
     return JointResult(step1=step1, step2=report, step3=step3)

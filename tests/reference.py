@@ -3,9 +3,10 @@ objective they check the analytic derivatives against, the far-field
 steering vector, the s1/s2 analysis behind the codebook's grid steps, the
 gain-only oracle LS, the marginal (delta-method) position covariance, the
 stacked form of the distance derivatives, the extended-precision oracle of
-the derivatives, the plain Newton turn, the fixed-round cyclic loop and the
-full steering matrix of a codebook."""
+the derivatives, the LS gain a turn opens with, the plain Newton turn,
+the fixed-round cyclic loop and the full steering matrix of a codebook."""
 
+import cmath
 import math
 
 import mpmath
@@ -204,11 +205,19 @@ def turn_case(cfg, kind, u):
             PathParams(th_s, r_s, 0.5 + u[5], 2 * np.pi * u[6]))
 
 
+def at_ls_gain(cfg: ArrayConfig, y: np.ndarray, p: PathParams) -> PathParams:
+    """p's (theta, r) with the LS gain of y there, where a turn opens."""
+    a = project(cfg, y, p.theta, p.r).gain
+    return PathParams(p.theta, p.r, abs(a), cmath.phase(a) % (2.0 * math.pi))
+
+
 def plain_refine(cfg: EstimatorConfig, y_r: np.ndarray, p: PathParams, k: int,
                  trace=None) -> PathParams:
-    """A Newton turn as single_rounds calls of newton_refine_once, each
-    projecting afresh, with no fixed-point exit."""
+    """A Newton turn as the LS gain refit at p's point, then single_rounds
+    calls of newton_refine_once, each projecting afresh, with no early
+    exit."""
     array = cfg.codebook.array
+    p = at_ls_gain(array, y_r, p)
     for j in range(cfg.single_rounds):
         p, _ = newton_refine_once(array, y_r, p, project(array, y_r, p.theta, p.r),
                                   trace, path_index=k, round_index=j)
@@ -218,26 +227,27 @@ def plain_refine(cfg: EstimatorConfig, y_r: np.ndarray, p: PathParams, k: int,
 def plain_cyclic(cfg: EstimatorConfig, y: Measurement, paths: list[PathParams],
                  rounds: int, trace=None, frozen=None
                  ) -> tuple[list[list[PathParams]], list[PathParams]]:
-    """cyclic_refine without its stop: the frozen turns, then all `rounds`
-    rounds of one _refine turn per path against the residual of the others,
-    then the frozen turns again. Returns the paths at the start of each
-    round and after the last one, and the paths it ends with."""
+    """cyclic_refine without its stop: the frozen path's turn, then all
+    `rounds` rounds of one _refine turn per path against the residual of the
+    others, then the frozen path's turn again. Returns the paths at the
+    start of each round and after the last one, and the paths it ends
+    with."""
     array = cfg.codebook.array
-    frozen = frozen or {}
+    pinned = [] if frozen is None else [frozen]
     paths = list(paths)
 
     def turns(ks):
         for k in ks:
             y_rk = residual(array, y.y, paths[:k] + paths[k + 1:])
             paths[k] = _refine(cfg, y_rk, y.noise_variance, paths[k], k, trace,
-                               frozen.get(k))[0]
+                               k == frozen)[0]
 
-    turns(frozen)
+    turns(pinned)
     snapshots = [list(paths)]
     for _ in range(rounds):
         turns(range(len(paths)))
         snapshots.append(list(paths))
-    turns(frozen)
+    turns(pinned)
     return snapshots, paths
 
 

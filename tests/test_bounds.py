@@ -128,10 +128,13 @@ class TestCrlb:
         assert np.allclose(v12, np.concatenate([v1, v2]), rtol=0.01)
 
     def test_near_coincident_paths_flagged(self, desk_array):
+        # A zero-gain path carries no information on its (theta, r, phi):
+        # its rows of the FIM are zero.
         p1 = PathParams(theta=1.3, r=2.0, g=1.0, phi=0.3)
-        p2 = PathParams(theta=1.3 + 1e-9, r=2.0, g=1.0, phi=0.3)
-        with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            crlb_diag(fim(desk_array, [p1, p2], 1.0))
+        for p2 in (PathParams(theta=1.3 + 1e-9, r=2.0, g=1.0, phi=0.3),
+                   PathParams(theta=2.1, r=3.0, g=0.0)):
+            with pytest.raises(np.linalg.LinAlgError, match="singular"):
+                crlb_diag(fim(desk_array, [p1, p2], 1.0))
 
     def test_crlb_shrinks_with_snr(self, desk_array):
         p = PathParams(theta=1.3, r=2.0, g=1.0, phi=0.4)

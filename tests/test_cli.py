@@ -185,18 +185,21 @@ class TestCrlb:
 
     def test_coincident_paths_are_runtime_error(self, tmp_path, capsys):
         # A scatterer at the LoS (theta, r) makes the FIM singular; its
-        # pseudo-inverse would print a negative variance.
-        scenario = json.loads(open(SINGLE).read())
-        del scenario["bss"][0]["num_nlos"]
-        scenario["bss"][0]["nlos"] = [
-            {"theta": 3 * math.pi / 4, "r": 2.5 * math.sqrt(2), "g": 0.5}]
-        p = tmp_path / "coincident.json"
-        p.write_text(json.dumps(scenario))
-        out = tmp_path / "crlb.csv"
-        assert cli(["crlb", "--config", str(p), "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("runtime error: bs0:") and "1e+12" in err
-        assert not out.exists()
+        # pseudo-inverse would print a negative variance. A zero-gain
+        # scatterer zeroes its rows of the FIM.
+        for i, scatterer in enumerate([
+                {"theta": 3 * math.pi / 4, "r": 2.5 * math.sqrt(2), "g": 0.5},
+                {"theta": 1.0, "r": 2.0, "g": 0.0}]):
+            scenario = json.loads(open(SINGLE).read())
+            del scenario["bss"][0]["num_nlos"]
+            scenario["bss"][0]["nlos"] = [scatterer]
+            p = tmp_path / f"coincident{i}.json"
+            p.write_text(json.dumps(scenario))
+            out = tmp_path / f"crlb{i}.csv"
+            assert cli(["crlb", "--config", str(p), "--out", str(out)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("runtime error: bs0:") and "1e+12" in err
+            assert not out.exists()
 
 
 class TestCodebook:

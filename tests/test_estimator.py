@@ -1,5 +1,7 @@
 """Single-path objective, derivatives, guarded Newton, and multi-path loop."""
 
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,10 +18,10 @@ from nearfield.estimator import (MIN_LOGLIK_GAIN, PSD_FLOOR_SCALE, THETA_EDGE,
                                  psd_repair, residual, soft_estimates, vnnce)
 from nearfield.harness import draw_paths, load_scenario, run_trial
 from tests.conftest import random_path
-from tests.reference import (ORACLE_RTOL, alpha_of, as_vector, beta_of,
-                             central_differences, full_steering_matrix, objective,
-                             oracle_grad_hess, oracle_ls, plain_cyclic, plain_refine,
-                             turn_case)
+from tests.reference import (ORACLE_RTOL, alpha_of, as_vector, at_ls_gain,
+                             beta_of, central_differences, full_steering_matrix,
+                             objective, oracle_grad_hess, oracle_ls, plain_cyclic,
+                             plain_refine, turn_case)
 
 
 def _recording(fn, calls):
@@ -216,7 +218,8 @@ class TestNewtonRefine:
                                r=float(rng.uniform(0.3, 1.5)),
                                g=1.0, phi=float(rng.uniform(0, 2 * np.pi)))
             h = synthesize_channel(desk_array, [truth])
-            p = omp_detect(h, desk_codebook, desk_codebook.scores(h[None])[0])
+            p = at_ls_gain(desk_array, h, omp_detect(
+                h, desk_codebook, desk_codebook.scores(h[None])[0]))
             for _ in range(20):
                 p, _ = newton_refine_once(
                     desk_array, h, p, project(desk_array, h, p.theta, p.r))
@@ -267,7 +270,8 @@ class TestNewtonRefine:
         truth = PathParams(theta=1.25, r=2.3, g=1.0, phi=1.0)
         h = synthesize_channel(desk_array, [truth])
         records = []
-        p = omp_detect(h, desk_codebook, desk_codebook.scores(h[None])[0])
+        p = at_ls_gain(desk_array, h, omp_detect(
+            h, desk_codebook, desk_codebook.scores(h[None])[0]))
         for j in range(5):
             p, _ = newton_refine_once(
                 desk_array, h, p, project(desk_array, h, p.theta, p.r),
@@ -296,24 +300,22 @@ class TestNewtonRefine:
                 assert got.tobytes() == want.tobytes()
 
 
-def _stops_turn(prev, rec, sigma2):
-    """Whether a step that left `prev` (theta, r, g, phi) with trace record
-    `rec` ends _refine's turn: it returned its input, or it was accepted,
-    moved (theta, r) and gained less than MIN_LOGLIK_GAIN * sigma2."""
-    if tuple(rec[2:6]) == tuple(prev):
-        return True
-    moved = tuple(rec[2:4]) != tuple(prev[:2])
-    return rec[8] and moved and rec[7] - rec[6] < MIN_LOGLIK_GAIN * sigma2
+def _stops_turn(rec, sigma2):
+    """Whether a step with trace record `rec` ends _refine's turn: it was
+    rejected, so it returned its input, or it gained less than
+    MIN_LOGLIK_GAIN * sigma2."""
+    return not rec[8] or rec[7] - rec[6] < MIN_LOGLIK_GAIN * sigma2
 
 
 def _assert_turn_exact(codebook, y, start, rounds, sigma2):
     """_refine's steps are bit for bit the plain loop's first steps, it
-    traces each executed step once, returns the last step's params, and it
-    stops early exactly after the first step that ends a turn (a fixed
-    point, which the loop then repeats, or an accepted, moved step below the
-    gain stop). The gain it returns is the drop in the misfit ||y - c||^2
-    of the path's reconstruction c. At sigma2 = 0 it returns the plain
-    loop's params bit for bit. Returns its records."""
+    traces each executed step once, returns the last step's params (the LS
+    refit at start's point if it took none), and it stops early exactly
+    after the first step that ends a turn (a rejected step, which the loop
+    then repeats, or an accepted step below the gain stop). The gain it
+    returns is the drop in the misfit ||y - c||^2 of the path's
+    reconstruction c. At sigma2 = 0 it returns the plain loop's params bit
+    for bit. Returns its records."""
     cfg = EstimatorConfig(codebook=codebook, single_rounds=rounds)
     want_records, records, calls = [], [], []
     want = plain_refine(cfg, y, start, 0, lambda *a: want_records.append(a))
@@ -327,13 +329,15 @@ def _assert_turn_exact(codebook, y, start, rounds, sigma2):
               for p in (start, got)]
     assert abs(gain - (misfit[0] - misfit[1])) <= 1e-12 * np.linalg.norm(y) ** 2
     assert records == want_records[:len(records)]
-    states = [as_vector(start)] + [np.array(r[2:6]) for r in records]
+    states = [as_vector(at_ls_gain(codebook.array, y, start))]
+    states += [np.array(r[2:6]) for r in records]
     assert as_vector(got).tobytes() == states[-1].tobytes()
-    stops = [_stops_turn(prev, rec, sigma2) for prev, rec in zip(states, records)]
+    stops = [_stops_turn(rec, sigma2) for rec in records]
     assert not any(stops[:-1])
     if len(records) < rounds:
         assert stops[-1]
-    if records and tuple(records[-1][2:6]) == tuple(states[-2]):
+    if records and not records[-1][8]:
+        assert tuple(records[-1][2:6]) == tuple(states[-2])
         for later in want_records[len(records):]:
             assert later[2:] == records[-1][2:]
     if sigma2 == 0.0:
@@ -360,15 +364,17 @@ class TestRefineTurn:
         at_start = project(desk_array, h, start.theta, start.r)
         H2 = grad_hess(desk_array, at_start, start)[1][:2, :2]
         assert not (H2[0, 0] < 0 and np.linalg.det(H2) > 0)
-        # Step 1 only refits the gain; step 2 returns its input.
+        # The turn opens on the LS gain, so step 1 returns its input.
         records = _assert_turn_exact(desk_codebook, h, start, 5, 0.0)
-        assert len(records) == 2 and not any(r[8] for r in records)
+        assert len(records) == 1 and not records[0][8]
 
     # Each edge is reached by an accepted step that strictly raises the cost,
-    # so no tie decides it: at theta_lo, the unclamped step from the start
-    # lands at theta = -0.014 in 50-digit arithmetic as well.
+    # so no tie decides it: at theta_lo, the turn's third step lands at
+    # theta = -1.29e-5 unclamped and raises the cost by 2.9e-6 at the edge,
+    # in 50-digit arithmetic as well.
     @pytest.mark.parametrize("truth, start, sigma2, seed, hit", [
-        ((3.1e-3, 3.5, 1.0, 5.7), (8.1e-3, 0.7, 1.0), 0.0, 0, "theta_lo"),
+        ((0.008816, 1.9836, 1.0, 3.8517), (0.009439, 5.5668, 1.0), 0.1, 20,
+         "theta_lo"),
         ((np.pi - 1.7e-5, 5.4, 1.0, 2.1), (np.pi - 1.5e-4, 5.6, 1.0), 1e-3, 7,
          "theta_hi"),
         ((1.26, 6.09, 1.0, 3.9), (1.25, 5.18, 1.0), 0.1, 5, "r_hi"),
@@ -383,18 +389,53 @@ class TestRefineTurn:
                 "r_hi": (3, desk_array.rayleigh_distance)}[hit]
         assert any(r[8] and r[7] > r[6] and r[edge[0]] == edge[1] for r in records)
 
-    def test_rejected_first_step_does_not_end_turn(self, desk_array, desk_codebook):
-        # Step 0's sub-Hessian is negative definite, but its candidate lowers
-        # the cost, so it is reverted: the step only refits the gain, and
-        # from that gain step 1 is accepted.
-        truth = PathParams(2.4394, 1.7196, 1.0, 3.3845)
-        start = PathParams(2.4481, 1.1712, 0.54, 4.597)
-        y = add_noise(synthesize_channel(desk_array, [truth]), 0.1, 183).y
-        at_start = project(desk_array, y, start.theta, start.r)
-        assert _newton_step(*grad_hess(desk_array, at_start, start)) is not None
-        records = _assert_turn_exact(desk_codebook, y, start, 5, 0.1)
-        assert not records[0][8] and records[0][7] == records[0][6]
-        assert records[1][8]
+    def test_turn_ends_at_first_rejected_step(self, desk_array, desk_codebook):
+        # Two accepted steps, each above the gain stop, then a step whose
+        # sub-Hessian is negative definite but whose candidate lowers the
+        # cost: it is reverted, returns its input, and ends the turn with
+        # rounds to spare.
+        truth = PathParams(2.2363, 4.4619, 1.0, 4.147)
+        start = PathParams(2.2262, 6.003, 1.0)
+        y = add_noise(synthesize_channel(desk_array, [truth]), 0.1, 63).y
+        records = _assert_turn_exact(desk_codebook, y, start, 8, 0.1)
+        assert [r[8] for r in records] == [True, True, False]
+        p = PathParams(*records[1][2:6])
+        at_p = project(desk_array, y, p.theta, p.r)
+        step = _newton_step(*grad_hess(desk_array, at_p, p))
+        cand = _clamp_params(desk_array, p.theta - step[0], p.r - step[1])
+        assert project(desk_array, y, *cand).cost < at_p.cost
+
+    def test_turn_opens_at_start_ls_gain(self, desk_array, desk_codebook):
+        # A turn of no steps returns its start point with the LS gain there,
+        # not the (g, phi) the path entered with, and its gain is that refit.
+        truth = PathParams(1.2, 2.5, 1.0, 0.8)
+        y = add_noise(synthesize_channel(desk_array, [truth]), 1e-2, 4).y
+        start = PathParams(1.21, 2.4, 0.3, 5.0)
+        cfg = EstimatorConfig(codebook=desk_codebook, single_rounds=0)
+        got, gain = estimator._refine(cfg, y, 1e-2, start, 0, None)
+        assert got == at_ls_gain(desk_array, y, start)
+        a = project(desk_array, y, start.theta, start.r).gain
+        assert gain == pytest.approx(64 * abs(a - cmath.rect(start.g, start.phi)) ** 2,
+                                     rel=1e-12)
+
+    @given(seed=st.integers(0, 2**32 - 1), sigma2=st.sampled_from([0.0, 1e-3, 1e-1]),
+           num_paths=st.integers(1, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_only_the_last_step_of_a_turn_is_rejected(self, desk_array,
+                                                      desk_codebook, seed,
+                                                      sigma2, num_paths):
+        # Over whole estimates, each turn (its records start at round 0)
+        # ends at its first rejected step: a step that keeps (theta, r)
+        # from a point whose gain is already LS there returns its input.
+        rng = np.random.default_rng(seed)
+        truth = [random_path(desk_array, rng) for _ in range(num_paths)]
+        y = add_noise(synthesize_channel(desk_array, truth), sigma2, rng)
+        records = []
+        vnnce([y], [num_paths], EstimatorConfig(codebook=desk_codebook),
+              lambda *a: records.append(a))
+        starts = [j for j, rec in enumerate(records) if rec[1] == 0]
+        for lo, hi in zip(starts, starts[1:] + [len(records)]):
+            assert all(rec[8] for rec in records[lo:hi - 1])
 
     def test_closed_form_step_matches_solve(self, desk_array, rng):
         # Negative-definite (theta, r) blocks with the scale disparity of the
@@ -429,11 +470,11 @@ class TestRefineTurn:
 
     @pytest.mark.parametrize("name", ["tab2_desk", "tab2_paper"])
     def test_step_count_budget(self, name):
-        # The first trial of each default sweep grid point: 573 (desk) and
-        # 497 (paper) Newton steps with the turn's gain stop and the cyclic
-        # rounds' stop; 734 and 649 with the turn's stop alone, 1,357 and
-        # 1,208 with neither (MIN_LOGLIK_GAIN = -inf; fixed points still end
-        # a turn). A count, so it does not depend on the machine.
+        # The first trial of each default sweep grid point: 578 (desk) and
+        # 495 (paper) Newton steps with the turn's gain stop and the cyclic
+        # rounds' stop; 716 and 632 with the turn's stop alone, 1,324 and
+        # 1,162 with neither (MIN_LOGLIK_GAIN = -inf; a rejected step still
+        # ends a turn). A count, so it does not depend on the machine.
         scenario = load_scenario(f"scenarios/{name}.json")
         steps = []
         for idx, snr_db in enumerate([0.0, 10.0, 20.0, 30.0]):
@@ -475,7 +516,7 @@ class TestCyclicRefine:
         y = add_noise(synthesize_channel(desk_array, truth), sigma2, rng)
         detect = EstimatorConfig(codebook=desk_codebook, cyclic_rounds=0)
         start = [e.params for e in vnnce([y], [2], detect)[0]]
-        frozen = {0: (start[0].theta, start[0].r)} if freeze else None
+        frozen = 0 if freeze else None
         cfg = EstimatorConfig(codebook=desk_codebook)
         want_records = []
         snapshots, _ = plain_cyclic(cfg, y, start, rounds,
@@ -486,7 +527,7 @@ class TestCyclicRefine:
             got = estimator.cyclic_refine(cfg, y, start, rounds,
                                           lambda *a: records.append(a), frozen)
         assert records == want_records[:len(records)]
-        fixed = len(frozen or {})  # turns before and after the rounds
+        fixed = 0 if frozen is None else 1  # turns before and after the rounds
         gains = [gain for _, gain in turns[fixed:len(turns) - fixed]]
         ran = len(gains) // 2
         assert len(gains) == 2 * ran and got == plain_cyclic(cfg, y, start, ran,
@@ -587,8 +628,9 @@ class TestRefinementCovariance:
                               cyclic_rounds=0)
         est = vnnce([y], [1], cfg)[0][0]
         coarse = omp_detect(y.y, desk_codebook, desk_codebook.scores(y.y[None])[0])
-        assert est.params == coarse
-        grad, hess = grad_hess(desk_array, project(desk_array, y.y, coarse.theta, coarse.r), coarse)
+        assert est.params == at_ls_gain(desk_array, y.y, coarse)
+        grad, hess = grad_hess(
+            desk_array, project(desk_array, y.y, coarse.theta, coarse.r), est.params)
         assert np.array_equal(est.grad, grad)
         assert np.array_equal(est.hess, hess)
         assert est.sigma2 == sigma2
@@ -602,7 +644,12 @@ class TestOmpDetect:
         p = omp_detect(h, desk_codebook, desk_codebook.scores(h[None])[0])
         assert p.theta == pytest.approx(theta, abs=1e-12)
         assert p.r == pytest.approx(r, rel=1e-12)
-        assert p.g == pytest.approx(1.0, rel=1e-9)
+        cfg = EstimatorConfig(codebook=desk_codebook, single_rounds=0,
+                              cyclic_rounds=0)
+        est = vnnce([Measurement(y=h)], [1], cfg)[0][0].params
+        assert est == at_ls_gain(desk_array, h, p)
+        a = project(desk_array, h, p.theta, p.r).gain
+        assert a == pytest.approx(cmath.rect(1.0, 0.3), rel=1e-9)
 
     def test_off_grid_winner_within_one_cell(self, desk_array, desk_codebook):
         rng = np.random.default_rng(9)
@@ -622,6 +669,17 @@ class TestOmpDetect:
         p = omp_detect(zero, desk_codebook, desk_codebook.scores(zero[None])[0])
         assert p.theta == desk_codebook.theta[0]
         assert p.r == desk_codebook.r[0]
+
+    def test_detection_makes_no_projection(self, desk_array, desk_codebook,
+                                           monkeypatch):
+        # The codeword comes back with zero gain: the turn that refines it
+        # opens with the one projection there.
+        h = synthesize_channel(desk_array, [PathParams(1.1, 2.0, 1.0, 0.3)])
+        calls = []
+        monkeypatch.setattr(estimator, "project",
+                            _recording(estimator.project, calls))
+        p = omp_detect(h, desk_codebook, desk_codebook.scores(h[None])[0])
+        assert calls == [] and (p.g, p.phi) == (0.0, 0.0)
 
     def test_empty_codebook_rejected(self, desk_array, desk_codebook):
         empty = Codebook(array=desk_array, config=desk_codebook.config, theta=[],
