@@ -12,8 +12,8 @@ path's turn takes no step. Multi-path estimation greedily detects paths
 on the codebook, each a bare codeword, and cyclically re-refines each one
 against the residual of the others, in rounds that stop once a round
 gains less than MIN_LOGLIK_GAIN nats or moves nothing. Each returned path
-then gets its soft information once: the gradient and Hessian at its
-final point, against the final residual of the others.
+then gets its soft information once: the Hessian at its final point,
+against the final residual of the others.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ THETA_EDGE = 1e-6
 # phi, cost_before, cost_after, accepted).
 TraceHook = Callable[..., None]
 
-PSD_FLOOR_SCALE = 1e-12  # per-antenna eigenvalue floor of the 4x4 information
+PSD_FLOOR = 1e-12  # eigenvalue floor of a matrix scaled to a unit diagonal
 # A Newton turn ends after an accepted step that raised the log-likelihood by
 # less than this many nats; the cyclic rounds end after a round whose turns
 # together raised it by less.
@@ -45,24 +45,22 @@ MIN_LOGLIK_GAIN = 1e-3
 
 @dataclass(frozen=True)
 class SoftEstimate:
-    """A returned path with its soft information: the objective's gradient
-    and 4x4 Hessian at `params`, ordered (theta, r, g, phi) and taken against
-    the residual of the other returned paths, and the noise power sigma2."""
+    """A returned path with its soft information: the objective's 4x4
+    Hessian at `params`, ordered (theta, r, g, phi) and taken against the
+    residual of the other returned paths, and the noise power sigma2."""
 
     params: PathParams
-    grad: np.ndarray
     hess: np.ndarray
     sigma2: float
 
     @property
     def cov(self) -> np.ndarray:
-        """Laplace covariance sigma^2 * (-H)^{-1}, the information matrix
-        PSD-repaired (eigenvalue floor) before inversion. The reduced
-        objective is the log-likelihood scaled by sigma^2, so the noise
-        power is carried back in."""
-        # The Hessian's (g, g) entry is -2M, so it carries the array size.
-        floor = PSD_FLOOR_SCALE * (-self.hess[2, 2] / 2.0)
-        return self.sigma2 * psd_repair(-self.hess, floor, invert=True)
+        """Laplace covariance sigma^2 * (-H)^{-1}, the inverse taken by
+        psd_repair, which changes it only where -H scaled to a unit
+        diagonal has an eigenvalue below PSD_FLOOR. The reduced objective is
+        the log-likelihood scaled by sigma^2, so the noise power is carried
+        back in."""
+        return self.sigma2 * psd_repair(-self.hess, invert=True)
 
 
 @dataclass
@@ -141,13 +139,22 @@ def grad_hess(cfg: ArrayConfig, proj: Projection,
     return grad, hess
 
 
-def psd_repair(mat: np.ndarray, floor: float, invert: bool = False) -> np.ndarray:
-    """Symmetrise, floor the eigenvalues at `floor`, and rebuild the matrix
-    (or, with invert=True, its inverse)."""
+def psd_repair(mat: np.ndarray, invert: bool = False) -> np.ndarray:
+    """The matrix (or, with invert=True, its inverse) made symmetric positive
+    definite in a unit-free way: symmetrise, scale to D^-1/2 mat D^-1/2 with
+    D the absolute diagonal (a zero entry left unscaled), floor that
+    matrix's eigenvalues at PSD_FLOOR, and rebuild in the original units.
+
+    The scaling makes the floor independent of the units and magnitudes of
+    the entries: it binds only where the scaled matrix has an eigenvalue
+    below PSD_FLOOR, however small or large the entries are."""
     mat = (mat + mat.T) / 2.0
-    w, v = np.linalg.eigh(mat)
-    w = np.maximum(w, floor)
-    out = (v / w) @ v.T if invert else (v * w) @ v.T
+    d = np.abs(np.diag(mat))
+    d = np.sqrt(np.where(d > 0.0, d, 1.0))
+    scale = np.outer(d, d)
+    w, v = np.linalg.eigh(mat / scale)
+    w = np.maximum(w, PSD_FLOOR)
+    out = (v / w) @ v.T / scale if invert else (v * w) @ v.T * scale
     return (out + out.T) / 2.0
 
 
@@ -215,7 +222,7 @@ def soft_estimates(cfg: ArrayConfig, y: Measurement,
     for k, p in enumerate(paths):
         y_rk = residual(cfg, y.y, paths[:k] + paths[k + 1:])
         proj = project(cfg, y_rk, p.theta, p.r)
-        out.append(SoftEstimate(p, *grad_hess(cfg, proj, p), y.noise_variance))
+        out.append(SoftEstimate(p, grad_hess(cfg, proj, p)[1], y.noise_variance))
     return out
 
 

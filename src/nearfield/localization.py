@@ -1,10 +1,11 @@
 """Gaussian fusion cooperative localization.
 
 Per-path soft estimates become soft Cartesian positions: the mean from the
-polar transform, the covariance from the estimate's curvature carried
-through it. Per base station the least-cost position is selected, gated
-against the best one by Mahalanobis consistency, and the surviving
-positions are fused by Gaussian product.
+polar transform, the covariance the estimate's own (theta, r) covariance
+carried through that transform's Jacobian (the delta method), so gain and
+phase are marginalised, not held fixed. Per base station the least-cost
+position is selected, gated against the best one by Mahalanobis
+consistency, and the surviving positions are fused by Gaussian product.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import numpy as np
 
 from .estimator import SoftEstimate, psd_repair
 from .estimator import residual  # noqa: F401 - rebound by bench/layertrace.py
-
-POSITION_PSD_FLOOR = 1e-12  # m^2 eigenvalue floor for 2x2 covariances
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,16 @@ class BsConfig:
 
     def point(self, theta: float, r: float) -> np.ndarray:
         """The global point at (theta, r) in this BS's frame."""
-        return np.asarray(self.position) + _offset(theta, r, self.rotation)
+        if r <= 0:
+            raise ValueError("r must be > 0")
+        u = theta + self.rotation
+        return np.asarray(self.position) + np.array([r * np.cos(u), r * np.sin(u)])
+
+    def jacobian(self, theta: float, r: float) -> np.ndarray:
+        """d(x, y)/d(theta, r) of `point` at (theta, r)."""
+        u = theta + self.rotation
+        c, s = np.cos(u), np.sin(u)
+        return np.array([[-r * s, c], [r * c, s]])
 
 
 @dataclass
@@ -91,47 +99,19 @@ class FusionReport:
         }
 
 
-def _offset(theta: float, r: float, omega: float) -> np.ndarray:
-    """(r cos(theta+omega), r sin(theta+omega)): the point at (theta, r)
-    relative to a BS rotated by omega."""
-    if r <= 0:
-        raise ValueError("r must be > 0")
-    return np.array([r * np.cos(theta + omega), r * np.sin(theta + omega)])
-
-
 def is_front_side(theta: float) -> bool:
     return 0.0 < theta < np.pi
 
 
-def _transform_coefficients(x: float, y: float) -> tuple[np.ndarray, ...]:
-    """The Jacobian T = d(theta, r)/d(x_r, y_r) and the 2x2 Hessians of
-    theta and of r in (x_r, y_r)."""
-    rho2 = x * x + y * y
-    rho = np.sqrt(rho2)
-    T = np.array([[-y / rho2, x / rho2], [x / rho, y / rho]])
-    hess_theta = np.array([[2.0 * x * y, y * y - x * x],
-                           [y * y - x * x, -2.0 * x * y]]) / rho2**2
-    hess_r = np.array([[y * y, -x * y], [-x * y, x * x]]) / rho**3
-    return T, hess_theta, hess_r
-
-
-def position_hessian(est: SoftEstimate, omega: float) -> np.ndarray:
-    """Chain-rule Hessian of the objective in relative Cartesian coordinates,
-    T^T H T + f_theta Hess(theta) + f_r Hess(r), from the estimate's
-    gradient f and Hessian H in (theta, r)."""
-    p = est.params
-    T, hess_theta, hess_r = _transform_coefficients(*_offset(p.theta, p.r, omega))
-    return (T.T @ est.hess[:2, :2] @ T
-            + est.grad[0] * hess_theta + est.grad[1] * hess_r)
-
-
 def position_covariance(est: SoftEstimate, bs: BsConfig) -> SoftPosition:
-    """Soft global position: mean from the polar transform, covariance from
-    the Laplace form sigma^2 * (-H)^{-1} of the Cartesian-coordinate Hessian."""
+    """Soft global position: mean from the polar transform, covariance J C
+    J^T with J = bs.jacobian and C the (theta, r) block of est.cov, which is
+    the inverse of the Schur complement of -H / sigma^2 over gain and
+    phase."""
     p = est.params
-    info = psd_repair(-position_hessian(est, bs.rotation), POSITION_PSD_FLOOR)
-    cov = psd_repair(est.sigma2 * np.linalg.inv(info), POSITION_PSD_FLOOR)
-    return SoftPosition(mean=bs.point(p.theta, p.r), cov=cov)
+    J = bs.jacobian(p.theta, p.r)
+    return SoftPosition(mean=bs.point(p.theta, p.r),
+                        cov=psd_repair(J @ est.cov[:2, :2] @ J.T))
 
 
 def gaussian_fuse(positions: list[SoftPosition]) -> SoftPosition:

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -119,11 +120,24 @@ class TestEstimate:
         assert set(path) == {"theta", "r", "g", "phi", "cov"}
         assert len(path["cov"]) == 16
 
-    def test_step3_paths_exactly_where_anchored(self, tmp_path):
-        # The bundled desk draw anchors some BSs and not others.
-        out = tmp_path / "est.json"
-        assert cli(["estimate", "--config", DESK, "--out", str(out)]) == 0
+    @staticmethod
+    def _estimate_with_unanchored_bss(tmp_path) -> dict:
+        # The desk scenario with BS 3's scatterer about 100 times stronger
+        # than any LoS path: its soft position, metres from the user and the
+        # tightest of all, is the reference, so every LoS candidate fails
+        # the gate against it and its BS goes unanchored.
+        scenario = json.loads(Path(DESK).read_text())
+        scenario["bss"][3]["nlos"][0]["g"] = 6e-3
+        config, out = tmp_path / "desk.json", tmp_path / "est.json"
+        config.write_text(json.dumps(scenario))
+        assert cli(["estimate", "--config", str(config), "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
+        assert payload["fusion"]["reference_bs"] == 3
+        assert payload["anchored"] == [False, False, False, True]
+        return payload
+
+    def test_step3_paths_exactly_where_anchored(self, tmp_path):
+        payload = self._estimate_with_unanchored_bss(tmp_path)
         anchored = payload["anchored"]
         assert True in anchored and False in anchored
         for bs, flag in zip(payload["per_bs"], anchored):
@@ -139,9 +153,7 @@ class TestEstimate:
         # The per-BS NMSE is the harness's score of the trial, not a second
         # computation: step 1 equals the row's nmse_db, and step 3 is null
         # exactly where the row's step3_nmse_db is.
-        out = tmp_path / "est.json"
-        assert cli(["estimate", "--config", DESK, "--out", str(out)]) == 0
-        payload = json.loads(out.read_text())
+        payload = self._estimate_with_unanchored_bss(tmp_path)
         assert len(payload["per_bs"]) == len(payload["metrics"]) == 4
         for i, (bs, row) in enumerate(zip(payload["per_bs"], payload["metrics"])):
             assert row["bs"] == i

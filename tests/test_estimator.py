@@ -12,7 +12,7 @@ from nearfield.arraymodel import (Measurement, PathParams, add_noise,
                                   near_steering, synthesize_channel)
 from nearfield.codebook import Codebook, CodebookConfig, build_codebook, scan_error
 from nearfield import estimator
-from nearfield.estimator import (MIN_LOGLIK_GAIN, PSD_FLOOR_SCALE, THETA_EDGE,
+from nearfield.estimator import (MIN_LOGLIK_GAIN, THETA_EDGE,
                                  EstimatorConfig, _clamp_params, _newton_step,
                                  grad_hess, newton_refine_once, omp_detect, project,
                                  psd_repair, residual, soft_estimates, vnnce)
@@ -598,8 +598,25 @@ class TestRefinementCovariance:
         est = vnnce([y], [1], EstimatorConfig(codebook=desk_codebook))[0][0]
         p = est.params
         info = -grad_hess(desk_array, project(desk_array, y.y, p.theta, p.r), p)[1]
-        cov = psd_repair(info, PSD_FLOOR_SCALE * 64, invert=True)
+        cov = psd_repair(info, invert=True)
         assert np.array_equal(est.cov, sigma2 * cov)
+
+    def test_cov_is_exact_inverse_wherever_information_is_definite(self):
+        # The repair must not touch valid curvature at any path gain: on
+        # tab2_paper the LoS information has eigenvalues near 1e-12, which
+        # an absolute floor of that size clipped to a ~19x smaller sigma_r.
+        scenario = load_scenario("scenarios/tab2_paper.json")
+        _, result = run_trial(scenario, 30.0, 3, 0, return_joint=True)
+        estimates = [e for bs in result.step1 for e in bs]
+        for est in estimates:
+            info = -est.hess
+            # Cholesky, unlike eigvalsh, decides definiteness independently
+            # of the diagonal's scale, which here spans 20 decades.
+            np.linalg.cholesky(info)
+            ref = est.sigma2 * np.linalg.inv(info)
+            d = np.sqrt(np.diag(ref))
+            assert np.all(np.abs(est.cov - ref) <= 1e-9 * np.outer(d, d))
+        assert len(estimates) == 8
 
     def test_each_path_against_final_residual_of_the_other(self, desk_array,
                                                            desk_codebook):
@@ -613,10 +630,9 @@ class TestRefinementCovariance:
             other = ests[1 - k].params
             y_r = residual(desk_array, y.y, [other])
             p = est.params
-            grad, hess = grad_hess(desk_array, project(desk_array, y_r, p.theta, p.r), p)
-            assert np.array_equal(est.grad, grad)
+            hess = grad_hess(desk_array, project(desk_array, y_r, p.theta, p.r), p)[1]
             assert np.array_equal(est.hess, hess)
-            cov = psd_repair(-hess, PSD_FLOOR_SCALE * 64, invert=True)
+            cov = psd_repair(-hess, invert=True)
             assert np.array_equal(est.cov, sigma2 * cov)
 
     def test_zero_rounds_return_detection_with_soft_information(
@@ -629,9 +645,8 @@ class TestRefinementCovariance:
         est = vnnce([y], [1], cfg)[0][0]
         coarse = omp_detect(y.y, desk_codebook, desk_codebook.scores(y.y[None])[0])
         assert est.params == at_ls_gain(desk_array, y.y, coarse)
-        grad, hess = grad_hess(
-            desk_array, project(desk_array, y.y, coarse.theta, coarse.r), est.params)
-        assert np.array_equal(est.grad, grad)
+        hess = grad_hess(
+            desk_array, project(desk_array, y.y, coarse.theta, coarse.r), est.params)[1]
         assert np.array_equal(est.hess, hess)
         assert est.sigma2 == sigma2
 

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from nearfield.arraymodel import (Measurement, PathParams, add_noise,
                                   synthesize_channel)
 from nearfield.codebook import CodebookConfig, build_codebook
-from nearfield.estimator import EstimatorConfig, soft_estimates, vnnce
+from nearfield.estimator import (PSD_FLOOR, EstimatorConfig, project,
+                                 soft_estimates, vnnce)
 from nearfield.localization import (BsConfig, SoftPosition, consistency,
                                     gaussian_fuse, gfcl, is_front_side,
-                                    position_covariance, position_hessian,
-                                    _transform_coefficients)
+                                    position_covariance)
+from tests.conftest import random_path
 from tests.reference import (as_vector, central_differences,
-                             marginal_position_covariance, objective)
+                             marginal_position_covariance)
 
 
 def random_psd_2x2(rng, scale=1.0):
@@ -57,83 +58,18 @@ class TestTransforms:
         assert is_front_side(0.1) and is_front_side(np.pi - 0.1)
         assert not is_front_side(0.0) and not is_front_side(-1.0)
 
-    def test_coefficients_at_3_4(self):
-        T, _, _ = _transform_coefficients(3.0, 4.0)
-        assert T[1, 0] == pytest.approx(0.6)
-        assert T[1, 1] == pytest.approx(0.8)
-        assert T[0, 0] == pytest.approx(-4 / 25)
-        assert T[0, 1] == pytest.approx(3 / 25)
-
-    def test_coefficients_match_fd(self, rng):
-        h = 1e-7
+    def test_jacobian_matches_fd_of_point(self, rng):
+        bs = BsConfig(position=(0.0, 0.0), rotation=0.0)
+        assert np.allclose(bs.jacobian(np.pi / 2, 5.0), [[-5.0, 0.0], [0.0, 1.0]],
+                           rtol=0.0, atol=1e-12)
         for _ in range(10):
-            x, y = rng.uniform(0.5, 5.0, size=2)
-            T, hess_theta, hess_r = _transform_coefficients(x, y)
-
-            fd = central_differences(
-                lambda v: np.array([np.arctan2(v[1], v[0]), np.hypot(*v)]),
-                np.array([x, y]), [h, h])
-            assert np.allclose(T, fd.T, rtol=1e-5, atol=1e-8)
-            # The Hessians are the derivatives of T's rows.
-            fd2 = central_differences(lambda v: _transform_coefficients(*v)[0],
-                                      np.array([x, y]), [h, h])
-            assert np.allclose(hess_theta, fd2[:, 0], rtol=1e-5, atol=1e-8)
-            assert np.allclose(hess_r, fd2[:, 1], rtol=1e-5, atol=1e-8)
-
-
-class TestPositionHessian:
-    def test_matches_fd_of_composed_objective(self, desk_array, rng):
-        omega = 0.0
-        for _ in range(10):
-            truth = PathParams(theta=float(rng.uniform(0.4, np.pi - 0.4)),
-                               r=float(rng.uniform(0.5, 4.0)), g=1.0,
-                               phi=float(rng.uniform(0, 2 * np.pi)))
-            y = synthesize_channel(desk_array, [truth])
-            p = PathParams(theta=truth.theta + 0.002, r=truth.r * 1.01,
-                           g=truth.g, phi=truth.phi)
-            est = soft_estimates(desk_array, Measurement(y), [p])[0]
-            ana = position_hessian(est, omega)
-
-            bs = BsConfig(position=(0.0, 0.0), rotation=omega)
-            x0 = bs.point(p.theta, p.r)
-
-            def f_xy(v):
-                theta, r = bs.polar(v)
-                return objective(desk_array, y,
-                                 PathParams(theta=theta, r=r, g=p.g, phi=p.phi))
-
-            h = [1e-5 * max(p.r, 1.0)] * 2
-            num = central_differences(
-                lambda v: central_differences(f_xy, v, h), x0, h)
-            assert np.linalg.norm(ana - num) <= 1e-4 * max(
-                np.linalg.norm(num), 1.0)
-
-    def test_gradient_terms_match_fd_off_the_peak(self, desk_array):
-        # Near the peak the gradient vanishes and T^T H T swamps the terms
-        # f_theta Hess(theta) + f_r Hess(r). On the main lobe's flank of a
-        # noiseless broadside path close to the array the gradient is large
-        # and the angle curvature small, so each term must show up here.
-        truth = PathParams(theta=np.pi / 2, r=0.2, g=1.0, phi=0.3)
-        y = synthesize_channel(desk_array, [truth])
-        p = PathParams(theta=truth.theta + 0.026, r=0.17, g=truth.g,
-                       phi=truth.phi)
-        omega = 0.4
-        est = soft_estimates(desk_array, Measurement(y), [p])[0]
-        bs = BsConfig(position=(0.0, 0.0), rotation=omega)
-        x0 = bs.point(p.theta, p.r)
-        _, hess_theta, hess_r = _transform_coefficients(*x0)
-        terms = [est.grad[0] * hess_theta, est.grad[1] * hess_r]
-
-        def f_xy(v):
-            theta, r = bs.polar(v)
-            return objective(desk_array, y,
-                             PathParams(theta=theta, r=r, g=p.g, phi=p.phi))
-
-        h = [1e-5 * p.r] * 2
-        num = central_differences(
-            lambda v: central_differences(f_xy, v, h), x0, h)
-        tol = 1e-2 * min(np.linalg.norm(t) for t in terms)
-        assert np.linalg.norm(position_hessian(est, omega) - num) <= tol
+            bs = BsConfig(position=tuple(rng.uniform(-5.0, 5.0, size=2)),
+                          rotation=float(rng.uniform(-np.pi, np.pi)))
+            theta, r = rng.uniform(0.1, np.pi - 0.1), rng.uniform(0.5, 50.0)
+            fd = central_differences(lambda v: bs.point(*v),
+                                     np.array([theta, r]), [1e-6, 1e-6 * r])
+            assert np.allclose(bs.jacobian(theta, r), fd.T, rtol=1e-7,
+                               atol=1e-7 * r)
 
 
 class TestPositionCovariance:
@@ -162,23 +98,78 @@ class TestPositionCovariance:
         marginal = marginal_position_covariance(est, omega)
         ratio = np.trace(marginal) / np.trace(mc_cov)
         assert 0.5 < ratio < 2.0
-        # The measurement-Hessian route conditions on (g, phi) instead of
-        # marginalizing them, so it is tighter by a stable structural
-        # factor (~2.26 across geometries); bound it rather than equate it.
+        # The soft position is that delta-method covariance: gain and phase
+        # are marginalised, not held fixed.
         full = position_covariance(est, bs)
         ratio_full = np.trace(full.cov) / np.trace(mc_cov)
-        assert 1 / 3 < ratio_full <= ratio + 1e-9
+        assert ratio_full == pytest.approx(ratio, rel=1e-9)
 
     def test_jacobian_only_matches_hessian_form_at_optimum(self, desk_array):
-        # At a noiseless optimum both propagation routes derive from the
-        # same curvature; they agree to first order.
+        # At a noiseless optimum the soft position's covariance is the
+        # delta-method one: the repair leaves a positive definite matrix as
+        # it is.
         truth, h, _ = self._high_snr_setup(desk_array)
         sigma2 = 1e-8
         y = Measurement(y=h, noise_variance=sigma2)
         est = soft_estimates(desk_array, y, [truth])[0]
         full = position_covariance(est, BsConfig(position=(0.0, 0.0), rotation=0.0))
         marginal = marginal_position_covariance(est, 0.0)
-        assert np.allclose(marginal, full.cov, rtol=0.2)
+        assert np.allclose(marginal, full.cov, rtol=1e-9, atol=0.0)
+
+    def test_information_is_hessian_of_concentrated_cost(self, desk_array, rng):
+        # At a noiseless peak the gain is the LS gain and the gradient
+        # vanishes, so sigma^2 times the position information is minus the
+        # Hessian of the concentrated cost G(x, y) = |b^H y|^2 / M at the
+        # point's polar coordinates.
+        sigma2 = 1e-8
+        for _ in range(10):
+            truth = PathParams(theta=float(rng.uniform(0.4, np.pi - 0.4)),
+                               r=float(rng.uniform(0.5, 4.0)), g=1.0,
+                               phi=float(rng.uniform(0, 2 * np.pi)))
+            bs = BsConfig(position=tuple(rng.uniform(-5.0, 5.0, size=2)),
+                          rotation=float(rng.uniform(-np.pi, np.pi)))
+            y = synthesize_channel(desk_array, [truth])
+            est = soft_estimates(desk_array, Measurement(y, sigma2), [truth])[0]
+            info = sigma2 * np.linalg.inv(position_covariance(est, bs).cov)
+
+            def cost(v):
+                return project(desk_array, y, *bs.polar(v)).cost
+
+            h = [1e-5 * max(truth.r, 1.0)] * 2
+            num = central_differences(
+                lambda v: central_differences(cost, v, h),
+                bs.point(truth.theta, truth.r), h)
+            assert np.linalg.norm(info + num) <= 1e-5 * np.linalg.norm(num)
+
+    @given(seed=st.integers(0, 2**32 - 1), log10_c=st.floats(-8.0, 3.0))
+    @settings(max_examples=30, deadline=None)
+    def test_invariant_to_the_scale_of_y(self, desk_array, seed, log10_c):
+        # Scaling y by c and sigma^2 by c^2 scales the Hessian by S = diag(c,
+        # c, 1, c) on both sides, so est.cov scales by diag(1, 1, c, 1) and
+        # the soft position does not move: no floor may depend on the scale.
+        rng = np.random.default_rng(seed)
+        paths = [random_path(desk_array, rng) for _ in range(2)]
+        sigma2 = 1e-2
+        y = add_noise(synthesize_channel(desk_array, paths), sigma2, rng)
+        # The estimates sit near, not at, the peaks, as after a refinement.
+        est = [PathParams(p.theta + rng.normal(0.0, 1e-4),
+                          p.r * (1 + rng.normal(0.0, 1e-3)), p.g, p.phi)
+               for p in paths]
+        c = 10.0**log10_c
+        bs = BsConfig(position=(1.0, -2.0), rotation=0.3)
+        base = soft_estimates(desk_array, y, est)
+        scaled = soft_estimates(
+            desk_array, Measurement(c * y.y, c * c * sigma2),
+            [PathParams(p.theta, p.r, c * p.g, p.phi) for p in est])
+        s = np.array([1.0, 1.0, c, 1.0])
+        for a, b in zip(base, scaled):
+            # Per entry, relative to sqrt(C_ii C_jj) of the expected C.
+            d = s * np.sqrt(np.diag(a.cov))
+            assert np.all(np.abs(b.cov - np.outer(s, s) * a.cov)
+                          <= 1e-9 * np.outer(d, d))
+            ref = position_covariance(a, bs).cov
+            got = position_covariance(b, bs).cov
+            assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
 
     def test_covariance_scales_with_sigma2(self, desk_array):
         truth, h, _ = self._high_snr_setup(desk_array)
@@ -188,6 +179,10 @@ class TestPositionCovariance:
         b = position_covariance(
             soft_estimates(desk_array, Measurement(h, 2e-6), [truth])[0], bs)
         assert np.allclose(b.cov, 2 * a.cov, rtol=1e-9)
+        # Noiseless, only the floor is left, in m^2.
+        zero = position_covariance(
+            soft_estimates(desk_array, Measurement(h, 0.0), [truth])[0], bs)
+        assert np.array_equal(zero.cov, PSD_FLOOR * np.eye(2))
 
     def test_psd_output(self, desk_array, rng):
         truth, h, sigma2 = self._high_snr_setup(desk_array)
