@@ -215,8 +215,6 @@ def add_noise(h: np.ndarray, sigma2: float, seed) -> Measurement:
         raise ValueError("sigma2 must be >= 0")
     h = np.asarray(h, dtype=complex)
     rng = np.random.default_rng(seed)
-    if sigma2 == 0.0:
-        return Measurement(y=h.copy(), noise_variance=0.0)
     scale = np.sqrt(sigma2 / 2.0)
     n = rng.normal(scale=scale, size=h.size) + 1j * rng.normal(scale=scale, size=h.size)
     return Measurement(y=h + n, noise_variance=sigma2)

@@ -26,7 +26,6 @@ MAX_DELTA_BETA = 2.98
 class CodebookConfig:
     delta_alpha: float = 0.5
     delta_beta: float = 1.0
-    cover_far_edge: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.delta_alpha <= MAX_DELTA_ALPHA:
@@ -243,10 +242,7 @@ def build_codebook(cfg: ArrayConfig, cbcfg: CodebookConfig) -> Codebook:
     grids = []
     for n in mirrored + alone:
         theta_grid = float(np.arccos(abs(cos_list[n])))
-        distances = distance_grid(cfg, theta_grid, cbcfg.delta_beta)
-        if cbcfg.cover_far_edge and cfg.rayleigh_distance not in distances:
-            distances = np.append(distances, cfg.rayleigh_distance)
-        grids.append(distances)
+        grids.append(distance_grid(cfg, theta_grid, cbcfg.delta_beta))
     grids += grids[:len(twins)]
     angles = mirrored + alone + twins
     thetas = [float(np.arccos(cos_list[n])) for n in angles]

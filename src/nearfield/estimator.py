@@ -226,12 +226,11 @@ def soft_estimates(cfg: ArrayConfig, y: Measurement,
     return out
 
 
-def omp_detect(y_r: np.ndarray, codebook: Codebook,
-               scores: np.ndarray) -> PathParams:
-    """The codeword maximizing |b^H y_r|^2 on y_r's row of the codebook scan,
-    `scores`, as a zero-gain path: the turn that refines it opens with its
-    LS gain. Ties -> lowest codeword index, which is the first in scan
-    order."""
+def omp_detect(codebook: Codebook, scores: np.ndarray) -> PathParams:
+    """The codeword maximizing |b^H y_r|^2 on a residual y_r's row of the
+    codebook scan, `scores`, as a zero-gain path: the turn that refines it
+    opens with its LS gain. Ties -> lowest codeword index, which is the
+    first in scan order."""
     if len(codebook) == 0:
         raise ValueError("codebook is empty")
     best = int(np.argmax(scores))  # first index on ties
@@ -341,7 +340,7 @@ def vnnce(ys: list[Measurement], num_paths: list[int], cfg: EstimatorConfig,
         scores = codebook.scores(np.stack(y_rs))
         still = []
         for i, y_r, s in zip(active, y_rs, scores):
-            p = omp_detect(y_r, codebook, s)
+            p = omp_detect(codebook, s)
             paths[i].append(_refine(cfg, y_r, ys[i].noise_variance, p,
                                     len(paths[i]), trace)[0])
             paths[i] = cyclic_refine(cfg, ys[i], paths[i], cfg.cyclic_rounds, trace)

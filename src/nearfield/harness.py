@@ -14,7 +14,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,25 +49,14 @@ class Scenario:
     user: tuple[float, float]
     sigma2: float
     p_t: float
-    codebook_config: CodebookConfig
+    estimator: EstimatorConfig  # the one config every BS of every trial runs
     num_paths: int | None  # estimator L'; default 1 + NLoS count per BS
-    single_rounds: int
-    cyclic_rounds: int
     zeta: float
     seed: int
-    _codebook: Codebook | None = field(default=None, repr=False)
 
     @property
     def codebook(self) -> Codebook:
-        if self._codebook is None:
-            self._codebook = build_codebook(self.array, self.codebook_config)
-        return self._codebook
-
-    def estimator_config(self) -> EstimatorConfig:
-        """The one estimator config every BS of a trial runs with."""
-        return EstimatorConfig(codebook=self.codebook,
-                               single_rounds=self.single_rounds,
-                               cyclic_rounds=self.cyclic_rounds)
+        return self.estimator.codebook
 
     def path_counts(self) -> list[int]:
         """Estimator L' per BS: num_paths, else 1 + that BS's NLoS count."""
@@ -91,7 +80,7 @@ def _require(cond: bool, msg: str):
 
 
 # The scenario schema: each object maps its fields, in the order errors list
-# them, to (kind, default). A kind is int, float (finite), bool, POINT, an
+# them, to (kind, default). A kind is int, float (finite), POINT, an
 # object's own table, or [item table] for a list of objects. REQUIRED fields
 # have no default, and a default that is an object or a list is read as given.
 REQUIRED = object()
@@ -110,10 +99,11 @@ SCHEMA = {
     "sigma2": (float, None),
     "sigma2_dbm": (float, -110.0),
     "zeta": (float, 3.5),
-    "codebook": ({"delta_alpha": (float, 0.5), "delta_beta": (float, 1.0),
-                  "cover_far_edge": (bool, False)}, {}),
-    "estimator": ({"num_paths": (int, None), "single_rounds": (int, 5),
-                   "cyclic_rounds": (int, 5)}, {}),
+    "codebook": ({"delta_alpha": (float, CodebookConfig.delta_alpha),
+                  "delta_beta": (float, CodebookConfig.delta_beta)}, {}),
+    "estimator": ({"num_paths": (int, None),
+                   "single_rounds": (int, EstimatorConfig.single_rounds),
+                   "cyclic_rounds": (int, EstimatorConfig.cyclic_rounds)}, {}),
     "bss": ([_BS], [{"position": [0.0, 0.0]}]),  # one BS at the origin
 }
 EXCLUSIVE = (("sigma2", "sigma2_dbm"), ("nlos", "num_nlos"))  # give at most one
@@ -131,10 +121,6 @@ def _read(value, path: str, kind):
             if not isinstance(value, bool) and math.isfinite(value):
                 return float(value)
         raise ScenarioError(f"{path} must be a finite number, got {value!r}")
-    if kind is bool:
-        if isinstance(value, bool):
-            return value
-        raise ScenarioError(f"{path} must be true or false, got {value!r}")
     if kind is POINT:
         if not isinstance(value, (list, tuple)) or len(value) != 2:
             raise ScenarioError(f"{path} must be a pair [x, y], got {value!r}")
@@ -173,21 +159,24 @@ def _build(path: str, fn, *args, **kwargs):
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Build and validate a Scenario from a dict of SCHEMA's fields."""
+    """Build and validate a Scenario from a dict of SCHEMA's fields: the one
+    place a run's settings are read, defaulted, checked and built."""
     d = _read(data, "", SCHEMA)
     est = d["estimator"]
     _require(d["schema_version"] == SCHEMA_VERSION,
              f"unsupported schema_version {d['schema_version']}")
     _require(d["seed"] >= 0, f"seed must be >= 0, got {d['seed']}")
-    _require(min(est["single_rounds"], est["cyclic_rounds"]) >= 0,
-             "estimator round counts must be >= 0")
     _require(est["num_paths"] is None or est["num_paths"] >= 1,
              "estimator.num_paths must be >= 1")
     _require(d["p_t"] > 0, "p_t must be > 0")
     _require(d["zeta"] > 0, "zeta must be > 0")
     _require(len(d["bss"]) >= 1, "at least one BS is required")
     array = _build("array", ArrayConfig, **d["array"])
-    cbcfg = _build("codebook", CodebookConfig, **d["codebook"])
+    codebook = build_codebook(array, _build("codebook", CodebookConfig,
+                                            **d["codebook"]))
+    estimator = _build("estimator", EstimatorConfig, codebook=codebook,
+                       single_rounds=est["single_rounds"],
+                       cyclic_rounds=est["cyclic_rounds"])
     try:
         sigma2 = (d["sigma2"] if d["sigma2"] is not None
                   else 10.0 ** (d["sigma2_dbm"] / 10.0))
@@ -214,8 +203,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         mid = (array.min_near_distance + array.rayleigh_distance) / 2.0
         user = tuple(bss[0].config.point(np.pi / 2, mid))
     scenario = Scenario(array=array, bss=bss, user=user, sigma2=sigma2,
-                        codebook_config=cbcfg, p_t=d["p_t"], zeta=d["zeta"],
-                        seed=d["seed"], **est)
+                        p_t=d["p_t"], estimator=estimator,
+                        num_paths=est["num_paths"], zeta=d["zeta"], seed=d["seed"])
     for i, bs in enumerate(bss):
         theta, r = _build(f"bss[{i}]", scenario.los_geometry, bs)
         _require(is_front_side(theta),
@@ -298,7 +287,7 @@ def run_trial(scenario: Scenario, snr_db: float | None, point_idx: int,
     channels = [synthesize_channel(scenario.array, paths) for paths in per_bs_paths]
     measurements = [add_noise(ch, sigma2, rng) for ch in channels]
     result = run_joint([bs.config for bs in scenario.bss], measurements,
-                       scenario.path_counts(), scenario.estimator_config(),
+                       scenario.path_counts(), scenario.estimator,
                        scenario.zeta, trace=trace)
 
     def channel_nmse_db(i: int, paths: list[PathParams]) -> float:

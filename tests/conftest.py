@@ -39,8 +39,6 @@ def wide_array() -> ArrayConfig:
 MIRROR_CODEBOOKS = {
     "tab2_desk": ("scenarios/tab2_desk.json", {}, (1083, 548, 535)),
     "tab2_paper": ("scenarios/tab2_paper.json", {}, (17965, 9009, 8956)),
-    "desk_cover_far_edge": ("scenarios/tab2_desk.json", {"cover_far_edge": True},
-                            (1206, 610, 596)),
     "desk_asymmetric_angles": ("scenarios/tab2_desk.json", {"delta_alpha": 0.37},
                                (1464, 1464, 0)),
 }

@@ -39,15 +39,22 @@ class TestExitCodes:
         assert cli(["validate", "--config", str(p)]) == 2
         assert "zeta" in capsys.readouterr().err
 
-    def test_bad_threads_variable_fails_sweep_only(self, tmp_path, monkeypatch,
-                                                   capsys):
-        monkeypatch.setenv("NEARFIELD_THREADS", "abc")
-        assert cli(["codebook", "--config", SINGLE,
-                    "--out", str(tmp_path / "cb.csv")]) == 0
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_threads_variable_is_not_read(self, tmp_path, monkeypatch, capsys,
+                                          value):
+        # --threads (default 1) is the only way to set the sweep's workers.
+        monkeypatch.setenv("NEARFIELD_THREADS", value)
+        out = tmp_path / "s.csv"
         assert cli(["sweep", "--config", SINGLE, "--trials", "1",
-                    "--snr-db", "10", "--out", str(tmp_path / "s.csv")]) == 1
-        assert "NEARFIELD_THREADS" in capsys.readouterr().err
-        assert not (tmp_path / "s.csv").exists()
+                    "--snr-db", "10", "--out", str(out)]) == 0
+        assert out.read_text().startswith(CSV_HEADER + "\n")
+
+    def test_removed_codebook_field_is_config_error(self, tmp_path, capsys):
+        p = tmp_path / "cover.json"
+        p.write_text(json.dumps({"array": {"num_antennas": 64, "wavelength": 0.003},
+                                 "codebook": {"cover_far_edge": True}}))
+        assert cli(["validate", "--config", str(p)]) == 2
+        assert "unknown field codebook.cover_far_edge;" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,flag", [
         ("estimate", ["--threads", "2"]),
@@ -78,15 +85,6 @@ class TestExitCodes:
         out = tmp_path / "s.csv"
         assert cli(["sweep", "--config", SINGLE, "--out", str(out), *args]) == 1
         assert flag in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_zero_threads_variable_is_usage_error(self, tmp_path, monkeypatch,
-                                                  capsys):
-        monkeypatch.setenv("NEARFIELD_THREADS", "0")
-        out = tmp_path / "s.csv"
-        assert cli(["sweep", "--config", SINGLE, "--trials", "1", "--snr-db",
-                    "10", "--out", str(out)]) == 1
-        assert "NEARFIELD_THREADS" in capsys.readouterr().err
         assert not out.exists()
 
     def test_malformed_finite_field_is_config_error(self, tmp_path, capsys):

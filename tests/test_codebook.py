@@ -17,7 +17,6 @@ class TestConfig:
     def test_defaults(self):
         cfg = CodebookConfig()
         assert cfg.delta_alpha == 0.5 and cfg.delta_beta == 1.0
-        assert not cfg.cover_far_edge
 
     @pytest.mark.parametrize("kwargs", [
         {"delta_alpha": 0.0}, {"delta_alpha": 0.91},
@@ -128,14 +127,6 @@ class TestBuildCodebook:
             assert np.all(cb.theta[sel] == theta) and np.all(cb.cos_theta[sel] == cos_t)
         assert np.count_nonzero(np.diff(cb.n_theta)) == len(cos_grid) - 1
 
-    def test_cover_far_edge_adds_codewords(self, desk_array):
-        base = build_codebook(desk_array, CodebookConfig())
-        cover = build_codebook(desk_array, CodebookConfig(cover_far_edge=True))
-        n_angles = len(angle_grid(desk_array, 0.5))
-        extra = int(np.sum(cover.r == desk_array.rayleigh_distance))
-        assert extra == n_angles
-        assert len(cover) >= len(base)
-
     def test_steering_matrix_shape_and_cache(self, desk_array):
         cb = build_codebook(desk_array, CodebookConfig())
         B = cb.steering_matrix
@@ -146,11 +137,9 @@ class TestBuildCodebook:
         assert np.allclose(np.abs(B), 1.0, rtol=0, atol=STEERING_ENTRY_ERROR)
         assert cb.steering_matrix is B
 
-    @pytest.mark.parametrize("cover_far_edge", [False, True])
-    def test_steering_columns_match_near_steering(self, cover_far_edge):
+    def test_steering_columns_match_near_steering(self):
         scenario = load_scenario("scenarios/tab2_desk.json")
-        cb = build_codebook(scenario.array,
-                            CodebookConfig(cover_far_edge=cover_far_edge))
+        cb = scenario.codebook
         B = cb.steering_matrix
         for j in range(B.shape[1]):
             col = near_steering(scenario.array, float(cb.theta[j]), float(cb.r[j]))

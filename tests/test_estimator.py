@@ -219,7 +219,7 @@ class TestNewtonRefine:
                                g=1.0, phi=float(rng.uniform(0, 2 * np.pi)))
             h = synthesize_channel(desk_array, [truth])
             p = at_ls_gain(desk_array, h, omp_detect(
-                h, desk_codebook, desk_codebook.scores(h[None])[0]))
+                desk_codebook, desk_codebook.scores(h[None])[0]))
             for _ in range(20):
                 p, _ = newton_refine_once(
                     desk_array, h, p, project(desk_array, h, p.theta, p.r))
@@ -271,7 +271,7 @@ class TestNewtonRefine:
         h = synthesize_channel(desk_array, [truth])
         records = []
         p = at_ls_gain(desk_array, h, omp_detect(
-            h, desk_codebook, desk_codebook.scores(h[None])[0]))
+            desk_codebook, desk_codebook.scores(h[None])[0]))
         for j in range(5):
             p, _ = newton_refine_once(
                 desk_array, h, p, project(desk_array, h, p.theta, p.r),
@@ -643,7 +643,7 @@ class TestRefinementCovariance:
         cfg = EstimatorConfig(codebook=desk_codebook, single_rounds=0,
                               cyclic_rounds=0)
         est = vnnce([y], [1], cfg)[0][0]
-        coarse = omp_detect(y.y, desk_codebook, desk_codebook.scores(y.y[None])[0])
+        coarse = omp_detect(desk_codebook, desk_codebook.scores(y.y[None])[0])
         assert est.params == at_ls_gain(desk_array, y.y, coarse)
         hess = grad_hess(
             desk_array, project(desk_array, y.y, coarse.theta, coarse.r), est.params)[1]
@@ -656,7 +656,7 @@ class TestOmpDetect:
         theta, r = float(desk_codebook.theta[500]), float(desk_codebook.r[500])
         h = synthesize_channel(
             desk_array, [PathParams(theta=theta, r=r, g=1.0, phi=0.3)])
-        p = omp_detect(h, desk_codebook, desk_codebook.scores(h[None])[0])
+        p = omp_detect(desk_codebook, desk_codebook.scores(h[None])[0])
         assert p.theta == pytest.approx(theta, abs=1e-12)
         assert p.r == pytest.approx(r, rel=1e-12)
         cfg = EstimatorConfig(codebook=desk_codebook, single_rounds=0,
@@ -673,7 +673,7 @@ class TestOmpDetect:
                                r=float(rng.uniform(0.5, 5.0)), g=1.0,
                                phi=float(rng.uniform(0, 2 * np.pi)))
             h = synthesize_channel(desk_array, [truth])
-            p = omp_detect(h, desk_codebook, desk_codebook.scores(h[None])[0])
+            p = omp_detect(desk_codebook, desk_codebook.scores(h[None])[0])
             a = alpha_of(desk_array, np.cos(p.theta), np.cos(truth.theta))
             b = beta_of(desk_array, truth.theta, p.r, truth.r)
             assert abs(a) <= 0.5 + 1e-9
@@ -681,7 +681,7 @@ class TestOmpDetect:
 
     def test_tie_breaks_to_lowest_index(self, desk_array, desk_codebook):
         zero = np.zeros(64, dtype=complex)
-        p = omp_detect(zero, desk_codebook, desk_codebook.scores(zero[None])[0])
+        p = omp_detect(desk_codebook, desk_codebook.scores(zero[None])[0])
         assert p.theta == desk_codebook.theta[0]
         assert p.r == desk_codebook.r[0]
 
@@ -693,7 +693,7 @@ class TestOmpDetect:
         calls = []
         monkeypatch.setattr(estimator, "project",
                             _recording(estimator.project, calls))
-        p = omp_detect(h, desk_codebook, desk_codebook.scores(h[None])[0])
+        p = omp_detect(desk_codebook, desk_codebook.scores(h[None])[0])
         assert calls == [] and (p.g, p.phi) == (0.0, 0.0)
 
     def test_empty_codebook_rejected(self, desk_array, desk_codebook):
@@ -703,7 +703,7 @@ class TestOmpDetect:
         zero = np.zeros(64, dtype=complex)
         scores = empty.scores(zero[None])[0]
         with pytest.raises(ValueError):
-            omp_detect(zero, empty, scores)
+            omp_detect(empty, scores)
 
     def test_scores_equal_copying_product(self, desk_array, desk_codebook):
         # y^H B reads B in place; the scores of the codewords with a
@@ -762,7 +762,7 @@ class TestMirrorDetection:
                     assert g.shape == w.shape == (len(cb),)
                     assert_within_scan_bound(g, w, y)
                     best = int(np.argmax(w))
-                    p = omp_detect(y, cb, g)
+                    p = omp_detect(cb, g)
                     assert (p.theta, p.r) == (cb.theta[best], cb.r[best])
 
     def test_exact_mirror_tie_goes_to_first_in_scan_order(self, mirror_case):
@@ -777,7 +777,7 @@ class TestMirrorDetection:
         y = b + b[::-1]
         for scores in (cb.scores(y[None])[0], cb.scores(np.stack([y, y[::-1]]))[1]):
             assert scores[j] == scores[twin] == scores.max()
-            p = omp_detect(y, cb, scores)
+            p = omp_detect(cb, scores)
             assert (p.theta, p.r) == (cb.theta[j], cb.r[j])
 
     def test_tie_below_float32_resolution_follows_float64(self, mirror_case):
@@ -884,12 +884,12 @@ class TestLockstep:
             for snr_db in (0.0, 10.0, 20.0, 30.0):
                 self._assert_matches_alone(self._draw(desk, seed, snr_db),
                                            desk.path_counts(),
-                                           desk.estimator_config())
+                                           desk.estimator)
 
     def test_matches_per_bs_runs_with_different_path_counts(self, desk):
         for seed in range(2):
             out = self._assert_matches_alone(self._draw(desk, seed, 20.0),
-                                             [1, 3, 2, 4], desk.estimator_config())
+                                             [1, 3, 2, 4], desk.estimator)
             assert [len(ests) for ests in out] == [1, 3, 2, 4]
 
     def test_trial_scans_once_per_path_order(self, desk, monkeypatch):
@@ -902,7 +902,7 @@ class TestLockstep:
     def test_scans_shrink_as_bss_finish(self, desk, monkeypatch):
         scans = []
         monkeypatch.setattr(Codebook, "scores", _recording(Codebook.scores, scans))
-        vnnce(self._draw(desk, 0, 20.0)[:2], [1, 3], desk.estimator_config())
+        vnnce(self._draw(desk, 0, 20.0)[:2], [1, 3], desk.estimator)
         assert [args[1].shape for args in scans] == [(2, 64), (1, 64), (1, 64)]
 
     def test_stacked_scan_rows_match_single_scans(self, desk_codebook):

@@ -1,5 +1,6 @@
 """Scenario parsing, metrics, seeded trials, and the Monte Carlo sweep."""
 
+import dataclasses
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from nearfield import codebook, harness
+from nearfield.estimator import EstimatorConfig
 from nearfield.harness import (CSV_HEADER, ScenarioError, draw_paths,
                                load_scenario, nmse, run_trial,
                                scenario_from_dict, sweep, to_db)
@@ -37,12 +39,24 @@ class TestScenarioParsing:
     def test_minimal_defaults(self):
         sc = desk_scenario()
         assert sc.array.num_antennas == 64
-        assert sc.single_rounds == 5 and sc.cyclic_rounds == 5
-        assert sc.codebook_config.delta_alpha == 0.5
-        assert sc.codebook_config.delta_beta == 1.0
+        assert sc.estimator.single_rounds == 5 and sc.estimator.cyclic_rounds == 5
+        assert sc.codebook is sc.estimator.codebook
+        assert sc.codebook.config.delta_alpha == 0.5
+        assert sc.codebook.config.delta_beta == 1.0
         assert sc.zeta == 3.5
         assert sc.seed == 0
         assert len(sc.bss) == 1
+
+    @pytest.mark.parametrize("section,cls", [
+        ("codebook", codebook.CodebookConfig), ("estimator", EstimatorConfig)])
+    def test_schema_defaults_are_the_dataclass_defaults(self, section, cls):
+        # A default lives on its dataclass field; the schema table reads it
+        # from there, so the two cannot fork.
+        table = harness.SCHEMA[section][0]
+        fields = {f.name: f.default for f in dataclasses.fields(cls)
+                  if f.name in table}
+        assert fields and all(f is not dataclasses.MISSING for f in fields.values())
+        assert {name: table[name][1] for name in fields} == fields
 
     def test_default_user_mid_annulus(self):
         sc = desk_scenario()
@@ -78,7 +92,7 @@ class TestScenarioParsing:
         ({**MINIMAL, "user": ["nan", 1]}, r"user\[0\]"),
         ({**MINIMAL, "bss": [{"position": [0.0]}]}, r"bss\[0\]\.position"),
         ({**MINIMAL, "seed": "x"}, "seed"),
-        ({**MINIMAL, "codebook": {"cover_far_edge": math.nan}}, "cover_far_edge"),
+        ({**MINIMAL, "codebook": {"cover_far_edge": True}}, "cover_far_edge"),
         ({**MINIMAL, "codebook": []}, "codebook"),
         ({**MINIMAL, "bss": [{"position": [0.0, 0.0], "nlos": [1]}]},
          r"bss\[0\]\.nlos\[0\]"),
@@ -248,6 +262,19 @@ class TestRunTrial:
     @staticmethod
     def scenario():
         return load_scenario("scenarios/tab2_desk.json")
+
+    def test_trials_share_the_loaded_estimator_config(self, scenario, monkeypatch):
+        configs, run_joint = [], harness.run_joint
+
+        def spy(bs_configs, measurements, num_paths, cfg, *args, **kwargs):
+            configs.append(cfg)
+            return run_joint(bs_configs, measurements, num_paths, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_joint", spy)
+        run_trial(scenario, 20.0, 0, 0)
+        run_trial(scenario, 20.0, 0, 1)
+        assert len(configs) == 2
+        assert configs[0] is configs[1] is scenario.estimator
 
     def test_row_schema(self, scenario):
         rows = run_trial(scenario, 20.0, 0, 0)

@@ -32,8 +32,8 @@ WAVELENGTH = 0.003
 FINITE = ("nmse_db", "theta_rmse", "r_rmse", "single_rmse_m", "fused_rmse_m")
 # Per leaf kind: values the loader must refuse, and one it reads.
 WRONG = {int: ["3", 2.5, True, None], float: ["1.5", True, None, [1.0]],
-         bool: [1, "true", None], POINT: [[1.0], [1.0, "2"], "0,0", None]}
-RIGHT = {int: 1, float: 1.0, bool: False, POINT: [0.0, 0.0]}
+         POINT: [[1.0], [1.0, "2"], "0,0", None]}
+RIGHT = {int: 1, float: 1.0, POINT: [0.0, 0.0]}
 
 
 def leaves(kind, steps=()):
