@@ -108,7 +108,7 @@ class Codebook:
         P, k = self.num_twins, len(Y)
         scale = np.abs(Y).max(axis=1, keepdims=True)
         yc = (Y / np.where(scale > 0.0, scale, 1.0)).astype(B.dtype).conj()
-        with _one_blas_thread():
+        with one_blas_thread():
             paired = np.abs(np.concatenate([yc, yc[:, ::-1]]) @ B[:, :P])
             alone = np.abs(yc @ B[:, P:])
         amp = np.concatenate([paired[:k], alone, paired[k:]], axis=1) * scale
@@ -177,16 +177,18 @@ def _blas_threads():
 
 
 @contextmanager
-def _one_blas_thread():
+def one_blas_thread():
     """Run the block on one OpenBLAS thread and restore the count after,
     also when it raises: a serial scan would wake OpenBLAS's helper thread,
-    which then spins. Without OpenBLAS the block runs as it is."""
-    threads = _blas_threads()
-    if threads is None:
+    which then spins. At a count of 1 it sets nothing, since in a process
+    forked at that count the setter would rebuild the thread pool that the
+    fork tore down, helper thread and all. Without OpenBLAS the block runs
+    as it is."""
+    getter, setter = _blas_threads() or (None, None)
+    before = getter() if getter else 1
+    if before == 1:
         yield
         return
-    getter, setter = threads
-    before = getter()
     setter(1)
     try:
         yield

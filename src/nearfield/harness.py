@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
@@ -20,7 +21,8 @@ import numpy as np
 
 from .arraymodel import (ArrayConfig, PathParams, add_noise, los_gain,
                          synthesize_channel)
-from .codebook import Codebook, CodebookConfig, build_codebook
+from .codebook import (Codebook, CodebookConfig, build_codebook,
+                       one_blas_thread)
 from .estimator import EstimatorConfig
 from .localization import BsConfig, is_front_side
 from .pipeline import run_joint
@@ -357,7 +359,11 @@ def _sweep_task(task: tuple[float, int, int]) -> list[dict]:
 
 def sweep(scenario: Scenario, snr_grid_db: list[float], trials: int,
           threads: int = 1) -> SweepResult:
-    """Monte Carlo sweep over an SNR grid; deterministic given scenario.seed."""
+    """Monte Carlo sweep over an SNR grid; deterministic given scenario.seed.
+
+    With more than one worker, the pool forks its workers at one OpenBLAS
+    thread and restores the caller's count when it closes; it needs `fork`.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if threads < 1:
@@ -376,8 +382,11 @@ def sweep(scenario: Scenario, snr_grid_db: list[float], trials: int,
         # matrix through the initializer, so the tasks carry only indices and
         # nothing large is pickled.
         scenario.codebook.steering_matrix
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(scenario,)) as pool:
+        # Forked at one BLAS thread, a worker's scans set no count, so no
+        # worker rebuilds OpenBLAS's thread pool with its spinning helper.
+        with one_blas_thread(), ProcessPoolExecutor(
+                max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_worker, initargs=(scenario,)) as pool:
             chunks = list(pool.map(_sweep_task, tasks))
     else:
         chunks = [run_trial(scenario, *t) for t in tasks]

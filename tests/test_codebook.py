@@ -221,7 +221,7 @@ class TestScanBlasThreads:
         before = getter()
         try:
             setter(2)
-            with codebook._one_blas_thread():
+            with codebook.one_blas_thread():
                 assert getter() == 1
             assert getter() == 2
             cb.scores(np.ones((1, 64), dtype=complex))
@@ -231,6 +231,17 @@ class TestScanBlasThreads:
             assert getter() == 2
         finally:
             setter(before)
+
+    @pytest.mark.parametrize("count,calls", [(1, []), (3, [1, 3])])
+    def test_scope_sets_nothing_at_one_thread(self, monkeypatch, count, calls):
+        # In a worker forked at one thread, a setter call would rebuild
+        # OpenBLAS's thread pool; at a count of 1 the scope makes none.
+        made = []
+        monkeypatch.setattr(codebook, "_blas_threads",
+                            lambda: (lambda: count, made.append))
+        with codebook.one_blas_thread():
+            assert made == calls[:1]
+        assert made == calls
 
 
 class TestAmbiguityFunctions:

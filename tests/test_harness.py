@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 
 import numpy as np
@@ -33,6 +34,25 @@ def log_pids(monkeypatch, module, name, log):
         return orig(*args, **kwargs)
 
     monkeypatch.setattr(module, name, logged)
+
+
+@pytest.fixture
+def openblas_at_two_threads():
+    """OpenBLAS's thread-count getter, with the count set to 2, a count at
+    which a worker's scan would set one thread, and restored after."""
+    if codebook._blas_threads() is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc to count a process's threads")
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("a sweep on one CPU starts no pool")
+    getter, setter = codebook._blas_threads()
+    before = getter()
+    setter(2)
+    try:
+        yield getter
+    finally:
+        setter(before)
 
 
 class TestScenarioParsing:
@@ -372,6 +392,50 @@ class TestSweep:
         if blas.get("name") != "scipy-openblas":
             pytest.skip(f"numpy links {blas.get('name')!r}, not scipy-openblas")
         assert codebook._blas_threads() is not None
+
+    def test_workers_run_every_task_on_one_thread(self, scenario, tmp_path,
+                                                  monkeypatch, openblas_at_two_threads):
+        # A worker forked at one BLAS thread sets no count in its scans, so it
+        # never rebuilds OpenBLAS's pool: its main thread is its only thread.
+        log = tmp_path / "tasks.txt"
+        trial = harness.run_trial
+
+        def logged(*args):
+            rows = trial(*args)
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {len(os.listdir('/proc/self/task'))} "
+                         f"{openblas_at_two_threads()}\n")
+            return rows
+
+        monkeypatch.setattr(harness, "run_trial", logged)
+        sweep(scenario, [10.0, 20.0], trials=2, threads=2)
+        records = [line.split() for line in log.read_text().splitlines()]
+        assert len(records) == 4
+        assert str(os.getpid()) not in {pid for pid, *_ in records}
+        assert [rest for _, *rest in records] == [["1", "1"]] * 4
+
+    def test_pool_restores_the_callers_thread_count(self, scenario,
+                                                   openblas_at_two_threads):
+        sweep(scenario, [20.0], trials=2, threads=2)
+        assert openblas_at_two_threads() == 2
+
+    def test_pool_forks_whatever_the_default_start_method(self, scenario, tmp_path,
+                                                         monkeypatch):
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("a sweep on one CPU starts no pool")
+        log = tmp_path / "workers.txt"
+        # Only a forked worker runs the patched initializer; a spawned one
+        # could not even unpickle it.
+        log_pids(monkeypatch, harness, "_init_worker", log)
+        default = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method("spawn", force=True)
+        try:
+            parallel = sweep(scenario, [20.0], trials=2, threads=2).to_csv()
+        finally:
+            multiprocessing.set_start_method(default, force=True)
+        started = set(log.read_text().split())
+        assert started and str(os.getpid()) not in started
+        assert parallel == sweep(scenario, [20.0], trials=2, threads=1).to_csv()
 
     def test_serial_parallel_identical_at_paper_size(self):
         scenario = load_scenario("scenarios/tab2_paper.json")
