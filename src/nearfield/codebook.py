@@ -204,26 +204,33 @@ def angle_grid(cfg: ArrayConfig, delta_alpha: float) -> np.ndarray:
     return cos_vals[np.abs(cos_vals) < 1.0]
 
 
-def distance_grid(cfg: ArrayConfig, theta: float, delta_beta: float) -> np.ndarray:
-    """Distances with uniform 1/r spacing, restricted to (1.2D, r_R].
+def _distance_grids(cfg: ArrayConfig, thetas: np.ndarray,
+                    delta_beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every angle's distances with uniform 1/r spacing, restricted to
+    (1.2D, r_R], concatenated angle by angle, and the count per angle.
 
-    A degenerate grid (no r_n inside the annulus, which happens for angles
-    near the endpoints where sin(theta) is small) keeps the single distance
-    r_R so every angle retains one codeword.
+    Angle theta's grid is r_n = 1 / (n * s), n = 1, 2, ... while r_n stays
+    above the 1.2D lower edge, with s = 2 lambda delta_beta / (M^2 d^2
+    sin^2 theta), then cut to the annulus. A degenerate grid (none of its
+    r_n inside the annulus, which happens for angles near the endpoints
+    where sin(theta) is small) keeps the single distance r_R, so every
+    angle retains one codeword. All angles are computed in one array pass;
+    sin^2 is taken with float pow, as a scalar build would.
     """
-    if not 0.0 < theta < np.pi:
-        raise ValueError(f"theta must lie in (0, pi), got {theta}")
     M, d, lam = cfg.num_antennas, cfg.spacing, cfg.wavelength
-    inv_step = 2.0 * lam * delta_beta / (M**2 * d**2 * np.sin(theta) ** 2)
-    r1 = 1.0 / inv_step
-    # n runs until r_n drops to the 1.2D lower edge.
-    n_max = int(np.floor(r1 / cfg.min_near_distance))
-    n = np.arange(1, n_max + 1)
-    r = 1.0 / (n * inv_step)
-    r = r[(r > cfg.min_near_distance) & (r <= cfg.rayleigh_distance)]
-    if r.size == 0:
-        return np.array([cfg.rayleigh_distance])
-    return r
+    near, far = cfg.min_near_distance, cfg.rayleigh_distance
+    sin_sq = np.array([v**2 for v in np.sin(thetas).tolist()])
+    inv_step = 2.0 * lam * delta_beta / (M**2 * d**2 * sin_sq)
+    n_max = np.floor(1.0 / inv_step / near).astype(int)
+    angle = np.repeat(np.arange(len(thetas)), n_max)
+    n = np.arange(1, len(angle) + 1) - np.repeat(np.cumsum(n_max) - n_max, n_max)
+    r = 1.0 / (n * inv_step[angle])
+    keep = (r > near) & (r <= far)
+    empty = np.flatnonzero(np.bincount(angle[keep], minlength=len(thetas)) == 0)
+    angle = np.concatenate([angle[keep], empty])
+    order = np.argsort(angle, kind="stable")
+    r = np.concatenate([r[keep], np.full(len(empty), far)])[order]
+    return r, np.bincount(angle, minlength=len(thetas))
 
 
 def build_codebook(cfg: ArrayConfig, cbcfg: CodebookConfig) -> Codebook:
@@ -236,24 +243,23 @@ def build_codebook(cfg: ArrayConfig, cbcfg: CodebookConfig) -> Codebook:
     taken at arccos(|cos theta|), so a twin shares its mirror's grid bit for
     bit and the two blocks pair up codeword by codeword.
     """
-    cos_list = angle_grid(cfg, cbcfg.delta_alpha).tolist()
+    cos = angle_grid(cfg, cbcfg.delta_alpha)
+    cos_list = cos.tolist()
     on_grid = {c: n for n, c in enumerate(cos_list)}
     mirrored = [n for n, c in enumerate(cos_list) if c > 0.0 and -c in on_grid]
     twins = [on_grid[-cos_list[n]] for n in mirrored]
     alone = sorted(set(range(len(cos_list))) - set(mirrored) - set(twins))
-    grids = []
-    for n in mirrored + alone:
-        theta_grid = float(np.arccos(abs(cos_list[n])))
-        grids.append(distance_grid(cfg, theta_grid, cbcfg.delta_beta))
-    grids += grids[:len(twins)]
+    r, counts = _distance_grids(cfg, np.arccos(np.abs(cos[mirrored + alone])),
+                                cbcfg.delta_beta)
+    paired = int(counts[:len(twins)].sum())
+    r = np.concatenate([r, r[:paired]])
+    counts = np.concatenate([counts, counts[:len(twins)]])
     angles = mirrored + alone + twins
-    thetas = [float(np.arccos(cos_list[n])) for n in angles]
-    counts = np.array([len(g) for g in grids], dtype=int)
     starts = np.cumsum(counts) - counts
     return Codebook(array=cfg, config=cbcfg,
-                    theta=np.repeat(thetas, counts),
-                    r=np.concatenate([np.zeros(0), *grids]),
-                    cos_theta=np.repeat([cos_list[n] for n in angles], counts),
+                    theta=np.repeat(np.arccos(cos[angles]), counts),
+                    r=r,
+                    cos_theta=np.repeat(cos[angles], counts),
                     n_theta=np.repeat(np.array(angles, dtype=int), counts),
                     n_r=np.arange(counts.sum()) - np.repeat(starts, counts),
-                    num_twins=int(counts[len(counts) - len(twins):].sum()))
+                    num_twins=paired)

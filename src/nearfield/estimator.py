@@ -3,12 +3,16 @@
 Single-path machinery: the analytic gradient and Hessian of the reduced
 objective f(theta, r, g, phi) = sum_m 2|y_m| g cos(psi_m) - M g^2, with
 psi_m = k (r_m - r) + phi - arg y_m, and a guarded Newton step that only
-moves when the (theta, r) sub-Hessian is negative definite and the
+moves when its 2x2 (theta, r) system is negative definite and the
 projection cost G strictly rises. A path's turn opens at its point with
-the LS gain there and takes such steps until one is rejected, or until an
-accepted one raises the log-likelihood (f over sigma^2, up to a constant)
-by less than MIN_LOGLIK_GAIN nats; it reports its exact gain. A frozen
-path's turn takes no step. Multi-path estimation greedily detects paths
+the LS gain there and takes such steps until one after the first is
+rejected, or until an accepted one raises the log-likelihood (f over
+sigma^2, up to a constant) by less than MIN_LOGLIK_GAIN nats; it reports
+its exact gain. Its first step holds gain and phase fixed; every later
+one is Newton on the cost concentrated over gain and phase, variable
+projection (Golub & Pereyra, SIAM J. Numer. Anal. 1973), which removes
+the coupling of r to the phase that makes the fixed-phase step converge
+in r only linearly. A frozen path's turn takes no step. Multi-path estimation greedily detects paths
 on the codebook, each a bare codeword, and cyclically re-refines each one
 against the residual of the others, in rounds that stop once a round
 gains less than MIN_LOGLIK_GAIN nats or moves nothing. Each returned path
@@ -165,25 +169,47 @@ def _clamp_params(cfg: ArrayConfig, theta: float, r: float) -> tuple[float, floa
     return theta, r
 
 
-def _newton_step(grad: np.ndarray, hess: np.ndarray) -> tuple[float, float] | None:
-    """The (theta, r) block's Newton step H^-1 g in closed form, or None
-    unless that 2x2 sub-Hessian is negative definite."""
-    (h00, h01), (h10, h11) = hess[:2, :2].tolist()
+def _newton_step(grad: np.ndarray, hess: np.ndarray,
+                 concentrated: bool = False) -> tuple[float, float] | None:
+    """The (theta, r) Newton step S^-1 d in closed form, d the (theta, r)
+    part of the gradient, or None unless S is negative definite.
+
+    S is the (theta, r) block H_xx of the Hessian: the plain step, gain and
+    phase held fixed. With `concentrated`, S is its Schur complement over
+    (g, phi), H_xx - H_xz H_zz^-1 H_zx, the Hessian of the cost concentrated
+    over gain and phase; at the LS gain the (g, phi) gradient vanishes, so
+    d is that cost's gradient too, and the step is the (theta, r) part of
+    the full 4x4 step with the (g, phi) gradient zeroed. Where H_zz is not
+    negative definite (an LS gain of 0 makes it singular) the plain step is
+    taken. The Hessian is symmetric; only its upper triangle is read.
+    """
+    (h00, h01, a0, b0), (_, h11, a1, b1), (_, _, zz, zp), (_, _, _, pp) = \
+        hess.tolist()
+    if concentrated:
+        det_z = zz * pp - zp * zp
+        if zz < 0.0 and det_z > 0.0:
+            # Entry (i, j) of H_xz H_zz^-1 H_zx is (a_i, b_i) H_zz^-1 (a_j,
+            # b_j)^T, with H_zz^-1 = [[pp, -zp], [-zp, zz]] / det_z.
+            h00 -= (pp * a0 * a0 - 2.0 * zp * a0 * b0 + zz * b0 * b0) / det_z
+            h11 -= (pp * a1 * a1 - 2.0 * zp * a1 * b1 + zz * b1 * b1) / det_z
+            h01 -= (pp * a0 * a1 - zp * (a0 * b1 + b0 * a1) + zz * b0 * b1) / det_z
     # Negative definite iff h00 < 0 and det > 0 (strict); singular => skip.
-    det = h00 * h11 - h01 * h10
+    det = h00 * h11 - h01 * h01
     if not (h00 < 0.0 and det > 0.0):
         return None
     g0, g1 = grad[:2].tolist()
-    return (h11 * g0 - h01 * g1) / det, (h00 * g1 - h10 * g0) / det
+    return (h11 * g0 - h01 * g1) / det, (h00 * g1 - h01 * g0) / det
 
 
 def newton_refine_once(cfg: ArrayConfig, y: np.ndarray, p: PathParams,
                        proj: Projection, trace: TraceHook | None = None,
-                       path_index: int = 0, round_index: int = 0
+                       path_index: int = 0, round_index: int = 0,
+                       concentrated: bool = False
                        ) -> tuple[PathParams, Projection]:
     """One guarded Newton update of (theta, r), then the LS gain.
 
-    The (theta, r) step is taken only when the 2x2 sub-Hessian is negative
+    The (theta, r) step is _newton_step's, plain or `concentrated` over
+    gain and phase. It is taken only when its 2x2 system is negative
     definite, the distance is clamped into the near-field annulus, and the
     update is kept only if it strictly raises the projection cost: a tie is
     rejected, since near endfire the cost can be flat in r below float64
@@ -193,7 +219,7 @@ def newton_refine_once(cfg: ArrayConfig, y: np.ndarray, p: PathParams,
     next step.
     """
     theta, r = p.theta, p.r
-    step = _newton_step(*grad_hess(cfg, proj, p))
+    step = _newton_step(*grad_hess(cfg, proj, p), concentrated)
     out = proj
     if step is not None:
         cand = _clamp_params(cfg, theta - step[0], r - step[1])
@@ -245,12 +271,19 @@ def _refine(cfg: EstimatorConfig, y_r: np.ndarray, sigma2: float, p: PathParams,
 
     The turn opens at p's (theta, r) with the LS gain there, then takes up
     to single_rounds guarded Newton steps (none for a frozen path), each
-    reusing the previous step's projection. Each step ends on the LS gain
-    at the point it reaches, so a rejected step returns its input, as every
-    later step would: the turn stops there. It also stops after an accepted
-    step that raised the cost by less than MIN_LOGLIK_GAIN * sigma2: the
-    cost is the log-likelihood scaled by sigma2, so that step gained less
-    than MIN_LOGLIK_GAIN nats. At sigma2 = 0 only a rejection stops a turn
+    reusing the previous step's projection. The first step is the plain
+    one, gain and phase held fixed; every later one is concentrated over
+    gain and phase (_newton_step). Concentrated from the first step on,
+    turns jump basins away from a detected codeword, and on coupled paths
+    they walk a path along the ridge it shares with another to a worse
+    point. Each step ends on the LS gain at the point it reaches, so a
+    rejected concentrated step returns its input, as every later step
+    would: the turn stops there. A rejected first step is no such fixed
+    point, since the concentrated step after it may still move, so the
+    turn goes on. It also stops after an accepted step that raised the
+    cost by less than MIN_LOGLIK_GAIN * sigma2: the cost is the
+    log-likelihood scaled by sigma2, so that step gained less than
+    MIN_LOGLIK_GAIN nats. At sigma2 = 0 only a rejection stops a turn
     early.
 
     The gain is the drop in ||y_r - c||^2, c the path's reconstruction,
@@ -264,8 +297,10 @@ def _refine(cfg: EstimatorConfig, y_r: np.ndarray, sigma2: float, p: PathParams,
     q = PathParams(p.theta, p.r, *_gain_polar(start.gain))
     for j in range(0 if frozen else cfg.single_rounds):
         q, after = newton_refine_once(array, y_r, q, proj, trace,
-                                      path_index=k, round_index=j)
-        stop = after is proj or after.cost - proj.cost < MIN_LOGLIK_GAIN * sigma2
+                                      path_index=k, round_index=j,
+                                      concentrated=j > 0)
+        stop = j > 0 if after is proj else \
+            after.cost - proj.cost < MIN_LOGLIK_GAIN * sigma2
         proj = after
         if stop:
             break

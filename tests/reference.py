@@ -4,7 +4,8 @@ steering vector, the s1/s2 analysis behind the codebook's grid steps, the
 gain-only oracle LS, the marginal (delta-method) position covariance, the
 stacked form of the distance derivatives, the extended-precision oracle of
 the derivatives, the LS gain a turn opens with, the plain Newton turn,
-the fixed-round cyclic loop and the full steering matrix of a codebook."""
+the fixed-round cyclic loop, the full steering matrix of a codebook, and
+the per-angle distance grid and codebook build."""
 
 import cmath
 import math
@@ -15,7 +16,7 @@ from scipy import special
 
 from nearfield.arraymodel import (ArrayConfig, Measurement, PathParams,
                                   element_distances, near_steering)
-from nearfield.codebook import Codebook
+from nearfield.codebook import Codebook, CodebookConfig, angle_grid
 from nearfield.estimator import (EstimatorConfig, SoftEstimate, _refine,
                                  newton_refine_once, project, residual)
 
@@ -215,12 +216,14 @@ def plain_refine(cfg: EstimatorConfig, y_r: np.ndarray, p: PathParams, k: int,
                  trace=None) -> PathParams:
     """A Newton turn as the LS gain refit at p's point, then single_rounds
     calls of newton_refine_once, each projecting afresh, with no early
-    exit."""
+    exit: the first takes the plain step, every later one the step
+    concentrated over gain and phase."""
     array = cfg.codebook.array
     p = at_ls_gain(array, y_r, p)
     for j in range(cfg.single_rounds):
         p, _ = newton_refine_once(array, y_r, p, project(array, y_r, p.theta, p.r),
-                                  trace, path_index=k, round_index=j)
+                                  trace, path_index=k, round_index=j,
+                                  concentrated=j > 0)
     return p
 
 
@@ -255,3 +258,48 @@ def full_steering_matrix(codebook: Codebook) -> np.ndarray:
     """M x N matrix, one near_steering column per codeword, twins included."""
     return np.stack([near_steering(codebook.array, theta, r) for theta, r
                      in zip(codebook.theta.tolist(), codebook.r.tolist())], axis=1)
+
+
+def distance_grid(cfg: ArrayConfig, theta: float, delta_beta: float) -> np.ndarray:
+    """One angle's distances with uniform 1/r spacing, restricted to (1.2D,
+    r_R], in scalar arithmetic; a degenerate grid keeps the single distance
+    r_R."""
+    if not 0.0 < theta < np.pi:
+        raise ValueError(f"theta must lie in (0, pi), got {theta}")
+    M, d, lam = cfg.num_antennas, cfg.spacing, cfg.wavelength
+    inv_step = 2.0 * lam * delta_beta / (M**2 * d**2 * np.sin(theta) ** 2)
+    r1 = 1.0 / inv_step
+    # n runs until r_n drops to the 1.2D lower edge.
+    n_max = int(np.floor(r1 / cfg.min_near_distance))
+    n = np.arange(1, n_max + 1)
+    r = 1.0 / (n * inv_step)
+    r = r[(r > cfg.min_near_distance) & (r <= cfg.rayleigh_distance)]
+    if r.size == 0:
+        return np.array([cfg.rayleigh_distance])
+    return r
+
+
+def per_angle_codebook(cfg: ArrayConfig, cbcfg: CodebookConfig) -> Codebook:
+    """build_codebook's layout with one distance_grid call per angle: the
+    mirrored angles (cos theta > 0 with the negation on the grid), the
+    angles without a twin, then the twins, each grid taken at
+    arccos(|cos theta|)."""
+    cos_list = angle_grid(cfg, cbcfg.delta_alpha).tolist()
+    on_grid = {c: n for n, c in enumerate(cos_list)}
+    mirrored = [n for n, c in enumerate(cos_list) if c > 0.0 and -c in on_grid]
+    twins = [on_grid[-cos_list[n]] for n in mirrored]
+    alone = sorted(set(range(len(cos_list))) - set(mirrored) - set(twins))
+    grids = [distance_grid(cfg, float(np.arccos(abs(cos_list[n]))), cbcfg.delta_beta)
+             for n in mirrored + alone]
+    grids += grids[:len(twins)]
+    angles = mirrored + alone + twins
+    thetas = [float(np.arccos(cos_list[n])) for n in angles]
+    counts = np.array([len(g) for g in grids], dtype=int)
+    starts = np.cumsum(counts) - counts
+    return Codebook(array=cfg, config=cbcfg,
+                    theta=np.repeat(thetas, counts),
+                    r=np.concatenate([np.zeros(0), *grids]),
+                    cos_theta=np.repeat([cos_list[n] for n in angles], counts),
+                    n_theta=np.repeat(np.array(angles, dtype=int), counts),
+                    n_r=np.arange(counts.sum()) - np.repeat(starts, counts),
+                    num_twins=int(counts[len(counts) - len(twins):].sum()))

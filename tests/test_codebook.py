@@ -1,5 +1,7 @@
 """Codebook construction, and the s1/s2 grid-spacing analysis it rests on."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,10 @@ from hypothesis import strategies as st
 
 from nearfield import codebook
 from nearfield.arraymodel import STEERING_ENTRY_ERROR, ArrayConfig, near_steering
-from nearfield.codebook import (CodebookConfig, angle_grid, build_codebook,
-                                distance_grid)
+from nearfield.codebook import CodebookConfig, angle_grid, build_codebook
 from nearfield.harness import load_scenario
-from tests.reference import alpha_of, beta_of, s1, s2
+from tests.reference import (alpha_of, beta_of, distance_grid, per_angle_codebook,
+                             s1, s2)
 
 
 class TestConfig:
@@ -83,6 +85,22 @@ class TestDistanceGrid:
 
 
 class TestBuildCodebook:
+    @pytest.mark.parametrize("M", [2, 3, 7, 16, 64, 65, 128, 256])
+    def test_bit_identical_to_per_angle_build(self, M):
+        # The one-pass build against one distance_grid call per angle, over
+        # wavelengths and grid steps that include degenerate grids (a lone
+        # far-edge codeword) and codebooks without mirror pairs.
+        for lam, da, db in itertools.product([0.003, 0.01, 0.0857],
+                                             [0.37, 0.5, 0.9], [0.05, 1.0, 2.9]):
+            cfg, cbcfg = ArrayConfig(num_antennas=M, wavelength=lam), \
+                CodebookConfig(da, db)
+            got, want = build_codebook(cfg, cbcfg), per_angle_codebook(cfg, cbcfg)
+            assert got.num_twins == want.num_twins
+            for name in ("theta", "r", "cos_theta", "n_theta", "n_r"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                assert a.tobytes() == b.tobytes(), (lam, da, db, name)
+
     def test_recount_matches_stored_size(self, desk_array):
         cb = build_codebook(desk_array, CodebookConfig())
         expected = sum(len(distance_grid(desk_array, np.arccos(c), 1.0))
