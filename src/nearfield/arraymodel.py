@@ -30,21 +30,21 @@ class ArrayConfig:
         if self.spacing <= 0:
             raise ValueError(f"spacing must be > 0, got {self.spacing}")
 
-    @property
+    @cached_property
     def aperture(self) -> float:
         return self.num_antennas * self.spacing
 
-    @property
+    @cached_property
     def rayleigh_distance(self) -> float:
         return 2.0 * self.aperture**2 / self.wavelength
 
-    @property
+    @cached_property
     def wavenumber(self) -> float:
         # 2*pi/wavelength; reproduces the pi*m*cos(theta) far-field phase
         # at half-wavelength spacing.
         return 2.0 * np.pi / self.wavelength
 
-    @property
+    @cached_property
     def min_near_distance(self) -> float:
         # Constant-amplitude model is only valid beyond 1.2 apertures.
         return 1.2 * self.aperture
@@ -123,43 +123,37 @@ def _distances(delta_d, delta_d_sq, r_sq, r, cos_theta) -> np.ndarray:
     return np.sqrt(delta_d * (2.0 * r) * cos_theta + (r_sq + delta_d_sq))
 
 
-def distance_derivatives(cfg: ArrayConfig, theta: float, r: float,
-                         r_m: np.ndarray) -> np.ndarray:
-    """Derivatives in (theta, r) of the element distances r_m at (theta, r),
-    as the rows of a 6 x M array: dr_m/dtheta, dr_m/dr - 1, ones (the
-    phase's own derivative in phi), d2r_m/dtheta2, d2r_m/dtheta dr and
-    d2r_m/dr2.
+def distance_basis(cfg: ArrayConfig, theta: float, r: float,
+                   r_m: np.ndarray) -> np.ndarray:
+    """The rows every derivative of the element distances r_m at (theta, r)
+    is built from, as a 7 x M array. With x = delta_m d, rho = x / r_m and
+    q = x^2 / (r_m (r_m + r + x cos theta)), they are rho, q, x^2 / r_m^3,
+    x^3 / r_m^3, rho^2, rho q and q^2.
 
-    No row is a difference of nearly equal terms. With x = delta_m d, the
-    law of cosines gives (r + x cos theta)^2 = r_m^2 - x^2 sin^2 theta, so
-    dr_m/dr - 1 = -x^2 sin^2 theta / (r_m (r_m + r + x cos theta)), 1 -
-    (dr_m/dr)^2 = x^2 sin^2 theta / r_m^2 and r_m^2 - r (r + x cos theta) =
-    x (x + r cos theta); near endfire and far from the array, dr_m/dr is 1
-    to within less than its own rounding error.
+    The first two rows give the first derivatives, dr_m/dtheta = -r sin
+    theta rho and dr_m/dr - 1 = -sin^2 theta q; the next two the second,
+    d2r_m/dtheta2 = -r cos theta rho - r^2 sin^2 theta x^2/r_m^3,
+    d2r_m/dtheta dr = -sin theta (x^3/r_m^3 + r cos theta x^2/r_m^3) and
+    d2r_m/dr2 = sin^2 theta x^2/r_m^3; the last three the products of the
+    first two. Each row is a product or quotient, none a difference of
+    nearly equal terms: the law of cosines gives (r + x cos theta)^2 = r_m^2
+    - x^2 sin^2 theta, so dr_m/dr - 1 = -x^2 sin^2 theta / (r_m (r_m + r + x
+    cos theta)), which near endfire and far from the array lies below the
+    rounding error of dr_m/dr itself.
     """
     x, x_sq = cfg.offsets, cfg.offsets_sq
-    sin_t, cos_t = math.sin(theta), math.cos(theta)
-    inv = 1.0 / r_m
-    x_sq_inv = x_sq * inv  # x^2 / r_m
-    x_sq_inv3 = x_sq_inv * inv
-    x_sq_inv3 *= inv  # x^2 / r_m^3
-    out = np.empty((6, cfg.num_antennas))
-    d_t, d_r, _, d_tt, d_tr, d_rr = out
-    out[2] = 1.0
-    np.multiply(x, -r * sin_t, out=d_t)
-    d_t *= inv
-    np.multiply(x, cos_t, out=d_r)
-    d_r += r
-    d_r += r_m
-    np.divide(x_sq_inv, d_r, out=d_r)
-    d_r *= -sin_t * sin_t
-    np.multiply(x, -r * cos_t, out=d_tt)
-    d_tt -= d_t * d_t
-    d_tt *= inv
-    np.add(x, r * cos_t, out=d_tr)
-    d_tr *= x_sq_inv3
-    d_tr *= -sin_t
-    np.multiply(x_sq_inv3, sin_t * sin_t, out=d_rr)
+    out = np.empty((7, cfg.num_antennas))
+    rho, q, x2_r3, x3_r3, _, _, q_sq = out
+    np.divide(x, r_m, out=rho)
+    np.multiply(x, math.cos(theta), out=q)
+    q += r
+    q += r_m
+    q *= r_m
+    np.divide(x_sq, q, out=q)
+    np.multiply(out[:2], rho, out=out[4:6])  # rho^2, rho q
+    np.multiply(q, q, out=q_sq)
+    np.divide(out[4], r_m, out=x2_r3)
+    np.multiply(out[4], rho, out=x3_r3)
     return out
 
 
@@ -168,9 +162,13 @@ def near_steering(cfg: ArrayConfig, theta: float, r: float) -> np.ndarray:
     return distance_steering(cfg, element_distances(cfg, theta, r), r)
 
 
-def distance_steering(cfg: ArrayConfig, r_m: np.ndarray, r: float) -> np.ndarray:
-    """near_steering from the element distances r_m of a source at distance r."""
-    return np.exp(1j * cfg.wavenumber * (r_m - r))
+def distance_steering(cfg: ArrayConfig, r_m: np.ndarray, r: float,
+                      conj: bool = False) -> np.ndarray:
+    """near_steering from the element distances r_m of a source at distance
+    r, or with `conj` its conjugate exp(-j*k*(r_m - r)), the same entries
+    with the sign of their imaginary parts flipped."""
+    k = cfg.wavenumber
+    return np.exp((r_m - r) * (-1j * k if conj else 1j * k))
 
 
 def near_steering_columns(cfg: ArrayConfig, theta: np.ndarray,
@@ -182,21 +180,35 @@ def near_steering_columns(cfg: ArrayConfig, theta: np.ndarray,
     The phase k(r_m - r) is near_steering's, in float64; it is reduced to
     about [0, 2 pi] there, and only then rounded to float32 for cos and sin.
     """
-    M = cfg.num_antennas
-    out = np.empty((M, len(r)), dtype=STEERING_DTYPE)
-    delta_d, delta_d_sq = cfg.offsets[:, None], cfg.offsets_sq[:, None]
-    r_sq = np.array([v**2 for v in r.tolist()])  # float pow, not np.square
-    cos_theta = np.cos(theta)
-    step = max(1, STEERING_BLOCK // M)
-    for j in range(0, len(r), step):
-        cols = slice(j, j + step)
-        r_m = _distances(delta_d, delta_d_sq, r_sq[cols], r[cols], cos_theta[cols])
-        phase = cfg.wavenumber * (r_m - r[cols])
+    out = np.empty((cfg.num_antennas, len(r)), dtype=STEERING_DTYPE)
+    for cols, phase in _phase_blocks(cfg, np.cos(theta), r):
         phase -= 2.0 * np.pi * np.floor(phase / (2.0 * np.pi))  # 8x cheaper than np.mod
         phase = phase.astype(np.float32)
         out.real[:, cols] = np.cos(phase)
         out.imag[:, cols] = np.sin(phase)
     return out
+
+
+def near_steering_blocks(cfg: ArrayConfig, theta: np.ndarray, r: np.ndarray):
+    """Yield (cols, B) over slices `cols` of the codewords: B is the M x
+    len(cols) complex128 matrix whose column j is near_steering(cfg,
+    theta[j], r[j]) bit for bit, at most STEERING_BLOCK entries a block."""
+    # math.cos, as element_distances takes it: np.cos may differ in the last bit.
+    cos_theta = np.array([math.cos(t) for t in theta.tolist()])
+    for cols, phase in _phase_blocks(cfg, cos_theta, r):
+        yield cols, np.exp(1j * phase)
+
+
+def _phase_blocks(cfg: ArrayConfig, cos_theta: np.ndarray, r: np.ndarray):
+    # near_steering's phase k (r_m - r) for the columns at (cos_theta[j], r[j]),
+    # STEERING_BLOCK entries at a time, as (cols, M x len(cols) float64).
+    delta_d, delta_d_sq = cfg.offsets[:, None], cfg.offsets_sq[:, None]
+    r_sq = np.array([v**2 for v in r.tolist()])  # float pow, not np.square
+    step = max(1, STEERING_BLOCK // cfg.num_antennas)
+    for j in range(0, len(r), step):
+        cols = slice(j, j + step)
+        r_m = _distances(delta_d, delta_d_sq, r_sq[cols], r[cols], cos_theta[cols])
+        yield cols, cfg.wavenumber * (r_m - r[cols])
 
 
 def synthesize_channel(cfg: ArrayConfig, paths: list[PathParams]) -> np.ndarray:

@@ -6,9 +6,11 @@ phi_L); the FIM is 4L x 4L with all inter-path cross blocks included.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .arraymodel import (ArrayConfig, PathParams, distance_derivatives,
+from .arraymodel import (ArrayConfig, PathParams, distance_basis,
                          distance_steering, element_distances)
 
 
@@ -17,7 +19,9 @@ def steering_derivatives(cfg: ArrayConfig, p: PathParams) -> np.ndarray:
     g, phi), as the rows of a 4 x M complex array in that order."""
     k = cfg.wavenumber
     r_m = element_distances(cfg, p.theta, p.r)
-    d_theta, d_r = distance_derivatives(cfg, p.theta, p.r, r_m)[:2]
+    rho, q = distance_basis(cfg, p.theta, p.r, r_m)[:2]
+    d_theta = rho * (-p.r * math.sin(p.theta))  # dr_m/dtheta
+    d_r = q * -math.sin(p.theta) ** 2  # dr_m/dr - 1
     b = distance_steering(cfg, r_m, p.r)
     s_m = p.g * np.exp(1j * p.phi) * b
     v_theta = s_m * 1j * k * d_theta

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arraymodel import (STEERING_ENTRY_ERROR, U32, ArrayConfig, near_steering,
-                         near_steering_columns)
+from .arraymodel import (STEERING_ENTRY_ERROR, U32, ArrayConfig,
+                         near_steering_blocks, near_steering_columns)
 
 MAX_DELTA_ALPHA = 0.9
 MAX_DELTA_BETA = 2.98
@@ -97,7 +97,8 @@ class Codebook:
         the float64 argmax scores at least A - 2 delta in float32: every
         codeword scoring that much is re-scored in float64, on
         near_steering's column, and every other keeps its float32 score,
-        more than delta below the re-scored largest.
+        more than delta below the re-scored largest. The re-scores come in
+        blocks over the window's columns (_exact_scores).
 
         The steering matrix B is read as y^H B, in place (B^H y would copy
         it). A twin's score is the reversed y's score on its mirror's
@@ -111,22 +112,33 @@ class Codebook:
         with one_blas_thread():
             paired = np.abs(np.concatenate([yc, yc[:, ::-1]]) @ B[:, :P])
             alone = np.abs(yc @ B[:, P:])
-        amp = np.concatenate([paired[:k], alone, paired[k:]], axis=1) * scale
-        out = amp**2
-        delta = scan_error(self.array.num_antennas) * np.abs(Y).sum(axis=1)
-        for y, a, d, row in zip(Y, amp, delta, out):
-            if d > 0.0:
-                window = np.flatnonzero(a >= a.max(initial=0.0) - 2.0 * d)
-                row[window] = [self._exact_score(y, j) for j in window.tolist()]
+            amp = np.concatenate([paired[:k], alone, paired[k:]], axis=1) * scale
+            out = amp**2
+            delta = scan_error(self.array.num_antennas) * np.abs(Y).sum(axis=1)
+            top = amp.max(axis=1, keepdims=True, initial=0.0)
+            near_max = amp >= top - 2.0 * delta[:, None]
+            near_max[delta == 0.0] = False
+            rows, window = np.divmod(np.flatnonzero(near_max), len(self))
+            out[rows, window] = self._exact_scores(Y, rows, window)
         return out
 
-    def _exact_score(self, y: np.ndarray, j: int) -> float:
-        # |b^H y|^2 in float64 on near_steering's column; a twin's is the
-        # reversed y's on its mirror's, so a mirror tie stays exact.
+    def _exact_scores(self, Y: np.ndarray, rows: np.ndarray,
+                      window: np.ndarray) -> np.ndarray:
+        """|b^H y|^2 in float64, on near_steering's columns, of codeword
+        window[i] for the row rows[i] of Y; a twin's is the reversed row's on
+        its mirror's column, so a mirror tie stays exact. Each column the
+        windows need is built once, in near_steering_blocks, and each block
+        scored against every row and its reversal in one product, so even a
+        window of every codeword costs a bounded number of blocks."""
         stored = len(self) - self.num_twins
-        i, y = (j - stored, y[::-1]) if j >= stored else (j, y)
-        b = near_steering(self.array, float(self.theta[i]), float(self.r[i]))
-        return abs(y.conj() @ b) ** 2
+        twin = window >= stored
+        mirror = window - stored * twin
+        cols = np.array(sorted(set(mirror.tolist())), dtype=int)
+        Yc = np.concatenate([Y, Y[:, ::-1]]).conj()
+        amp = np.empty((len(Yc), len(cols)))
+        for part, B in near_steering_blocks(self.array, self.theta[cols], self.r[cols]):
+            amp[:, part] = np.abs(Yc @ B)
+        return amp[rows + len(Y) * twin, np.searchsorted(cols, mirror)] ** 2
 
 
 def scan_error(M: int) -> float:

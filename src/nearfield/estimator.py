@@ -25,12 +25,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .arraymodel import ArrayConfig, Measurement, PathParams, \
-    distance_derivatives, distance_steering, element_distances, synthesize_channel
+    distance_basis, distance_steering, element_distances
 from .arraymodel import near_steering  # noqa: F401 - rebound by bench/layertrace.py
 from .codebook import Codebook
 
@@ -82,65 +82,121 @@ class EstimatorConfig:
             raise ValueError("refinement round counts must be >= 0")
 
 
-class Projection(NamedTuple):
+@dataclass(eq=False, slots=True)
+class Projection:
     """The matched projection of y on b(theta, r): cost |b^H y|^2 / M and LS
-    gain b^H y / M, with what the derivatives read: w = y o conj(b), whose
-    sum is b^H y, and the point's element distances."""
+    gain b^H y / M, with what the derivatives read, w = y o conj(b), whose
+    sum is b^H y, and the point's geometry: (theta, r), its element
+    distances r_m and conj(b), which a later projection or residual at that
+    point reuses. `sums` holds the point's derivative pass once a step has
+    made it (_basis_sums)."""
 
     cost: float
     gain: complex
     w: np.ndarray
+    theta: float
+    r: float
     r_m: np.ndarray
+    b_conj: np.ndarray
+    sums: list | None = None
 
 
-def project(cfg: ArrayConfig, y: np.ndarray, theta: float, r: float) -> Projection:
-    """The Projection of y at (theta, r)."""
+def _geometry(cfg: ArrayConfig, theta: float, r: float,
+              kept: Projection | None) -> tuple[np.ndarray, np.ndarray]:
+    """The element distances and conj(b) at (theta, r): kept's when it is a
+    Projection at that very point, else evaluated afresh."""
+    if kept is not None and kept.theta == theta and kept.r == r:
+        return kept.r_m, kept.b_conj
     r_m = element_distances(cfg, theta, r)
-    w = distance_steering(cfg, r_m, r).conj()
-    w *= y
+    return r_m, distance_steering(cfg, r_m, r, conj=True)
+
+
+def project(cfg: ArrayConfig, y: np.ndarray, theta: float, r: float,
+            kept: Projection | None = None) -> Projection:
+    """The Projection of y at (theta, r), on kept's geometry if kept is a
+    Projection at that point."""
+    r_m, b_conj = _geometry(cfg, theta, r, kept)
+    w = b_conj * y
     inner = complex(w.sum())
     M = cfg.num_antennas
-    return Projection(abs(inner) ** 2 / M, inner / M, w, r_m)
+    return Projection(abs(inner) ** 2 / M, inner / M, w, theta, r, r_m, b_conj)
 
 
 def _gain_polar(gain: complex) -> tuple[float, float]:
     return abs(gain), cmath.phase(gain) % (2.0 * math.pi)
 
 
-def grad_hess(cfg: ArrayConfig, proj: Projection,
-              p: PathParams) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient and 4x4 Hessian of the objective on the projected y,
-    at p, whose (theta, r) is proj's point, in (theta, r, g, phi) order.
+def _basis_sums(cfg: ArrayConfig, proj: Projection) -> list:
+    """The derivative pass at proj's point: the sums of each distance_basis
+    row against Re w and Im w, as [row . Re w, row . Im w] pairs in row
+    order, from one product with w viewed as real pairs. Made once per
+    Projection and kept on it, so a step that is retried at the same point
+    (a rejected first step's concentrated retry) makes no second pass."""
+    if proj.sums is None:
+        block = distance_basis(cfg, proj.theta, proj.r, proj.r_m)
+        proj.sums = (block @ proj.w.view(np.float64).reshape(-1, 2)).tolist()
+    return proj.sums
+
+
+def _derivatives(cfg: ArrayConfig, proj: Projection,
+                 p: PathParams) -> tuple[list[float], list[list[float]]]:
+    """The objective's gradient and 4x4 Hessian on the projected y at p,
+    whose (theta, r) is proj's point, as Python floats in (theta, r, g, phi)
+    order.
 
     With a = |y|, a cos psi and a sin psi are the real and imaginary parts
-    of conj(w) e^{j phi}. Every weighted sum comes from the rows F of
-    distance_derivatives: s = F (a sin psi) and C = F' diag(a cos psi) F'^T
-    over its first three rows F' = (dr_m/dtheta, dr_m/dr - 1, 1), which are
-    dpsi/d(theta, r, phi) over (k, k, 1). Hessian -2g (dpsi dpsi^T . a cos
-    psi + d^2 psi . a sin psi) in (theta, r, phi), g row -2 dpsi . a sin
-    psi, (g, g) entry -2M; gradient g times the g row, g entry 2 sum(a cos
-    psi) - 2Mg.
+    of conj(w) e^{j phi}, so a row's sum against either is its sums against
+    Re w and Im w (_basis_sums) turned by phi; the row of ones sums to b^H y
+    = M times the LS gain. The distance_basis rows give dpsi/d(theta, r,
+    phi) = (k A rho, k B q, 1) with A = -r sin theta and B = -sin^2 theta,
+    their products, and the second derivatives of psi. Hessian -2g (dpsi
+    dpsi^T . a cos psi + d^2 psi . a sin psi) in (theta, r, phi), g row -2
+    dpsi . a sin psi, (g, g) entry -2M; gradient g times the g row, g entry
+    2 sum(a cos psi) - 2Mg.
     """
-    k, M, g = cfg.wavenumber, cfg.num_antennas, p.g
-    a_exp = proj.w.conj()  # a e^{j psi}
-    a_exp *= cmath.exp(1j * p.phi)
-    F = distance_derivatives(cfg, p.theta, p.r, proj.r_m)
-    s_t, s_r, s_1, s_tt, s_tr, s_rr = (F @ a_exp.imag).tolist()
-    P = F[:3]
-    (c_tt, c_tr, c_t1), (_, c_rr, c_r1), (_, _, c_11) = (
-        (P * a_exp.real) @ P.T).tolist()
+    k, M, g, r = cfg.wavenumber, cfg.num_antennas, p.g, proj.r
+    ((u_rho, v_rho), (u_q, v_q), (u_x2, v_x2), (u_x3, v_x3), (u_rr, v_rr),
+     (u_rq, v_rq), (u_qq, v_qq)) = _basis_sums(cfg, proj)
+    inner = M * proj.gain
+    cp, sp = math.cos(p.phi), math.sin(p.phi)
+    sin_t, cos_t = math.sin(proj.theta), math.cos(proj.theta)
+    A, B = -r * sin_t, -sin_t * sin_t
+    # Sums against a sin psi (s_) and a cos psi (c_), by derivative.
+    s_rho = sp * u_rho - cp * v_rho
+    s_x2 = sp * u_x2 - cp * v_x2
+    s_t = A * s_rho
+    s_r = B * (sp * u_q - cp * v_q)
+    s_1 = sp * inner.real - cp * inner.imag
+    s_tt = -r * cos_t * s_rho - A * A * s_x2
+    s_tr = -sin_t * (sp * u_x3 - cp * v_x3 + r * cos_t * s_x2)
+    s_rr = -B * s_x2
+    c_tt = A * A * (cp * u_rr + sp * v_rr)
+    c_tr = A * B * (cp * u_rq + sp * v_rq)
+    c_rr = B * B * (cp * u_qq + sp * v_qq)
+    c_t1 = A * (cp * u_rho + sp * v_rho)
+    c_r1 = B * (cp * u_q + sp * v_q)
+    c_11 = cp * inner.real + sp * inner.imag
     gk = -2.0 * g * k
     h_tt = gk * (k * c_tt + s_tt)
     h_tr = gk * (k * c_tr + s_tr)
     h_rr = gk * (k * c_rr + s_rr)
     h_tp, h_rp, h_pp = gk * c_t1, gk * c_r1, -2.0 * g * c_11
     g_t, g_r, g_p = -2.0 * k * s_t, -2.0 * k * s_r, -2.0 * s_1
-    hess = np.array([[h_tt, h_tr, g_t, h_tp],
-                     [h_tr, h_rr, g_r, h_rp],
-                     [g_t, g_r, -2.0 * M, g_p],
-                     [h_tp, h_rp, g_p, h_pp]])
-    grad = np.array([g * g_t, g * g_r, 2.0 * c_11 - 2.0 * M * g, g * g_p])
+    grad = [g * g_t, g * g_r, 2.0 * c_11 - 2.0 * M * g, g * g_p]
+    hess = [[h_tt, h_tr, g_t, h_tp],
+            [h_tr, h_rr, g_r, h_rp],
+            [g_t, g_r, -2.0 * M, g_p],
+            [h_tp, h_rp, g_p, h_pp]]
     return grad, hess
+
+
+def grad_hess(cfg: ArrayConfig, proj: Projection,
+              p: PathParams) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic gradient and 4x4 Hessian of the objective on the projected y,
+    at p, whose (theta, r) is proj's point, in (theta, r, g, phi) order: the
+    arrays of _derivatives' floats."""
+    grad, hess = _derivatives(cfg, proj, p)
+    return np.array(grad), np.array(hess)
 
 
 def psd_repair(mat: np.ndarray, invert: bool = False) -> np.ndarray:
@@ -169,8 +225,7 @@ def _clamp_params(cfg: ArrayConfig, theta: float, r: float) -> tuple[float, floa
     return theta, r
 
 
-def _newton_step(grad: np.ndarray, hess: np.ndarray,
-                 concentrated: bool = False) -> tuple[float, float] | None:
+def _newton_step(grad, hess, concentrated: bool = False) -> tuple[float, float] | None:
     """The (theta, r) Newton step S^-1 d in closed form, d the (theta, r)
     part of the gradient, or None unless S is negative definite.
 
@@ -181,10 +236,10 @@ def _newton_step(grad: np.ndarray, hess: np.ndarray,
     d is that cost's gradient too, and the step is the (theta, r) part of
     the full 4x4 step with the (g, phi) gradient zeroed. Where H_zz is not
     negative definite (an LS gain of 0 makes it singular) the plain step is
-    taken. The Hessian is symmetric; only its upper triangle is read.
+    taken. grad and hess are _derivatives' nested floats (or arrays of
+    them); the Hessian is symmetric, and only its upper triangle is read.
     """
-    (h00, h01, a0, b0), (_, h11, a1, b1), (_, _, zz, zp), (_, _, _, pp) = \
-        hess.tolist()
+    (h00, h01, a0, b0), (_, h11, a1, b1), (_, _, zz, zp), (_, _, _, pp) = hess
     if concentrated:
         det_z = zz * pp - zp * zp
         if zz < 0.0 and det_z > 0.0:
@@ -197,7 +252,7 @@ def _newton_step(grad: np.ndarray, hess: np.ndarray,
     det = h00 * h11 - h01 * h01
     if not (h00 < 0.0 and det > 0.0):
         return None
-    g0, g1 = grad[:2].tolist()
+    g0, g1 = grad[0], grad[1]
     return (h11 * g0 - h01 * g1) / det, (h00 * g1 - h01 * g0) / det
 
 
@@ -219,7 +274,7 @@ def newton_refine_once(cfg: ArrayConfig, y: np.ndarray, p: PathParams,
     next step.
     """
     theta, r = p.theta, p.r
-    step = _newton_step(*grad_hess(cfg, proj, p), concentrated)
+    step = _newton_step(*_derivatives(cfg, proj, p), concentrated)
     out = proj
     if step is not None:
         cand = _clamp_params(cfg, theta - step[0], r - step[1])
@@ -235,19 +290,31 @@ def newton_refine_once(cfg: ArrayConfig, y: np.ndarray, p: PathParams,
     return PathParams(theta=theta, r=r, g=g, phi=phi), out
 
 
-def residual(cfg: ArrayConfig, y: np.ndarray, paths: list[PathParams]) -> np.ndarray:
-    """Snapshot minus the reconstructed channel of `paths`, as a new array."""
-    return y - synthesize_channel(cfg, paths) if paths else y.copy()
+def residual(cfg: ArrayConfig, y: np.ndarray, paths: list[PathParams],
+             kept: list[Projection | None] | None = None) -> np.ndarray:
+    """Snapshot minus the reconstructed channel of `paths`, as a new array,
+    bit for bit y - synthesize_channel(cfg, paths). `kept`, one Projection
+    or None per path, lends each path whose point it shares its conj(b):
+    the channel is rebuilt as the conjugate of sum conj(g e^{j phi})
+    conj(b), which conjugation leaves exact."""
+    if not paths:
+        return y.copy()
+    h_conj = sum(np.conj(p.g * np.exp(1j * p.phi))
+                 * _geometry(cfg, p.theta, p.r, at)[1]
+                 for p, at in zip(paths, kept or [None] * len(paths)))
+    return y - h_conj.conj()
 
 
-def soft_estimates(cfg: ArrayConfig, y: Measurement,
-                   paths: list[PathParams]) -> list[SoftEstimate]:
+def soft_estimates(cfg: ArrayConfig, y: Measurement, paths: list[PathParams],
+                   kept: list[Projection | None] | None = None) -> list[SoftEstimate]:
     """The soft information of every path, each against the residual of the
-    others: one derivative pass per path."""
+    others: one derivative pass per path, on the geometry `kept` lends (see
+    residual)."""
+    kept = kept or [None] * len(paths)
     out = []
     for k, p in enumerate(paths):
-        y_rk = residual(cfg, y.y, paths[:k] + paths[k + 1:])
-        proj = project(cfg, y_rk, p.theta, p.r)
+        y_rk = residual(cfg, y.y, paths[:k] + paths[k + 1:], kept[:k] + kept[k + 1:])
+        proj = project(cfg, y_rk, p.theta, p.r, kept[k])
         out.append(SoftEstimate(p, grad_hess(cfg, proj, p)[1], y.noise_variance))
     return out
 
@@ -264,12 +331,14 @@ def omp_detect(codebook: Codebook, scores: np.ndarray) -> PathParams:
 
 
 def _refine(cfg: EstimatorConfig, y_r: np.ndarray, sigma2: float, p: PathParams,
-            k: int, trace: TraceHook | None,
-            frozen: bool = False) -> tuple[PathParams, float]:
+            k: int, trace: TraceHook | None, frozen: bool = False,
+            kept: Projection | None = None) -> tuple[PathParams, float, Projection]:
     """One turn of path k against its residual y_r, whose noise power is
-    sigma2: the path it returns and the turn's gain.
+    sigma2: the path it returns, the turn's gain and the projection at the
+    returned point.
 
-    The turn opens at p's (theta, r) with the LS gain there, then takes up
+    The turn opens at p's (theta, r) with the LS gain there, projecting on
+    kept's geometry if kept is a Projection at that point, then takes up
     to single_rounds guarded Newton steps (none for a frozen path), each
     reusing the previous step's projection. The first step is the plain
     one, gain and phase held fixed; every later one is concentrated over
@@ -293,7 +362,7 @@ def _refine(cfg: EstimatorConfig, y_r: np.ndarray, sigma2: float, p: PathParams,
     in log-likelihood and never negative.
     """
     array = cfg.codebook.array
-    start = proj = project(array, y_r, p.theta, p.r)
+    start = proj = project(array, y_r, p.theta, p.r, kept)
     q = PathParams(p.theta, p.r, *_gain_polar(start.gain))
     for j in range(0 if frozen else cfg.single_rounds):
         q, after = newton_refine_once(array, y_r, q, proj, trace,
@@ -305,12 +374,13 @@ def _refine(cfg: EstimatorConfig, y_r: np.ndarray, sigma2: float, p: PathParams,
         if stop:
             break
     refit = array.num_antennas * abs(start.gain - cmath.rect(p.g, p.phi)) ** 2
-    return q, proj.cost - start.cost + refit
+    return q, proj.cost - start.cost + refit, proj
 
 
 def cyclic_refine(cfg: EstimatorConfig, y: Measurement, paths: list[PathParams],
                   rounds: int, trace: TraceHook | None = None,
-                  frozen: int | None = None) -> list[PathParams]:
+                  frozen: int | None = None,
+                  kept: list[Projection | None] | None = None) -> list[PathParams]:
     """Re-refine every path against the residual of the others, in up to
     `rounds` rounds of one turn per path.
 
@@ -322,16 +392,25 @@ def cyclic_refine(cfg: EstimatorConfig, y: Measurement, paths: list[PathParams],
     moved nothing stops early. The path at index `frozen` keeps its (theta,
     r): its turns take no step and only refit its gain. It also takes a
     turn before and after the rounds.
+
+    `kept` holds each path's last Projection, or None: a turn opens on its
+    path's geometry there, and the residual of the others is rebuilt from
+    theirs (residual), so no point's element distances and steering vector
+    are evaluated twice. The rounds update it in place to the projections
+    at the returned points.
     """
     array = cfg.codebook.array
     paths = list(paths)
+    kept = [None] * len(paths) if kept is None else kept
 
     def turns(ks) -> float:
         gain = 0.0
         for k in ks:
-            y_rk = residual(array, y.y, paths[:k] + paths[k + 1:])
-            paths[k], turn_gain = _refine(cfg, y_rk, y.noise_variance, paths[k],
-                                          k, trace, k == frozen)
+            y_rk = residual(array, y.y, paths[:k] + paths[k + 1:],
+                            kept[:k] + kept[k + 1:])
+            paths[k], turn_gain, kept[k] = _refine(
+                cfg, y_rk, y.noise_variance, paths[k], k, trace, k == frozen,
+                kept[k])
             gain += turn_gain
         return gain
 
@@ -357,8 +436,9 @@ def vnnce(ys: list[Measurement], num_paths: list[int], cfg: EstimatorConfig,
     to single_rounds Newton steps, and cyclically re-refines all its paths
     (up to cyclic_rounds rounds) against the residual of the others. A
     measurement stops adding paths at its path count. They share no state,
-    so each takes the steps it takes alone. The returned paths carry their
-    soft information.
+    so each takes the steps it takes alone. Each path's last projection is
+    kept (cyclic_refine) through the residuals, the rounds and the soft
+    information the returned paths carry.
     """
     if not ys:
         raise ValueError("need at least one measurement")
@@ -369,17 +449,21 @@ def vnnce(ys: list[Measurement], num_paths: list[int], cfg: EstimatorConfig,
     codebook = cfg.codebook
     array = codebook.array
     paths: list[list[PathParams]] = [[] for _ in ys]
+    kept: list[list[Projection]] = [[] for _ in ys]
     active = list(range(len(ys)))
     while active:
-        y_rs = [residual(array, ys[i].y, paths[i]) for i in active]
+        y_rs = [residual(array, ys[i].y, paths[i], kept[i]) for i in active]
         scores = codebook.scores(np.stack(y_rs))
         still = []
         for i, y_r, s in zip(active, y_rs, scores):
             p = omp_detect(codebook, s)
-            paths[i].append(_refine(cfg, y_r, ys[i].noise_variance, p,
-                                    len(paths[i]), trace)[0])
-            paths[i] = cyclic_refine(cfg, ys[i], paths[i], cfg.cyclic_rounds, trace)
+            q, _, proj = _refine(cfg, y_r, ys[i].noise_variance, p,
+                                 len(paths[i]), trace)
+            paths[i].append(q)
+            kept[i].append(proj)
+            paths[i] = cyclic_refine(cfg, ys[i], paths[i], cfg.cyclic_rounds, trace,
+                                     kept=kept[i])
             if len(paths[i]) < num_paths[i]:
                 still.append(i)
         active = still
-    return [soft_estimates(array, y, p) for y, p in zip(ys, paths)]
+    return [soft_estimates(array, y, p, k) for y, p, k in zip(ys, paths, kept)]

@@ -2,10 +2,12 @@
 objective they check the analytic derivatives against, the far-field
 steering vector, the s1/s2 analysis behind the codebook's grid steps, the
 gain-only oracle LS, the marginal (delta-method) position covariance, the
-stacked form of the distance derivatives, the extended-precision oracle of
-the derivatives, the LS gain a turn opens with, the plain Newton turn,
-the fixed-round cyclic loop, the full steering matrix of a codebook, and
-the per-angle distance grid and codebook build."""
+stacked form of the distance basis rows, the six-row distance derivatives,
+gradient, Hessian and closed-form Newton step that the basis-row kernel
+replaced, the extended-precision oracle of the derivatives, the LS gain a
+turn opens with, the plain Newton turn, the fixed-round cyclic loop, the
+full steering matrix of a codebook and one codeword's exact score, and the
+per-angle distance grid and codebook build."""
 
 import cmath
 import math
@@ -102,20 +104,89 @@ def marginal_position_covariance(est: SoftEstimate, omega: float) -> np.ndarray:
 
 
 def stacked_distance_derivatives(cfg: ArrayConfig, theta: float, r: float):
-    """The element distances and distance_derivatives' rows, written with
+    """The element distances and distance_basis' rows, written with
     np.stack, one temporary per row."""
     x, x_sq = cfg.offsets, cfg.offsets_sq
     r_m = element_distances(cfg, theta, r)
+    rho = x / r_m
+    q = x_sq / ((x * math.cos(theta) + r + r_m) * r_m)
+    rho_sq = rho * rho
+    return r_m, np.stack([rho, q, rho_sq / r_m, rho_sq * rho, rho_sq, q * rho,
+                          q * q])
+
+
+def basis_derivatives(cfg: ArrayConfig, theta: float, r: float,
+                      rows: np.ndarray) -> np.ndarray:
+    """dr_m/dtheta, dr_m/dr - 1, d2r_m/dtheta2, d2r_m/dtheta dr and
+    d2r_m/dr2 at (theta, r), formed from distance_basis' rows."""
+    rho, q, x2_r3, x3_r3 = rows[:4]
+    sin_t, cos_t = math.sin(theta), math.cos(theta)
+    return np.stack([-r * sin_t * rho, -sin_t**2 * q,
+                     -r * cos_t * rho - (r * sin_t) ** 2 * x2_r3,
+                     -sin_t * (x3_r3 + r * cos_t * x2_r3), sin_t**2 * x2_r3])
+
+
+def reference_distance_derivatives(cfg: ArrayConfig, theta: float, r: float,
+                                   r_m: np.ndarray) -> np.ndarray:
+    """The six rows the Newton kernel read before its basis rows:
+    dr_m/dtheta, dr_m/dr - 1, ones, d2r_m/dtheta2, d2r_m/dtheta dr and
+    d2r_m/dr2, each per element and free of differences of nearly equal
+    terms."""
+    x, x_sq = cfg.offsets, cfg.offsets_sq
     sin_t, cos_t = math.sin(theta), math.cos(theta)
     inv = 1.0 / r_m
     x_sq_inv3 = x_sq * inv * inv * inv
     d_t = x * (-r * sin_t) * inv
-    return r_m, np.stack([d_t,
-                          x_sq * inv / (x * cos_t + r + r_m) * (-sin_t * sin_t),
-                          np.ones_like(r_m),
-                          (x * (-r * cos_t) - d_t * d_t) * inv,
-                          (x + r * cos_t) * x_sq_inv3 * (-sin_t),
-                          x_sq_inv3 * (sin_t * sin_t)])
+    return np.stack([d_t,
+                     x_sq * inv / (x * cos_t + r + r_m) * (-sin_t * sin_t),
+                     np.ones_like(r_m),
+                     (x * (-r * cos_t) - d_t * d_t) * inv,
+                     (x + r * cos_t) * x_sq_inv3 * (-sin_t),
+                     x_sq_inv3 * (sin_t * sin_t)])
+
+
+def reference_grad_hess(cfg: ArrayConfig, proj, p: PathParams):
+    """grad_hess as the six rows F of reference_distance_derivatives give
+    it: s = F (a sin psi) and C = F' diag(a cos psi) F'^T over F's first
+    three rows, with a e^{j psi} = conj(w) e^{j phi}."""
+    k, M, g = cfg.wavenumber, cfg.num_antennas, p.g
+    a_exp = proj.w.conj() * cmath.exp(1j * p.phi)
+    F = reference_distance_derivatives(cfg, p.theta, p.r, proj.r_m)
+    s_t, s_r, s_1, s_tt, s_tr, s_rr = F @ a_exp.imag
+    P = F[:3]
+    (c_tt, c_tr, c_t1), (_, c_rr, c_r1), (_, _, c_11) = (P * a_exp.real) @ P.T
+    gk = -2.0 * g * k
+    h_tt, h_tr, h_rr = gk * (k * c_tt + s_tt), gk * (k * c_tr + s_tr), \
+        gk * (k * c_rr + s_rr)
+    h_tp, h_rp, h_pp = gk * c_t1, gk * c_r1, -2.0 * g * c_11
+    g_t, g_r, g_p = -2.0 * k * s_t, -2.0 * k * s_r, -2.0 * s_1
+    hess = np.array([[h_tt, h_tr, g_t, h_tp],
+                     [h_tr, h_rr, g_r, h_rp],
+                     [g_t, g_r, -2.0 * M, g_p],
+                     [h_tp, h_rp, g_p, h_pp]])
+    grad = np.array([g * g_t, g * g_r, 2.0 * c_11 - 2.0 * M * g, g * g_p])
+    return grad, hess
+
+
+def reference_newton_step(grad: np.ndarray, hess: np.ndarray,
+                          concentrated: bool = False):
+    """_newton_step on the arrays: the plain (theta, r) step S^-1 d, or with
+    `concentrated` the one on the Schur complement of the (g, phi) block
+    where that block is negative definite; None unless S is negative
+    definite."""
+    (h00, h01, a0, b0), (_, h11, a1, b1), (_, _, zz, zp), (_, _, _, pp) = \
+        hess.tolist()
+    if concentrated:
+        det_z = zz * pp - zp * zp
+        if zz < 0.0 and det_z > 0.0:
+            h00 -= (pp * a0 * a0 - 2.0 * zp * a0 * b0 + zz * b0 * b0) / det_z
+            h11 -= (pp * a1 * a1 - 2.0 * zp * a1 * b1 + zz * b1 * b1) / det_z
+            h01 -= (pp * a0 * a1 - zp * (a0 * b1 + b0 * a1) + zz * b0 * b1) / det_z
+    det = h00 * h11 - h01 * h01
+    if not (h00 < 0.0 and det > 0.0):
+        return None
+    g0, g1 = grad[:2].tolist()
+    return (h11 * g0 - h01 * g1) / det, (h00 * g1 - h01 * g0) / det
 
 
 ORACLE_DIGITS = 50
@@ -252,6 +323,15 @@ def plain_cyclic(cfg: EstimatorConfig, y: Measurement, paths: list[PathParams],
         snapshots.append(list(paths))
     turns(pinned)
     return snapshots, paths
+
+
+def exact_score(codebook: Codebook, y: np.ndarray, j: int) -> float:
+    """Codeword j's |b^H y|^2 in float64 on near_steering's column, one
+    codeword at a time; a twin's is the reversed y's on its mirror's."""
+    stored = len(codebook) - codebook.num_twins
+    i, y = (j - stored, y[::-1]) if j >= stored else (j, y)
+    b = near_steering(codebook.array, float(codebook.theta[i]), float(codebook.r[i]))
+    return abs(y.conj() @ b) ** 2
 
 
 def full_steering_matrix(codebook: Codebook) -> np.ndarray:

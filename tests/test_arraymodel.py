@@ -1,5 +1,6 @@
 """Array geometry, steering vectors, channel synthesis, and noise."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +9,14 @@ from hypothesis import strategies as st
 from dataclasses import FrozenInstanceError
 
 from nearfield.arraymodel import (ArrayConfig, Measurement, PathParams,
-                                  add_noise, distance_derivatives,
+                                  add_noise, distance_basis, distance_steering,
                                   element_distances, los_gain, near_steering,
-                                  synthesize_channel)
+                                  near_steering_blocks, synthesize_channel)
 from nearfield.estimator import THETA_EDGE
 from tests.conftest import random_path
-from tests.reference import as_vector, far_steering, stacked_distance_derivatives
+from tests.reference import (ORACLE_DIGITS, ORACLE_RTOL, _mp_distance_derivatives,
+                             as_vector, basis_derivatives, far_steering,
+                             stacked_distance_derivatives)
 
 
 class TestArrayConfig:
@@ -77,6 +80,21 @@ class TestOffsetsAndDistances:
                 setattr(cfg, name, value)
         assert np.array_equal(cfg.offsets_sq, cfg.offsets**2)
 
+    def test_derived_lengths_cached(self):
+        # Cached on first read, the values a fresh computation gives; the
+        # config still compares and hashes by its three fields alone.
+        cfg = ArrayConfig(num_antennas=8, wavelength=0.003)
+        want = {"aperture": 8 * 0.0015, "wavenumber": 2 * np.pi / 0.003,
+                "rayleigh_distance": 2 * (8 * 0.0015) ** 2 / 0.003,
+                "min_near_distance": 1.2 * (8 * 0.0015)}
+        for name, value in want.items():
+            assert getattr(cfg, name) == value
+            assert name in vars(cfg)
+            with pytest.raises(FrozenInstanceError):
+                setattr(cfg, name, value)
+        fresh = ArrayConfig(num_antennas=8, wavelength=0.003)
+        assert fresh == cfg and hash(fresh) == hash(cfg)
+
     def test_element_distance_law_of_cosines(self):
         # M=2, m=1: delta=+1/2, d=0.0015, theta=pi/2 -> sqrt(r^2 + (d/2)^2).
         cfg = ArrayConfig(num_antennas=2, wavelength=0.003)
@@ -99,8 +117,9 @@ class TestOffsetsAndDistances:
 
     @pytest.mark.parametrize("num_antennas", [64, 256])
     def test_derivatives_equal_stacked_form(self, num_antennas, rng):
-        # Row-filled and stacked forms evaluate the same expressions, so
-        # they agree bit for bit, endfire angles and annulus edges included.
+        # Row-filled and stacked forms of the basis rows evaluate the same
+        # expressions, so they agree bit for bit, endfire angles and annulus
+        # edges included.
         cfg = ArrayConfig(num_antennas=num_antennas, wavelength=0.003)
         thetas = [THETA_EDGE, 1e-3, np.pi / 2, np.pi - 1e-3, np.pi - THETA_EDGE,
                   *np.arccos(rng.uniform(-1.0, 1.0, 8))]
@@ -109,13 +128,50 @@ class TestOffsetsAndDistances:
         for theta in thetas:
             for r in radii:
                 r_m = element_distances(cfg, float(theta), float(r))
-                got = (r_m, distance_derivatives(cfg, float(theta), float(r), r_m))
+                got = distance_basis(cfg, float(theta), float(r), r_m)
                 want = stacked_distance_derivatives(cfg, float(theta), float(r))
-                for g, w in zip(got, want):
-                    assert np.array_equal(g, w)
+                assert np.array_equal(r_m, want[0])
+                assert np.array_equal(got, want[1])
+
+    @pytest.mark.parametrize("num_antennas", [64, 256])
+    def test_basis_rows_match_extended_precision_oracle(self, num_antennas, rng):
+        # The first and second derivatives formed from the basis rows keep
+        # every entry to ORACLE_RTOL of mpmath's textbook derivatives, near
+        # endfire and at both annulus edges, where forming dr_m/dr - 1 by
+        # subtraction would leave no correct digit.
+        cfg = ArrayConfig(num_antennas=num_antennas, wavelength=0.003)
+        near, far = cfg.min_near_distance, cfg.rayleigh_distance
+        points = [(THETA_EDGE, near), (1e-3, far), (np.pi - 1e-3, near),
+                  (np.pi / 2, far), *zip(np.arccos(rng.uniform(-1.0, 1.0, 3)),
+                                         rng.uniform(near, far, 3))]
+        for theta, r in points:
+            theta, r = float(theta), float(r)
+            rows = stacked_distance_derivatives(cfg, theta, r)[1]
+            got = basis_derivatives(cfg, theta, r, rows)
+            with mpmath.workdps(ORACLE_DIGITS):
+                oracle = _mp_distance_derivatives(cfg, theta, r)
+                want = np.array([[float(d_t), float(d_r - 1), float(d_tt),
+                                  float(d_tr), float(d_rr)]
+                                 for _, d_t, d_r, d_tt, d_tr, d_rr in oracle]).T
+            assert np.all(np.abs(got - want) <= ORACLE_RTOL * np.abs(want)), (theta, r)
 
 
 class TestSteering:
+    def test_conjugate_and_blocks_bit_for_bit(self, wide_array, rng):
+        # The conjugate steering vector flips only the signs of the imaginary
+        # parts, and the blocked float64 columns are near_steering's, bit
+        # for bit, across block boundaries.
+        theta = np.arccos(rng.uniform(-1.0, 1.0, 150))
+        r = rng.uniform(wide_array.min_near_distance, wide_array.rayleigh_distance, 150)
+        got = np.concatenate([B for _, B in near_steering_blocks(wide_array, theta, r)],
+                             axis=1)
+        for j, (t, d) in enumerate(zip(theta.tolist(), r.tolist())):
+            b = near_steering(wide_array, t, d)
+            r_m = element_distances(wide_array, t, d)
+            assert got[:, j].tobytes() == b.tobytes()
+            assert distance_steering(wide_array, r_m, d, conj=True).tobytes() \
+                == b.conj().tobytes()
+
     def test_unit_modulus_and_norm(self, desk_array, rng):
         for _ in range(10):
             p = random_path(desk_array, rng)

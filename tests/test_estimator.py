@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from nearfield.arraymodel import (Measurement, PathParams, add_noise,
+from nearfield.arraymodel import (ArrayConfig, Measurement, PathParams, add_noise,
                                   near_steering, synthesize_channel)
 from nearfield.codebook import Codebook, CodebookConfig, build_codebook, scan_error
-from nearfield import estimator, harness
+from nearfield import arraymodel, codebook, estimator, harness
 from nearfield.estimator import (MIN_LOGLIK_GAIN, THETA_EDGE,
                                  EstimatorConfig, _clamp_params, _newton_step,
                                  grad_hess, newton_refine_once, omp_detect, project,
@@ -20,9 +20,11 @@ from nearfield.harness import draw_paths, load_scenario, run_trial
 from nearfield.pipeline import run_joint
 from tests.conftest import random_path
 from tests.reference import (ORACLE_RTOL, alpha_of, as_vector, at_ls_gain,
-                             beta_of, central_differences, full_steering_matrix,
+                             beta_of, central_differences, exact_score,
+                             full_steering_matrix,
                              objective, oracle_grad_hess, oracle_ls, plain_cyclic,
-                             plain_refine, turn_case)
+                             plain_refine, reference_distance_derivatives,
+                             reference_grad_hess, reference_newton_step, turn_case)
 
 
 def _recording(fn, calls):
@@ -180,12 +182,87 @@ class TestDerivatives:
             for g, w in zip(got, oracle_grad_hess(cfg, y, p)):
                 assert np.all(np.abs(g - w) <= ORACLE_RTOL * np.abs(w)), (p, g, w)
 
+    @given(num_antennas=st.sampled_from([64, 256]),
+           angle=st.sampled_from(["mid", "endfire"]),
+           edge=st.sampled_from(["inside", "near", "far"]),
+           u=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+           sigma2=st.sampled_from([1e-3, 1e-1, 1.0]), ls_gain=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_matches_reference_formulas(self, num_antennas, angle, edge, u,
+                                               sigma2, ls_gain, seed):
+        # The basis-row kernel against the six-row formulas it replaced, at
+        # random points, within 1e-3 rad of either endfire and on both
+        # annulus edges: each gradient and Hessian entry within 1e-10 of the
+        # sum of its terms' magnitudes, and both (theta, r) steps within
+        # 1e-10 of what such entry errors can move them by.
+        cfg = ArrayConfig(num_antennas=num_antennas, wavelength=0.003)
+        near, far = cfg.min_near_distance, cfg.rayleigh_distance
+        if angle == "endfire":
+            theta = 10 ** (-6 + 3 * u[0])
+            theta = theta if u[5] < 0.5 else np.pi - theta
+        else:
+            theta = 0.05 + (np.pi - 0.1) * u[0]
+        r = {"near": near, "far": far}.get(edge, near + (far - near) * u[1])
+        truth = PathParams(min(max(theta + 1e-3 * (u[2] - 0.5), 1e-7), np.pi - 1e-7),
+                           r * (1.0 + 0.1 * (u[3] - 0.5)), 1.0, 2 * np.pi * u[4])
+        y = add_noise(synthesize_channel(cfg, [truth]), sigma2, seed).y
+        p = PathParams(theta, r, 0.2 + 2.0 * u[3], 2 * np.pi * u[5])
+        if ls_gain:
+            p = at_ls_gain(cfg, y, p)
+        proj = project(cfg, y, theta, r)
+        got, want = grad_hess(cfg, proj, p), reference_grad_hess(cfg, proj, p)
+        scale = _term_scale(cfg, y, p)
+        for g, w, s in zip(got, want, scale):
+            assert np.all(np.abs(g - w) <= 1e-10 * s), (p, g, w)
+        G, H = scale
+        entries = estimator._derivatives(cfg, proj, p)
+        for concentrated in (False, True):
+            step = _newton_step(*entries, concentrated)
+            ref = reference_newton_step(*want, concentrated)
+            assert (step is None) == (ref is None)
+            if ref is None:
+                continue
+            grad, hess = want
+            if concentrated and hess[2, 2] * hess[3, 3] - hess[2, 3] ** 2 > 0.0:
+                # The (theta, r) part of the full 4x4 step with the (g,
+                # phi) gradient zeroed.
+                d = np.concatenate([grad[:2], np.zeros(2)])
+                x = np.linalg.solve(hess, d)
+                reach = np.abs(np.linalg.inv(hess)) @ (
+                    np.concatenate([G[:2], np.zeros(2)]) + H @ np.abs(x))
+            else:
+                reach = np.abs(np.linalg.inv(hess[:2, :2])) @ (
+                    G[:2] + H[:2, :2] @ np.abs(ref))
+            assert np.all(np.abs(np.subtract(step, ref)) <= 1e-10 * reach[:2])
+
     def test_hessian_symmetric(self, desk_array, rng):
         p = random_path(desk_array, rng)
         y = synthesize_channel(desk_array, [random_path(desk_array, rng)])
         _, H = grad_hess(desk_array, project(desk_array, y, p.theta, p.r), p)
         assert np.allclose(H, H.T, atol=1e-9)
         assert H[2, 2] == -2 * 64  # gain curvature is exactly -2M
+
+
+def _term_scale(cfg, y, p):
+    """The gradient and Hessian of the objective at p with every term of
+    every sum taken by its magnitude: the size against which an entry's
+    rounding error is measured."""
+    k, M, g = cfg.wavenumber, cfg.num_antennas, p.g
+    r_m = arraymodel.element_distances(cfg, p.theta, p.r)
+    F = np.abs(reference_distance_derivatives(cfg, p.theta, p.r, r_m))
+    a = np.abs(y)
+    s = F @ a
+    C = (F[:3] * a) @ F[:3].T
+    H = np.empty((4, 4))
+    H[:2, :2] = 2 * g * k * (k * C[:2, :2] + np.array([[s[3], s[4]], [s[4], s[5]]]))
+    H[:2, 2] = H[2, :2] = 2 * k * s[:2]
+    H[:2, 3] = H[3, :2] = 2 * g * k * C[:2, 2]
+    H[2, 3] = H[3, 2] = 2 * s[2]
+    H[2, 2], H[3, 3] = 2 * M, 2 * g * C[2, 2]
+    G = np.array([2 * g * k * s[0], 2 * g * k * s[1], 2 * C[2, 2] + 2 * M * g,
+                  2 * g * s[2]])
+    return G, H
 
 
 def _saddle_start(cfg, truth):
@@ -294,7 +371,8 @@ class TestNewtonRefine:
             p, proj = newton_refine_once(desk_array, y, p, proj)
             fresh = project(desk_array, y, p.theta, p.r)
             assert (proj.cost, proj.gain) == (fresh.cost, fresh.gain)
-            for got, want in [(proj.w, fresh.w), (proj.r_m, fresh.r_m)]:
+            for got, want in [(proj.w, fresh.w), (proj.r_m, fresh.r_m),
+                              (proj.b_conj, fresh.b_conj)]:
                 assert got.tobytes() == want.tobytes()
             for got, want in zip(grad_hess(desk_array, proj, p),
                                  grad_hess(desk_array, fresh, p)):
@@ -327,9 +405,12 @@ def _assert_turn_exact(codebook, y, start, rounds, sigma2):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimator, "newton_refine_once",
                    _recording(estimator.newton_refine_once, calls))
-        got, gain = estimator._refine(cfg, y, sigma2, start, 0,
-                                      lambda *a: records.append(a))
+        got, gain, proj = estimator._refine(cfg, y, sigma2, start, 0,
+                                            lambda *a: records.append(a))
     assert len(records) == len(calls) <= rounds
+    fresh = project(codebook.array, y, got.theta, got.r)
+    assert (proj.theta, proj.r, proj.cost, proj.gain) == \
+        (fresh.theta, fresh.r, fresh.cost, fresh.gain)
     misfit = [np.linalg.norm(y - synthesize_channel(codebook.array, [p])) ** 2
               for p in (start, got)]
     assert abs(gain - (misfit[0] - misfit[1])) <= 1e-12 * np.linalg.norm(y) ** 2
@@ -371,6 +452,23 @@ class TestRefineTurn:
         y = synthesize_channel(desk_array, [truth])
         records = _assert_turn_exact(desk_codebook, y, start, 2, 0.0)
         assert [rec[8] for rec in records] == [False, True]
+
+    def test_rejected_first_step_retries_on_one_derivative_pass(
+            self, desk_array, desk_codebook, monkeypatch):
+        # The turn of test_rejected_first_step_does_not_end_turn: the
+        # rejected plain step returns its input projection, and the
+        # concentrated retry at that point reads the derivative pass the
+        # plain step made.
+        truth, start = turn_case(desk_array, "endfire",
+                                 [0.0, 0.0625, 0.0, 0.25, 0.625, 0.0, 0.0])
+        y = synthesize_channel(desk_array, [truth])
+        passes, records = [], []
+        monkeypatch.setattr(estimator, "distance_basis",
+                            _recording(estimator.distance_basis, passes))
+        estimator._refine(EstimatorConfig(codebook=desk_codebook, single_rounds=2),
+                          y, 0.0, start, 0, lambda *a: records.append(a))
+        assert [rec[8] for rec in records] == [False, True]
+        assert len(passes) == 1
 
     def test_skip_branch_stops_at_fixed_point(self, desk_array, desk_codebook):
         truth = PathParams(theta=1.3, r=2.0, g=1.0)
@@ -429,7 +527,7 @@ class TestRefineTurn:
         y = add_noise(synthesize_channel(desk_array, [truth]), 1e-2, 4).y
         start = PathParams(1.21, 2.4, 0.3, 5.0)
         cfg = EstimatorConfig(codebook=desk_codebook, single_rounds=0)
-        got, gain = estimator._refine(cfg, y, 1e-2, start, 0, None)
+        got, gain, _ = estimator._refine(cfg, y, 1e-2, start, 0, None)
         assert got == at_ls_gain(desk_array, y, start)
         a = project(desk_array, y, start.theta, start.r).gain
         assert gain == pytest.approx(64 * abs(a - cmath.rect(start.g, start.phi)) ** 2,
@@ -555,6 +653,29 @@ class TestRefineTurn:
             run_trial(scenario, snr_db, idx, 0, trace=lambda *a: steps.append(a))
         assert len(steps) <= 450
 
+    @pytest.mark.parametrize("name, max_passes, max_geometry", [
+        ("tab2_desk", 442, 610), ("tab2_paper", 354, 480)])
+    def test_derivative_and_geometry_budget(self, name, max_passes, max_geometry,
+                                            monkeypatch):
+        # The trials of test_step_count_budget make 437 (desk) and 349
+        # (paper) derivative passes and 589 and 464 evaluations of element
+        # distances, each with its steering vector, the harness's channel
+        # synthesis included. Recomputing a retried step's derivatives made
+        # 448 and 360 passes, and rebuilding each turn's start point and the
+        # residual's other paths 975 and 771 evaluations. A count, so it
+        # does not depend on the machine.
+        scenario = load_scenario(f"scenarios/{name}.json")
+        passes, geometry = [], []
+        monkeypatch.setattr(estimator, "distance_basis",
+                            _recording(estimator.distance_basis, passes))
+        counted = _recording(arraymodel.element_distances, geometry)
+        for module in (arraymodel, estimator):
+            monkeypatch.setattr(module, "element_distances", counted)
+        for idx, snr_db in enumerate([0.0, 10.0, 20.0, 30.0]):
+            run_trial(scenario, snr_db, idx, 0)
+        assert len(passes) <= max_passes
+        assert len(geometry) <= max_geometry
+
     @pytest.mark.parametrize("theta, r", [
         (1.0, 2.0), (0.0, 0.0), (-1.0, 1e6), (4.0, -1.0), (np.inf, np.inf),
         (-np.inf, -np.inf), (np.nan, np.nan), (THETA_EDGE, 6.144)])
@@ -602,7 +723,7 @@ class TestCyclicRefine:
                                           lambda *a: records.append(a), frozen)
         assert records == want_records[:len(records)]
         fixed = 0 if frozen is None else 1  # turns before and after the rounds
-        gains = [gain for _, gain in turns[fixed:len(turns) - fixed]]
+        gains = [gain for _, gain, _ in turns[fixed:len(turns) - fixed]]
         ran = len(gains) // 2
         assert len(gains) == 2 * ran and got == plain_cyclic(cfg, y, start, ran,
                                                              None, frozen)[1]
@@ -839,6 +960,59 @@ class TestMirrorDetection:
                     p = omp_detect(cb, g)
                     assert (p.theta, p.r) == (cb.theta[best], cb.r[best])
 
+    def test_rescores_match_exact_score(self, mirror_case):
+        # The block re-score keeps every value within rtol 1e-12 of the
+        # one-codeword float64 score, over a window of codewords and twins on
+        # Gaussian rows, rows with a path, their mirrors and one-antenna
+        # rows. On the first four the argmax is exact_score's; a one-antenna
+        # row scores |y_m|^2 on every codeword, to rounding, so any codeword
+        # is its argmax.
+        cb, _ = mirror_case
+        M, N = cb.array.num_antennas, len(cb)
+        ys = self._residuals(cb, 4)
+        rng = np.random.default_rng(4)
+        for m in (0, M // 3, M - 1):
+            one = np.zeros(M, dtype=complex)
+            one[m] = rng.normal() + 1j * rng.normal()
+            ys = np.concatenate([ys, one[None]])
+        rows = np.repeat(np.arange(len(ys)), 40)
+        window = rng.integers(0, N, len(rows))
+        got = cb._exact_scores(ys, rows, window)
+        want = [exact_score(cb, ys[i], j)
+                for i, j in zip(rows.tolist(), window.tolist())]
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        B_full = full_steering_matrix(cb)
+        for y, scores in zip(ys, cb.scores(ys)):
+            if np.count_nonzero(y) == 1:
+                assert np.allclose(scores, np.abs(y).max() ** 2, rtol=1e-12, atol=0.0)
+                continue
+            near = np.flatnonzero(np.abs(y.conj() @ B_full) ** 2
+                                  >= (1 - 1e-6) * scores.max())
+            exact = [exact_score(cb, y, j) for j in near.tolist()]
+            assert int(np.argmax(scores)) == near[int(np.argmax(exact))]
+
+    def test_one_antenna_row_builds_bounded_blocks(self, mirror_case, monkeypatch):
+        # Every codeword of a row nonzero on one antenna lands in the re-rank
+        # window; its columns are built once each, a twin on its mirror's,
+        # in STEERING_BLOCK-entry blocks, not one steering vector apiece.
+        cb, _ = mirror_case
+        M, stored = cb.array.num_antennas, len(cb) - cb.num_twins
+        columns, blocks = [], []
+
+        def counting(cfg, theta, r):
+            columns.append(len(r))
+            for out in arraymodel.near_steering_blocks(cfg, theta, r):
+                blocks.append(out)
+                yield out
+
+        monkeypatch.setattr(codebook, "near_steering_blocks", counting)
+        y = np.zeros((1, M), dtype=complex)
+        y[0, M // 3] = 1.0
+        scores = cb.scores(y)
+        assert columns == [stored]
+        assert len(blocks) == -(-stored // (arraymodel.STEERING_BLOCK // M))
+        assert np.allclose(scores, 1.0, rtol=1e-12, atol=0.0)
+
     def test_exact_mirror_tie_goes_to_first_in_scan_order(self, mirror_case):
         # y = b + reverse(b) scores a mirrored codeword and its twin alike,
         # bit for bit; the stored member comes first in scan order.
@@ -875,6 +1049,32 @@ class TestResidual:
     def test_no_fixed_paths_is_identity(self, desk_array, rng):
         y = synthesize_channel(desk_array, [random_path(desk_array, rng)])
         assert np.array_equal(residual(desk_array, y, []), y)
+
+    def test_kept_geometry_rebuilds_bit_for_bit(self, desk_array, rng):
+        # Rebuilt from kept conjugate steering vectors, from fresh ones, or
+        # with a kept projection at another point (which is not used), the
+        # residual is y - synthesize_channel bit for bit.
+        paths = [random_path(desk_array, rng) for _ in range(3)]
+        y = add_noise(synthesize_channel(desk_array, paths), 1e-2, rng).y
+        kept = [project(desk_array, y, p.theta, p.r) for p in paths]
+        kept[1] = project(desk_array, y, paths[1].theta, paths[1].r * 1.01)
+        want = (y - synthesize_channel(desk_array, paths)).tobytes()
+        for lent in (None, kept, [None, None, kept[0]]):
+            assert residual(desk_array, y, paths, lent).tobytes() == want
+
+    def test_projection_reuses_kept_geometry_at_its_point_only(self, desk_array,
+                                                               rng, monkeypatch):
+        p = random_path(desk_array, rng)
+        y = add_noise(synthesize_channel(desk_array, [p]), 1e-2, rng).y
+        kept = project(desk_array, y, p.theta, p.r)
+        calls = []
+        monkeypatch.setattr(estimator, "element_distances",
+                            _recording(arraymodel.element_distances, calls))
+        again = project(desk_array, 2.0 * y, p.theta, p.r, kept)
+        assert calls == [] and again.b_conj is kept.b_conj
+        assert again.w.tobytes() == (kept.b_conj * (2.0 * y)).tobytes()
+        moved = project(desk_array, y, p.theta, p.r * 1.01, kept)
+        assert len(calls) == 1 and moved.b_conj is not kept.b_conj
 
     def test_one_of_two_fixed(self, desk_array, rng):
         p1, p2 = random_path(desk_array, rng), random_path(desk_array, rng)
@@ -1031,6 +1231,34 @@ class TestCoupledPaths:
         c = synthesize_channel(desk.array, [e.params for e in result.step1[0]])
         misfit = np.linalg.norm(y.y - c) ** 2 / y.noise_variance
         assert misfit <= self.MISFIT[trial] + 0.1
+
+
+class TestKeptGeometry:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_only_new_points_are_evaluated(self, desk_array, desk_codebook, seed,
+                                           monkeypatch):
+        # Over a whole estimate (detection, turns, residuals and soft
+        # information) element distances and a steering vector are evaluated
+        # only at a detected codeword, once, and at each Newton candidate:
+        # a turn opens on its path's kept projection and the residual
+        # rebuilds the other paths from theirs. The rounds give, bit for bit,
+        # what they give on no kept geometry.
+        rng = np.random.default_rng(seed)
+        truth = [random_path(desk_array, rng) for _ in range(3)]
+        y = add_noise(synthesize_channel(desk_array, truth), 1e-2, rng)
+        cfg = EstimatorConfig(codebook=desk_codebook)
+        evaluated, candidates = [], []
+        counted = _recording(arraymodel.element_distances, evaluated)
+        for module in (arraymodel, estimator):
+            monkeypatch.setattr(module, "element_distances", counted)
+        monkeypatch.setattr(estimator, "_clamp_params",
+                            _recording(estimator._clamp_params, candidates))
+        got = [e.params for e in vnnce([y], [3], cfg)[0]]
+        assert candidates and len(evaluated) == len(candidates) + 3
+        kept = [project(desk_array, y.y, p.theta, p.r) for p in got]
+        again = estimator.cyclic_refine(cfg, y, got, 2, kept=kept)
+        assert again == estimator.cyclic_refine(cfg, y, got, 2)
+        assert [(k.theta, k.r) for k in kept] == [(p.theta, p.r) for p in again]
 
 
 class TestOracleLs:
