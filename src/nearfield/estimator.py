@@ -17,14 +17,17 @@ on the codebook, each a bare codeword, and cyclically re-refines each one
 against the residual of the others, in rounds that stop once a round
 gains less than MIN_LOGLIK_GAIN nats or moves nothing. Each returned path
 then gets its soft information once: the Hessian at its final point,
-against the final residual of the others.
+against the final residual of the others. A path travels as one record,
+its parameters with the last Projection at its point, from detection
+through the rounds into its soft estimate, so step 3 reopens on step 1's
+geometry.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -51,11 +54,14 @@ MIN_LOGLIK_GAIN = 1e-3
 class SoftEstimate:
     """A returned path with its soft information: the objective's 4x4
     Hessian at `params`, ordered (theta, r, g, phi) and taken against the
-    residual of the other returned paths, and the noise power sigma2."""
+    residual of the other returned paths, the noise power sigma2, and `at`,
+    the Projection of that residual at the path's point, whose geometry a
+    later turn at the point (step 3's) reuses."""
 
     params: PathParams
     hess: np.ndarray
     sigma2: float
+    at: Projection
 
     @property
     def cov(self) -> np.ndarray:
@@ -88,8 +94,8 @@ class Projection:
     gain b^H y / M, with what the derivatives read, w = y o conj(b), whose
     sum is b^H y, and the point's geometry: (theta, r), its element
     distances r_m and conj(b), which a later projection or residual at that
-    point reuses. `sums` holds the point's derivative pass once a step has
-    made it (_basis_sums)."""
+    point reuses (a Path record carries it there). `sums` holds the point's
+    derivative pass once a step has made it (_basis_sums)."""
 
     cost: float
     gain: complex
@@ -101,21 +107,34 @@ class Projection:
     sums: list | None = None
 
 
+@dataclass(frozen=True, slots=True)
+class Path:
+    """A path as the estimator carries it: its parameters and `at`, the
+    last Projection at its (theta, r), or None where no projection was made
+    there yet (a detected codeword, step 3's anchor). A turn opens on `at`'s
+    geometry and residual rebuilds the path from its conj(b), so no point's
+    element distances are evaluated twice. Equality reads the parameters
+    only."""
+
+    params: PathParams
+    at: Projection | None = field(default=None, compare=False)
+
+
 def _geometry(cfg: ArrayConfig, theta: float, r: float,
-              kept: Projection | None) -> tuple[np.ndarray, np.ndarray]:
-    """The element distances and conj(b) at (theta, r): kept's when it is a
+              at: Projection | None) -> tuple[np.ndarray, np.ndarray]:
+    """The element distances and conj(b) at (theta, r): at's when it is a
     Projection at that very point, else evaluated afresh."""
-    if kept is not None and kept.theta == theta and kept.r == r:
-        return kept.r_m, kept.b_conj
+    if at is not None and at.theta == theta and at.r == r:
+        return at.r_m, at.b_conj
     r_m = element_distances(cfg, theta, r)
     return r_m, distance_steering(cfg, r_m, r, conj=True)
 
 
 def project(cfg: ArrayConfig, y: np.ndarray, theta: float, r: float,
-            kept: Projection | None = None) -> Projection:
-    """The Projection of y at (theta, r), on kept's geometry if kept is a
+            at: Projection | None = None) -> Projection:
+    """The Projection of y at (theta, r), on at's geometry if at is a
     Projection at that point."""
-    r_m, b_conj = _geometry(cfg, theta, r, kept)
+    r_m, b_conj = _geometry(cfg, theta, r, at)
     w = b_conj * y
     inner = complex(w.sum())
     M = cfg.num_antennas
@@ -290,32 +309,32 @@ def newton_refine_once(cfg: ArrayConfig, y: np.ndarray, p: PathParams,
     return PathParams(theta=theta, r=r, g=g, phi=phi), out
 
 
-def residual(cfg: ArrayConfig, y: np.ndarray, paths: list[PathParams],
-             kept: list[Projection | None] | None = None) -> np.ndarray:
+def residual(cfg: ArrayConfig, y: np.ndarray, paths: list[Path]) -> np.ndarray:
     """Snapshot minus the reconstructed channel of `paths`, as a new array,
-    bit for bit y - synthesize_channel(cfg, paths). `kept`, one Projection
-    or None per path, lends each path whose point it shares its conj(b):
-    the channel is rebuilt as the conjugate of sum conj(g e^{j phi})
-    conj(b), which conjugation leaves exact."""
+    bit for bit y - synthesize_channel of their parameters. Each path whose
+    record holds a Projection at its point lends its conj(b): the channel
+    is rebuilt as the conjugate of sum conj(g e^{j phi}) conj(b), which
+    conjugation leaves exact."""
     if not paths:
         return y.copy()
-    h_conj = sum(np.conj(p.g * np.exp(1j * p.phi))
-                 * _geometry(cfg, p.theta, p.r, at)[1]
-                 for p, at in zip(paths, kept or [None] * len(paths)))
+    h_conj = sum(np.conj(p.params.g * np.exp(1j * p.params.phi))
+                 * _geometry(cfg, p.params.theta, p.params.r, p.at)[1]
+                 for p in paths)
     return y - h_conj.conj()
 
 
-def soft_estimates(cfg: ArrayConfig, y: Measurement, paths: list[PathParams],
-                   kept: list[Projection | None] | None = None) -> list[SoftEstimate]:
+def soft_estimates(cfg: ArrayConfig, y: Measurement,
+                   paths: list[Path]) -> list[SoftEstimate]:
     """The soft information of every path, each against the residual of the
-    others: one derivative pass per path, on the geometry `kept` lends (see
-    residual)."""
-    kept = kept or [None] * len(paths)
+    others: one derivative pass per path, on the geometry its record lends
+    (see residual)."""
     out = []
-    for k, p in enumerate(paths):
-        y_rk = residual(cfg, y.y, paths[:k] + paths[k + 1:], kept[:k] + kept[k + 1:])
-        proj = project(cfg, y_rk, p.theta, p.r, kept[k])
-        out.append(SoftEstimate(p, grad_hess(cfg, proj, p)[1], y.noise_variance))
+    for k, path in enumerate(paths):
+        p = path.params
+        y_rk = residual(cfg, y.y, paths[:k] + paths[k + 1:])
+        proj = project(cfg, y_rk, p.theta, p.r, path.at)
+        out.append(SoftEstimate(p, grad_hess(cfg, proj, p)[1], y.noise_variance,
+                                proj))
     return out
 
 
@@ -330,15 +349,15 @@ def omp_detect(codebook: Codebook, scores: np.ndarray) -> PathParams:
     return PathParams(float(codebook.theta[best]), float(codebook.r[best]), 0.0)
 
 
-def _refine(cfg: EstimatorConfig, y_r: np.ndarray, sigma2: float, p: PathParams,
-            k: int, trace: TraceHook | None, frozen: bool = False,
-            kept: Projection | None = None) -> tuple[PathParams, float, Projection]:
+def _refine(cfg: EstimatorConfig, y_r: np.ndarray, sigma2: float, path: Path,
+            k: int, trace: TraceHook | None, frozen: bool = False
+            ) -> tuple[Path, float]:
     """One turn of path k against its residual y_r, whose noise power is
-    sigma2: the path it returns, the turn's gain and the projection at the
-    returned point.
+    sigma2: the record it returns, holding the projection at the returned
+    point, and the turn's gain.
 
     The turn opens at p's (theta, r) with the LS gain there, projecting on
-    kept's geometry if kept is a Projection at that point, then takes up
+    path.at's geometry if that is a Projection at that point, then takes up
     to single_rounds guarded Newton steps (none for a frozen path), each
     reusing the previous step's projection. The first step is the plain
     one, gain and phase held fixed; every later one is concentrated over
@@ -362,7 +381,8 @@ def _refine(cfg: EstimatorConfig, y_r: np.ndarray, sigma2: float, p: PathParams,
     in log-likelihood and never negative.
     """
     array = cfg.codebook.array
-    start = proj = project(array, y_r, p.theta, p.r, kept)
+    p = path.params
+    start = proj = project(array, y_r, p.theta, p.r, path.at)
     q = PathParams(p.theta, p.r, *_gain_polar(start.gain))
     for j in range(0 if frozen else cfg.single_rounds):
         q, after = newton_refine_once(array, y_r, q, proj, trace,
@@ -374,15 +394,15 @@ def _refine(cfg: EstimatorConfig, y_r: np.ndarray, sigma2: float, p: PathParams,
         if stop:
             break
     refit = array.num_antennas * abs(start.gain - cmath.rect(p.g, p.phi)) ** 2
-    return q, proj.cost - start.cost + refit, proj
+    return Path(q, proj), proj.cost - start.cost + refit
 
 
-def cyclic_refine(cfg: EstimatorConfig, y: Measurement, paths: list[PathParams],
+def cyclic_refine(cfg: EstimatorConfig, y: Measurement, paths: list[Path],
                   rounds: int, trace: TraceHook | None = None,
-                  frozen: int | None = None,
-                  kept: list[Projection | None] | None = None) -> list[PathParams]:
+                  frozen: int | None = None) -> list[Path]:
     """Re-refine every path against the residual of the others, in up to
-    `rounds` rounds of one turn per path.
+    `rounds` rounds of one turn per path, and return the new records; the
+    caller's list is left as it was.
 
     The rounds stop after the first one whose turns together raise the
     log-likelihood by less than MIN_LOGLIK_GAIN nats (a summed gain below
@@ -393,24 +413,19 @@ def cyclic_refine(cfg: EstimatorConfig, y: Measurement, paths: list[PathParams],
     r): its turns take no step and only refit its gain. It also takes a
     turn before and after the rounds.
 
-    `kept` holds each path's last Projection, or None: a turn opens on its
-    path's geometry there, and the residual of the others is rebuilt from
-    theirs (residual), so no point's element distances and steering vector
-    are evaluated twice. The rounds update it in place to the projections
-    at the returned points.
+    A turn opens on its record's projection, and the residual of the
+    others is rebuilt from theirs (residual), so no point's element
+    distances and steering vector are evaluated twice.
     """
     array = cfg.codebook.array
     paths = list(paths)
-    kept = [None] * len(paths) if kept is None else kept
 
     def turns(ks) -> float:
         gain = 0.0
         for k in ks:
-            y_rk = residual(array, y.y, paths[:k] + paths[k + 1:],
-                            kept[:k] + kept[k + 1:])
-            paths[k], turn_gain, kept[k] = _refine(
-                cfg, y_rk, y.noise_variance, paths[k], k, trace, k == frozen,
-                kept[k])
+            y_rk = residual(array, y.y, paths[:k] + paths[k + 1:])
+            paths[k], turn_gain = _refine(cfg, y_rk, y.noise_variance, paths[k],
+                                          k, trace, k == frozen)
             gain += turn_gain
         return gain
 
@@ -436,9 +451,9 @@ def vnnce(ys: list[Measurement], num_paths: list[int], cfg: EstimatorConfig,
     to single_rounds Newton steps, and cyclically re-refines all its paths
     (up to cyclic_rounds rounds) against the residual of the others. A
     measurement stops adding paths at its path count. They share no state,
-    so each takes the steps it takes alone. Each path's last projection is
-    kept (cyclic_refine) through the residuals, the rounds and the soft
-    information the returned paths carry.
+    so each takes the steps it takes alone. Each path is a Path record, so
+    its last projection goes with it through the residuals, the rounds and
+    into the soft estimate it returns as.
     """
     if not ys:
         raise ValueError("need at least one measurement")
@@ -448,22 +463,18 @@ def vnnce(ys: list[Measurement], num_paths: list[int], cfg: EstimatorConfig,
         raise ValueError(f"every path count must be >= 1, got {num_paths}")
     codebook = cfg.codebook
     array = codebook.array
-    paths: list[list[PathParams]] = [[] for _ in ys]
-    kept: list[list[Projection]] = [[] for _ in ys]
+    paths: list[list[Path]] = [[] for _ in ys]
     active = list(range(len(ys)))
     while active:
-        y_rs = [residual(array, ys[i].y, paths[i], kept[i]) for i in active]
+        y_rs = [residual(array, ys[i].y, paths[i]) for i in active]
         scores = codebook.scores(np.stack(y_rs))
         still = []
         for i, y_r, s in zip(active, y_rs, scores):
-            p = omp_detect(codebook, s)
-            q, _, proj = _refine(cfg, y_r, ys[i].noise_variance, p,
-                                 len(paths[i]), trace)
-            paths[i].append(q)
-            kept[i].append(proj)
-            paths[i] = cyclic_refine(cfg, ys[i], paths[i], cfg.cyclic_rounds, trace,
-                                     kept=kept[i])
+            new, _ = _refine(cfg, y_r, ys[i].noise_variance,
+                             Path(omp_detect(codebook, s)), len(paths[i]), trace)
+            paths[i] = cyclic_refine(cfg, ys[i], paths[i] + [new],
+                                     cfg.cyclic_rounds, trace)
             if len(paths[i]) < num_paths[i]:
                 still.append(i)
         active = still
-    return [soft_estimates(array, y, p, k) for y, p, k in zip(ys, paths, kept)]
+    return [soft_estimates(array, y, p) for y, p in zip(ys, paths)]

@@ -2,11 +2,12 @@
 
 Step 1 runs the channel estimator independently at every BS, in one
 lockstep call that shares one estimator config and the codebook scans.
-Step 2 fuses the resulting soft positions. Step 3 rebuilds the LoS geometry
-of every gated BS from the fused position, freezes it, and cyclically
-re-refines the remaining paths; it returns bare path parameters. The
-pipeline sees only the measurements: scoring against the true channels is
-the harness's.
+Step 2 fuses the resulting soft positions. Step 3 reopens every gated BS on
+step 1's path records, projections included, puts a record at the fused
+position in place of the LoS one (the only new geometry), freezes it, and
+cyclically re-refines the remaining paths; it returns bare path
+parameters. The pipeline sees only the measurements: scoring against the
+true channels is the harness's.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .arraymodel import Measurement, PathParams
-from .estimator import (EstimatorConfig, SoftEstimate, TraceHook, cyclic_refine,
-                        vnnce)
+from .estimator import (EstimatorConfig, Path, SoftEstimate, TraceHook,
+                        cyclic_refine, vnnce)
 from .estimator import residual  # noqa: F401 - rebound by bench/layertrace.py
 from .localization import BsConfig, FusionReport, gfcl, is_front_side
 
@@ -53,10 +54,10 @@ def run_joint(bs_configs: list[BsConfig], measurements: list[Measurement],
         if not is_front_side(theta_a):
             continue
         r_a = float(np.clip(r_a, array.min_near_distance, array.rayleigh_distance))
-        paths = [e.params for e in step1[i]]
-        paths[cand.path_index] = replace(paths[cand.path_index],
-                                         theta=theta_a, r=r_a)
-        step3[i] = cyclic_refine(cfg, measurements[i], paths,
-                                 max(cfg.cyclic_rounds, 1), trace,
-                                 frozen=cand.path_index)
+        paths = [Path(e.params, e.at) for e in step1[i]]
+        paths[cand.path_index] = Path(replace(paths[cand.path_index].params,
+                                              theta=theta_a, r=r_a))
+        step3[i] = [p.params for p in cyclic_refine(
+            cfg, measurements[i], paths, max(cfg.cyclic_rounds, 1), trace,
+            frozen=cand.path_index)]
     return JointResult(step1=step1, step2=report, step3=step3)

@@ -19,7 +19,7 @@ from scipy import special
 from nearfield.arraymodel import (ArrayConfig, Measurement, PathParams,
                                   element_distances, near_steering)
 from nearfield.codebook import Codebook, CodebookConfig, angle_grid
-from nearfield.estimator import (EstimatorConfig, SoftEstimate, _refine,
+from nearfield.estimator import (EstimatorConfig, Path, SoftEstimate, _refine,
                                  newton_refine_once, project, residual)
 
 
@@ -312,9 +312,10 @@ def plain_cyclic(cfg: EstimatorConfig, y: Measurement, paths: list[PathParams],
 
     def turns(ks):
         for k in ks:
-            y_rk = residual(array, y.y, paths[:k] + paths[k + 1:])
-            paths[k] = _refine(cfg, y_rk, y.noise_variance, paths[k], k, trace,
-                               k == frozen)[0]
+            others = [Path(p) for p in paths[:k] + paths[k + 1:]]
+            y_rk = residual(array, y.y, others)
+            paths[k] = _refine(cfg, y_rk, y.noise_variance, Path(paths[k]), k,
+                               trace, k == frozen)[0].params
 
     turns(pinned)
     snapshots = [list(paths)]

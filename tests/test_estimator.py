@@ -11,9 +11,9 @@ from scipy.optimize import linear_sum_assignment
 from nearfield.arraymodel import (ArrayConfig, Measurement, PathParams, add_noise,
                                   near_steering, synthesize_channel)
 from nearfield.codebook import Codebook, CodebookConfig, build_codebook, scan_error
-from nearfield import arraymodel, codebook, estimator, harness
+from nearfield import arraymodel, codebook, estimator, harness, pipeline
 from nearfield.estimator import (MIN_LOGLIK_GAIN, THETA_EDGE,
-                                 EstimatorConfig, _clamp_params, _newton_step,
+                                 EstimatorConfig, Path, _clamp_params, _newton_step,
                                  grad_hess, newton_refine_once, omp_detect, project,
                                  psd_repair, residual, soft_estimates, vnnce)
 from nearfield.harness import draw_paths, load_scenario, run_trial
@@ -405,8 +405,9 @@ def _assert_turn_exact(codebook, y, start, rounds, sigma2):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(estimator, "newton_refine_once",
                    _recording(estimator.newton_refine_once, calls))
-        got, gain, proj = estimator._refine(cfg, y, sigma2, start, 0,
-                                            lambda *a: records.append(a))
+        path, gain = estimator._refine(cfg, y, sigma2, Path(start), 0,
+                                       lambda *a: records.append(a))
+    got, proj = path.params, path.at
     assert len(records) == len(calls) <= rounds
     fresh = project(codebook.array, y, got.theta, got.r)
     assert (proj.theta, proj.r, proj.cost, proj.gain) == \
@@ -466,7 +467,7 @@ class TestRefineTurn:
         monkeypatch.setattr(estimator, "distance_basis",
                             _recording(estimator.distance_basis, passes))
         estimator._refine(EstimatorConfig(codebook=desk_codebook, single_rounds=2),
-                          y, 0.0, start, 0, lambda *a: records.append(a))
+                          y, 0.0, Path(start), 0, lambda *a: records.append(a))
         assert [rec[8] for rec in records] == [False, True]
         assert len(passes) == 1
 
@@ -527,8 +528,8 @@ class TestRefineTurn:
         y = add_noise(synthesize_channel(desk_array, [truth]), 1e-2, 4).y
         start = PathParams(1.21, 2.4, 0.3, 5.0)
         cfg = EstimatorConfig(codebook=desk_codebook, single_rounds=0)
-        got, gain, _ = estimator._refine(cfg, y, 1e-2, start, 0, None)
-        assert got == at_ls_gain(desk_array, y, start)
+        got, gain = estimator._refine(cfg, y, 1e-2, Path(start), 0, None)
+        assert got.params == at_ls_gain(desk_array, y, start)
         a = project(desk_array, y, start.theta, start.r).gain
         assert gain == pytest.approx(64 * abs(a - cmath.rect(start.g, start.phi)) ** 2,
                                      rel=1e-12)
@@ -597,7 +598,7 @@ class TestRefineTurn:
 
         monkeypatch.setattr(estimator, "_newton_step", step)
         estimator._refine(EstimatorConfig(codebook=desk_codebook, single_rounds=8),
-                          y, 0.1, PathParams(2.2262, 6.003, 1.0), 0,
+                          y, 0.1, Path(PathParams(2.2262, 6.003, 1.0)), 0,
                           lambda *a: records.append(a))
         assert kinds == [False, True, True]
         p = PathParams(*records[0][2:6])
@@ -654,16 +655,18 @@ class TestRefineTurn:
         assert len(steps) <= 450
 
     @pytest.mark.parametrize("name, max_passes, max_geometry", [
-        ("tab2_desk", 442, 610), ("tab2_paper", 354, 480)])
+        ("tab2_desk", 442, 572), ("tab2_paper", 354, 462)])
     def test_derivative_and_geometry_budget(self, name, max_passes, max_geometry,
                                             monkeypatch):
         # The trials of test_step_count_budget make 437 (desk) and 349
-        # (paper) derivative passes and 589 and 464 evaluations of element
+        # (paper) derivative passes and 551 and 446 evaluations of element
         # distances, each with its steering vector, the harness's channel
         # synthesis included. Recomputing a retried step's derivatives made
         # 448 and 360 passes, and rebuilding each turn's start point and the
-        # residual's other paths 975 and 771 evaluations. A count, so it
-        # does not depend on the machine.
+        # residual's other paths 975 and 771 evaluations; with step 3
+        # evaluating again the points step 1 had built, 589 and 464 (bounds
+        # 610 and 480, the same slack). A count, so it does not depend on
+        # the machine.
         scenario = load_scenario(f"scenarios/{name}.json")
         passes, geometry = [], []
         monkeypatch.setattr(estimator, "distance_basis",
@@ -719,11 +722,12 @@ class TestCyclicRefine:
         records, turns = [], []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimator, "_refine", _returning(estimator._refine, turns))
-            got = estimator.cyclic_refine(cfg, y, start, rounds,
-                                          lambda *a: records.append(a), frozen)
+            got = [p.params for p in estimator.cyclic_refine(
+                cfg, y, [Path(p) for p in start], rounds,
+                lambda *a: records.append(a), frozen)]
         assert records == want_records[:len(records)]
         fixed = 0 if frozen is None else 1  # turns before and after the rounds
-        gains = [gain for _, gain, _ in turns[fixed:len(turns) - fixed]]
+        gains = [gain for _, gain in turns[fixed:len(turns) - fixed]]
         ran = len(gains) // 2
         assert len(gains) == 2 * ran and got == plain_cyclic(cfg, y, start, ran,
                                                              None, frozen)[1]
@@ -749,7 +753,7 @@ class TestCovariance:
         p = random_path(desk_array, rng)
         h = synthesize_channel(desk_array, [p])
         y = add_noise(h, p.g**2 / 1000, rng)
-        cov = soft_estimates(desk_array, y, [p])[0].cov
+        cov = soft_estimates(desk_array, y, [Path(p)])[0].cov
         assert np.allclose(cov, cov.T, atol=1e-9)
         assert np.all(np.linalg.eigvalsh(cov) >= 0)
         assert np.all(np.diag(cov) >= 0)
@@ -757,8 +761,8 @@ class TestCovariance:
     def test_scales_linearly_with_noise_power(self, desk_array):
         p = PathParams(theta=1.3, r=2.0, g=1.0)
         h = synthesize_channel(desk_array, [p])
-        c1 = soft_estimates(desk_array, Measurement(h, 1e-6), [p])[0].cov
-        c2 = soft_estimates(desk_array, Measurement(h, 2e-6), [p])[0].cov
+        c1 = soft_estimates(desk_array, Measurement(h, 1e-6), [Path(p)])[0].cov
+        c2 = soft_estimates(desk_array, Measurement(h, 2e-6), [Path(p)])[0].cov
         assert np.allclose(c2, 2 * c1, rtol=1e-12)
 
     def test_matches_empirical_spread_at_high_snr(self, desk_array, desk_codebook):
@@ -823,7 +827,7 @@ class TestRefinementCovariance:
         assert len(ests) == 2
         for k, est in enumerate(ests):
             other = ests[1 - k].params
-            y_r = residual(desk_array, y.y, [other])
+            y_r = residual(desk_array, y.y, [Path(other)])
             p = est.params
             hess = grad_hess(desk_array, project(desk_array, y_r, p.theta, p.r), p)[1]
             assert np.array_equal(est.hess, hess)
@@ -1059,8 +1063,9 @@ class TestResidual:
         kept = [project(desk_array, y, p.theta, p.r) for p in paths]
         kept[1] = project(desk_array, y, paths[1].theta, paths[1].r * 1.01)
         want = (y - synthesize_channel(desk_array, paths)).tobytes()
-        for lent in (None, kept, [None, None, kept[0]]):
-            assert residual(desk_array, y, paths, lent).tobytes() == want
+        for lent in ([None] * 3, kept, [None, None, kept[0]]):
+            records = [Path(p, at) for p, at in zip(paths, lent)]
+            assert residual(desk_array, y, records).tobytes() == want
 
     def test_projection_reuses_kept_geometry_at_its_point_only(self, desk_array,
                                                                rng, monkeypatch):
@@ -1079,7 +1084,7 @@ class TestResidual:
     def test_one_of_two_fixed(self, desk_array, rng):
         p1, p2 = random_path(desk_array, rng), random_path(desk_array, rng)
         y = synthesize_channel(desk_array, [p1, p2])
-        res = residual(desk_array, y, [p1])
+        res = residual(desk_array, y, [Path(p1)])
         assert np.allclose(res, synthesize_channel(desk_array, [p2]), atol=1e-12)
 
 
@@ -1240,9 +1245,11 @@ class TestKeptGeometry:
         # Over a whole estimate (detection, turns, residuals and soft
         # information) element distances and a steering vector are evaluated
         # only at a detected codeword, once, and at each Newton candidate:
-        # a turn opens on its path's kept projection and the residual
+        # a turn opens on its path record's projection and the residual
         # rebuilds the other paths from theirs. The rounds give, bit for bit,
-        # what they give on no kept geometry.
+        # what they give on no kept geometry, return records whose
+        # projections sit at their points, and leave the caller's list as
+        # it was.
         rng = np.random.default_rng(seed)
         truth = [random_path(desk_array, rng) for _ in range(3)]
         y = add_noise(synthesize_channel(desk_array, truth), 1e-2, rng)
@@ -1253,12 +1260,56 @@ class TestKeptGeometry:
             monkeypatch.setattr(module, "element_distances", counted)
         monkeypatch.setattr(estimator, "_clamp_params",
                             _recording(estimator._clamp_params, candidates))
-        got = [e.params for e in vnnce([y], [3], cfg)[0]]
+        ests = vnnce([y], [3], cfg)[0]
         assert candidates and len(evaluated) == len(candidates) + 3
-        kept = [project(desk_array, y.y, p.theta, p.r) for p in got]
-        again = estimator.cyclic_refine(cfg, y, got, 2, kept=kept)
-        assert again == estimator.cyclic_refine(cfg, y, got, 2)
-        assert [(k.theta, k.r) for k in kept] == [(p.theta, p.r) for p in again]
+        kept = [Path(e.params, e.at) for e in ests]
+        held = [(p.params, p.at) for p in kept]
+        again = estimator.cyclic_refine(cfg, y, kept, 2)
+        assert [(p.params, p.at) for p in kept] == held
+        assert again == estimator.cyclic_refine(
+            cfg, y, [Path(e.params) for e in ests], 2)
+        assert [(p.at.theta, p.at.r) for p in again] == \
+            [(p.params.theta, p.params.r) for p in again]
+
+    @pytest.mark.parametrize("name", ["tab2_desk", "tab2_paper"])
+    def test_step3_reopens_on_step1_geometry(self, name, monkeypatch):
+        # Over a whole run_joint, step 1 evaluates element distances only at
+        # detected codewords and Newton candidates, and step 3, which starts
+        # once gfcl returns, only at each anchored BS's new LoS point, once,
+        # and at its Newton candidates: every other path reopens on the
+        # projection its step-1 record carries.
+        scenario = load_scenario(f"scenarios/{name}.json")
+        evaluated, candidates, marks = [], [], []
+        counted = _recording(arraymodel.element_distances, evaluated)
+        for module in (arraymodel, estimator):
+            monkeypatch.setattr(module, "element_distances", counted)
+        monkeypatch.setattr(estimator, "_clamp_params",
+                            _returning(estimator._clamp_params, candidates))
+        fuse = pipeline.gfcl
+
+        def marked(*args):
+            marks.append((len(evaluated), len(candidates)))
+            return fuse(*args)
+
+        monkeypatch.setattr(pipeline, "gfcl", marked)
+        anchored = 0
+        for idx, snr_db in enumerate([0.0, 10.0, 20.0, 30.0]):
+            ys = TestLockstep._draw(scenario, idx, snr_db)
+            for log in (evaluated, candidates, marks):
+                log.clear()
+            result = run_joint([bs.config for bs in scenario.bss], ys,
+                               scenario.path_counts(), scenario.estimator,
+                               scenario.zeta)
+            (n1, c1), = marks
+            assert n1 == c1 + sum(scenario.path_counts())
+            anchors = [(paths[cand.path_index].theta, paths[cand.path_index].r)
+                       for paths, cand in zip(result.step3,
+                                              result.step2.candidates)
+                       if paths is not None]
+            assert sorted((th, r) for _, th, r in evaluated[n1:]) == \
+                sorted(anchors + candidates[c1:])
+            anchored += len(anchors)
+        assert anchored
 
 
 class TestOracleLs:

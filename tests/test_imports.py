@@ -3,7 +3,9 @@ binds a function local it never reads. No linter is among the test
 dependencies, so these syntax-tree scans stand in for one; as for flake8, an
 import line marked `# noqa: F401` is exempt, and in the package such a line
 may only import what the benchmark's layer tracer rebinds on that module. A
-further scan holds the package's modules to their layers."""
+further scan holds the package's modules to their layers, and `code_lines`
+gives the package's size as ROADMAP tracks it: `python tests/test_imports.py`
+prints its `wc -l` and code line counts."""
 
 import ast
 import types
@@ -246,3 +248,44 @@ def test_private_import_scan_flags_underscore_names(tmp_path):
         "high.py:1: high imports _x",
         "high.py:2: high imports _x",
     ]
+
+
+def code_lines(source: str) -> int:
+    """The lines of `source` that some syntax-tree node spans, less the
+    docstrings (of the module, classes and functions), blank lines and
+    comment-only lines."""
+    tree = ast.parse(source)
+    spanned, docs = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                docs.update(range(first.lineno, first.end_lineno + 1))
+        if getattr(node, "end_lineno", None) is not None:
+            spanned.update(range(node.lineno, node.end_lineno + 1))
+    lines = source.splitlines()
+    return sum(1 for n in spanned - docs
+               if lines[n - 1].strip() and not lines[n - 1].lstrip().startswith("#"))
+
+
+def test_code_lines_count_code_only():
+    # 15 lines, 7 of them code: the module and function docstrings, the
+    # blank and comment-only lines go; the decorator, both lines of the
+    # signature and of the string assigned to x stay.
+    source = "\n".join([
+        '"""Module docstring,', 'over two lines."""', "", "import os", "", "",
+        "@staticmethod", "def f(a,", "      b):", '    """Doc."""',
+        "    # a comment", "", '    x = """not a', '    docstring"""',
+        "    return os.sep, x  # a trailing comment"])
+    assert len(source.splitlines()) == 15
+    assert code_lines(source) == 7
+    assert code_lines("") == 0
+
+
+if __name__ == "__main__":
+    files = sorted((ROOT / "src" / "nearfield").glob("*.py"))
+    texts = [path.read_text() for path in files]
+    print(f"src/nearfield: {sum(len(t.splitlines()) for t in texts)} lines (wc -l), "
+          f"{sum(code_lines(t) for t in texts)} code lines")

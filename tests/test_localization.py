@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from nearfield.arraymodel import (Measurement, PathParams, add_noise,
                                   synthesize_channel)
 from nearfield.codebook import CodebookConfig, build_codebook
-from nearfield.estimator import (PSD_FLOOR, EstimatorConfig, project,
+from nearfield.estimator import (PSD_FLOOR, EstimatorConfig, Path, project,
                                  soft_estimates, vnnce)
 from nearfield.localization import (BsConfig, SoftPosition, consistency,
                                     gaussian_fuse, gfcl, is_front_side,
@@ -111,7 +111,7 @@ class TestPositionCovariance:
         truth, h, _ = self._high_snr_setup(desk_array)
         sigma2 = 1e-8
         y = Measurement(y=h, noise_variance=sigma2)
-        est = soft_estimates(desk_array, y, [truth])[0]
+        est = soft_estimates(desk_array, y, [Path(truth)])[0]
         full = position_covariance(est, BsConfig(position=(0.0, 0.0), rotation=0.0))
         marginal = marginal_position_covariance(est, 0.0)
         assert np.allclose(marginal, full.cov, rtol=1e-9, atol=0.0)
@@ -129,7 +129,7 @@ class TestPositionCovariance:
             bs = BsConfig(position=tuple(rng.uniform(-5.0, 5.0, size=2)),
                           rotation=float(rng.uniform(-np.pi, np.pi)))
             y = synthesize_channel(desk_array, [truth])
-            est = soft_estimates(desk_array, Measurement(y, sigma2), [truth])[0]
+            est = soft_estimates(desk_array, Measurement(y, sigma2), [Path(truth)])[0]
             info = sigma2 * np.linalg.inv(position_covariance(est, bs).cov)
 
             def cost(v):
@@ -157,10 +157,10 @@ class TestPositionCovariance:
                for p in paths]
         c = 10.0**log10_c
         bs = BsConfig(position=(1.0, -2.0), rotation=0.3)
-        base = soft_estimates(desk_array, y, est)
+        base = soft_estimates(desk_array, y, [Path(p) for p in est])
         scaled = soft_estimates(
             desk_array, Measurement(c * y.y, c * c * sigma2),
-            [PathParams(p.theta, p.r, c * p.g, p.phi) for p in est])
+            [Path(PathParams(p.theta, p.r, c * p.g, p.phi)) for p in est])
         s = np.array([1.0, 1.0, c, 1.0])
         for a, b in zip(base, scaled):
             # Per entry, relative to sqrt(C_ii C_jj) of the expected C.
@@ -175,19 +175,19 @@ class TestPositionCovariance:
         truth, h, _ = self._high_snr_setup(desk_array)
         bs = BsConfig(position=(0.0, 0.0), rotation=0.0)
         a = position_covariance(
-            soft_estimates(desk_array, Measurement(h, 1e-6), [truth])[0], bs)
+            soft_estimates(desk_array, Measurement(h, 1e-6), [Path(truth)])[0], bs)
         b = position_covariance(
-            soft_estimates(desk_array, Measurement(h, 2e-6), [truth])[0], bs)
+            soft_estimates(desk_array, Measurement(h, 2e-6), [Path(truth)])[0], bs)
         assert np.allclose(b.cov, 2 * a.cov, rtol=1e-9)
         # Noiseless, only the floor is left, in m^2.
         zero = position_covariance(
-            soft_estimates(desk_array, Measurement(h, 0.0), [truth])[0], bs)
+            soft_estimates(desk_array, Measurement(h, 0.0), [Path(truth)])[0], bs)
         assert np.array_equal(zero.cov, PSD_FLOOR * np.eye(2))
 
     def test_psd_output(self, desk_array, rng):
         truth, h, sigma2 = self._high_snr_setup(desk_array)
         y = add_noise(h, sigma2, rng)
-        est = soft_estimates(desk_array, y, [truth])[0]
+        est = soft_estimates(desk_array, y, [Path(truth)])[0]
         sp = position_covariance(est, BsConfig(position=(0.0, 0.0), rotation=0.0))
         assert np.allclose(sp.cov, sp.cov.T, atol=1e-12)
         assert np.linalg.eigvalsh(sp.cov).min() >= 0

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from nearfield import harness
 from nearfield.arraymodel import (Measurement, PathParams, add_noise,
                                   synthesize_channel)
 from nearfield.codebook import CodebookConfig, build_codebook
 from nearfield.estimator import EstimatorConfig
-from nearfield.harness import nmse
+from nearfield.harness import load_scenario, nmse, run_trial
 from nearfield.localization import BsConfig
 from nearfield.pipeline import run_joint
 from tests.reference import oracle_ls
@@ -165,3 +166,95 @@ class TestPerBsLists:
         with pytest.raises(ValueError, match="4 BS configs, 3 measurements"):
             run_joint(bss, meas[:3], [1] * len(bss), EstimatorConfig(codebook=cb),
                       zeta=3.5)
+
+
+def sweep_draws(name: str, per_snr: int):
+    """A scenario and `per_snr` of its sweep's draws at each of 0, 10, 20 and
+    30 dB: the BS configs, measurements, path counts and the run_joint
+    result that run_trial hands over and gets back for each."""
+    scenario = load_scenario(f"scenarios/{name}.json")
+    draws = []
+
+    def joint(bss, ys, counts, *args, **kwargs):
+        result = run_joint(bss, ys, counts, *args, **kwargs)
+        draws.append((bss, ys, counts, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "run_joint", joint)
+        for trial in range(per_snr):
+            for idx, snr_db in enumerate([0.0, 10.0, 20.0, 30.0]):
+                run_trial(scenario, snr_db, idx, trial)
+    return scenario, draws
+
+
+def params(per_bs):
+    """(theta, r, g, phi) of every path, per BS; None stays None."""
+    return [None if paths is None else
+            [(p.theta, p.r, p.g, p.phi) for p in paths] for paths in per_bs]
+
+
+def step1_params(result):
+    return params([[e.params for e in ests] for ests in result.step1])
+
+
+class TestInvariance:
+    """Metamorphic properties of run_joint (Chen, Cheung & Yiu, *Metamorphic
+    testing*, HKUST-CS98-01, 1998): each runs the sweep's own draws and a
+    transformed copy on the same measurements, so the noise draw is not a
+    variable. Equalities are bit for bit; a tolerance is stated where the
+    transformed run sums in another order or another frame."""
+
+    @pytest.fixture(scope="class", params=[("tab2_desk", 2), ("tab2_paper", 1)],
+                    ids=["tab2_desk", "tab2_paper"])
+    def draws(self, request):
+        return sweep_draws(*request.param)
+
+    def test_scale(self, draws):
+        # y x 2^5 and sigma^2 x 2^10 scale every cost by 2^10 and every gain
+        # by 2^5 exactly, so every decision is the same: (theta, r, phi) in
+        # steps 1 and 3 and the fused mean bit for bit, each g x 32.
+        scenario, runs = draws
+        for bss, ys, counts, base in runs:
+            ys_scaled = [Measurement(2.0**5 * y.y, 2.0**10 * y.noise_variance)
+                         for y in ys]
+            scaled = run_joint(bss, ys_scaled, counts, scenario.estimator,
+                               scenario.zeta)
+            for got, want in [(step1_params(scaled), step1_params(base)),
+                              (params(scaled.step3), params(base.step3))]:
+                assert got == [None if paths is None else
+                               [(t, r, 32.0 * g, phi) for t, r, g, phi in paths]
+                               for paths in want]
+            assert scaled.anchored == base.anchored
+            assert scaled.step2.fused.mean.tobytes() == base.step2.fused.mean.tobytes()
+
+    def test_bs_order(self, draws):
+        # Reversing the BSs reverses step 1 bit for bit, since every BS takes
+        # the steps it takes alone, and the anchored flags. The fusion sums
+        # in the other order. Only an exact tie in the selection rule's
+        # traces could make it pick another reference.
+        scenario, runs = draws
+        for bss, ys, counts, base in runs:
+            rev = run_joint(bss[::-1], ys[::-1], counts[::-1], scenario.estimator,
+                            scenario.zeta)
+            assert step1_params(rev) == step1_params(base)[::-1]
+            assert rev.anchored == base.anchored[::-1]
+            assert np.linalg.norm(rev.step2.fused.mean
+                                  - base.step2.fused.mean) <= 1e-9
+
+    def test_rigid_motion(self, draws):
+        # Rotating every BS by 0.7 rad about the origin and shifting it by
+        # (3, -1) m leaves every BS's view of the user, so the measurements,
+        # as they are: step 1 is bit for bit the same, the anchored flags
+        # stay, and the fused mean moves by the same motion.
+        scenario, runs = draws
+        c, s = np.cos(0.7), np.sin(0.7)
+        rot, shift = np.array([[c, -s], [s, c]]), np.array([3.0, -1.0])
+        for bss, ys, counts, base in runs:
+            moved = [BsConfig(position=tuple(rot @ bs.position + shift),
+                              rotation=bs.rotation + 0.7) for bs in bss]
+            got = run_joint(moved, ys, counts, scenario.estimator, scenario.zeta)
+            assert step1_params(got) == step1_params(base)
+            assert got.anchored == base.anchored
+            assert np.linalg.norm(got.step2.fused.mean
+                                  - (rot @ base.step2.fused.mean + shift)) <= 1e-12
