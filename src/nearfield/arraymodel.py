@@ -86,17 +86,19 @@ class PathParams:
 
 @dataclass(frozen=True)
 class Measurement:
-    """Received snapshot y (length M) with its noise power sigma^2."""
+    """Received snapshot y (length M) with its noise power sigma^2, both
+    finite: a NaN or inf in either is refused here, not carried into an
+    estimate."""
 
     y: np.ndarray
     noise_variance: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "y", np.asarray(self.y, dtype=complex))
-        if self.y.ndim != 1:
-            raise ValueError("y must be a 1-D complex vector")
-        if self.noise_variance < 0:
-            raise ValueError("noise_variance must be >= 0")
+        if not 0 <= self.noise_variance < math.inf:
+            raise ValueError("noise_variance must be finite and >= 0")
+        if self.y.ndim != 1 or not np.isfinite(self.y).all():
+            raise ValueError("y must be a finite 1-D complex vector")
 
 
 STEERING_BLOCK = 1 << 14  # entries per block: 256 KiB complex temporaries

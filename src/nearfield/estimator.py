@@ -8,11 +8,14 @@ projection cost G strictly rises. A path's turn opens at its point with
 the LS gain there and takes such steps until one after the first is
 rejected, or until an accepted one raises the log-likelihood (f over
 sigma^2, up to a constant) by less than MIN_LOGLIK_GAIN nats; it reports
-its exact gain. Its first step holds gain and phase fixed; every later
-one is Newton on the cost concentrated over gain and phase, variable
-projection (Golub & Pereyra, SIAM J. Numer. Anal. 1973), which removes
-the coupling of r to the phase that makes the fixed-phase step converge
-in r only linearly. A frozen path's turn takes no step. Multi-path estimation greedily detects paths
+its exact gain, and each step to an optional trace hook. Its first step
+holds gain and phase fixed; every later one is Newton on the cost
+concentrated over gain and phase, variable projection (Golub & Pereyra,
+SIAM J. Numer. Anal. 1973), which removes the coupling of r to the phase
+that makes the fixed-phase step converge in r only linearly. A step's
+candidate goes through clamp_params, the one clamp of (theta, r) into the
+near-field annulus, which step 3's anchor goes through too. A frozen
+path's turn takes no step. Multi-path estimation greedily detects paths
 on the codebook, each a bare codeword, and cyclically re-refines each one
 against the residual of the others, in rounds that stop once a round
 gains less than MIN_LOGLIK_GAIN nats or moves nothing. Each returned path
@@ -39,8 +42,8 @@ from .codebook import Codebook
 
 THETA_EDGE = 1e-6
 
-# Optional per-iteration trace record: (path_index, round_index, theta, r, g,
-# phi, cost_before, cost_after, accepted).
+# Optional per-step trace record, one per guarded Newton step of a turn:
+# (path_index, step_index, theta, r, g, phi, cost_before, cost_after, accepted).
 TraceHook = Callable[..., None]
 
 PSD_FLOOR = 1e-12  # eigenvalue floor of a matrix scaled to a unit diagonal
@@ -237,7 +240,10 @@ def psd_repair(mat: np.ndarray, invert: bool = False) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-def _clamp_params(cfg: ArrayConfig, theta: float, r: float) -> tuple[float, float]:
+def clamp_params(cfg: ArrayConfig, theta: float, r: float) -> tuple[float, float]:
+    """(theta, r) clamped into [THETA_EDGE, pi - THETA_EDGE] and the
+    near-field annulus [min_near_distance, rayleigh_distance], as floats:
+    the one clamp, for a Newton candidate and for step 3's anchor."""
     # np.clip's result (NaN passes through) without its per-call overhead.
     theta = float(min(max(theta, THETA_EDGE), np.pi - THETA_EDGE))
     r = float(min(max(r, cfg.min_near_distance), cfg.rayleigh_distance))
@@ -276,9 +282,7 @@ def _newton_step(grad, hess, concentrated: bool = False) -> tuple[float, float] 
 
 
 def newton_refine_once(cfg: ArrayConfig, y: np.ndarray, p: PathParams,
-                       proj: Projection, trace: TraceHook | None = None,
-                       path_index: int = 0, round_index: int = 0,
-                       concentrated: bool = False
+                       proj: Projection, concentrated: bool = False
                        ) -> tuple[PathParams, Projection]:
     """One guarded Newton update of (theta, r), then the LS gain.
 
@@ -290,22 +294,19 @@ def newton_refine_once(cfg: ArrayConfig, y: np.ndarray, p: PathParams,
     resolution and a tie would carry r across the annulus. `proj` is the
     Projection of y at p, as the previous step on y returned it; the
     Projection at the returned point comes back beside the params for the
-    next step.
+    next step, a new object iff the step was accepted.
     """
     theta, r = p.theta, p.r
     step = _newton_step(*_derivatives(cfg, proj, p), concentrated)
     out = proj
     if step is not None:
-        cand = _clamp_params(cfg, theta - step[0], r - step[1])
+        cand = clamp_params(cfg, theta - step[0], r - step[1])
         cand_proj = project(cfg, y, *cand)
         if cand_proj.cost > proj.cost:
             out = cand_proj
             theta, r = cand
 
     g, phi = _gain_polar(out.gain)
-    if trace is not None:
-        trace(path_index, round_index, theta, r, g, phi,
-              proj.cost, out.cost, out is not proj)
     return PathParams(theta=theta, r=r, g=g, phi=phi), out
 
 
@@ -354,7 +355,9 @@ def _refine(cfg: EstimatorConfig, y_r: np.ndarray, sigma2: float, path: Path,
             ) -> tuple[Path, float]:
     """One turn of path k against its residual y_r, whose noise power is
     sigma2: the record it returns, holding the projection at the returned
-    point, and the turn's gain.
+    point, and the turn's gain. The turn reports each step it takes to
+    `trace` as (k, j, theta, r, g, phi, cost before, cost after, accepted),
+    j counting the turn's steps from 0.
 
     The turn opens at p's (theta, r) with the LS gain there, projecting on
     path.at's geometry if that is a Projection at that point, then takes up
@@ -385,9 +388,10 @@ def _refine(cfg: EstimatorConfig, y_r: np.ndarray, sigma2: float, path: Path,
     start = proj = project(array, y_r, p.theta, p.r, path.at)
     q = PathParams(p.theta, p.r, *_gain_polar(start.gain))
     for j in range(0 if frozen else cfg.single_rounds):
-        q, after = newton_refine_once(array, y_r, q, proj, trace,
-                                      path_index=k, round_index=j,
-                                      concentrated=j > 0)
+        q, after = newton_refine_once(array, y_r, q, proj, concentrated=j > 0)
+        if trace is not None:
+            trace(k, j, q.theta, q.r, q.g, q.phi, proj.cost, after.cost,
+                  after is not proj)
         stop = j > 0 if after is proj else \
             after.cost - proj.cost < MIN_LOGLIK_GAIN * sigma2
         proj = after

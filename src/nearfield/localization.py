@@ -5,7 +5,8 @@ polar transform, the covariance the estimate's own (theta, r) covariance
 carried through that transform's Jacobian (the delta method), so gain and
 phase are marginalised, not held fixed. Per base station the least-cost
 position is selected, gated against the best one by Mahalanobis
-consistency, and the surviving positions are fused by Gaussian product.
+consistency at the caller's gate zeta, and the surviving positions are
+fused by Gaussian product.
 """
 
 from __future__ import annotations
@@ -142,9 +143,11 @@ def consistency(a: SoftPosition, b: SoftPosition, zeta: float) -> int:
 
 
 def gfcl(per_bs_estimates: list[list[SoftEstimate]], bs_configs: list[BsConfig],
-         zeta: float = 3.5) -> FusionReport:
-    """Select the least-cost soft position per BS, gate, and fuse. Returns
-    one candidate per BS, in BS order; a BS without a path is an error."""
+         zeta: float) -> FusionReport:
+    """Select the least-cost soft position per BS, gate each against the
+    least-cost one (the first on ties), the reference, at zeta, and fuse.
+    Returns one candidate per BS, in BS order; a BS without a path is an
+    error. zeta has no default here: the scenario schema's is the one."""
     if len(per_bs_estimates) != len(bs_configs):
         raise ValueError(f"{len(per_bs_estimates)} per-BS estimate lists but "
                          f"{len(bs_configs)} BS configs")
@@ -159,14 +162,12 @@ def gfcl(per_bs_estimates: list[list[SoftEstimate]], bs_configs: list[BsConfig],
         best = int(np.argmin([p.cost for p in positions]))
         candidates.append(BsCandidate(path_index=best, position=positions[best]))
 
-    order = sorted(range(len(candidates)), key=lambda j: candidates[j].position.cost)
-    ref = candidates[order[0]]
-    ref.consistent = True
-    for j in order[1:]:
-        cand = candidates[j]
-        cand.consistent = bool(consistency(cand.position, ref.position, zeta))
+    ref = min(range(len(candidates)), key=lambda j: candidates[j].position.cost)
+    for j, cand in enumerate(candidates):
+        cand.consistent = j == ref or bool(
+            consistency(cand.position, candidates[ref].position, zeta))
 
     kept = [c.position for c in candidates if c.consistent]
     return FusionReport(fused=gaussian_fuse(kept), candidates=candidates,
-                        reference=order[0],
+                        reference=ref,
                         all_inconsistent=(len(kept) == 1 and len(candidates) > 1))

@@ -4,7 +4,8 @@ Step 1 runs the channel estimator independently at every BS, in one
 lockstep call that shares one estimator config and the codebook scans.
 Step 2 fuses the resulting soft positions. Step 3 reopens every gated BS on
 step 1's path records, projections included, puts a record at the fused
-position in place of the LoS one (the only new geometry), freezes it, and
+position in place of the LoS one (the only new geometry), its (theta, r)
+clamped into the annulus by the estimator's clamp_params, freezes it, and
 cyclically re-refines the remaining paths; it returns bare path
 parameters. The pipeline sees only the measurements: scoring against the
 true channels is the harness's.
@@ -14,11 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .arraymodel import Measurement, PathParams
 from .estimator import (EstimatorConfig, Path, SoftEstimate, TraceHook,
-                        cyclic_refine, vnnce)
+                        clamp_params, cyclic_refine, vnnce)
 from .estimator import residual  # noqa: F401 - rebound by bench/layertrace.py
 from .localization import BsConfig, FusionReport, gfcl, is_front_side
 
@@ -42,7 +41,6 @@ def run_joint(bs_configs: list[BsConfig], measurements: list[Measurement],
         raise ValueError(
             f"per-BS lists differ in length: {len(bs_configs)} BS configs, "
             f"{len(measurements)} measurements, {len(num_paths)} path counts")
-    array = cfg.codebook.array
     step1 = vnnce(measurements, num_paths, cfg, trace)
     report = gfcl(step1, bs_configs, zeta)
 
@@ -53,7 +51,7 @@ def run_joint(bs_configs: list[BsConfig], measurements: list[Measurement],
         theta_a, r_a = bs.polar(report.fused.mean)
         if not is_front_side(theta_a):
             continue
-        r_a = float(np.clip(r_a, array.min_near_distance, array.rayleigh_distance))
+        theta_a, r_a = clamp_params(cfg.codebook.array, theta_a, r_a)
         paths = [Path(e.params, e.at) for e in step1[i]]
         paths[cand.path_index] = Path(replace(paths[cand.path_index].params,
                                               theta=theta_a, r=r_a))

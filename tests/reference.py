@@ -288,13 +288,16 @@ def plain_refine(cfg: EstimatorConfig, y_r: np.ndarray, p: PathParams, k: int,
     """A Newton turn as the LS gain refit at p's point, then single_rounds
     calls of newton_refine_once, each projecting afresh, with no early
     exit: the first takes the plain step, every later one the step
-    concentrated over gain and phase."""
+    concentrated over gain and phase. Each step goes to `trace` as path k's
+    step j, accepted iff it returned a new projection."""
     array = cfg.codebook.array
     p = at_ls_gain(array, y_r, p)
     for j in range(cfg.single_rounds):
-        p, _ = newton_refine_once(array, y_r, p, project(array, y_r, p.theta, p.r),
-                                  trace, path_index=k, round_index=j,
-                                  concentrated=j > 0)
+        proj = project(array, y_r, p.theta, p.r)
+        p, after = newton_refine_once(array, y_r, p, proj, concentrated=j > 0)
+        if trace is not None:
+            trace(k, j, p.theta, p.r, p.g, p.phi, proj.cost, after.cost,
+                  after is not proj)
     return p
 
 

@@ -229,6 +229,30 @@ class TestChannel:
 
 
 class TestNoise:
+    @pytest.mark.parametrize("sigma2", [np.nan, np.inf])
+    def test_measurement_refuses_non_finite_noise_variance(self, sigma2):
+        # On tab2_desk trial (0, 0) at the scenario's noise power, run_joint
+        # took a NaN noise power on BS 0 to a fused mean 0.46 m off the user,
+        # with one BS anchored, and an inf one to an answer too: both are
+        # refused where they enter.
+        with pytest.raises(ValueError, match="noise_variance must be finite"):
+            Measurement(y=np.ones(4), noise_variance=sigma2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+    def test_measurement_refuses_non_finite_y(self, bad):
+        # A NaN in y reached run_joint's eigensolver as an unnamed
+        # LinAlgError.
+        y = np.ones(4, dtype=complex)
+        y[2] = bad
+        with pytest.raises(ValueError, match="y must be a finite"):
+            Measurement(y=y, noise_variance=1.0)
+
+    def test_add_noise_refuses_nan_sigma(self):
+        # NaN passes add_noise's sign check; the Measurement it returns
+        # refuses it.
+        with pytest.raises(ValueError, match="noise_variance must be finite"):
+            add_noise(np.zeros(4), np.nan, 0)
+
     def test_zero_sigma_copies(self, desk_array):
         h = near_steering(desk_array, 1.0, 1.0)
         m = add_noise(h, 0.0, 7)

@@ -13,7 +13,7 @@ from nearfield.arraymodel import (ArrayConfig, Measurement, PathParams, add_nois
 from nearfield.codebook import Codebook, CodebookConfig, build_codebook, scan_error
 from nearfield import arraymodel, codebook, estimator, harness, pipeline
 from nearfield.estimator import (MIN_LOGLIK_GAIN, THETA_EDGE,
-                                 EstimatorConfig, Path, _clamp_params, _newton_step,
+                                 EstimatorConfig, Path, _newton_step, clamp_params,
                                  grad_hess, newton_refine_once, omp_detect, project,
                                  psd_repair, residual, soft_estimates, vnnce)
 from nearfield.harness import draw_paths, load_scenario, run_trial
@@ -326,13 +326,10 @@ class TestNewtonRefine:
         truth = PathParams(2e-4, 4.5, 1.0, 3.5)
         h = synthesize_channel(desk_array, [truth])
         start = PathParams(1.5e-6, 2.0, 1.0)
-        records = []
-        out, _ = newton_refine_once(
-            desk_array, h, start, project(desk_array, h, start.theta, start.r),
-            trace=lambda *a: records.append(a))
+        at_start = project(desk_array, h, start.theta, start.r)
+        out, after = newton_refine_once(desk_array, h, start, at_start)
         assert (out.theta, out.r) == (start.theta, start.r)
-        (rec,) = records
-        assert not rec[8] and rec[7] == rec[6]
+        assert after is at_start and after.cost == at_start.cost
 
     def test_distance_clamped_into_annulus(self, desk_array):
         truth = PathParams(theta=1.5, r=desk_array.rayleigh_distance * 0.99, g=1.0)
@@ -345,16 +342,19 @@ class TestNewtonRefine:
             assert p.r <= desk_array.rayleigh_distance
 
     def test_trace_hook_records_accepted_steps(self, desk_array, desk_codebook):
+        # The turn, not the step, reports each step: one record per
+        # newton_refine_once call, path k's steps numbered from 0.
         truth = PathParams(theta=1.25, r=2.3, g=1.0, phi=1.0)
         h = synthesize_channel(desk_array, [truth])
-        records = []
-        p = at_ls_gain(desk_array, h, omp_detect(
-            desk_codebook, desk_codebook.scores(h[None])[0]))
-        for j in range(5):
-            p, _ = newton_refine_once(
-                desk_array, h, p, project(desk_array, h, p.theta, p.r),
-                trace=lambda *a: records.append(a), round_index=j)
-        assert len(records) == 5
+        records, calls = [], []
+        start = omp_detect(desk_codebook, desk_codebook.scores(h[None])[0])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimator, "newton_refine_once",
+                       _recording(estimator.newton_refine_once, calls))
+            estimator._refine(EstimatorConfig(codebook=desk_codebook), h, 0.0,
+                              Path(start), 2, lambda *a: records.append(a))
+        assert len(records) == len(calls) == 5
+        assert [r[:2] for r in records] == [(2, j) for j in range(5)]
         for (_, _, _, _, _, _, c_before, c_after, accepted) in records:
             if accepted:
                 assert c_after >= c_before
@@ -518,8 +518,42 @@ class TestRefineTurn:
         p = PathParams(*records[1][2:6])
         at_p = project(desk_array, y, p.theta, p.r)
         step = _newton_step(*grad_hess(desk_array, at_p, p), True)
-        cand = _clamp_params(desk_array, p.theta - step[0], p.r - step[1])
+        cand = clamp_params(desk_array, p.theta - step[0], p.r - step[1])
         assert project(desk_array, y, *cand).cost < at_p.cost
+
+    def test_turn_traces_each_step(self, monkeypatch):
+        # Over one tab2_desk trial, every turn traces each of its steps
+        # right after the step: the record's path index is the turn's, its
+        # step index counts from 0 in every turn, and its accepted flag is,
+        # call for call, whether the step returned a new projection.
+        scenario = load_scenario("scenarios/tab2_desk.json")
+        events = []
+        step, turn = estimator.newton_refine_once, estimator._refine
+
+        def stepping(cfg, y, p, proj, **kwargs):
+            out = step(cfg, y, p, proj, **kwargs)
+            events.append(("step", out[1] is not proj))
+            return out
+
+        def turning(cfg, y_r, sigma2, path, k, *args):
+            events.append(("turn", k))
+            return turn(cfg, y_r, sigma2, path, k, *args)
+
+        monkeypatch.setattr(estimator, "newton_refine_once", stepping)
+        monkeypatch.setattr(estimator, "_refine", turning)
+        run_trial(scenario, 20.0, 0, 0, trace=lambda *a: events.append(("hook", a)))
+        turns, flags = 0, []
+        for kind, value in events:
+            if kind == "turn":
+                turns, k, j = turns + 1, value, 0
+            elif kind == "step":
+                flags.append(value)
+            else:
+                assert value[:2] == (k, j) and value[8] == flags[-1]
+                j += 1
+        assert [kind for kind, _ in events if kind != "turn"] == \
+            ["step", "hook"] * len(flags)
+        assert turns > 1 and any(flags) and not all(flags)
 
     def test_turn_opens_at_start_ls_gain(self, desk_array, desk_codebook):
         # A turn of no steps returns its start point with the LS gain there,
@@ -604,7 +638,7 @@ class TestRefineTurn:
         p = PathParams(*records[0][2:6])
         at_p = grad_hess(desk_array, project(desk_array, y, p.theta, p.r), p)
         steps = [_newton_step(*at_p, concentrated) for concentrated in (False, True)]
-        cands = [_clamp_params(desk_array, p.theta - dt, p.r - dr) for dt, dr in steps]
+        cands = [clamp_params(desk_array, p.theta - dt, p.r - dr) for dt, dr in steps]
         assert cands[0] != cands[1] and tuple(records[1][2:4]) == cands[1]
 
     def test_zero_ls_gain_falls_back_to_plain_step(self, desk_array):
@@ -683,7 +717,7 @@ class TestRefineTurn:
         (1.0, 2.0), (0.0, 0.0), (-1.0, 1e6), (4.0, -1.0), (np.inf, np.inf),
         (-np.inf, -np.inf), (np.nan, np.nan), (THETA_EDGE, 6.144)])
     def test_clamp_equals_np_clip(self, desk_array, theta, r):
-        got = _clamp_params(desk_array, np.float64(theta), np.float64(r))
+        got = clamp_params(desk_array, np.float64(theta), np.float64(r))
         want = (np.clip(theta, THETA_EDGE, np.pi - THETA_EDGE),
                 np.clip(r, desk_array.min_near_distance, desk_array.rayleigh_distance))
         assert all(type(v) is float for v in got)
@@ -1258,8 +1292,8 @@ class TestKeptGeometry:
         counted = _recording(arraymodel.element_distances, evaluated)
         for module in (arraymodel, estimator):
             monkeypatch.setattr(module, "element_distances", counted)
-        monkeypatch.setattr(estimator, "_clamp_params",
-                            _recording(estimator._clamp_params, candidates))
+        monkeypatch.setattr(estimator, "clamp_params",
+                            _recording(estimator.clamp_params, candidates))
         ests = vnnce([y], [3], cfg)[0]
         assert candidates and len(evaluated) == len(candidates) + 3
         kept = [Path(e.params, e.at) for e in ests]
@@ -1283,8 +1317,8 @@ class TestKeptGeometry:
         counted = _recording(arraymodel.element_distances, evaluated)
         for module in (arraymodel, estimator):
             monkeypatch.setattr(module, "element_distances", counted)
-        monkeypatch.setattr(estimator, "_clamp_params",
-                            _returning(estimator._clamp_params, candidates))
+        monkeypatch.setattr(estimator, "clamp_params",
+                            _returning(estimator.clamp_params, candidates))
         fuse = pipeline.gfcl
 
         def marked(*args):

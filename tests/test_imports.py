@@ -5,7 +5,7 @@ import line marked `# noqa: F401` is exempt, and in the package such a line
 may only import what the benchmark's layer tracer rebinds on that module. A
 further scan holds the package's modules to their layers, and `code_lines`
 gives the package's size as ROADMAP tracks it: `python tests/test_imports.py`
-prints its `wc -l` and code line counts."""
+prints the `wc -l` and code line counts of each module and their totals."""
 
 import ast
 import types
@@ -285,7 +285,11 @@ def test_code_lines_count_code_only():
 
 
 if __name__ == "__main__":
-    files = sorted((ROOT / "src" / "nearfield").glob("*.py"))
-    texts = [path.read_text() for path in files]
-    print(f"src/nearfield: {sum(len(t.splitlines()) for t in texts)} lines (wc -l), "
-          f"{sum(code_lines(t) for t in texts)} code lines")
+    lines = code = 0
+    for path in sorted((ROOT / "src" / "nearfield").glob("*.py")):
+        text = path.read_text()
+        lines += len(text.splitlines())
+        code += code_lines(text)
+        print(f"  {path.name:<16}{len(text.splitlines()):>5} lines (wc -l), "
+              f"{code_lines(text):>5} code lines")
+    print(f"src/nearfield: {lines} lines (wc -l), {code} code lines")

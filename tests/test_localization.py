@@ -10,12 +10,16 @@ from nearfield.arraymodel import (Measurement, PathParams, add_noise,
 from nearfield.codebook import CodebookConfig, build_codebook
 from nearfield.estimator import (PSD_FLOOR, EstimatorConfig, Path, project,
                                  soft_estimates, vnnce)
+from nearfield.harness import SCHEMA
 from nearfield.localization import (BsConfig, SoftPosition, consistency,
                                     gaussian_fuse, gfcl, is_front_side,
                                     position_covariance)
 from tests.conftest import random_path
 from tests.reference import (as_vector, central_differences,
                              marginal_position_covariance)
+
+
+ZETA = SCHEMA["zeta"][1]  # the scenario schema's default gate; gfcl has none
 
 
 def random_psd_2x2(rng, scale=1.0):
@@ -267,7 +271,7 @@ class TestGfcl:
         user, bss = self._bs_setup()
         sigma2 = 1e-4  # 40 dB with unit gains
         ests = self._measure(desk_array, bss, user, sigma2, rng)
-        report = gfcl(ests, bss)
+        report = gfcl(ests, bss, ZETA)
         assert all(c.consistent for c in report.candidates)
         assert np.linalg.norm(report.fused.mean - user) < 0.01
         # Fused trace never exceeds the kept candidates' minimum.
@@ -278,7 +282,7 @@ class TestGfcl:
     def test_reference_flag_and_selection_rule(self, desk_array, rng):
         user, bss = self._bs_setup()
         ests = self._measure(desk_array, bss, user, 1e-4, rng)
-        report = gfcl(ests, bss)
+        report = gfcl(ests, bss, ZETA)
         ref = report.candidates[report.reference]
         assert ref.consistent
         assert ref.position.cost == min(c.position.cost for c in report.candidates)
@@ -287,18 +291,27 @@ class TestGfcl:
         for k in range(len(bss)):
             order = list(range(len(bss)))
             order[k], order[report.reference] = order[report.reference], order[k]
-            moved = gfcl([ests[j] for j in order], [bss[j] for j in order])
+            moved = gfcl([ests[j] for j in order], [bss[j] for j in order], ZETA)
             assert moved.reference == k
             assert moved.to_dict()["reference_bs"] == k
+
+    def test_reference_is_first_on_a_cost_tie(self, desk_array, rng):
+        # Two BSs with the same least cost: the lower index is the
+        # reference, and its twin passes the gate against it.
+        user, bss = self._bs_setup()
+        ests = self._measure(desk_array, bss[:1], user, 1e-4, rng)
+        report = gfcl(ests * 2, bss[:1] * 2, ZETA)
+        assert report.reference == 0
+        assert all(c.consistent for c in report.candidates)
 
     def test_candidate_i_belongs_to_bs_i(self, desk_array, rng):
         # Candidate i is what BS i's estimates give when fused alone.
         user, bss = self._bs_setup()
         ests = self._measure(desk_array, bss, user, 1e-4, rng)
-        report = gfcl(ests, bss)
+        report = gfcl(ests, bss, ZETA)
         assert len(report.candidates) == len(bss)
         for est, bs, cand in zip(ests, bss, report.candidates):
-            alone = gfcl([est], [bs]).candidates[0]
+            alone = gfcl([est], [bs], ZETA).candidates[0]
             assert cand.path_index == alone.path_index
             assert np.array_equal(cand.position.mean, alone.position.mean)
         assert [d["bs"] for d in report.to_dict()["per_bs"]] == [0, 1, 2, 3]
@@ -306,7 +319,7 @@ class TestGfcl:
     def test_corrupted_bs_excluded(self, desk_array, rng):
         user, bss = self._bs_setup()
         ests = self._measure(desk_array, bss, user, 1e-4, rng)
-        baseline = gfcl(ests, bss)
+        baseline = gfcl(ests, bss, ZETA)
 
         # Replace one BS's candidate with a confident estimate 100 m off.
         bad_theta, bad_r = 1.0, 5.0
@@ -317,7 +330,7 @@ class TestGfcl:
         y_bad = add_noise(h_bad, 1e-4, rng)
         cb = build_codebook(desk_array, CodebookConfig())
         ests2 = ests[:3] + vnnce([y_bad], [1], EstimatorConfig(codebook=cb))
-        report = gfcl(ests2, bss2)
+        report = gfcl(ests2, bss2, ZETA)
         bad_cand = report.candidates[3]
         assert not bad_cand.consistent
         err = np.linalg.norm(report.fused.mean - user)
@@ -328,17 +341,17 @@ class TestGfcl:
         user, bss = self._bs_setup()
         ests = self._measure(desk_array, bss, user, 1e-4, rng)
         with pytest.raises(ValueError, match="4 per-BS estimate lists but 3"):
-            gfcl(ests, bss[:3])
+            gfcl(ests, bss[:3], ZETA)
 
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError):
-            gfcl([], [])
+            gfcl([], [], ZETA)
         with pytest.raises(ValueError, match="BS 0 has no path"):
-            gfcl([[]], [BsConfig(position=(0, 0), rotation=0.0)])
+            gfcl([[]], [BsConfig(position=(0, 0), rotation=0.0)], ZETA)
 
     def test_rejects_a_bs_without_a_path(self, desk_array, rng):
         # Dropping the pathless BS would shift every later candidate's index.
         user, bss = self._bs_setup()
         ests = self._measure(desk_array, bss[:1], user, 1e-4, rng)
         with pytest.raises(ValueError, match="BS 1 has no path"):
-            gfcl([ests[0], []], bss[:2])
+            gfcl([ests[0], []], bss[:2], ZETA)

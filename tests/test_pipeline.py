@@ -228,6 +228,35 @@ class TestInvariance:
             assert scaled.anchored == base.anchored
             assert scaled.step2.fused.mean.tobytes() == base.step2.fused.mean.tobytes()
 
+    @pytest.mark.parametrize("up", [True, False], ids=["x3", "div3"])
+    def test_scale_not_a_power_of_two(self, draws, up):
+        # y x 3 with sigma^2 x 9, or y / 3 with sigma^2 / 9: the scale is not
+        # exact in binary, so the scaled run rounds its own way. The bounds
+        # were fixed before the run; on these draws the worst reads theta
+        # 3.4e-11, r 1.8e-6, g 4.2e-10 (relative), phi 2.6e-7 rad and the
+        # fused mean 7.6e-12 m, with no anchor flipped. r's bound is the
+        # loosest: a turn stops on a 1e-3-nat gain, and the cost is flattest
+        # in r, so a stop a rounding apart leaves r where the cost moves
+        # least.
+        scenario, runs = draws
+        scale = 3.0 if up else 1.0 / 3.0
+        for bss, ys, counts, base in runs:
+            ys_scaled = [Measurement(y.y * 3.0, y.noise_variance * 9.0) if up else
+                         Measurement(y.y / 3.0, y.noise_variance / 9.0) for y in ys]
+            scaled = run_joint(bss, ys_scaled, counts, scenario.estimator,
+                               scenario.zeta)
+            assert scaled.anchored == base.anchored
+            for got, want in [(step1_params(scaled), step1_params(base)),
+                              (params(scaled.step3), params(base.step3))]:
+                for gs, ws in zip(got, want):
+                    for (t, r, g, phi), (t0, r0, g0, phi0) in zip(gs or [], ws or []):
+                        assert abs(t - t0) <= 1e-9 * t0
+                        assert abs(r - r0) <= 1e-5 * r0
+                        assert abs(g / scale - g0) <= 1e-8 * g0
+                        assert abs((phi - phi0 + np.pi) % (2 * np.pi) - np.pi) <= 1e-6
+            assert np.linalg.norm(scaled.step2.fused.mean
+                                  - base.step2.fused.mean) <= 1e-9
+
     def test_bs_order(self, draws):
         # Reversing the BSs reverses step 1 bit for bit, since every BS takes
         # the steps it takes alone, and the anchored flags. The fusion sums
